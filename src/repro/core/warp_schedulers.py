@@ -40,11 +40,17 @@ class WarpScheduler:
     greedy = False
     name = "base"
 
-    __slots__ = ("_heap", "_greedy_warp")
+    __slots__ = ("_heap", "_greedy_warp", "qfull_idle")
 
     def __init__(self) -> None:
         self._heap: list[tuple[tuple, int, Warp]] = []
         self._greedy_warp: Warp | None = None
+        #: Set by ``SM.tick`` when :meth:`pick` found nothing under a full
+        #: LD/ST queue.  While a warp is READY its next opcode is fixed, and
+        #: only :meth:`on_ready` and :meth:`on_issue` change what ``pick``
+        #: would see, so both clear the mark and a marked scheduler's next
+        #: pick under a full queue would find nothing again.
+        self.qfull_idle = False
 
     # -- policy hook ----------------------------------------------------- #
     def priority_key(self, warp: Warp) -> tuple:
@@ -58,6 +64,7 @@ class WarpScheduler:
     # -- SM-facing API ----------------------------------------------------#
     def on_ready(self, warp: Warp) -> None:
         """Called whenever ``warp`` (re)enters READY."""
+        self.qfull_idle = False
         if warp is self._greedy_warp:
             # The greedy pointer guarantees this warp is picked while READY,
             # so a heap entry would only ever be skipped as stale.
@@ -111,6 +118,7 @@ class WarpScheduler:
 
     def on_issue(self, warp: Warp, now: int) -> None:
         """Bookkeeping after ``warp`` issued at cycle ``now``."""
+        self.qfull_idle = False
         warp.last_issue = now
 
     @property

@@ -9,7 +9,7 @@ DRAM channels/banks/rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def line_of(byte_address: int, line_size: int) -> int:
@@ -24,8 +24,7 @@ def l2_bank_of(line: int, num_banks: int) -> int:
     return line % num_banks
 
 
-@dataclass(frozen=True, slots=True)
-class DRAMCoordinates:
+class DRAMCoordinates(NamedTuple):
     channel: int
     bank: int
     row: int

@@ -33,25 +33,13 @@ SCAN_WINDOW = 32
 ResponseCallback = Callable[[int, Any], None]
 
 
-class _Request:
-    __slots__ = ("line", "bank", "row", "callback", "arg", "is_write")
-
-    def __init__(self, line: int, bank: int, row: int,
-                 callback: ResponseCallback | None, arg: Any,
-                 is_write: bool) -> None:
-        self.line = line
-        self.bank = bank
-        self.row = row
-        self.callback = callback
-        self.arg = arg
-        self.is_write = is_write
-
-
 class _Channel:
     __slots__ = ("pending", "bus_free", "bank_ready", "open_row", "wake_at")
 
     def __init__(self, num_banks: int) -> None:
-        self.pending: list[_Request] = []
+        #: Queued requests, oldest first, as ``(bank, row, callback, arg)``;
+        #: a write has no callback.
+        self.pending: list[tuple[int, int, ResponseCallback | None, Any]] = []
         self.bus_free = 0
         self.bank_ready = [0] * num_banks
         self.open_row = [-1] * num_banks
@@ -81,21 +69,20 @@ class DRAMModel:
              arg: Any = None) -> None:
         """Enqueue a read; ``callback(completion_cycle, arg)`` fires later."""
         self.stats.reads += 1
-        self._enqueue(line, now, callback, arg, is_write=False)
+        self._enqueue(line, now, callback, arg)
 
     def write(self, line: int, now: int) -> None:
         """Enqueue a write (fire-and-forget; still occupies bank and bus)."""
         self.stats.writes += 1
-        self._enqueue(line, now, None, None, is_write=True)
+        self._enqueue(line, now, None, None)
 
     def _enqueue(self, line: int, now: int, callback: ResponseCallback | None,
-                 arg: Any, is_write: bool) -> None:
-        coords = dram_coordinates(line, self._num_channels, self._banks,
-                                  self._row_lines)
-        channel = self._channels[coords.channel]
-        channel.pending.append(
-            _Request(line, coords.bank, coords.row, callback, arg, is_write))
-        self._wake(coords.channel, max(now, channel.bus_free))
+                 arg: Any) -> None:
+        channel_idx, bank, row = dram_coordinates(
+            line, self._num_channels, self._banks, self._row_lines)
+        channel = self._channels[channel_idx]
+        channel.pending.append((bank, row, callback, arg))
+        self._wake(channel_idx, max(now, channel.bus_free))
 
     # ------------------------------------------------------------------ #
     def _wake(self, channel_idx: int, when: int) -> None:
@@ -114,49 +101,53 @@ class DRAMModel:
         if channel.wake_at != stamp:
             return  # superseded by an earlier wake
         channel.wake_at = None
-        if not channel.pending:
+        pending = channel.pending
+        if not pending:
             return
         if channel.bus_free > now:
             self._wake(channel_idx, channel.bus_free)
             return
-        request = self._pick(channel, now)
-        if request is None:
+        index = self._pick(channel, now)
+        if index is None:
             # Every candidate's bank is mid-activate; retry when one frees.
-            window = channel.pending[:SCAN_WINDOW]
-            self._wake(channel_idx,
-                       min(channel.bank_ready[r.bank] for r in window))
+            bank_ready = channel.bank_ready
+            self._wake(channel_idx, min(bank_ready[request[0]]
+                                        for request in pending[:SCAN_WINDOW]))
             return
-        channel.pending.remove(request)
-        bank = request.bank
-        if channel.open_row[bank] == request.row:
+        bank, row, callback, callback_arg = pending.pop(index)
+        if channel.open_row[bank] == row:
             access_latency = self._t_cas
             self.stats.row_hits += 1
             channel.bank_ready[bank] = now + self._t_burst
         else:
             access_latency = self._t_row_miss
             self.stats.row_misses += 1
-            channel.open_row[bank] = request.row
+            channel.open_row[bank] = row
             # Precharge + activate occupies the bank, not the bus.
             channel.bank_ready[bank] = now + self._t_row_miss
         channel.bus_free = now + self._t_burst
         self.stats.bus_busy_cycles += self._t_burst
-        if request.callback is not None:
+        if callback is not None:
             completion = now + access_latency + self._t_burst
-            self._events.schedule(completion, request.callback, request.arg)
-        if channel.pending:
+            self._events.schedule(completion, callback, callback_arg)
+        if pending:
             self._wake(channel_idx, channel.bus_free)
 
-    def _pick(self, channel: _Channel, now: int) -> _Request | None:
-        """FR-FCFS over the oldest SCAN_WINDOW requests."""
-        window = channel.pending[:SCAN_WINDOW]
+    @staticmethod
+    def _pick(channel: _Channel, now: int) -> int | None:
+        """FR-FCFS over the oldest SCAN_WINDOW requests: the queue index of
+        the first ready row hit, else of the oldest ready request."""
+        bank_ready = channel.bank_ready
+        open_row = channel.open_row
         oldest_ready = None
-        for request in window:
-            if channel.bank_ready[request.bank] > now:
+        for index, (bank, row, _, _) in enumerate(
+                channel.pending[:SCAN_WINDOW]):
+            if bank_ready[bank] > now:
                 continue
-            if channel.open_row[request.bank] == request.row:
-                return request           # first ready row hit wins
+            if open_row[bank] == row:
+                return index             # first ready row hit wins
             if oldest_ready is None:
-                oldest_ready = request
+                oldest_ready = index
         return oldest_ready
 
     # ------------------------------------------------------------------ #

@@ -68,9 +68,9 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------ #
     def _icnt_arrival(self, direction: int, start: int) -> int:
-        """Cycle a transaction injected at ``start`` crosses the network."""
-        if not self._icnt_bw:
-            return start + self._icnt
+        """Cycle a transaction injected at ``start`` crosses the network
+        under the bandwidth model.  Without it (``icnt_bw_per_direction``
+        0) the callers add the fixed latency inline."""
         slot = max(float(start), self._icnt_next_free[direction])
         self._icnt_next_free[direction] = slot + 1.0 / self._icnt_bw
         return int(slot) + self._icnt
@@ -79,13 +79,15 @@ class MemorySubsystem:
     # SM-facing API (called by the LD/ST unit on an L1 miss / write-through)
     def load(self, sm: "SM", line: int, now: int) -> None:
         """Forward an L1 load miss toward L2."""
-        self._events.schedule(self._icnt_arrival(0, now),
-                              self._on_l2_load, (sm, line))
+        arrival = (self._icnt_arrival(0, now) if self._icnt_bw
+                   else now + self._icnt)
+        self._events.schedule(arrival, self._on_l2_load, (sm, line))
 
     def store(self, sm: "SM", line: int, now: int) -> None:
         """Forward a write-through store toward L2."""
-        self._events.schedule(self._icnt_arrival(0, now),
-                              self._on_l2_store, (sm, line))
+        arrival = (self._icnt_arrival(0, now) if self._icnt_bw
+                   else now + self._icnt)
+        self._events.schedule(arrival, self._on_l2_store, (sm, line))
 
     # ------------------------------------------------------------------ #
     def _on_l2_load(self, now: int, arg: tuple["SM", int]) -> None:
@@ -99,9 +101,10 @@ class MemorySubsystem:
         cache = self.l2_banks[bank]
         outcome = cache.lookup_load(line, sm)
         if outcome is Access.HIT:
-            self._events.schedule(
-                self._icnt_arrival(1, now + self._l2_latency),
-                self._deliver, (sm, line))
+            start = now + self._l2_latency
+            arrival = (self._icnt_arrival(1, start) if self._icnt_bw
+                       else start + self._icnt)
+            self._events.schedule(arrival, self._deliver, (sm, line))
             return True
         if outcome is Access.MISS:
             self.dram.read(line, now + self._l2_latency,
@@ -126,9 +129,11 @@ class MemorySubsystem:
         bank, line = arg
         cache = self.l2_banks[bank]
         for sm in cache.fill(line):
-            self._events.schedule(self._icnt_arrival(1, now),
-                                  self._deliver, (sm, line))
-        self._drain_bank_queue(now, bank)
+            arrival = (self._icnt_arrival(1, now) if self._icnt_bw
+                       else now + self._icnt)
+            self._events.schedule(arrival, self._deliver, (sm, line))
+        if self._bank_queues[bank]:
+            self._drain_bank_queue(now, bank)
 
     def _drain_bank_queue(self, now: int, bank: int) -> None:
         """Retry queued requests now that an MSHR entry freed up."""

@@ -189,6 +189,9 @@ class GPU:
         self.cta_scheduler: "CTAScheduler | None" = None
         self._cta_seq = 0
         self._block_seq = 0
+        #: CTAs completed over all kernels; the run loops compare it with
+        #: the launched total instead of evaluating ``cta_scheduler.done``.
+        self._ctas_done = 0
         if telemetry is not None:
             telemetry.attach(self)
 
@@ -237,6 +240,7 @@ class GPU:
     def on_cta_complete(self, sm: SM, cta: CTA, now: int) -> None:
         run = cta.run
         run.completed += 1
+        self._ctas_done += 1
         run.stats.instructions += cta.issued_instrs
         stats = run.stats
         for warp in cta.warps:
@@ -353,13 +357,30 @@ class GPU:
     def _loop(self, cta_scheduler: "CTAScheduler", cycle_accurate: bool,
               deadline: float | None = None,
               service: "_RunService | None" = None) -> int:
-        """The telemetry-free run loop (the pre-telemetry hot path)."""
+        """The telemetry-free run loop (the pre-telemetry hot path).
+
+        Per-iteration fixed costs are paid only when due:
+
+        * **completion counter** — :meth:`on_cta_complete` counts
+          completions, so the loop compares two ints instead of evaluating
+          ``cta_scheduler.done`` (a generator over every run); ``done`` is
+          asserted once at loop exit;
+        * **fill gate** — ``fill()`` runs only while the scheduler's
+          ``_need_fill`` flag is up (the first thing ``fill`` itself checks,
+          and no policy overrides ``fill``);
+        * **event gate** — ``run_due`` runs only when the queue's head is
+          due, read by a direct heap peek.
+        """
         events = self.events
+        run_due = events.run_due
+        ev_heap = events._heap
+        fill = cta_scheduler.fill
         sms = self.sms
         max_cycles = self.config.max_cycles
         cycle = self.cycle
+        total_ctas = self._total_ctas()
         service_at = service.next_cycle if service is not None else None
-        while not cta_scheduler.done:
+        while self._ctas_done < total_ctas:
             if deadline is not None and _monotonic() >= deadline:
                 self.cycle = cycle
                 saved = (service.on_timeout(self, cycle)
@@ -372,8 +393,10 @@ class GPU:
             if service_at is not None and cycle >= service_at:
                 self.cycle = cycle
                 service_at = service.service(self, cycle)
-            events.run_due(cycle)
-            cta_scheduler.fill(cycle)
+            if ev_heap and ev_heap[0][0] <= cycle:
+                run_due(cycle)
+            if cta_scheduler._need_fill:
+                fill(cycle)
             active = False
             for sm in sms:
                 # Mirror of SM.tick's entry guards: an SM with nothing in
@@ -387,8 +410,7 @@ class GPU:
             if active:
                 cycle += 1
             else:
-                next_event = events.next_time()
-                if next_event is None:
+                if not ev_heap:
                     self.cycle = cycle
                     raise SimulationDeadlock(
                         f"cycle {cycle}: no progress possible; "
@@ -396,7 +418,7 @@ class GPU:
                 if cycle_accurate:
                     cycle += 1
                 else:
-                    cycle = max(cycle + 1, next_event)
+                    cycle = max(cycle + 1, ev_heap[0][0])
             if cycle > max_cycles:
                 self.cycle = cycle
                 raise SimulationTimeout(
@@ -404,6 +426,7 @@ class GPU:
                     cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
                     checkpoint_cycle=(service.checkpoint_cycle
                                       if service is not None else None))
+        self._check_done(cta_scheduler, total_ctas)
         return cycle
 
     def _loop_windowed(self, cta_scheduler: "CTAScheduler",
@@ -427,13 +450,17 @@ class GPU:
         windows across a checkpoint/restore).
         """
         events = self.events
+        run_due = events.run_due
+        ev_heap = events._heap
+        fill = cta_scheduler.fill
         sms = self.sms
         max_cycles = self.config.max_cycles
         cycle = self.cycle
         window = hub.window
         boundary = (cycle // window + 1) * window
+        total_ctas = self._total_ctas()
         service_at = service.next_cycle if service is not None else None
-        while not cta_scheduler.done:
+        while self._ctas_done < total_ctas:
             while cycle >= boundary:
                 hub.close_window(boundary)
                 boundary += window
@@ -449,8 +476,10 @@ class GPU:
             if service_at is not None and cycle >= service_at:
                 self.cycle = cycle
                 service_at = service.service(self, cycle)
-            events.run_due(cycle)
-            cta_scheduler.fill(cycle)
+            if ev_heap and ev_heap[0][0] <= cycle:
+                run_due(cycle)
+            if cta_scheduler._need_fill:
+                fill(cycle)
             active = False
             for sm in sms:
                 if ((sm.ldst and not sm.ldst_blocked)
@@ -460,8 +489,7 @@ class GPU:
             if active:
                 cycle += 1
             else:
-                next_event = events.next_time()
-                if next_event is None:
+                if not ev_heap:
                     self.cycle = cycle
                     raise SimulationDeadlock(
                         f"cycle {cycle}: no progress possible; "
@@ -469,7 +497,7 @@ class GPU:
                 if cycle_accurate:
                     cycle += 1
                 else:
-                    cycle = max(cycle + 1, next_event)
+                    cycle = max(cycle + 1, ev_heap[0][0])
             if cycle > max_cycles:
                 self.cycle = cycle
                 raise SimulationTimeout(
@@ -477,7 +505,21 @@ class GPU:
                     cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
                     checkpoint_cycle=(service.checkpoint_cycle
                                       if service is not None else None))
+        self._check_done(cta_scheduler, total_ctas)
         return cycle
+
+    def _total_ctas(self) -> int:
+        """CTAs of every launched kernel: the loops run until
+        :attr:`_ctas_done` reaches it."""
+        return sum(run.kernel.num_ctas for run in self.runs)
+
+    def _check_done(self, cta_scheduler: "CTAScheduler",
+                    total_ctas: int) -> None:
+        """Loop-exit self-check of the completion counter."""
+        if not cta_scheduler.done:
+            raise SimulationError(
+                f"completion counter reached {self._ctas_done}/{total_ctas} "
+                "but the CTA scheduler disagrees — counter drift")
 
     # ------------------------------------------------------------------ #
     @property

@@ -60,6 +60,9 @@ def _prefetch_sentinel() -> "_PrefetchSentinel":
 
 PREFETCH = _PrefetchSentinel()
 
+_LD_GLOBAL = Op.LD_GLOBAL
+_ST_GLOBAL = Op.ST_GLOBAL
+
 
 class SM:
     __slots__ = ("gpu", "sm_id", "config", "l1", "schedulers", "ldst",
@@ -208,8 +211,19 @@ class SM:
                 # structural check, so skip the per-warp call entirely; when
                 # the queue is full it cannot drain during a pick, so only
                 # the instruction kind matters (the queue can fill mid-loop,
-                # hence the per-scheduler test).
-                warp = scheduler.pick(None if len(ldst) < depth else qfull)
+                # hence the per-scheduler test).  A scheduler whose last
+                # pick under a full queue found nothing is skipped until a
+                # warp of its own becomes READY or issues (see
+                # ``WarpScheduler.qfull_idle``).
+                if len(ldst) < depth:
+                    warp = scheduler.pick(None)
+                elif scheduler.qfull_idle:
+                    continue
+                else:
+                    warp = scheduler.pick(qfull)
+                    if warp is None:
+                        scheduler.qfull_idle = True
+                        continue
                 if warp is not None:
                     self._issue(warp, scheduler, now)
                     issued_any = True
@@ -221,17 +235,15 @@ class SM:
                 self.gate_blocked = True
         return active
 
-    def _can_issue(self, warp: Warp) -> bool:
-        """Structural check at the issue stage: a memory instruction needs a
-        free slot in the LD/ST queue."""
-        if warp.program[warp.pc].is_memory:
-            return len(self.ldst) < self._ldst_depth
-        return True
-
-    def _can_issue_qfull(self, warp: Warp) -> bool:
-        """:meth:`_can_issue` specialised for a full LD/ST queue (it cannot
-        drain during a pick, so only the instruction kind matters)."""
-        return not warp.program[warp.pc].is_memory
+    @staticmethod
+    def _can_issue_qfull(warp: Warp) -> bool:
+        """The issue-stage structural check under a full LD/ST queue: a
+        memory instruction needs a free queue slot, which cannot open
+        during a pick, so only the instruction kind matters.  Compared with
+        ``!=`` because ``Instruction`` keeps ``op`` as given (an ``Op`` or
+        its int value)."""
+        op = warp.program[warp.pc].op
+        return op != _LD_GLOBAL and op != _ST_GLOBAL
 
     def _issue(self, warp: Warp, scheduler, now: int) -> None:
         instruction = warp.program[warp.pc]

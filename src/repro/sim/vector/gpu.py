@@ -1,18 +1,9 @@
 """``VectorGPU`` — the run loop over the vector core.
 
 Semantically identical to :meth:`repro.sim.gpu.GPU._loop`, with the
-per-iteration fixed costs paid only when due:
+same completion counter, fill gate and event gate, plus one step of its
+own:
 
-* **completion counter** — the object loop evaluates
-  ``cta_scheduler.done`` (a generator over every run) each iteration; the
-  vector loop counts completions in :meth:`on_cta_complete` and compares
-  two ints.  The policy's own ``done`` is asserted once at loop exit.
-* **fill gate** — ``fill()`` is called only when the scheduler's
-  ``_need_fill`` flag is up (the flag is the first thing ``fill`` itself
-  checks, so gating on it cannot change behaviour; no policy overrides
-  ``fill``).
-* **event gate** — ``events.run_due`` runs only when the queue's head is
-  due, via a direct heap peek.
 * **inline wake drain** — the batched ALU/L1-hit wake calendar is drained
   at the loop top (before ``run_due``), and the fast-forward jump targets
   the earlier of the next event-queue entry and the next calendar cycle.
@@ -32,9 +23,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ...core.warp_schedulers import WarpScheduler, warp_scheduler_factory
 from ..config import GPUConfig
-from ..cta import CTA
 from ..gpu import GPU, SimulationDeadlock, SimulationError, SimulationTimeout
-from ..sm import SM
 from . import VECTOR_WARP_SCHEDULERS, VectorBackendError, ensure_numpy
 from .core import VectorSM
 from .sched import KIND_BY_NAME, MAX_LAST_ISSUE, SLOT_BITS, SLOT_MASK
@@ -79,7 +68,6 @@ class VectorGPU(GPU):
         #: Batched wake calendar: cycle -> [packed (sm, slot, kind)].
         self._wake_cal: dict[int, list[int]] = {}
         self._wake_heap: list[int] = []
-        self._ctas_done = 0
         kind = KIND_BY_NAME[warp_scheduler]
         factory = warp_scheduler_factory(warp_scheduler)
         # The probes read gpu.sms dynamically, so swapping in the vector
@@ -89,10 +77,6 @@ class VectorGPU(GPU):
                     for sm_id in range(self.config.num_sms)]
 
     # ------------------------------------------------------------------ #
-    def on_cta_complete(self, sm: SM, cta: CTA, now: int) -> None:
-        self._ctas_done += 1
-        super().on_cta_complete(sm, cta, now)
-
     def run(self, *args, **kwargs) -> None:
         super().run(*args, **kwargs)
         # Every CTA completed and the event queue drained; a leftover wake
@@ -114,7 +98,7 @@ class VectorGPU(GPU):
         calheap = self._wake_heap
         max_cycles = self.config.max_cycles
         cycle = self.cycle
-        total_ctas = sum(run.kernel.num_ctas for run in self.runs)
+        total_ctas = self._total_ctas()
         service_at = service.next_cycle if service is not None else None
         while self._ctas_done < total_ctas:
             if deadline is not None and _monotonic() >= deadline:
@@ -174,11 +158,7 @@ class VectorGPU(GPU):
                     cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
                     checkpoint_cycle=(service.checkpoint_cycle
                                       if service is not None else None))
-        if not cta_scheduler.done:
-            raise SimulationError(
-                "vector backend: completion counter reached "
-                f"{self._ctas_done}/{total_ctas} but the CTA scheduler "
-                "disagrees — counter drift")
+        self._check_done(cta_scheduler, total_ctas)
         return cycle
 
     def _loop_windowed(self, cta_scheduler: "CTAScheduler",
@@ -195,7 +175,7 @@ class VectorGPU(GPU):
         cycle = self.cycle
         window = hub.window
         boundary = (cycle // window + 1) * window
-        total_ctas = sum(run.kernel.num_ctas for run in self.runs)
+        total_ctas = self._total_ctas()
         service_at = service.next_cycle if service is not None else None
         while self._ctas_done < total_ctas:
             while cycle >= boundary:
@@ -258,9 +238,5 @@ class VectorGPU(GPU):
                     cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
                     checkpoint_cycle=(service.checkpoint_cycle
                                       if service is not None else None))
-        if not cta_scheduler.done:
-            raise SimulationError(
-                "vector backend: completion counter reached "
-                f"{self._ctas_done}/{total_ctas} but the CTA scheduler "
-                "disagrees — counter drift")
+        self._check_done(cta_scheduler, total_ctas)
         return cycle

@@ -1,6 +1,11 @@
-"""Deeper FR-FCFS scheduler tests: window bounds, fairness floor, load."""
+"""Deeper FR-FCFS scheduler tests: window bounds, fairness floor, load,
+and a naive cycle-by-cycle reference."""
 
+import random
 
+import pytest
+
+from repro.mem.address import dram_coordinates
 from repro.mem.dram import DRAMModel, SCAN_WINDOW
 from repro.sim.config import GPUConfig
 from repro.sim.events import EventQueue
@@ -97,3 +102,135 @@ class TestThroughput:
         single_span = (config.dram_row_lines - 1) * config.dram_t_burst \
             + config.dram_t_row_miss + config.dram_t_burst
         assert max(done) <= single_span * 1.5
+
+
+def naive_frfcfs(config, stream):
+    """Cycle-by-cycle FR-FCFS reference.
+
+    ``stream`` is ``[(arrival, line, read_id)]`` in arrival order, with
+    ``read_id`` None for a write.  Each cycle, arrivals join their channel's
+    queue first; then every channel whose bus is free serves, among its
+    oldest SCAN_WINDOW requests whose bank is ready, the first row hit, else
+    the oldest.  Returns the per-cycle log of ``(cycle, row_hits,
+    row_misses, open rows of the stream's lines)`` after each cycle that
+    served something, each read's completion cycle, and the longest queue.
+    """
+    channels = config.dram_channels
+    banks = config.dram_banks_per_channel
+    t_burst = config.dram_t_burst
+    lines = sorted({line for _, line, _ in stream})
+    coords = {line: dram_coordinates(line, channels, banks,
+                                     config.dram_row_lines)
+              for line in lines}
+    queues = [[] for _ in range(channels)]
+    bus_free = [0] * channels
+    bank_ready = [[0] * banks for _ in range(channels)]
+    open_row = [[-1] * banks for _ in range(channels)]
+    hits = misses = longest = 0
+    log, completions = [], {}
+    arrivals = list(reversed(stream))
+    cycle = 0
+    while arrivals or any(queues):
+        while arrivals and arrivals[-1][0] == cycle:
+            _, line, read_id = arrivals.pop()
+            where = coords[line]
+            queues[where.channel].append((where.bank, where.row, read_id))
+        longest = max([longest] + [len(queue) for queue in queues])
+        served = False
+        for channel, queue in enumerate(queues):
+            if not queue or bus_free[channel] > cycle:
+                continue
+            ready = [i for i, (bank, _, _) in enumerate(queue[:SCAN_WINDOW])
+                     if bank_ready[channel][bank] <= cycle]
+            if not ready:
+                continue
+            row_hits = [i for i in ready
+                        if open_row[channel][queue[i][0]] == queue[i][1]]
+            bank, row, read_id = queue.pop(row_hits[0] if row_hits
+                                           else ready[0])
+            if open_row[channel][bank] == row:
+                latency = config.dram_t_cas
+                hits += 1
+                bank_ready[channel][bank] = cycle + t_burst
+            else:
+                latency = config.dram_t_row_miss
+                misses += 1
+                open_row[channel][bank] = row
+                bank_ready[channel][bank] = cycle + config.dram_t_row_miss
+            bus_free[channel] = cycle + t_burst
+            if read_id is not None:
+                completions[read_id] = cycle + latency + t_burst
+            served = True
+        if served:
+            rows = tuple(open_row[coords[line].channel][coords[line].bank]
+                         for line in lines)
+            log.append((cycle, hits, misses,
+                        tuple(None if row < 0 else row for row in rows)))
+        cycle += 1
+    return log, completions, longest
+
+
+def run_model(config, stream):
+    """Feed ``stream`` to a DRAMModel, firing every event due before each
+    arrival first; returns the same log and completions as the reference."""
+    events = EventQueue()
+    dram = DRAMModel(config, events)
+    lines = sorted({line for _, line, _ in stream})
+    log, completions = [], {}
+
+    def on_read(now, read_id):
+        completions[read_id] = now
+
+    def step():
+        cycle = events.next_time()
+        events.run_due(cycle)
+        state = (dram.stats.row_hits, dram.stats.row_misses,
+                 tuple(dram.open_row(line) for line in lines))
+        if not log or log[-1][1:] != state:
+            log.append((cycle,) + state)
+
+    for arrival, line, read_id in stream:
+        while events and events.next_time() < arrival:
+            step()
+        if read_id is None:
+            dram.write(line, arrival)
+        else:
+            dram.read(line, arrival, on_read, read_id)
+    while events:
+        step()
+    return log, completions
+
+
+def random_stream(seed, count=600):
+    """Seeded reads and writes in bursts, over a few rows per bank; writes
+    come from a small pool of lines, so many share a (bank, row)."""
+    rng = random.Random(seed)
+    config = GPUConfig.small()
+    span = stride_for(config) * 3
+    write_pool = [rng.randrange(span) for _ in range(12)]
+    stream, arrival = [], 0
+    for read_id in range(count):
+        arrival += rng.choice((0, 0, 0, 1, 2, 5, 9))
+        if rng.random() < 0.4:
+            stream.append((arrival, rng.choice(write_pool), None))
+        else:
+            stream.append((arrival, rng.randrange(span), read_id))
+    return config, stream
+
+
+class TestAgainstNaiveReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_same_service_order_and_completion_cycles(self, seed):
+        config, stream = random_stream(seed)
+        expected_log, expected_done, longest = naive_frfcfs(config, stream)
+        # The stream must exercise what it claims to: queues deeper than
+        # the scan window, and writes repeating a (bank, row).
+        assert longest > SCAN_WINDOW
+        targets = [dram_coordinates(line, config.dram_channels,
+                                    config.dram_banks_per_channel,
+                                    config.dram_row_lines)
+                   for _, line, read_id in stream if read_id is None]
+        assert len(set(targets)) < len(targets)
+        log, done = run_model(config, stream)
+        assert done == expected_done
+        assert log == expected_log

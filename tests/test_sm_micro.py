@@ -2,9 +2,10 @@
 gate-blocking, MSHR interplay — the details MODEL.md §3–4 promises."""
 
 from repro.core.cta_schedulers import RoundRobinCTAScheduler
+from repro.core.warp_schedulers import GTOScheduler
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU
-from repro.sim.isa import exit_, load
+from repro.sim.isa import alu, exit_, load
 from repro.sim.warp import WarpState
 
 from helpers import alu_program, make_test_kernel
@@ -97,6 +98,90 @@ class TestGateBlocking:
             sm.tick(cycle)
             cycle += 1
         assert not sm.gate_blocked or cycle < 200
+
+
+class CountingGTO(GTOScheduler):
+    """GTO that counts its ``pick`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.picks = 0
+
+    def pick(self, can_issue=None):
+        self.picks += 1
+        return super().pick(can_issue)
+
+
+class TestQueueFullMark:
+    """With the LD/ST queue full, a scheduler whose pick found nothing is
+    not asked again until one of its own warps becomes READY or issues."""
+
+    def boot_split(self):
+        # Warps alternate between the two schedulers: 0 and 2 on the first,
+        # 1 and 3 on the second.  Warp 0's 32-line load fills the one-slot
+        # queue at cycle 0 and holds it for the whole test (its L1 misses
+        # exhaust the MSHRs long before a fill returns).  Warp 2's chain of
+        # latency-1 ALU ops keeps the first scheduler issuing every cycle,
+        # so the SM is never gate-blocked.  On the second scheduler, warp 1
+        # waits to issue a load; warp 3 issues a 12-cycle ALU op at cycle
+        # 0, a 4-cycle one when it wakes, then its EXIT.
+        programs = {
+            0: [load(range(32)), exit_()],
+            1: [load([1000]), exit_()],
+            2: alu_program(40, 1),
+            3: [alu(12), alu(4), exit_()],
+        }
+        kernel = make_test_kernel(num_ctas=1, warps_per_cta=4,
+                                  regs_per_thread=0,
+                                  builder=lambda c, w: programs[w])
+        config = GPUConfig.small(num_sms=1, issue_width=2,
+                                 ldst_queue_depth=1)
+        return boot(kernel, config, warp_scheduler=CountingGTO)
+
+    def test_failed_pick_waits_for_ready_or_issue(self):
+        gpu, sm = self.boot_split()
+        second = sm.schedulers[1]
+        warp3 = sm.active_ctas[0].warps[3]
+        assert warp3.scheduler is second
+        picks, marked, warp3_issues = [], [], []
+        for cycle in range(20):
+            gpu.events.run_due(cycle)
+            issued = sm.issued
+            sm.tick(cycle)
+            assert len(sm.ldst) == 1        # the queue stays full
+            assert sm.issued > issued       # the first scheduler issues
+            picks.append(second.picks)
+            marked.append(second.qfull_idle)
+            if warp3.last_issue == cycle:
+                warp3_issues.append(cycle)
+        # Cycle 0 issues warp 3; cycle 1 finds only warp 1's load and
+        # marks the scheduler.  Warp 3 wakes at 12 and 16: each wake clears
+        # the mark, warp 3 issues that same cycle, and the next cycle's
+        # pick fails and marks again.  No other cycle calls pick.
+        assert warp3_issues == [0, 12, 16]
+        assert picks == [1, 2] + [2] * 10 + [3, 4, 4, 4, 5, 6, 6, 6]
+        assert marked == ([False] + [True] * 11 + [False]
+                          + [True] * 3 + [False] + [True] * 3)
+
+    def test_hooks_clear_the_mark(self):
+        gpu, sm = self.boot_split()
+        scheduler = sm.schedulers[1]
+        warp = sm.active_ctas[0].warps[1]
+        scheduler.qfull_idle = True
+        scheduler.on_issue(warp, 0)
+        assert not scheduler.qfull_idle
+        scheduler.qfull_idle = True
+        scheduler.on_ready(warp)
+        assert not scheduler.qfull_idle
+
+    def test_mark_ignored_while_queue_has_room(self):
+        gpu, sm = self.boot_split()
+        first = sm.schedulers[0]
+        first.qfull_idle = True
+        sm.tick(0)                          # empty queue: warp 0 issues
+        assert first.picks == 1
+        assert sm.active_ctas[0].warps[0].state == WarpState.WAIT_MEM
+        assert not first.qfull_idle
 
 
 class TestMSHRBackpressure:
