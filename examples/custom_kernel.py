@@ -7,7 +7,7 @@ Demonstrates the downstream-user workflow:
    (here: a reduction-style kernel — strided loads feeding a shared-memory
    tree reduction with barriers);
 2. run it under the baseline and under LCS;
-3. sample the occupancy/IPC timeline to *see* the LCS drain;
+3. sample the occupancy timeline to *see* the LCS drain;
 4. round-trip the kernel through the portable JSON trace format.
 
 Usage::
@@ -18,9 +18,9 @@ Usage::
 import tempfile
 from pathlib import Path
 
-from repro import (GPU, GPUConfig, Kernel, LCSScheduler,
-                   RoundRobinCTAScheduler, TimelineSampler, TraceBuilder,
-                   load_kernel_trace, save_kernel_trace)
+from repro import (GPUConfig, Kernel, LCSScheduler, TraceBuilder,
+                   load_kernel_trace, save_kernel_trace, simulate)
+from repro.telemetry import TelemetryHub
 from repro.workloads.patterns import Region, region_base, rng_for
 
 NUM_CTAS = 360
@@ -45,6 +45,12 @@ def build_reduction_warp(cta_id: int, warp_idx: int):
     return tb.build()
 
 
+def occupancy_series(result, windows: int = 20) -> str:
+    """Mean resident CTAs per SM for the first ``windows`` windows."""
+    rows = result.meta["timeline"].ctas_per_sm[:windows]
+    return " ".join(f"{sum(row) / len(row):.1f}" for row in rows)
+
+
 def main() -> None:
     config = GPUConfig()
     kernel = Kernel("custom-reduce", NUM_CTAS, WARPS_PER_CTA,
@@ -53,30 +59,26 @@ def main() -> None:
     print(f"custom kernel: {kernel.num_ctas} CTAs, occupancy "
           f"{kernel.max_ctas_per_sm(config)} CTAs/SM")
 
-    # Baseline with a timeline sampler attached.
-    gpu = GPU(config=config)
-    sampler = TimelineSampler(gpu, period=1000)
-    gpu.run(RoundRobinCTAScheduler(kernel))
-    print(f"\nbaseline: {gpu.cycle} cycles")
+    # Baseline with a 1000-cycle telemetry window.
+    baseline = simulate(kernel, config=config,
+                        telemetry=TelemetryHub(window=1000, trace=False))
+    print(f"\nbaseline: {baseline.cycles} cycles")
     print("occupancy timeline (mean CTAs/SM per kilocycle):")
-    series = [f"{s.mean_ctas_per_sm:.1f}" for s in sampler.samples[:20]]
-    print("  " + " ".join(series))
+    print("  " + occupancy_series(baseline))
 
     # LCS on the same kernel.
     kernel2 = Kernel("custom-reduce", NUM_CTAS, WARPS_PER_CTA,
                      build_reduction_warp, regs_per_thread=20)
-    gpu2 = GPU(config=config)
-    sampler2 = TimelineSampler(gpu2, period=1000)
     scheduler = LCSScheduler(kernel2)
-    gpu2.run(scheduler)
+    lcs = simulate(kernel2, config=config, cta_scheduler=scheduler,
+                   telemetry=TelemetryHub(window=1000, trace=False))
     decision = scheduler.decision
-    print(f"\nLCS: {gpu2.cycle} cycles "
-          f"({gpu.cycle / gpu2.cycle:.3f}x), "
+    print(f"\nLCS: {lcs.cycles} cycles "
+          f"({baseline.cycles / lcs.cycles:.3f}x), "
           f"N*={decision.n_star}/{decision.occupancy} "
           f"decided at cycle {decision.decided_cycle}")
-    series = [f"{s.mean_ctas_per_sm:.1f}" for s in sampler2.samples[:20]]
     print("occupancy timeline (watch the drain to N*):")
-    print("  " + " ".join(series))
+    print("  " + occupancy_series(lcs))
 
     # Round-trip through the portable trace format.
     with tempfile.TemporaryDirectory() as tmp:

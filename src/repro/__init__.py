@@ -29,7 +29,7 @@ from .harness import (CheckpointPlan, CheckpointStore, CKEMetrics,
 from .sim import (GPU, GPUConfig, Instruction, InvariantSanitizer,
                   InvariantViolation, Kernel, KernelResourceError,
                   Op, RunResult, SimulationDeadlock, SimulationError,
-                  SimulationTimeout, Snapshot, TimelineSampler)
+                  SimulationTimeout, Snapshot)
 from .verify import (FuzzCase, GoldenStore, cross_check, golden_matrix,
                      run_fuzz, verify_goldens)
 from .workloads import (SUITE, BenchmarkInfo, TraceBuilder,
@@ -43,7 +43,7 @@ __all__ = [
     "LCSDecision",
     "LCSScheduler", "MixedCKE", "CKEMetrics", "cke_metrics", "compare_runs",
     "validate_run",
-    "TimelineSampler", "load_kernel_trace", "save_kernel_trace",
+    "load_kernel_trace", "save_kernel_trace",
     "OracleResult", "RoundRobinCTAScheduler", "SequentialCKE", "SMKEvenCKE",
     "SpatialCKE", "StaticLimitCTAScheduler", "available_warp_schedulers",
     "decide_n_star", "sweep_static_limits", "simulate", "GPU", "GPUConfig",

@@ -148,7 +148,18 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
             wall_timeout=wall_timeout, sanitizer=sanitizer,
             checkpoint=checkpoint, saboteur=saboteur,
             resume_from=resume_from)
+    return collect_result(gpu, kernels)
 
+
+def collect_result(gpu: GPU, kernels: Sequence[Kernel]) -> RunResult:
+    """Assemble the :class:`RunResult` of a finished run on ``gpu``.
+
+    ``kernels`` are the kernels the run was asked for, in caller order
+    (``meta["kernels"]``); the policy and telemetry hub are read from the
+    GPU they ran on.
+    """
+    cta_scheduler = gpu.cta_scheduler
+    telemetry = gpu.telemetry
     l1_total = CacheStats()
     for sm in gpu.sms:
         l1_total.add(sm.l1.stats)
@@ -156,7 +167,7 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
     meta: dict = {
         "warp_scheduler": gpu.warp_scheduler_name,
         "cta_scheduler": cta_scheduler.name,
-        "num_sms": config.num_sms,
+        "num_sms": gpu.config.num_sms,
         "kernels": [k.name for k in kernels],
         # LCS-style policies expose their monitoring outcome.
         "lcs_decision": getattr(cta_scheduler, "decision", None),

@@ -25,42 +25,35 @@ persistent result cache with ``repro-exp`` (a repeated invocation replays
 the stored statistics instead of re-simulating; disable with
 ``--no-cache``) and the engine's resilience features — retries, typed
 timeouts, checkpoint/resume (``docs/ROBUSTNESS.md``).  Kernel trace files
-and telemetry collection use the live in-process objects and always
-simulate directly (``--sanitize`` still applies; checkpointing does not).
+and telemetry collection run in-process through ``simulate()`` and always
+simulate (``--sanitize`` still applies; checkpointing does not).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..core.bcs import BCSScheduler
-from ..core.combined import LCSBCSScheduler
-from ..core.cta_schedulers import (CTAScheduler, RoundRobinCTAScheduler,
-                                   StaticLimitCTAScheduler)
-from ..core.dyncta import DynCTAScheduler
-from ..core.lcs import LCSScheduler
-from ..core.warp_schedulers import available_warp_schedulers, swl_factory
+from ..core.warp_schedulers import available_warp_schedulers
 from ..sim.config import GPUConfig
-from ..sim.gpu import GPU, SimulationTimeout
+from ..sim.gpu import SimulationTimeout
 from ..sim.kernel import Kernel
-from ..sim.vector import VECTOR_WARP_SCHEDULERS, vector_supported
+from ..sim.vector import (VECTOR_WARP_SCHEDULERS, VectorBackendError,
+                          vector_supported)
 from ..sim.stats import RunResult
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.trace import write_trace
 from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import SUITE, make_kernel
 from ..workloads.tracefile import load_kernel_trace
-from ..sim.invariants import (DEFAULT_SANITIZE_INTERVAL, ENV_SANITIZE,
-                              InvariantSanitizer)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .checkpoints import DEFAULT_CHECKPOINT_DIR, CheckpointPlan
 from .engine import DEFAULT_RETRIES, run_batch
 from .faults import FaultPlan, FaultSpecError
-from .jobs import SimJob
+from .jobs import SimJob, build_policy, build_warp_scheduler
+from .runner import simulate
 from .validate import VALID_BACKENDS
 
 CONFIGS = ("fermi", "kepler", "small")
@@ -162,32 +155,6 @@ def _make_config(name: str) -> GPUConfig:
     raise ValueError(f"unknown config preset {name!r}; choose from {CONFIGS}")
 
 
-def _make_policy(spec: str, kernel: Kernel) -> CTAScheduler:
-    name, _, arg = spec.partition(":")
-    if name == "rr":
-        return RoundRobinCTAScheduler(kernel)
-    if name == "static":
-        if not arg:
-            raise ValueError("static policy needs a limit: static:N")
-        return StaticLimitCTAScheduler(kernel, limit_per_sm=int(arg))
-    if name == "lcs":
-        return LCSScheduler(kernel)
-    if name == "bcs":
-        return BCSScheduler(kernel, block_size=int(arg) if arg else 2)
-    if name == "lcs+bcs":
-        return LCSBCSScheduler(kernel, block_size=int(arg) if arg else 2)
-    if name == "dyncta":
-        return DynCTAScheduler(kernel)
-    raise ValueError(f"unknown policy {spec!r}; choose from {POLICIES}")
-
-
-def _make_warp(spec: str):
-    name, _, arg = spec.partition(":")
-    if name == "swl":
-        return swl_factory(int(arg) if arg else 8)
-    return spec
-
-
 def _policy_descriptor(spec: str) -> tuple:
     """Translate a ``--policy`` string into a job-layer descriptor."""
     name, _, arg = spec.partition(":")
@@ -265,8 +232,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             kernel = job.build_kernels()[0]
         else:
             kernel = _load_kernel(args.kernel, args.scale, args.seed)
-            policy = _make_policy(args.policy, kernel)
-            warp = _make_warp(args.warp)
+            policy = build_policy(_policy_descriptor(args.policy), [kernel])
+            warp = build_warp_scheduler(_warp_descriptor(args.warp))
     except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -334,43 +301,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             window = args.timeline_period
             timeline_dest = args.timeline
     hub = TelemetryHub(window=window, trace=bool(args.trace))
-
-    sanitize = args.sanitize
-    if sanitize is None:
-        sanitize = bool(os.environ.get(ENV_SANITIZE, "").strip())
-    sanitizer = (InvariantSanitizer(interval=DEFAULT_SANITIZE_INTERVAL)
-                 if sanitize else None)
-    if args.backend == "vector":
-        from ..sim.vector import VectorBackendError, VectorGPU
-        try:
-            gpu = VectorGPU(config=config, warp_scheduler=warp,
-                            telemetry=hub)
-        except VectorBackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        gpu = GPU(config=config, warp_scheduler=warp, telemetry=hub)
     try:
-        gpu.run(policy, wall_timeout=args.timeout, sanitizer=sanitizer)
+        result = simulate(kernel, config=config, warp_scheduler=warp,
+                          cta_scheduler=policy, telemetry=hub,
+                          wall_timeout=args.timeout, sanitize=args.sanitize,
+                          backend=args.backend)
+    except VectorBackendError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except SimulationTimeout as error:
         print(f"error: simulation timed out ({error})", file=sys.stderr)
         return 1
-
-    # Assemble the same summary simulate() would give.
-    from ..sim.stats import CacheStats
-    l1_total = CacheStats()
-    for sm in gpu.sms:
-        l1_total.add(sm.l1.stats)
-    result = RunResult(
-        cycles=gpu.cycle, instructions=gpu.total_issued,
-        kernels={run.kernel.name: run.stats for run in gpu.runs},
-        l1=l1_total, l2=gpu.mem.l2_stats(), dram=gpu.mem.dram.stats,
-        issued_by_sm=[sm.issued for sm in gpu.sms],
-        cta_limits=policy.limits_snapshot(),
-        meta={"lcs_decision": getattr(policy, "decision", None)})
     _print_result(result, kernel.name, args.policy.partition(":")[0])
 
-    timeline = hub.timeline_result()
+    timeline = result.meta.get("timeline")
     if timeline_dest is not None and timeline is not None:
         csv = timeline.to_csv() + "\n"
         if timeline_dest == "-":

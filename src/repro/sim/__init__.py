@@ -10,7 +10,6 @@ from .invariants import (DEFAULT_SANITIZE_INTERVAL, InvariantSanitizer,
 from .isa import Instruction, Op, alu, barrier, exit_, load, shared, store
 from .kernel import Kernel, KernelResourceError
 from .stats import CacheStats, DRAMStats, KernelStats, RunResult
-from .timeline import Sample, TimelineSampler
 
 __all__ = [
     "CHECKPOINT_VERSION", "CheckpointError", "CheckpointRecorder",
@@ -19,5 +18,5 @@ __all__ = [
     "DEFAULT_SANITIZE_INTERVAL", "InvariantSanitizer", "InvariantViolation",
     "Instruction", "Op", "alu", "barrier", "exit_", "load", "shared",
     "store", "Kernel", "KernelResourceError", "CacheStats", "DRAMStats",
-    "KernelStats", "RunResult", "Sample", "TimelineSampler",
+    "KernelStats", "RunResult",
 ]

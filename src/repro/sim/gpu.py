@@ -60,25 +60,30 @@ class SimulationTimeout(SimulationError):
 
 class _RunService:
     """Coordinates the optional per-run riders of the simulation loop:
-    the invariant sanitizer, the checkpoint recorder and the fault
-    saboteur.  ``next_cycle`` is the earliest cycle any rider wants; the
-    loops test one local against it per iteration, so disabled riders
-    cost nothing and enabled ones fire only at their boundaries.
+    telemetry window closing, the fault saboteur, the invariant sanitizer
+    and the checkpoint recorder.  ``next_cycle`` is the earliest cycle any
+    rider wants; the loop tests one local against it per iteration, so
+    disabled riders cost nothing and enabled ones fire only at their
+    boundaries.
 
     Boundaries are recomputed from the current cycle with the same
     ``(cycle // interval + 1) * interval`` formula on every call, so a
     resumed run services at exactly the cycles the uninterrupted run
-    would have — and since the sanitizer only reads state and the
-    recorder only copies it, neither can perturb results even if the
-    boundaries differed (only the saboteur mutates, by design)."""
+    would have — and since window closing and the sanitizer only read
+    state and the recorder only copies it, none of them can perturb
+    results (only the saboteur mutates, by design)."""
 
-    __slots__ = ("sanitizer", "checkpoint", "saboteur", "_next_check",
-                 "_next_save", "next_cycle")
+    __slots__ = ("hub", "sanitizer", "checkpoint", "saboteur",
+                 "_next_close", "_next_check", "_next_save", "next_cycle")
 
-    def __init__(self, sanitizer, checkpoint, saboteur, cycle: int) -> None:
+    def __init__(self, hub: "TelemetryHub | None", sanitizer, checkpoint,
+                 saboteur, cycle: int) -> None:
+        self.hub = hub
         self.sanitizer = sanitizer
         self.checkpoint = checkpoint
         self.saboteur = saboteur
+        self._next_close = (self._boundary(cycle, hub.window)
+                            if hub is not None else None)
         self._next_check = (self._boundary(cycle, sanitizer.interval)
                             if sanitizer is not None else None)
         self._next_save = (self._boundary(cycle, checkpoint.interval)
@@ -91,21 +96,41 @@ class _RunService:
         return (cycle // interval + 1) * interval
 
     def _recompute(self) -> None:
-        pending = [at for at in (self._next_check, self._next_save)
-                   if at is not None]
+        pending = [at for at in (self._next_close, self._next_check,
+                                 self._next_save) if at is not None]
         saboteur = self.saboteur
         if saboteur is not None and not saboteur.done:
             pending.append(saboteur.at)
         self.next_cycle = min(pending) if pending else None
 
+    def _close_windows(self, cycle: int) -> None:
+        """Sample every telemetry window whose boundary is <= ``cycle``.
+
+        The loop services at its top, before events due at ``cycle``
+        fire, so a boundary crossed inside a fast-forward jump samples
+        exactly the state a cycle-accurate run would have had there —
+        nothing changes between the jump origin and the next event.
+        """
+        boundary = self._next_close
+        if boundary is None or cycle < boundary:
+            return
+        hub = self.hub
+        while cycle >= boundary:
+            hub.close_window(boundary)
+            boundary += hub.window
+        self._next_close = boundary
+
     def service(self, gpu: "GPU", cycle: int) -> int | None:
         """Fire every due rider; returns the next service cycle.
 
-        Order matters: the saboteur first (an injected crash loses the
-        checkpoint it would have gotten this boundary, like a real one),
-        then the sanitizer (so injected corruption is caught *before* it
-        can be checkpointed), then the recorder.
+        Order matters: telemetry windows first, so every snapshot point
+        has sampled all boundaries <= its cycle and a resume lands on
+        exactly the next unclosed window; then the saboteur (an injected
+        crash loses the checkpoint it would have gotten this boundary,
+        like a real one), then the sanitizer (so injected corruption is
+        caught *before* it can be checkpointed), then the recorder.
         """
+        self._close_windows(cycle)
         saboteur = self.saboteur
         if saboteur is not None and not saboteur.done \
                 and cycle >= saboteur.at:
@@ -120,7 +145,9 @@ class _RunService:
         return self.next_cycle
 
     def on_timeout(self, gpu: "GPU", cycle: int) -> int | None:
-        """Final cooperative-timeout checkpoint; newest saved cycle."""
+        """Final cooperative-timeout checkpoint; newest saved cycle.
+        Due windows close first, as at every other snapshot point."""
+        self._close_windows(cycle)
         if self.checkpoint is None:
             return None
         return self.checkpoint.save(gpu, cycle)
@@ -165,15 +192,21 @@ class KernelRun:
 class GPU:
     """One simulated device.  Create, then :meth:`run` a CTA scheduler."""
 
+    #: The vector core's wake-calendar heap (``VectorGPU`` sets its own
+    #: and drains it with ``_drain_wakes``).  Always empty here, so the
+    #: loop's wake gate never fires; a class attribute keeps it out of
+    #: the pickled object-core GPU.
+    _wake_heap: "list[int] | tuple[()]" = ()
+
     def __init__(self, config: GPUConfig | None = None,
                  warp_scheduler: str | Callable[[], WarpScheduler] = "gto",
                  telemetry: "TelemetryHub | None" = None) -> None:
         self.config = config if config is not None else DEFAULT_CONFIG
         self.events = EventQueue()
-        # Telemetry is strictly opt-in: with no hub the run loop below is
-        # the exact pre-telemetry loop (the null check happens once per
-        # run, never per cycle) and the per-CTA emit guards cost one
-        # attribute test per dispatch/completion.
+        # Telemetry is strictly opt-in: window closing is a run-loop rider
+        # (one comparison per iteration only when a window is set) and the
+        # per-CTA emit guards cost one attribute test per dispatch or
+        # completion.
         self.telemetry = telemetry
         self.mem = MemorySubsystem(self.config, self.events)
         if isinstance(warp_scheduler, str):
@@ -189,7 +222,7 @@ class GPU:
         self.cta_scheduler: "CTAScheduler | None" = None
         self._cta_seq = 0
         self._block_seq = 0
-        #: CTAs completed over all kernels; the run loops compare it with
+        #: CTAs completed over all kernels; the run loop compares it with
         #: the launched total instead of evaluating ``cta_scheduler.done``.
         self._ctas_done = 0
         if telemetry is not None:
@@ -287,10 +320,11 @@ class GPU:
         ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointRecorder`)
         snapshots the whole machine at its own interval and once more on a
         cooperative wall-clock timeout; ``saboteur`` is the fault
-        injector's mid-run hook (kill/corrupt at a chosen cycle).  All
-        three ride one loop-top service check costing a single comparison
-        per iteration, and none is stored on the GPU — snapshots never
-        capture the machinery that takes them.
+        injector's mid-run hook (kill/corrupt at a chosen cycle).  They
+        ride one loop-top service check (with telemetry window closing,
+        below) costing a single comparison per iteration, and none is
+        stored on the GPU — snapshots never capture the machinery that
+        takes them.
 
         ``resume_from`` continues a run restored by
         :meth:`~repro.sim.checkpoint.Snapshot.restore`: ``self`` must be
@@ -300,9 +334,9 @@ class GPU:
         cycle as if the interruption never happened.
 
         Telemetry never rides the event queue (extra queue entries would
-        change fast-forward jumps and the drain's final cycle): windowed
-        sampling runs a dedicated loop variant selected *once* per run, so
-        a GPU without a hub executes the exact pre-telemetry loop.
+        change fast-forward jumps and the drain's final cycle): a hub's
+        window closing is the first rider of the same loop-top service
+        check, so a GPU without a windowed hub pays nothing for it.
         """
         deadline = (None if wall_timeout is None
                     else _monotonic() + wall_timeout)
@@ -330,17 +364,14 @@ class GPU:
                 hub.on_run_start(self.cycle)
             self.cta_scheduler = cta_scheduler
             cta_scheduler.bind(self)
+        windowed = hub if hub is not None and hub.window is not None \
+            else None
         service = None
-        if sanitizer is not None or checkpoint is not None \
-                or saboteur is not None:
-            service = _RunService(sanitizer, checkpoint, saboteur,
+        if windowed is not None or sanitizer is not None \
+                or checkpoint is not None or saboteur is not None:
+            service = _RunService(windowed, sanitizer, checkpoint, saboteur,
                                   self.cycle)
-        if hub is not None and hub.window is not None:
-            cycle = self._loop_windowed(cta_scheduler, cycle_accurate, hub,
-                                        deadline, service)
-        else:
-            cycle = self._loop(cta_scheduler, cycle_accurate, deadline,
-                               service)
+        cycle = self._loop(cta_scheduler, cycle_accurate, deadline, service)
         # All CTAs have completed; drain in-flight memory traffic (pending
         # write-throughs and late fills) so the memory-system statistics are
         # complete.  The clock advances with the drain: a kernel is not done
@@ -357,7 +388,7 @@ class GPU:
     def _loop(self, cta_scheduler: "CTAScheduler", cycle_accurate: bool,
               deadline: float | None = None,
               service: "_RunService | None" = None) -> int:
-        """The telemetry-free run loop (the pre-telemetry hot path).
+        """The run loop, shared by both cores.
 
         Per-iteration fixed costs are paid only when due:
 
@@ -365,20 +396,33 @@ class GPU:
           completions, so the loop compares two ints instead of evaluating
           ``cta_scheduler.done`` (a generator over every run); ``done`` is
           asserted once at loop exit;
+        * **service gate** — the riders of :class:`_RunService` (window
+          closing, saboteur, sanitizer, checkpoint) fire only when the
+          cycle reaches their next boundary;
+        * **wake gate** — the vector core's wake calendar
+          (:attr:`_wake_heap`, always empty on the object core) is drained
+          only when its head is due;
         * **fill gate** — ``fill()`` runs only while the scheduler's
           ``_need_fill`` flag is up (the first thing ``fill`` itself checks,
           and no policy overrides ``fill``);
         * **event gate** — ``run_due`` runs only when the queue's head is
           due, read by a direct heap peek.
+
+        An idle iteration fast-forwards to the earlier of the event-queue
+        head and the calendar head: nothing can change state before
+        either.  Calendar wakes and memory events at the same cycle touch
+        disjoint warps and only move them into READY, so draining the
+        calendar first is equivalent to any other order.
         """
         events = self.events
         run_due = events.run_due
         ev_heap = events._heap
+        calheap = self._wake_heap
         fill = cta_scheduler.fill
         sms = self.sms
         max_cycles = self.config.max_cycles
         cycle = self.cycle
-        total_ctas = self._total_ctas()
+        total_ctas = sum(run.kernel.num_ctas for run in self.runs)
         service_at = service.next_cycle if service is not None else None
         while self._ctas_done < total_ctas:
             if deadline is not None and _monotonic() >= deadline:
@@ -393,6 +437,8 @@ class GPU:
             if service_at is not None and cycle >= service_at:
                 self.cycle = cycle
                 service_at = service.service(self, cycle)
+            if calheap and calheap[0] <= cycle:
+                self._drain_wakes(cycle)
             if ev_heap and ev_heap[0][0] <= cycle:
                 run_due(cycle)
             if cta_scheduler._need_fill:
@@ -410,7 +456,13 @@ class GPU:
             if active:
                 cycle += 1
             else:
-                if not ev_heap:
+                if ev_heap:
+                    next_event = ev_heap[0][0]
+                    if calheap and calheap[0] < next_event:
+                        next_event = calheap[0]
+                elif calheap:
+                    next_event = calheap[0]
+                else:
                     self.cycle = cycle
                     raise SimulationDeadlock(
                         f"cycle {cycle}: no progress possible; "
@@ -418,7 +470,7 @@ class GPU:
                 if cycle_accurate:
                     cycle += 1
                 else:
-                    cycle = max(cycle + 1, ev_heap[0][0])
+                    cycle = max(cycle + 1, next_event)
             if cycle > max_cycles:
                 self.cycle = cycle
                 raise SimulationTimeout(
@@ -426,100 +478,11 @@ class GPU:
                     cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
                     checkpoint_cycle=(service.checkpoint_cycle
                                       if service is not None else None))
-        self._check_done(cta_scheduler, total_ctas)
-        return cycle
-
-    def _loop_windowed(self, cta_scheduler: "CTAScheduler",
-                       cycle_accurate: bool, hub: "TelemetryHub",
-                       deadline: float | None = None,
-                       service: "_RunService | None" = None) -> int:
-        """:meth:`_loop` plus window-boundary sampling.
-
-        The boundary check sits at the *top* of the iteration, before
-        events due at ``cycle`` fire, so a boundary crossed inside a
-        fast-forward jump samples exactly the state a cycle-accurate run
-        would have had at that cycle — nothing can have changed between
-        the jump origin and the boundary (that is the fast-forward
-        invariant), and events *at* the boundary fire after the sample in
-        both modes.  Sampling reads state only; results are untouched.
-
-        Window closes precede the timeout raise and the service check, so
-        at any snapshot point every boundary <= cycle has been sampled —
-        that makes the resume-time recomputation of ``boundary`` land on
-        exactly the next unclosed window (no double-sampled or skipped
-        windows across a checkpoint/restore).
-        """
-        events = self.events
-        run_due = events.run_due
-        ev_heap = events._heap
-        fill = cta_scheduler.fill
-        sms = self.sms
-        max_cycles = self.config.max_cycles
-        cycle = self.cycle
-        window = hub.window
-        boundary = (cycle // window + 1) * window
-        total_ctas = self._total_ctas()
-        service_at = service.next_cycle if service is not None else None
-        while self._ctas_done < total_ctas:
-            while cycle >= boundary:
-                hub.close_window(boundary)
-                boundary += window
-            if deadline is not None and _monotonic() >= deadline:
-                self.cycle = cycle
-                saved = (service.on_timeout(self, cycle)
-                         if service is not None else None)
-                raise SimulationTimeout(
-                    f"wall-clock timeout at cycle {cycle}; "
-                    f"runs={self.runs!r}",
-                    cycle=cycle, max_cycles=max_cycles, kind="wall",
-                    checkpoint_cycle=saved)
-            if service_at is not None and cycle >= service_at:
-                self.cycle = cycle
-                service_at = service.service(self, cycle)
-            if ev_heap and ev_heap[0][0] <= cycle:
-                run_due(cycle)
-            if cta_scheduler._need_fill:
-                fill(cycle)
-            active = False
-            for sm in sms:
-                if ((sm.ldst and not sm.ldst_blocked)
-                        or (sm.num_ready and not sm.gate_blocked)):
-                    if sm.tick(cycle):
-                        active = True
-            if active:
-                cycle += 1
-            else:
-                if not ev_heap:
-                    self.cycle = cycle
-                    raise SimulationDeadlock(
-                        f"cycle {cycle}: no progress possible; "
-                        f"runs={self.runs!r}")
-                if cycle_accurate:
-                    cycle += 1
-                else:
-                    cycle = max(cycle + 1, ev_heap[0][0])
-            if cycle > max_cycles:
-                self.cycle = cycle
-                raise SimulationTimeout(
-                    f"exceeded max_cycles={max_cycles}; runs={self.runs!r}",
-                    cycle=cycle, max_cycles=max_cycles, kind="max-cycles",
-                    checkpoint_cycle=(service.checkpoint_cycle
-                                      if service is not None else None))
-        self._check_done(cta_scheduler, total_ctas)
-        return cycle
-
-    def _total_ctas(self) -> int:
-        """CTAs of every launched kernel: the loops run until
-        :attr:`_ctas_done` reaches it."""
-        return sum(run.kernel.num_ctas for run in self.runs)
-
-    def _check_done(self, cta_scheduler: "CTAScheduler",
-                    total_ctas: int) -> None:
-        """Loop-exit self-check of the completion counter."""
         if not cta_scheduler.done:
             raise SimulationError(
                 f"completion counter reached {self._ctas_done}/{total_ctas} "
                 "but the CTA scheduler disagrees — counter drift")
+        return cycle
 
     # ------------------------------------------------------------------ #
     @property

@@ -7,7 +7,8 @@ completion its own ``EventQueue`` callback.  That representation is the
 *reference*: easy to read, easy to instrument, and the thing every other
 layer (refmodel, goldens, fuzzer) validates against.
 
-This package re-implements the hot cycle loop in struct-of-arrays form:
+This package re-implements the per-SM hot path in struct-of-arrays form;
+the run loop itself (:meth:`repro.sim.gpu.GPU._loop`) is shared:
 
 * **Columns, not objects** (:mod:`.columns`) — warp state lives in parallel
   per-SM columns (``state``/``pc``/``state_since``/``t_*``/``last_issue``)
@@ -20,10 +21,10 @@ This package re-implements the hot cycle loop in struct-of-arrays form:
   compare instead of an epoch attribute read.
 * **A batched wake calendar** (:mod:`.core` / :mod:`.gpu`) — ALU/SHARED
   completions and L1-hit load wakeups are grouped per wake cycle in one
-  ``{cycle: [packed sm/slot]}`` calendar drained at the loop top, instead
-  of one ``EventQueue`` entry per instruction.  The event queue keeps only
-  genuine memory-system traffic, which shrinks it by orders of magnitude
-  on compute-heavy kernels.
+  ``{cycle: [packed sm/slot]}`` calendar, drained by the shared loop's
+  wake gate, instead of one ``EventQueue`` entry per instruction.  The
+  event queue keeps only genuine memory-system traffic, which shrinks it
+  by orders of magnitude on compute-heavy kernels.
 
 The contract is **bitwise parity**: for every supported configuration the
 vector backend must produce a ``RunResult`` identical to the object core —

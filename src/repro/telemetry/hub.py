@@ -7,9 +7,9 @@ Components never push metrics; they expose cheap read-only *snapshot*
 interfaces (``Cache.telemetry_snapshot``, ``SM.warp_state_counts``,
 ``DRAMModel.telemetry_snapshot``, ...) and the hub *pulls* through
 :class:`Probe` objects at window boundaries.  That inversion is what keeps
-the disabled path zero-overhead: a GPU built without a hub runs exactly the
-pre-telemetry loop (the null-hub branch is taken once, outside the
-per-cycle loop — see ``GPU.run``), and an enabled hub only pays one integer
+the disabled path zero-overhead: window closing is a rider of the run
+loop's loop-top service check (``GPU._loop``), so a GPU without a windowed
+hub pays nothing for it, and an enabled hub only pays one integer
 comparison per loop iteration plus the per-window probe sweep.
 
 Discrete occurrences (CTA dispatch/completion, kernel start/end, the LCS

@@ -15,9 +15,9 @@ most boring way possible:
   full per-warp structural check, reading ``config.ldst_queue_depth``
   through the config object each time (no specialization, no hoists, no
   ``gate_blocked``);
-* :class:`ReferenceGPU` — a single naive loop that ticks every SM every
-  cycle (no idle skip, no fast-forward) and closes telemetry windows at
-  the loop top exactly like the tuned loop.
+* :class:`ReferenceGPU` — a naive ``_loop`` that ticks every SM every
+  cycle (no idle skip, no fast-forward) and services the same loop-top
+  riders, telemetry windows included, as the tuned loop.
 
 :func:`cross_check` runs one :class:`~repro.harness.jobs.SimJob` through
 *both* models with the same telemetry window and compares the windowed
@@ -41,10 +41,11 @@ from time import monotonic as _monotonic
 from typing import Any
 
 from ..harness.jobs import SimJob, build_policy
+from ..harness.runner import collect_result
 from ..sim.config import GPUConfig
 from ..sim.gpu import GPU, SimulationDeadlock, SimulationTimeout
 from ..sim.sm import SM
-from ..sim.stats import CacheStats, RunResult
+from ..sim.stats import RunResult
 from ..sim.warp import Warp, WarpState
 from ..telemetry.hub import TelemetryHub
 from .golden import diff_paths
@@ -223,37 +224,26 @@ class ReferenceGPU(GPU):
         self.sms = [ReferenceSM(self, sm_id, self.config, factory)
                     for sm_id in range(self.config.num_sms)]
 
-    # Both loop variants funnel into one naive loop; the tuned/windowed
-    # split exists only for the tuned model's per-cycle cost.
     def _loop(self, cta_scheduler, cycle_accurate,
               deadline=None, service=None) -> int:
-        return self._naive_loop(cta_scheduler, None, deadline)
-
-    def _loop_windowed(self, cta_scheduler, cycle_accurate, hub,
-                       deadline=None, service=None) -> int:
-        return self._naive_loop(cta_scheduler, hub, deadline)
-
-    def _naive_loop(self, cta_scheduler, hub, deadline) -> int:
+        """The naive loop: no gates, no idle skip, no fast-forward.  It
+        services the same loop-top riders as the tuned loop (telemetry
+        windows included), so both models sample identical states."""
         events = self.events
         sms = self.sms
         max_cycles = self.config.max_cycles
         cycle = self.cycle
-        window = hub.window if hub is not None else None
-        boundary = ((cycle // window + 1) * window
-                    if window is not None else None)
+        service_at = service.next_cycle if service is not None else None
         while not cta_scheduler.done:
-            if boundary is not None:
-                # Loop-top close, exactly like the tuned windowed loop, so
-                # both models sample identical machine states.
-                while cycle >= boundary:
-                    hub.close_window(boundary)
-                    boundary += window
             if deadline is not None and _monotonic() >= deadline:
                 self.cycle = cycle
                 raise SimulationTimeout(
                     f"wall-clock timeout at cycle {cycle} (reference "
                     f"model); runs={self.runs!r}",
                     cycle=cycle, max_cycles=max_cycles, kind="wall")
+            if service_at is not None and cycle >= service_at:
+                self.cycle = cycle
+                service_at = service.service(self, cycle)
             events.run_due(cycle)
             cta_scheduler.fill(cycle)
             active = False
@@ -284,10 +274,11 @@ def reference_run(kernels, *, policy: tuple = ("rr",), warp: str = "gto",
                   config: GPUConfig | None = None,
                   timeline_window: int | None = None, trace: bool = False,
                   wall_timeout: float | None = None) -> RunResult:
-    """Run kernels on the reference model; assembles the result exactly
-    like :func:`repro.harness.runner.simulate` so the two are comparable
-    bitwise.  Accepts live :class:`~repro.sim.kernel.Kernel` objects, so
-    the fuzzer's generated (non-suite) kernels can be cross-checked too."""
+    """Run kernels on the reference model; the result is assembled by
+    :func:`repro.harness.runner.collect_result`, as in ``simulate()``, so
+    the two are comparable bitwise.  Accepts live
+    :class:`~repro.sim.kernel.Kernel` objects, so the fuzzer's generated
+    (non-suite) kernels can be cross-checked too."""
     kernels = list(kernels)
     scheduler = build_policy(policy, kernels)
     telemetry = None
@@ -296,34 +287,7 @@ def reference_run(kernels, *, policy: tuple = ("rr",), warp: str = "gto",
     gpu = ReferenceGPU(config=config, warp_scheduler=warp,
                        telemetry=telemetry)
     gpu.run(scheduler, wall_timeout=wall_timeout)
-
-    l1_total = CacheStats()
-    for sm in gpu.sms:
-        l1_total.add(sm.l1.stats)
-    meta: dict = {
-        "warp_scheduler": gpu.warp_scheduler_name,
-        "cta_scheduler": scheduler.name,
-        "num_sms": gpu.config.num_sms,
-        "kernels": [kernel.name for kernel in kernels],
-        "lcs_decision": getattr(scheduler, "decision", None),
-    }
-    if telemetry is not None:
-        timeline = telemetry.timeline_result()
-        if timeline is not None:
-            meta["timeline"] = timeline
-        if telemetry.trace_enabled:
-            meta["trace"] = telemetry.trace_events()
-    return RunResult(
-        cycles=gpu.cycle,
-        instructions=gpu.total_issued,
-        kernels={run.kernel.name: run.stats for run in gpu.runs},
-        l1=l1_total,
-        l2=gpu.mem.l2_stats(),
-        dram=gpu.mem.dram.stats,
-        issued_by_sm=[sm.issued for sm in gpu.sms],
-        cta_limits=scheduler.limits_snapshot(),
-        meta=meta,
-    )
+    return collect_result(gpu, kernels)
 
 
 def reference_simulate(job: SimJob, *,

@@ -37,6 +37,7 @@ from repro.sim.config import GPUConfig
 from repro.sim.gpu import SimulationTimeout
 from repro.sim.invariants import InvariantViolation
 from repro.sim.sm import PREFETCH
+from repro.telemetry.hub import TelemetryHub
 
 SCALE = 0.05
 SMALL = GPUConfig.small()
@@ -59,8 +60,8 @@ def fingerprint_result(result) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _job(names, policy, warp="gto", **kwargs):
-    return SimJob(names=names, scale=SCALE, policy=policy, warp=warp,
+def _job(names, policy, warp="gto", scale=SCALE, **kwargs):
+    return SimJob(names=names, scale=scale, policy=policy, warp=warp,
                   config=SMALL, **kwargs)
 
 
@@ -106,7 +107,6 @@ def test_resume_preserves_telemetry():
     recorder = CheckpointRecorder(
         700, lambda snapshot: bool(snapshots.append(snapshot)) or True)
     kernels = job.build_kernels()
-    from repro.telemetry.hub import TelemetryHub
     simulate(kernels, config=SMALL,
              warp_scheduler=build_warp_scheduler(job.warp),
              cta_scheduler=build_policy(job.policy, kernels),
@@ -116,6 +116,73 @@ def test_resume_preserves_telemetry():
     resumed = simulate(job.build_kernels(), resume_from=snapshots[0])
     assert fingerprint_result(resumed) == fingerprint_result(reference)
     assert resumed.meta["trace"] == reference.meta["trace"]
+
+
+def _windowed_run(job, recorder, *, wall_timeout=None, resume_from=None):
+    """Run ``job`` (which carries a telemetry window) under ``recorder``,
+    from cycle zero or from a snapshot."""
+    kernels = job.build_kernels()
+    if resume_from is not None:
+        return simulate(kernels, checkpoint=recorder,
+                        wall_timeout=wall_timeout, resume_from=resume_from)
+    return simulate(kernels, config=SMALL,
+                    warp_scheduler=build_warp_scheduler(job.warp),
+                    cta_scheduler=build_policy(job.policy, kernels),
+                    telemetry=TelemetryHub(window=job.timeline_window,
+                                           trace=job.trace),
+                    checkpoint=recorder, wall_timeout=wall_timeout)
+
+
+def test_resume_at_every_window_boundary_snapshot():
+    """Snapshots taken exactly at window boundaries (checkpoint interval a
+    multiple of the window) resume onto the next unclosed window: no
+    window is sampled twice or skipped."""
+    job = _job(("kmeans",), ("lcs",), timeline_window=250, trace=True,
+               scale=0.03)
+    reference = job.execute()
+
+    snapshots: list[Snapshot] = []
+    recorder = CheckpointRecorder(
+        1000, lambda snapshot: bool(snapshots.append(snapshot)) or True)
+    _windowed_run(job, recorder)
+    assert sum(snapshot.cycle % 250 == 0 for snapshot in snapshots) >= 10
+
+    for snapshot in snapshots:
+        resumed = simulate(job.build_kernels(), resume_from=snapshot)
+        assert resumed.meta["timeline"] == reference.meta["timeline"], \
+            f"timeline diverged resuming from cycle {snapshot.cycle}"
+        assert resumed.meta["trace"] == reference.meta["trace"]
+        assert fingerprint_result(resumed) == fingerprint_result(reference)
+
+
+def test_wall_timeout_resume_chain_is_bitwise_identical():
+    """A chain of short wall-clock runs, each resumed from its timeout
+    snapshot with a window armed, equals the uninterrupted run: windows
+    due at the timeout cycle close before the snapshot is taken.  A
+    one-cycle window has a boundary due at every loop top, so every
+    timeout in the chain lands on one."""
+    job = _job(("kmeans",), ("lcs",), timeline_window=1, trace=True,
+               scale=0.02)
+    reference = job.execute()
+
+    snapshots: list[Snapshot] = []
+    recorder = CheckpointRecorder(
+        10**9, lambda snapshot: bool(snapshots.append(snapshot)) or True)
+    snapshot = None
+    for links in range(1, 2001):
+        try:
+            result = _windowed_run(job, recorder, wall_timeout=0.02,
+                                   resume_from=snapshot)
+            break
+        except SimulationTimeout as timeout:
+            assert timeout.checkpoint_cycle == snapshots[-1].cycle
+            snapshot = snapshots[-1]
+    else:
+        pytest.fail("wall-timeout chain made no progress")
+    assert links > 1, "the run finished before its first timeout"
+    assert result.meta["timeline"] == reference.meta["timeline"]
+    assert result.meta["trace"] == reference.meta["trace"]
+    assert fingerprint_result(result) == fingerprint_result(reference)
 
 
 def test_snapshot_restore_validates():

@@ -1,5 +1,7 @@
 """Tests for the repro-sim single-run CLI."""
 
+import pytest
+
 from repro.harness.simcli import main
 from repro.workloads.suite import make_kernel
 from repro.workloads.tracefile import save_kernel_trace
@@ -123,3 +125,43 @@ def test_env_fault_bad_spec_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_FAULTS", "explode:0")
     assert main(["kmeans", "--scale", "0.05", "--no-cache"]) == 2
     assert "bad fault spec" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# live path vs engine path
+# --------------------------------------------------------------------------- #
+
+POLICY_SPECS = ["rr", "static:2", "lcs", "bcs:2", "lcs+bcs:2", "dyncta"]
+#: One warp spec per construction branch: a heap scheduler by name, the
+#: two-level scheduler by name, and the ``swl:K`` factory.
+WARP_SPECS = ["lrr", "two-level", "swl:4"]
+
+
+def _engine_and_live(tmp_path, capsys, argv):
+    """Stdout of the engine path and of the live path (forced by
+    ``--trace``) for the same arguments."""
+    assert main(argv + ["--no-cache"]) == 0
+    engine = capsys.readouterr().out
+    trace = tmp_path / "trace.jsonl"
+    assert main(argv + ["--trace", str(trace)]) == 0
+    live = capsys.readouterr().out
+    return engine, live, trace
+
+
+@pytest.mark.parametrize("warp", WARP_SPECS)
+@pytest.mark.parametrize("policy", POLICY_SPECS)
+def test_live_path_prints_engine_summary(tmp_path, capsys, policy, warp):
+    engine, live, trace = _engine_and_live(
+        tmp_path, capsys, ["kmeans", "--scale", "0.03", "--config", "small",
+                           "--policy", policy, "--warp", warp])
+    summary, _, tail = live.rpartition("trace: ")
+    assert summary == engine
+    assert tail.endswith(f"-> {trace}\n")
+
+
+@pytest.mark.parametrize("policy", ["rr", "lcs"])
+def test_live_path_prints_engine_summary_vector(tmp_path, capsys, policy):
+    engine, live, _ = _engine_and_live(
+        tmp_path, capsys, ["kmeans", "--scale", "0.03", "--config", "small",
+                           "--policy", policy, "--backend", "vector"])
+    assert live.rpartition("trace: ")[0] == engine

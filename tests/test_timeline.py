@@ -1,81 +1,83 @@
-"""Tests for the timeline sampler."""
+"""Tests for the windowed occupancy timeline (``TimelineResult``)."""
 
 import pytest
 
 from repro.core.cta_schedulers import RoundRobinCTAScheduler
 from repro.core.lcs import LCSScheduler
+from repro.harness.runner import simulate
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import GPU
-from repro.sim.timeline import TimelineSampler
+from repro.telemetry import TelemetryError, TelemetryHub
 from repro.workloads.suite import make_kernel
 
 from helpers import make_test_kernel
 
 
-def run_with_sampler(kernel, config, scheduler=None, period=50):
-    gpu = GPU(config=config)
-    sampler = TimelineSampler(gpu, period=period)
-    gpu.run(scheduler if scheduler is not None
-            else RoundRobinCTAScheduler(kernel))
-    return gpu, sampler
+def run_with_timeline(kernel, config, scheduler=None, window=50):
+    result = simulate(kernel, config=config,
+                      cta_scheduler=(scheduler if scheduler is not None
+                                     else RoundRobinCTAScheduler(kernel)),
+                      telemetry=TelemetryHub(window=window, trace=False))
+    return result, result.meta["timeline"]
 
 
 class TestSampler:
-    def test_period_validated(self, small_config):
-        gpu = GPU(config=small_config)
-        with pytest.raises(ValueError):
-            TimelineSampler(gpu, period=0)
+    def test_period_validated(self):
+        with pytest.raises(TelemetryError):
+            TelemetryHub(window=0)
 
     def test_samples_are_periodic_and_ordered(self, small_config):
         kernel = make_test_kernel(num_ctas=16, warps_per_cta=4)
-        gpu, sampler = run_with_sampler(kernel, small_config,
-                                        RoundRobinCTAScheduler(kernel))
-        assert sampler.samples, "no samples collected"
-        cycles = [s.cycle for s in sampler.samples]
-        assert cycles == sorted(cycles)
-        assert all(c % 50 == 0 for c in cycles)
+        result, timeline = run_with_timeline(kernel, small_config)
+        assert timeline, "no windows collected"
+        cycles = timeline.cycles
+        assert cycles == sorted(set(cycles))
+        # Every boundary but the flushed final one is a window multiple;
+        # the final one is the run's last cycle.
+        assert all(c % 50 == 0 for c in cycles[:-1])
+        assert cycles[-1] == result.cycles
 
     def test_issued_counts_monotonic(self, small_config):
         kernel = make_test_kernel(num_ctas=16, warps_per_cta=4)
-        gpu, sampler = run_with_sampler(kernel, small_config,
-                                        RoundRobinCTAScheduler(kernel))
-        issued = [s.issued_total for s in sampler.samples]
-        assert issued == sorted(issued)
-        assert sum(s.issued_since_last for s in sampler.samples) <= gpu.total_issued
+        result, timeline = run_with_timeline(kernel, small_config)
+        starts = [0] + timeline.cycles[:-1]
+        issued = [ipc * (end - start) for ipc, start, end
+                  in zip(timeline.series("ipc"), starts, timeline.cycles)]
+        assert all(count >= 0 for count in issued)
+        assert sum(issued) == pytest.approx(result.instructions)
 
     def test_occupancy_bounded_by_hardware(self, small_config):
         kernel = make_test_kernel(num_ctas=32, warps_per_cta=1,
                                   regs_per_thread=0)
-        gpu, sampler = run_with_sampler(kernel, small_config,
-                                        RoundRobinCTAScheduler(kernel))
-        for sample in sampler.samples:
-            assert all(0 <= c <= small_config.max_ctas_per_sm
-                       for c in sample.ctas_per_sm)
-            assert all(0 <= w <= small_config.max_warps_per_sm
-                       for w in sample.warps_per_sm)
+        result, timeline = run_with_timeline(kernel, small_config)
+        limit = kernel.max_ctas_per_sm(small_config)
+        assert len(timeline.ctas_per_sm) == len(timeline)
+        for row in timeline.ctas_per_sm:
+            assert len(row) == small_config.num_sms
+            assert all(0 <= ctas <= limit for ctas in row)
 
     def test_ipc_series_matches_samples(self, small_config):
         kernel = make_test_kernel(num_ctas=8, warps_per_cta=4)
-        gpu, sampler = run_with_sampler(kernel, small_config,
-                                        RoundRobinCTAScheduler(kernel))
-        assert len(sampler.ipc_series) == len(sampler.samples)
-        assert all(ipc >= 0 for ipc in sampler.ipc_series)
+        result, timeline = run_with_timeline(kernel, small_config)
+        assert len(timeline.series("ipc")) == len(timeline)
+        assert all(ipc >= 0 for ipc in timeline.series("ipc"))
 
     def test_lcs_drain_visible_in_occupancy_series(self):
-        """After the LCS decision the mean resident CTA count drops."""
+        """After the LCS decision the resident CTA count drains to N*."""
         config = GPUConfig(num_sms=4)
         kernel = make_kernel("kmeans", scale=0.15)
-        gpu = GPU(config=config)
-        sampler = TimelineSampler(gpu, period=500)
         scheduler = LCSScheduler(kernel)
-        gpu.run(scheduler)
+        result, timeline = run_with_timeline(kernel, config, scheduler,
+                                             window=500)
         decision = scheduler.decision
         assert decision is not None and decision.throttled
-        before = [s.mean_ctas_per_sm for s in sampler.samples
-                  if s.cycle <= decision.decided_cycle]
-        after = [s.mean_ctas_per_sm for s in sampler.samples
-                 if s.cycle > decision.decided_cycle * 1.5]
-        # Drop tail-of-grid samples where occupancy naturally drains.
-        after = [x for x in after if x > 0][:max(1, len(after) // 2)]
-        if before and after:
-            assert min(after) <= max(before)
+        before = [max(row) for cycle, row
+                  in zip(timeline.cycles, timeline.ctas_per_sm)
+                  if cycle <= decision.decided_cycle]
+        after = [max(row) for cycle, row
+                 in zip(timeline.cycles, timeline.ctas_per_sm)
+                 if cycle > decision.decided_cycle]
+        assert max(before) == decision.occupancy
+        assert decision.n_star in after, "no window shows the drained SMs"
+        # Once drained, no SM is refilled above N*.
+        drained = after.index(decision.n_star)
+        assert all(ctas <= decision.n_star for ctas in after[drained:])
