@@ -168,7 +168,7 @@ service-smoke:   ## service drill: daemon + 2 clients, SIGTERM mid-flight, resta
 service-chaos-smoke: ## service chaos drill: daemon SIGKILLs, worker wedge, socket drops, 2 clients
 	@rm -rf .repro-service-chaos; \
 	PYTHONPATH=src $(PY) -m repro.design.chaos examples/lcs_threshold.toml \
-		--service --scale 0.02 --seed 7 --root .repro-service-chaos \
+		--service --seed 7 --root .repro-service-chaos \
 		|| { echo "service-chaos-smoke: drill failed; journal +" \
 		     "daemon.log kept under .repro-service-chaos/"; exit 1; }; \
 	rm -rf .repro-service-chaos; \
@@ -178,7 +178,7 @@ service-chaos-smoke: ## service chaos drill: daemon SIGKILLs, worker wedge, sock
 cluster-chaos-smoke: ## federation drill: 3 daemons, partition + SIGKILL, lease handoff, all-journal audit
 	@rm -rf .repro-cluster-chaos; \
 	PYTHONPATH=src $(PY) -m repro.design.chaos examples/lcs_threshold.toml \
-		--cluster --scale 0.02 --seed 7 --root .repro-cluster-chaos \
+		--cluster --seed 7 --root .repro-cluster-chaos \
 		|| { echo "cluster-chaos-smoke: drill failed; per-daemon" \
 		     "journals + logs kept under .repro-cluster-chaos/"; exit 1; }; \
 	rm -rf .repro-cluster-chaos; \

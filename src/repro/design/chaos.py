@@ -1,719 +1,594 @@
-"""Campaign-level chaos testing: kill workers until the campaign proves
-itself.
+"""Chaos drills: kill, wedge and partition the durable paths until they
+prove themselves.
 
-The durability claims in :mod:`repro.design.campaign` are only worth
-anything under fire, so this harness sets a real campaign on fire,
-repeatedly: it launches ``shards`` concurrent ``repro-exp --design FILE
---shard`` worker *processes*, injects a ``kill-worker:K`` fault into
-each (the worker dies with :data:`~repro.harness.faults.KILL_EXIT_CODE`
-right after its K-th journal append, K drawn from a seeded RNG), then
-restarts them, round after round, until the campaign converges.  A final
-clean round (no faults) drains anything the last kills left behind.
+The durability claims of :mod:`repro.design.campaign` and
+:mod:`repro.service` are only worth anything under fire.  One harness
+sets each topology on fire:
 
-The drill then asserts the whole point:
+* **shards** (:func:`run_chaos`) — rounds of concurrent ``repro-exp
+  --design FILE --shard`` worker processes, each with a seeded
+  ``kill-worker:K`` fault, restarted until the campaign converges, then
+  one clean round;
+* **daemon** (:func:`run_service_chaos`) — one ``repro-serve`` daemon
+  SIGKILLed and restarted under in-worker kills, a wedged poison job and
+  a dropped socket frame while two clients submit the design;
+* **fleet** (:func:`run_cluster_chaos`) — three peered daemons under a
+  seeded partition; the partitioned victim is SIGKILLed with jobs in
+  flight and never restarted.
 
-* **complete** — every cell is ``done``; none lost, none stuck;
-* **exactly once** — the journal holds exactly one counted ``done`` per
-  cell (duplicates from lease races are detected and reported);
-* **bitwise-equal** — the result table (label, cycles, ipc per cell) is
-  byte-for-byte identical to an unfaulted single-worker run of the same
-  design in a separate store with a separate cache.
+Every drill runs on one skeleton (:class:`_Drill`): the fault-free
+reference is each cell's job executed in-process (no store, no cache),
+every process starts through one spawn helper, and one verdict compares
+each cell's result with the reference bit for bit and, for the daemon
+and the fleet, folds every journal through
+:func:`repro.service.audit.audit_state_dirs`.  The outcome is one
+:class:`DrillReport`; it is ``ok`` only if every check its topology
+names in :data:`TOPOLOGIES` held.
 
-Run it directly (this is what ``make campaign-chaos-smoke`` does)::
+Run a drill directly (the Makefile's ``*-chaos-smoke`` targets do)::
 
     python -m repro.design.chaos examples/shard_demo.toml \\
         --shards 2 --min-kills 5 --seed 7 --root .repro-chaos
+    python -m repro.design.chaos examples/lcs_threshold.toml --service
+    python -m repro.design.chaos examples/lcs_threshold.toml --cluster
 
-Everything is deterministic given ``--seed``: the kill points, the
-worker ids, the round schedule.  Wall time is bounded by ``--max-rounds``
-and a per-worker subprocess timeout.
+The kill points and fault specs are fixed by ``--seed``; the fleet's
+victim is fixed by the design and the socket paths under ``--root``.
+Wall time is bounded per worker process and per drill.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..harness.cache import ResultCache
-from ..harness.faults import ENV_SPEC, ENV_STATE, KILL_EXIT_CODE
+from ..harness.engine import Backoff
+from ..harness.faults import KILL_EXIT_CODE, child_env
 from ..harness.jobs import SimJob
+from ..service.audit import AuditReport, audit_state_dirs
+from ..service.client import ServiceClient, ServiceError
+from ..service.cluster import rendezvous_owner
+from ..service.protocol import QUARANTINED, QUEUED, TERMINAL, job_id
 from .campaign import Campaign
 from .env import DesignEnv
 from .files import load_design
 from .leases import DONE
 
-#: Where a chaos drill keeps its stores unless told otherwise.
-DEFAULT_CHAOS_ROOT = ".repro-chaos"
-
-#: Lease TTL used by the drill: short enough that a killed worker's
+#: Lease TTL of the shard drill: short enough that a killed worker's
 #: leases expire between rounds (the production default of 30s would
 #: stall the whole drill waiting for reclaims).
 DEFAULT_CHAOS_TTL = 3.0
 
-#: Hard per-worker-process wall-clock bound (a wedged worker fails the
-#: drill instead of hanging it).
+#: Hard per-worker-process bound of the shard drill, and the overall
+#: bound of a daemon or fleet drill (a wedged process fails the drill
+#: instead of hanging it).
 WORKER_TIMEOUT = 180.0
+DRILL_TIMEOUT = 300.0
+
+#: The poison job: the first cell's job under a seed no real cell uses
+#: (so a fingerprint of its own), submitted before any client so it owns
+#: dispatch ordinal 0, where ``worker-wedge:0`` fires on every attempt.
+POISON_ID = "poison:0"
+_POISON_SEED = 99991
+
+#: Fleet tuning: gossip rounds before the injected partition heals,
+#: gossip interval and peer TTL (seconds), and how long the victim runs
+#: before its SIGKILL.
+_PARTITION_ROUNDS = 12
+_GOSSIP_INTERVAL = 0.25
+_PEER_TTL = 1.0
+_KILL_AFTER = 2.0
+
+
+@dataclass(frozen=True)
+class Topology:
+    """One drill topology: its defaults and the checks it must pass."""
+
+    root: str                       # state directory unless told otherwise
+    scale: float                    # compile scale (a file's pin wins)
+    checks: tuple[str, ...]
+    #: ``(check, event kinds, outside the home daemon only)``: the check
+    #: holds when every kind was journaled (events.jsonl).
+    events: tuple[tuple[str, tuple[str, ...], bool], ...] = ()
+
+
+TOPOLOGIES = {
+    "shards": Topology(".repro-chaos", 0.1, ("converged", "identical")),
+    "daemon": Topology(
+        ".repro-service-chaos", 0.02,
+        ("converged", "identical", "exactly-once", "poison-quarantined",
+         "drain-clean", "shed", "breaker"),
+        (("shed", ("admission.shed",), False),
+         ("breaker", ("breaker.open",), False))),
+    "fleet": Topology(
+        ".repro-cluster-chaos", 0.02,
+        ("converged", "identical", "effectively-once", "reclaim",
+         "poison-quarantined", "quarantine-propagated", "partition",
+         "drain-clean"),
+        (("quarantine-propagated", ("breaker.sync",), True),
+         ("partition", ("peer.dead", "cluster.degraded"), False))),
+}
 
 
 @dataclass
-class ChaosReport:
-    """What one chaos drill did and whether the campaign survived it."""
+class DrillReport:
+    """What one drill did and which of its named checks held.
 
-    rounds: int = 0
-    launches: int = 0              # worker processes started (incl. clean)
-    kills: int = 0                 # workers that died at an injected point
-    converged: bool = False        # every cell done at the end
-    identical: bool = False        # result table == reference table
-    duplicate_done: int = 0        # journal double-completions (counted,
-    #                              # tolerated, reported)
+    ``checks`` starts with every check of the topology unset (None); a
+    check made twice must hold both times, and :attr:`ok` needs every
+    one True, so a check the drill never reached fails too.  ``stats``
+    counts what the drill did (launches, kills, incarnations...),
+    ``counts`` what the store held at the end, ``mismatches`` why a
+    check failed.
+    """
+
+    topology: str
+    checks: dict[str, bool | None] = field(default_factory=dict)
+    stats: dict[str, Any] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     mismatches: list[str] = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return self.converged and self.identical
+        return not self.failed
+
+    @property
+    def failed(self) -> list[str]:
+        return [name for name, held in self.checks.items() if held is not True]
+
+    def check(self, name: str, held: object, *problems: str) -> None:
+        self.checks[name] = self.checks.get(name) is not False and bool(held)
+        if not held:
+            self.mismatches.extend(problems)
 
     def summary_line(self) -> str:
-        verdict = "OK" if self.ok else "FAILED"
-        text = (f"chaos {verdict}: {self.rounds} round(s), "
-                f"{self.launches} worker launch(es), {self.kills} "
-                f"injected kill(s), counts={self.counts}")
-        if self.duplicate_done:
-            text += f", {self.duplicate_done} duplicate completion(s)"
+        text = (f"{self.topology} chaos {'OK' if self.ok else 'FAILED'}: "
+                + "".join(f"{key}={value}, "
+                          for key, value in self.stats.items())
+                + f"counts={self.counts}")
+        if self.failed:
+            text += f"; failed checks: {', '.join(self.failed)}"
         if self.mismatches:
             text += f"; first mismatch: {self.mismatches[0]}"
         return text
 
 
-def _result_table(campaign: Campaign) -> str:
-    """The merged result table as a canonical string (the bitwise unit)."""
-    lines = [f"{cell.label},{cell.cycles},{cell.ipc!r}"
-             for cell in campaign.cells]
-    return "\n".join(lines)
+def _row(label: str, result: Any) -> str | None:
+    """One cell's result as a canonical string (the bitwise unit)."""
+    return None if result is None \
+        else f"{label},{result.cycles},{result.ipc!r}"
 
 
-def _design_env(overrides: dict, scale: float) -> DesignEnv:
-    """The same environment the worker CLIs compute for this design."""
-    kwargs: dict = {"scale": scale}
-    kwargs.update(overrides)
-    return DesignEnv(**kwargs)
+def _client(address: str | Path, **kwargs: Any) -> ServiceClient:
+    """A client that rides out a daemon restarting under it."""
+    return ServiceClient(address, backoff=Backoff(base=0.2, cap=1.0),
+                         **kwargs)
 
 
-def _spawn_worker(design_file: Path, workdir: Path, *, worker_id: str,
-                  lease_ttl: float, scale: float,
-                  faults: str | None, faults_state: Path | None,
-                  max_retries: int | None) -> subprocess.Popen:
-    command = [sys.executable, "-m", "repro.harness.cli",
-               "--design", str(design_file), "--shard",
-               "--campaign-dir", "camps", "--worker-id", worker_id,
-               "--lease-ttl", str(lease_ttl), "--scale", str(scale)]
-    if max_retries is not None:
-        command += ["--max-retries", str(max_retries)]
-    env = dict(os.environ)
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop(ENV_SPEC, None)
-    env.pop(ENV_STATE, None)
-    if faults:
-        env[ENV_SPEC] = faults
-        env[ENV_STATE] = str(faults_state)
-    return subprocess.Popen(command, cwd=workdir, env=env,
-                            stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+class _Drill:
+    """The skeleton every topology runs on.
+
+    Compiles the design under the environment the worker CLIs compute,
+    executes the fault-free reference, starts processes through
+    :meth:`spawn` (killing whatever still runs on exit) and judges the
+    end state in :meth:`verdict`.
+    """
+
+    def __init__(self, topology: str, design_path: str | Path, *,
+                 seed: int, root: str | Path | None,
+                 scale: float | None) -> None:
+        self.started = time.monotonic()
+        self.deadline = self.started + DRILL_TIMEOUT
+        self.topology = TOPOLOGIES[topology]
+        self.report = DrillReport(topology,
+                                  checks=dict.fromkeys(self.topology.checks))
+        self.rng = random.Random(seed)
+        self.workdir = Path(root if root is not None else self.topology.root)
+        self.workdir.mkdir(parents=True, exist_ok=True)
+        self.design_file = Path(design_path).resolve()
+        self.design, pinned = load_design(self.design_file)
+        self.env = DesignEnv.merged(pinned, scale=self.topology.scale
+                                    if scale is None else scale)
+        self.cells = self.design.compile(self.env)
+        self.digest = self.design.digest(self.env)
+        # Shares nothing with the drill but the design.
+        self.reference = {cell.label: cell.job.execute()
+                          for cell in self.cells}
+        self.stop = threading.Event()
+        self._procs: list[subprocess.Popen] = []
+
+    def __enter__(self) -> "_Drill":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.stop.set()
+        for proc in self._procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+    def spawn(self, module: str, *args: str, faults: str = "",
+              state: Path | None = None, log: Path | None = None,
+              cwd: Path | None = None) -> subprocess.Popen:
+        """``python -m module args`` on this checkout's code, under
+        exactly the fault plan ``faults`` (markers in ``state``), its
+        output appended to ``log`` (discarded without one)."""
+        out = open(log, "ab") if log is not None else subprocess.DEVNULL
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", module, *args],
+                                    cwd=cwd, env=child_env(faults, state),
+                                    stdout=out, stderr=out)
+        finally:
+            if log is not None:
+                out.close()
+        self._procs.append(proc)
+        return proc
+
+    def finish(self) -> DrillReport:
+        self.report.elapsed = time.monotonic() - self.started
+        return self.report
+
+    # ------------------------------------------------------------------ #
+    # daemon and fleet steps
+    # ------------------------------------------------------------------ #
+    def payloads(self) -> dict[str, dict]:
+        return {job_id(self.digest, cell.index): cell.job.to_payload()
+                for cell in self.cells}
+
+    def submit_poison(self, address: str | Path) -> None:
+        """Pin the poison job to ``address``'s daemon before any client
+        runs; the ordinal is journaled with the submit, so it survives
+        restarts and the wedge keeps firing on every re-dispatch."""
+        poison = SimJob.from_payload({**self.cells[0].job.to_payload(),
+                                      "seed": _POISON_SEED})
+        with _client(address, connect_attempts=25) as client:
+            response = client.submit(POISON_ID, poison.to_payload(),
+                                     tenant="poison", pin=True)
+        if not response.get("ok") \
+                or response.get("state") not in (QUEUED, QUARANTINED):
+            self.report.mismatches.append(
+                f"poison submit answered {response!r}")
+
+    def run_clients(self, loop: Callable[[str], None],
+                    storm: Callable[[], None]) -> None:
+        """Two tenants run ``loop`` in threads while ``storm`` kills;
+        clients still waiting at the drill deadline are given up."""
+        threads = [threading.Thread(target=loop, args=(tenant,),
+                                    name=f"chaos-client-{tenant}",
+                                    daemon=True)
+                   for tenant in ("alice", "bob")]
+        for thread in threads:
+            thread.start()
+        storm()
+        for thread in threads:
+            thread.join(timeout=max(self.deadline - time.monotonic(), 1.0))
+        if any(thread.is_alive() for thread in threads):
+            self.stop.set()
+            self.report.mismatches.append("client thread(s) still waiting "
+                                          "at the drill deadline")
+
+    def await_quarantine(self, address: str | Path) -> None:
+        """Poll until the poison job is quarantined — it must get there
+        without help — or the drill deadline passes."""
+        while time.monotonic() < self.deadline:
+            try:
+                with _client(address, connect_attempts=5) as client:
+                    if client.result(POISON_ID).get("state") == QUARANTINED:
+                        return
+            except (ServiceError, OSError, ValueError):
+                pass
+            time.sleep(0.5)
+
+    def drain(self, procs: Sequence[subprocess.Popen], *,
+              trace: Path | None = None) -> None:
+        """SIGTERM ``procs`` together: each must exit 0 within a minute,
+        and the ``trace`` lane the drained daemon writes must parse."""
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            try:
+                code = proc.wait(timeout=60.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                code = f"{proc.wait()} after ignoring SIGTERM for 60s"
+            self.report.check("drain-clean", code == 0,
+                              f"daemon pid {proc.pid} drained with exit "
+                              f"{code}")
+        if trace is not None and self.report.checks["drain-clean"]:
+            try:
+                json.loads(trace.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as error:
+                self.report.check("drain-clean", False,
+                                  f"drained daemon's trace is unusable: "
+                                  f"{error}")
+
+    # ------------------------------------------------------------------ #
+    # the verdict
+    # ------------------------------------------------------------------ #
+    def verdict(self, done: set[str], results: Mapping[str, Any]) -> None:
+        """Converged and identical: every design cell (by label) reached
+        ``done``, and its result — anything with ``cycles`` and ``ipc`` —
+        equals the reference bit for bit."""
+        stuck = [cell.label for cell in self.cells if cell.label not in done]
+        self.report.check("converged", not stuck,
+                          f"design cells not done: {stuck}")
+        wrong = []
+        for cell in self.cells:
+            want = _row(cell.label, self.reference[cell.label])
+            got = _row(cell.label, results.get(cell.label))
+            if got != want:
+                wrong.append(f"expected {want!r}, got {got!r}")
+        self.report.check("identical", not wrong, *wrong)
+
+    def campaign_verdict(self, store: Path) -> None:
+        """The shards verdict, from the campaign journal under ``store``
+        (duplicate completions from lease races are counted, not
+        failed)."""
+        campaign = Campaign.open(self.design, self.env, root=store)
+        self.report.stats["duplicate_done"] = \
+            campaign.refresh().duplicate_done
+        self.report.counts = campaign.counts()
+        done = {cell.label: cell for cell in campaign.cells
+                if cell.status == DONE}
+        self.verdict(set(done), done)
+
+    def audit_verdict(self, state_dirs: Sequence[Path],
+                      cache_dir: Path) -> AuditReport:
+        """The daemon and fleet verdict, from every journal with every
+        daemon stopped: :meth:`verdict` on the ``done`` records and the
+        shared cache, the exactly-once (one daemon) or effectively-once
+        (fleet) bar, the poison quarantined once, at ordinal 0, on the
+        daemon it was pinned to (``state_dirs[0]``), the reclaim the
+        fleet's rendezvous hashing demands, and the event checks."""
+        report = self.report
+        audit = audit_state_dirs(state_dirs)
+        home = Path(state_dirs[0]).name
+        cache = ResultCache(cache_dir)
+        ids = {job_id(self.digest, cell.index): cell for cell in self.cells}
+        done = {cell.label for rid, cell in ids.items()
+                if DONE in audit.states_of(rid)}
+        self.verdict(done, {cell.label: cache.get(cell.job.fingerprint())
+                            for cell in self.cells})
+        report.counts = {"done": len(done), "cells": len(ids),
+                         "accepted": sum(1 for job in audit.jobs.values()
+                                         if job.accepted_in),
+                         "jobs": len(audit.jobs)}
+
+        problems = list(audit.problems)
+        if audit.missing:
+            problems.append(f"accepted, never executed: {audit.missing}")
+        if audit.conflicting:
+            problems.append(f"conflicting terminals: {audit.conflicting}")
+        once, held = "effectively-once", audit.effectively_once
+        if "exactly-once" in report.checks:
+            once, held = "exactly-once", audit.strict_exactly_once
+            doubled = sorted(rid for rid, job in audit.jobs.items()
+                             if job.duplicates)
+            if doubled:
+                problems.append(f"multiple terminal records: {doubled}")
+        report.check(once, held, *problems)
+
+        poison = audit.jobs.get(POISON_ID)
+        report.check("poison-quarantined",
+                     poison is not None and poison.states == {QUARANTINED}
+                     and [name for name, *_ in poison.executed] == [home]
+                     and poison.ordinals[:1] == [0],
+                     f"poison job not quarantined once at ordinal 0 on "
+                     f"{home}: {poison!r}")
+
+        kinds = audit.event_kinds()
+        if "reclaim" in report.checks:
+            report.check("reclaim", audit.adopted
+                         or "cluster.reclaim" in kinds
+                         or not report.stats["expected_reclaim"],
+                         "no job was adopted from the dead victim despite "
+                         "rendezvous demanding it")
+        for name, wanted, elsewhere in self.topology.events:
+            seen = set().union(*(found for where, found
+                                 in audit.events.items()
+                                 if not (elsewhere and where == home)))
+            missing = [kind for kind in wanted if kind not in seen]
+            report.check(name, not missing,
+                         f"never journaled"
+                         f"{' outside ' + home if elsewhere else ''}: "
+                         f"{missing}")
+        return audit
 
 
 def run_chaos(design_path: str | Path, *, shards: int = 2,
               min_kills: int = 5, max_rounds: int = 12, seed: int = 7,
-              root: str | Path = DEFAULT_CHAOS_ROOT, scale: float = 0.1,
+              root: str | Path | None = None, scale: float | None = None,
               lease_ttl: float = DEFAULT_CHAOS_TTL,
-              max_retries: int | None = None,
-              kill_span: int = 4) -> ChaosReport:
-    """Run the kill/restart drill against ``design_path``.
+              kill_span: int = 4) -> DrillReport:
+    """Kill/restart drill against a durable campaign's shard workers.
 
     Rounds of ``shards`` concurrent worker processes run until the
-    campaign converges and at least ``min_kills`` workers have been
-    killed at injected points.  Kill points are append ordinals in
-    ``[0, kill_span]`` from ``random.Random(seed)`` — low ordinals, so
-    workers die with cells genuinely in flight (ordinal 0 is the
-    harshest: killed right after persisting the first claim, before any
-    work).  Between rounds the
-    drill waits out ``lease_ttl`` so the dead workers' leases expire and
-    the next round exercises the reclaim path rather than spinning on
-    live-looking claims.
+    campaign converges and at least ``min_kills`` workers died at
+    injected points (at most ``max_rounds`` rounds), then one clean
+    round.  Kill points are journal-append ordinals in ``[0, kill_span]``
+    from ``random.Random(seed)`` — low, so workers die with cells in
+    flight (ordinal 0 is the harshest: killed right after persisting the
+    first claim, before any work).  Between rounds the drill waits out
+    ``lease_ttl`` so the next round exercises the reclaim path rather
+    than bouncing off live-looking claims.
     """
-    started = time.monotonic()
-    design_file = Path(design_path).resolve()
-    design, overrides = load_design(design_file)
-    env = _design_env(overrides, scale)
-    rng = random.Random(seed)
-    report = ChaosReport()
-
-    workdir = Path(root)
-    chaos_dir = workdir / "camps"
-    ref_dir = workdir / "reference"
-    workdir.mkdir(parents=True, exist_ok=True)
-
-    # The ground truth: one unfaulted in-process worker, its own store,
-    # its own cache — shares nothing with the drill but the design.
-    reference = Campaign.open(design, env, root=ref_dir)
-    ref_report = reference.run(cache=ResultCache(workdir / "ref-cache"),
-                               worker_id="reference")
-    if not ref_report.ok:
-        report.mismatches.append("reference run itself failed; the design "
-                                 "is not chaos-drill material")
-        report.elapsed = time.monotonic() - started
-        return report
-    ref_table = _result_table(reference)
+    drill = _Drill("shards", design_path, seed=seed, root=root, scale=scale)
+    stats = drill.report.stats
+    stats.update(rounds=0, launches=0, kills=0)
+    store = drill.workdir / "camps"
 
     def launch_round(*, kill: bool) -> None:
         procs = []
         for shard in range(shards):
-            faults = None
-            state: Path | None = None
-            if kill:
-                ordinal = rng.randint(0, kill_span)
-                faults = f"kill-worker:{ordinal}"
-                state = (workdir
-                         / f"faults-r{report.rounds}-w{shard}")
-            procs.append(_spawn_worker(
-                design_file, workdir,
-                worker_id=f"chaos-r{report.rounds}-w{shard}",
-                lease_ttl=lease_ttl, scale=scale, faults=faults,
-                faults_state=state, max_retries=max_retries))
-            report.launches += 1
+            name = f"r{stats['rounds']}-w{shard}"
+            procs.append(drill.spawn(
+                "repro.harness.cli", "--design", str(drill.design_file),
+                "--shard", "--campaign-dir", store.name,
+                "--worker-id", f"chaos-{name}",
+                "--lease-ttl", str(lease_ttl), "--scale", str(drill.env.scale),
+                faults=(f"kill-worker:{drill.rng.randint(0, kill_span)}"
+                        if kill else ""),
+                state=(drill.workdir / f"faults-{name}").resolve(),
+                cwd=drill.workdir))
+            stats["launches"] += 1
         for proc in procs:
             try:
                 code = proc.wait(timeout=WORKER_TIMEOUT)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-                report.mismatches.append("worker subprocess exceeded "
-                                         f"{WORKER_TIMEOUT:.0f}s")
+                drill.report.mismatches.append(
+                    f"worker subprocess exceeded {WORKER_TIMEOUT:.0f}s")
                 continue
             if code == KILL_EXIT_CODE:
-                report.kills += 1
+                stats["kills"] += 1
 
-    def survivors_done() -> bool:
-        campaign = Campaign.open(design, env, root=chaos_dir)
-        report.counts = campaign.counts()
-        return all(cell.status == DONE for cell in campaign.cells)
-
-    converged = False
-    while report.rounds < max_rounds:
-        report.rounds += 1
-        launch_round(kill=True)
-        converged = survivors_done()
-        if converged and report.kills >= min_kills:
-            break
-        # Let the kills' leases expire so the next round reclaims
-        # instead of bouncing off live-looking claims.
-        time.sleep(lease_ttl)
-
-    # One clean round: whatever the last kills dropped, a fault-free
-    # worker must be able to finish — that is the resume contract.
-    launch_round(kill=False)
-    report.converged = survivors_done()
-
-    final = Campaign.open(design, env, root=chaos_dir)
-    state = final.refresh()
-    report.duplicate_done = state.duplicate_done
-    final_table = _result_table(final)
-    report.identical = final_table == ref_table
-    if report.converged and not report.identical:
-        for ref_line, got_line in zip(ref_table.splitlines(),
-                                      final_table.splitlines()):
-            if ref_line != got_line:
-                report.mismatches.append(f"expected {ref_line!r}, "
-                                         f"got {got_line!r}")
+    with drill:
+        while stats["rounds"] < max_rounds:
+            stats["rounds"] += 1
+            launch_round(kill=True)
+            campaign = Campaign.open(drill.design, drill.env, root=store)
+            if all(cell.status == DONE for cell in campaign.cells) \
+                    and stats["kills"] >= min_kills:
                 break
-    elif not report.converged:
-        stuck = [cell.label for cell in final.cells
-                 if cell.status != DONE]
-        report.mismatches.append(f"cells not done after "
-                                 f"{report.rounds} round(s) + clean "
-                                 f"round: {stuck}")
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-# --------------------------------------------------------------------------- #
-# Service chaos: the same contract, one level up the stack
-# --------------------------------------------------------------------------- #
-
-#: Where the service drill keeps its state unless told otherwise.
-DEFAULT_SERVICE_CHAOS_ROOT = ".repro-service-chaos"
-
-#: Overall wall-clock bound on one service drill.
-SERVICE_DRILL_TIMEOUT = 300.0
-
-#: Seed offset that makes the poison job's fingerprint distinct from
-#: every real cell (same benchmark, an otherwise-unused seed).
-_POISON_SEED = 99991
-
-
-@dataclass
-class ServiceChaosReport:
-    """What one service drill did and whether ``repro-serve`` survived."""
-
-    incarnations: int = 0          # daemon processes started
-    daemon_kills: int = 0          # SIGKILLs delivered to the daemon
-    worker_kill_faults: int = 0    # injected in-worker kill points
-    converged: bool = False        # every design cell reached ``done``
-    identical: bool = False        # cache table == fault-free reference
-    exactly_once: bool = False     # one terminal record per accepted job
-    poison_quarantined: bool = False
-    drain_clean: bool = False      # final SIGTERM drain exited 0
-    shed_seen: bool = False        # admission.shed in the event journal
-    breaker_seen: bool = False     # breaker.open in the event journal
-    counts: dict[str, int] = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return (self.converged and self.identical and self.exactly_once
-                and self.poison_quarantined and self.drain_clean
-                and self.shed_seen and self.breaker_seen)
-
-    def summary_line(self) -> str:
-        verdict = "OK" if self.ok else "FAILED"
-        flags = [name for name, value in (
-            ("converged", self.converged), ("identical", self.identical),
-            ("exactly-once", self.exactly_once),
-            ("poison-quarantined", self.poison_quarantined),
-            ("drain-clean", self.drain_clean), ("shed", self.shed_seen),
-            ("breaker", self.breaker_seen)) if not value]
-        text = (f"service chaos {verdict}: {self.incarnations} daemon "
-                f"incarnation(s), {self.daemon_kills} daemon kill(s), "
-                f"{self.worker_kill_faults} worker kill fault(s), "
-                f"counts={self.counts}")
-        if flags:
-            text += f"; failed checks: {', '.join(flags)}"
-        if self.mismatches:
-            text += f"; first mismatch: {self.mismatches[0]}"
-        return text
+            time.sleep(lease_ttl)
+        # Whatever the last kills dropped, a fault-free worker must be
+        # able to finish: that is the resume contract.
+        launch_round(kill=False)
+    drill.campaign_verdict(store)
+    return drill.finish()
 
 
 def run_service_chaos(design_path: str | Path, *, daemon_kills: int = 2,
-                      seed: int = 7,
-                      root: str | Path = DEFAULT_SERVICE_CHAOS_ROOT,
-                      scale: float = 0.02, workers: int = 2,
+                      seed: int = 7, root: str | Path | None = None,
+                      scale: float | None = None, workers: int = 2,
                       queue_depth: int = 3, breaker_threshold: int = 2,
                       hb_timeout: float = 1.5,
                       kill_window: tuple[float, float] = (1.5, 3.5),
-                      ) -> ServiceChaosReport:
-    """SIGKILL/restart drill against a live ``repro-serve`` daemon.
+                      ) -> DrillReport:
+    """SIGKILL/restart drill against one live ``repro-serve`` daemon.
 
-    The service analogue of :func:`run_chaos`: a fault-free in-process
-    run of the design is the reference; then a daemon is started with a
-    poison job wedging at dispatch ordinal 0, in-worker ``kill:K``
-    faults on seeded ordinals, a seeded daemon-side ``socket-drop``, a
-    tight queue bound (so concurrent clients *must* get shed), and two
-    concurrent client threads submitting the same design under
-    different tenants.  The daemon is SIGKILLed and restarted
-    ``daemon_kills`` times mid-flight, then SIGTERM-drained.  The drill
-    passes only if every accepted job reached exactly one terminal
-    state, every design cell's cached result is bitwise-identical to
-    the reference, the poison job was quarantined by the circuit
-    breaker (never stalling the real cells), sheds and the breaker
-    opening are visible in the durable event journal, and the final
-    drain exited 0.
+    Every incarnation runs one fault plan: the poison job wedging at
+    dispatch ordinal 0, in-worker ``kill:K`` faults on seeded ordinals
+    and one seeded ``socket-drop``; marker files keep once-semantics
+    across restarts.  The queue bound is tight, so the two concurrent
+    clients (same design, different tenants) must get shed.  The daemon
+    is SIGKILLed and restarted ``daemon_kills`` times, a seeded
+    ``kill_window`` apart, then SIGTERM-drained.
     """
-    import threading
-
-    from ..service.audit import audit_state_dirs
-    from ..service.client import ServiceClient, ServiceError
-    from ..service.protocol import DONE as DONE_STATE
-    from ..service.protocol import QUARANTINED, QUEUED, TERMINAL, job_id
-
-    started = time.monotonic()
-    deadline = started + SERVICE_DRILL_TIMEOUT
-    design_file = Path(design_path).resolve()
-    design, overrides = load_design(design_file)
-    env = _design_env(overrides, scale)
-    rng = random.Random(seed)
-    report = ServiceChaosReport()
-
-    workdir = Path(root)
-    state_dir = workdir / "state"
-    cache_dir = workdir / "cache"
-    faults_state = workdir / "faults-state"
+    drill = _Drill("daemon", design_path, seed=seed, root=root, scale=scale)
+    stats = drill.report.stats
+    stats.update(incarnations=0, daemon_kills=0)
+    state_dir = drill.workdir / "state"
+    cache_dir = drill.workdir / "cache"
     sock = state_dir / "serve.sock"
-    log_path = workdir / "daemon.log"
-    for directory in (workdir, faults_state):
-        directory.mkdir(parents=True, exist_ok=True)
-
-    cells = design.compile(env)
-    digest = design.digest(env)
-
-    # Ground truth: the same jobs, in process, no service, no faults.
-    ref_lines = {}
-    for cell in cells:
-        result = cell.job.execute()
-        ref_lines[cell.label] = f"{cell.label},{result.cycles},{result.ipc!r}"
-
-    # The poison job: first submission (dispatch ordinal 0), a
-    # fingerprint no real cell shares, wedged on *every* attempt.
-    poison_job = SimJob.from_payload(
-        {**cells[0].job.to_payload(), "seed": _POISON_SEED})
-    poison_id = "poison:0"
-
-    # Fault plan, shared by every daemon incarnation (marker files in
-    # ``faults_state`` keep once-semantics across restarts): the wedge,
-    # one in-worker SIGKILL per seeded ordinal, one dropped socket frame.
-    kill_ordinals = rng.sample(range(1, len(cells) + 1),
-                               k=min(2, len(cells)))
-    report.worker_kill_faults = len(kill_ordinals)
+    faults_state = drill.workdir / "faults-state"
+    faults_state.mkdir(exist_ok=True)
+    kill_ordinals = drill.rng.sample(range(1, len(drill.cells) + 1),
+                                     k=min(2, len(drill.cells)))
+    stats["worker_kill_faults"] = len(kill_ordinals)
     spec = ",".join(["worker-wedge:0"]
                     + [f"kill:{ordinal}" for ordinal in kill_ordinals]
-                    + [f"socket-drop:{rng.randint(3, 9)}"])
+                    + [f"socket-drop:{drill.rng.randint(3, 9)}"])
 
-    def start_daemon() -> subprocess.Popen:
-        report.incarnations += 1
-        trace = workdir / f"trace-{report.incarnations}.json"
-        command = [sys.executable, "-m", "repro.service.daemon",
-                   "--state-dir", str(state_dir),
-                   "--cache-dir", str(cache_dir),
-                   "--socket", str(sock),
-                   "--workers", str(workers),
-                   "--queue-depth", str(queue_depth),
-                   "--breaker-threshold", str(breaker_threshold),
-                   "--hb-timeout", str(hb_timeout),
-                   "--drain-grace", "30",
-                   "--trace", str(trace)]
-        env_vars = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env_vars["PYTHONPATH"] = (src_dir + os.pathsep
-                                  + env_vars.get("PYTHONPATH", ""))
-        env_vars[ENV_SPEC] = spec
-        env_vars[ENV_STATE] = str(faults_state)
-        with open(log_path, "ab") as log:
-            return subprocess.Popen(command, env=env_vars, stdout=log,
-                                    stderr=log)
+    def trace() -> Path:
+        return drill.workdir / f"trace-{stats['incarnations']}.json"
 
-    def new_client(**kwargs) -> "ServiceClient":
-        from ..harness.engine import Backoff
-        return ServiceClient(sock, connect_attempts=25,
-                             backoff=Backoff(base=0.2, cap=1.0), **kwargs)
-
-    give_up = threading.Event()
-    client_results: dict[str, dict[str, dict]] = {}
-    client_errors: list[str] = []
+    def start() -> subprocess.Popen:
+        stats["incarnations"] += 1
+        return drill.spawn(
+            "repro.service.daemon", "--state-dir", str(state_dir),
+            "--cache-dir", str(cache_dir), "--socket", str(sock),
+            "--workers", str(workers), "--queue-depth", str(queue_depth),
+            "--breaker-threshold", str(breaker_threshold),
+            "--hb-timeout", str(hb_timeout), "--drain-grace", "30",
+            "--trace", str(trace()), faults=spec, state=faults_state,
+            log=drill.workdir / "daemon.log")
 
     def client_loop(tenant: str) -> None:
-        """Submit every cell and watch to terminal, riding out daemon
+        """Submit every cell, then watch to terminal, riding out daemon
         kills, sheds and dropped frames; idempotent ids do the rest."""
-        pending = {job_id(digest, cell.index): cell.job.to_payload()
-                   for cell in cells}
-        terminal: dict[str, dict] = {}
-        while pending and not give_up.is_set():
-            client = new_client()
+        pending = drill.payloads()
+        while pending and not drill.stop.is_set():
+            client = _client(sock, connect_attempts=25)
             try:
                 for cid, payload in list(pending.items()):
                     response = client.submit(cid, payload, tenant=tenant,
                                              shed_retries=50)
-                    state = response.get("state")
-                    if state in TERMINAL:
-                        terminal[cid] = response
+                    if response.get("state") in TERMINAL:
                         del pending[cid]
                 if pending:
                     for cid, frame in client.watch(list(pending)).items():
                         if frame.get("state") in TERMINAL:
-                            terminal[cid] = frame
                             pending.pop(cid, None)
-            except (ServiceError, OSError, ValueError) as error:
-                client_errors.append(f"{tenant}: {error}")
+            except (ServiceError, OSError, ValueError):
                 time.sleep(0.3)
             finally:
                 client.close()
-        client_results[tenant] = terminal
 
-    daemon = start_daemon()
-    threads: list[threading.Thread] = []
-    try:
-        # Poison goes in first so it owns dispatch ordinal 0 (the
-        # ordinal is journaled with the submit, so it survives every
-        # restart and the wedge fault keeps firing on re-dispatch).
-        poison_client = new_client()
-        try:
-            response = poison_client.submit(poison_id,
-                                            poison_job.to_payload(),
-                                            tenant="poison")
-            if response.get("state") not in (QUEUED, QUARANTINED):
-                report.mismatches.append(
-                    f"poison submit answered {response!r}")
-        finally:
-            poison_client.close()
+    daemons = []
 
-        threads = [threading.Thread(target=client_loop, args=(tenant,),
-                                    name=f"chaos-client-{tenant}",
-                                    daemon=True)
-                   for tenant in ("alice", "bob")]
-        for thread in threads:
-            thread.start()
-
+    def storm() -> None:
         for _ in range(daemon_kills):
-            time.sleep(rng.uniform(*kill_window))
-            daemon.kill()                       # SIGKILL: no goodbyes
-            daemon.wait()
-            report.daemon_kills += 1
+            time.sleep(drill.rng.uniform(*kill_window))
+            daemons[-1].kill()                  # SIGKILL: no goodbyes
+            daemons[-1].wait()
+            stats["daemon_kills"] += 1
             time.sleep(0.3)
-            daemon = start_daemon()
+            daemons.append(start())
 
-        for thread in threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 1.0))
-        if any(thread.is_alive() for thread in threads):
-            give_up.set()
-            report.mismatches.append("client thread(s) still waiting at "
-                                     "the drill deadline")
-
-        # The poison job must reach quarantine without our help (the
-        # journal re-queues it across restarts); poll, bounded.
-        while time.monotonic() < deadline:
-            try:
-                status_client = new_client()
-                try:
-                    state = status_client.result(poison_id).get("state")
-                finally:
-                    status_client.close()
-            except (ServiceError, OSError, ValueError):
-                state = None
-            if state == QUARANTINED:
-                break
-            time.sleep(0.5)
-
-        # Graceful drain: SIGTERM, exit 0, snapshot written.
-        daemon.terminate()
-        try:
-            report.drain_clean = daemon.wait(timeout=60.0) == 0
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            daemon.wait()
-            report.mismatches.append("daemon ignored SIGTERM for 60s")
-    finally:
-        give_up.set()
-        if daemon.poll() is None:   # pragma: no cover - cleanup path
-            daemon.kill()
-            daemon.wait()
-
-    # ---------------- offline audit: the journal is the truth ---------- #
-    audit = audit_state_dirs([state_dir])
-    report.exactly_once = audit.strict_exactly_once
-    if audit.missing:
-        report.mismatches.append(f"accepted without terminal state: "
-                                 f"{audit.missing}")
-    doubled = {rid: sorted(audit.states_of(rid))
-               for rid in audit.jobs
-               if audit.jobs[rid].duplicates}
-    if doubled:
-        report.mismatches.append(f"multiple terminal records: {doubled}")
-    poison = audit.jobs.get(poison_id)
-    report.poison_quarantined = (poison is not None
-                                 and poison.states == {"quarantined"}
-                                 and len(poison.executed) == 1)
-    poison_ordinal = (int(poison.ordinals[0] or 0)
-                      if poison is not None and poison.ordinals else None)
-    if poison_ordinal != 0:
-        report.mismatches.append(
-            f"poison job got ordinal {poison_ordinal!r}, not 0")
-        report.poison_quarantined = False
-
-    design_ids = {job_id(digest, cell.index): cell for cell in cells}
-    done_ids = {rid for rid in audit.jobs
-                if DONE_STATE in audit.states_of(rid)}
-    report.converged = set(design_ids) <= done_ids
-    report.counts = {"done": len(done_ids & set(design_ids)),
-                     "cells": len(design_ids),
-                     "accepted": sum(1 for job in audit.jobs.values()
-                                     if job.accepted_in)}
-    if not report.converged:
-        stuck = sorted(set(design_ids) - done_ids)
-        report.mismatches.append(f"design cells not done: {stuck}")
-
-    cache = ResultCache(cache_dir)
-    report.identical = True
-    for cid, cell in sorted(design_ids.items(),
-                            key=lambda item: item[1].index):
-        result = cache.get(cell.job.fingerprint())
-        if result is None:
-            report.identical = False
-            report.mismatches.append(f"no cached result for {cell.label}")
-            continue
-        got = f"{cell.label},{result.cycles},{result.ipc!r}"
-        if got != ref_lines[cell.label]:
-            report.identical = False
-            report.mismatches.append(f"expected {ref_lines[cell.label]!r}, "
-                                     f"got {got!r}")
-
-    kinds_seen = audit.event_kinds()
-    report.shed_seen = "admission.shed" in kinds_seen
-    report.breaker_seen = "breaker.open" in kinds_seen
-    if not report.shed_seen:
-        report.mismatches.append("no admission.shed event was journaled")
-    if not report.breaker_seen:
-        report.mismatches.append("breaker.open never appeared in events")
-
-    # The drained incarnation also wrote its trace lane; it must parse.
-    trace_file = workdir / f"trace-{report.incarnations}.json"
-    if report.drain_clean:
-        try:
-            json.loads(trace_file.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as error:
-            report.drain_clean = False
-            report.mismatches.append(f"drained incarnation's trace is "
-                                     f"unusable: {error}")
-
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-# --------------------------------------------------------------------------- #
-# Cluster chaos: SIGKILL a federated daemon mid-partition
-# --------------------------------------------------------------------------- #
-
-#: Where the cluster drill keeps its state unless told otherwise.
-DEFAULT_CLUSTER_CHAOS_ROOT = ".repro-cluster-chaos"
-
-#: Overall wall-clock bound on one cluster drill.
-CLUSTER_DRILL_TIMEOUT = 300.0
-
-
-@dataclass
-class ClusterChaosReport:
-    """What one federation drill did and whether the fleet survived."""
-
-    daemons: int = 0               # fleet size
-    victim: int = -1               # SIGKILLed daemon's node index
-    daemon_kills: int = 0
-    expected_reclaim: bool = False  # rendezvous says node 0 must adopt
-    converged: bool = False        # every design cell done fleet-wide
-    identical: bool = False        # cache table == fault-free reference
-    effectively_once: bool = False  # audit: nothing lost, nothing split
-    reclaim_seen: bool = False     # adopted_from / cluster.reclaim found
-    poison_quarantined: bool = False
-    quarantine_propagated: bool = False   # breaker.sync beyond node 0
-    partition_seen: bool = False   # peer.dead + cluster.degraded events
-    drain_clean: bool = False      # surviving daemons SIGTERM-exited 0
-    duplicates: int = 0            # agreeing duplicate executions (ok)
-    adopted: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return (self.converged and self.identical
-                and self.effectively_once and self.poison_quarantined
-                and self.quarantine_propagated and self.partition_seen
-                and self.drain_clean
-                and (self.reclaim_seen or not self.expected_reclaim))
-
-    def summary_line(self) -> str:
-        verdict = "OK" if self.ok else "FAILED"
-        flags = [name for name, value in (
-            ("converged", self.converged), ("identical", self.identical),
-            ("effectively-once", self.effectively_once),
-            ("reclaim", self.reclaim_seen or not self.expected_reclaim),
-            ("poison-quarantined", self.poison_quarantined),
-            ("quarantine-propagated", self.quarantine_propagated),
-            ("partition", self.partition_seen),
-            ("drain-clean", self.drain_clean)) if not value]
-        text = (f"cluster chaos {verdict}: {self.daemons} daemon(s), "
-                f"victim node {self.victim}, {self.adopted} adopted "
-                f"job(s), {self.duplicates} duplicate execution(s), "
-                f"counts={self.counts}")
-        if flags:
-            text += f"; failed checks: {', '.join(flags)}"
-        if self.mismatches:
-            text += f"; first mismatch: {self.mismatches[0]}"
-        return text
+    with drill:
+        daemons.append(start())
+        drill.submit_poison(sock)
+        drill.run_clients(client_loop, storm)
+        drill.await_quarantine(sock)
+        drill.drain(daemons[-1:], trace=trace())
+    drill.audit_verdict([state_dir], cache_dir)
+    return drill.finish()
 
 
 def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
-                      root: str | Path = DEFAULT_CLUSTER_CHAOS_ROOT,
-                      scale: float = 0.02, workers: int = 2,
-                      breaker_threshold: int = 2,
-                      gossip_interval: float = 0.25, peer_ttl: float = 1.0,
-                      partition_rounds: int = 12,
-                      kill_after: float = 2.0) -> ClusterChaosReport:
-    """SIGKILL + partition drill against a three-daemon federation.
+                      root: str | Path | None = None) -> DrillReport:
+    """SIGKILL + partition drill against a three-daemon fleet.
 
-    The fleet: three ``repro-serve`` daemons peered over unix sockets,
-    sharing one result cache, each with its own state dir and journal.
-    The storm: a seeded ``partition:0-V|M:R`` fault splits the victim's
-    side from the minority from boot, node 0 carries the wedged poison
-    job (pinned, dispatch ordinal 0), the victim's first jobs are
-    slowed by ``delay`` faults so they are genuinely in flight when it
-    is SIGKILLed mid-partition — and never restarted.  Two client
-    threads submit the same design across the full ``--peers`` list
-    throughout, riding sheds (the quorum-less minority *must* refuse)
-    and the total-outage window between the kill and the heal.
+    Three daemons peered over unix sockets share one result cache, each
+    with its own state dir and journal.  A seeded ``partition:0-V|M:R``
+    fault splits the victim's side from the minority from boot; node 0
+    carries the wedged poison job (pinned, dispatch ordinal 0); the
+    victim's first jobs are slowed by ``delay`` faults so they are still
+    in flight when it is SIGKILLed mid-partition, never to return.  Two
+    clients poll-submit the design across the full ``--peers`` list,
+    riding sheds (the quorum-less minority must refuse) and the outage
+    between the kill and the heal.
 
-    The victim is chosen so rendezvous hashing makes node 0 the
-    post-mortem owner of at least one of its jobs when possible
-    (``expected_reclaim``): after the partition heals, node 0 and the
-    minority re-form a majority, declare the victim dead, and node 0
+    The victim is chosen so that rendezvous hashing makes node 0 the
+    post-mortem owner of at least one of its jobs when the fingerprints
+    allow (``stats["expected_reclaim"]``): after the heal, node 0 and
+    the minority re-form a majority, declare the victim dead, and node 0
     must adopt and re-execute those jobs from its replicated
-    ``cluster-job`` records.  The offline audit
-    (:func:`repro.service.audit.audit_state_dirs`) then folds all three
-    journals: nothing lost, nothing conflicting (agreeing duplicates
-    from client takeover are counted, not failed), every design cell
-    bitwise-identical to a fault-free in-process run, the poison
-    quarantined on node 0 and synced to the minority's breaker, and the
-    survivors' SIGTERM drains clean.
+    ``cluster-job`` records.
     """
-    import threading
+    drill = _Drill("fleet", design_path, seed=seed, root=root, scale=None)
+    stats = drill.report.stats
+    cache_dir = drill.workdir / "cache"
+    state_dirs = [drill.workdir / f"state-{node}" for node in range(3)]
+    addrs = [str(state_dir / "serve.sock") for state_dir in state_dirs]
+    fingerprints = [cell.job.fingerprint() for cell in drill.cells]
 
-    from ..service.audit import audit_state_dirs
-    from ..service.client import ServiceClient, ServiceError
-    from ..service.cluster import rendezvous_owner
-    from ..service.protocol import DONE as DONE_STATE
-    from ..service.protocol import QUARANTINED, TERMINAL, job_id
-
-    started = time.monotonic()
-    deadline = started + CLUSTER_DRILL_TIMEOUT
-    design_file = Path(design_path).resolve()
-    design, overrides = load_design(design_file)
-    env = _design_env(overrides, scale)
-    rng = random.Random(seed)
-    report = ClusterChaosReport(daemons=3)
-
-    workdir = Path(root)
-    cache_dir = workdir / "cache"
-    workdir.mkdir(parents=True, exist_ok=True)
-    state_dirs = [workdir / f"state-{node}" for node in range(3)]
-    sockets = [state_dirs[node] / "serve.sock" for node in range(3)]
-    addrs = [str(sock) for sock in sockets]
-
-    cells = design.compile(env)
-    digest = design.digest(env)
-    fingerprints = [cell.job.fingerprint() for cell in cells]
-
-    # Ground truth: the same jobs, in process, no fleet, no faults.
-    ref_lines = {}
-    for cell in cells:
-        result = cell.job.execute()
-        ref_lines[cell.label] = f"{cell.label},{result.cycles},{result.ipc!r}"
-
-    poison_job = SimJob.from_payload(
-        {**cells[0].job.to_payload(), "seed": _POISON_SEED})
-    poison_id = "poison:0"
-
-    # Pick the victim from {1, 2} so that, where the fingerprints allow
-    # it, at least one job the partition routes to the victim (owner by
-    # rendezvous over the {0, victim} pair) re-hashes to node 0 over the
-    # post-mortem survivor pair {0, minority} — the deterministic
-    # reclaim this drill exists to prove.
     def reclaimable(victim: int) -> int:
+        """Jobs the partition routes to ``victim`` (rendezvous over the
+        {0, victim} pair) that re-hash to node 0 over the post-mortem
+        survivor pair {0, minority}."""
         minority = 3 - victim
         return sum(
             1 for fp in fingerprints
@@ -722,78 +597,52 @@ def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
             and rendezvous_owner(fp, [addrs[0], addrs[minority]])
             == addrs[0])
 
-    report.victim = max((1, 2), key=reclaimable)
-    victim, minority = report.victim, 3 - report.victim
-    report.expected_reclaim = reclaimable(victim) > 0
-    partition = (f"partition:0-{victim}|{minority}:{partition_rounds}")
-    # The victim's first few dispatches sleep long enough to still be
-    # in flight at the SIGKILL (the heartbeat thread keeps beating, so
-    # this is slowness, not a wedge).
+    victim = max((1, 2), key=reclaimable)
+    minority = 3 - victim
+    stats.update(daemons=3, victim=victim,
+                 expected_reclaim=reclaimable(victim) > 0, daemon_kills=0)
+    partition = f"partition:0-{victim}|{minority}:{_PARTITION_ROUNDS}"
+    # The victim's first dispatches sleep long enough to still be in
+    # flight at the SIGKILL (its heartbeats continue: slow, not wedged).
     slow = ",".join(f"delay:{ordinal}:6" for ordinal in range(3))
     specs = {0: f"worker-wedge:0,{partition}",
              victim: f"{slow},{partition}",
              minority: partition}
 
-    def start_daemon(node: int) -> subprocess.Popen:
+    def start(node: int) -> subprocess.Popen:
         state_dirs[node].mkdir(parents=True, exist_ok=True)
-        command = [sys.executable, "-m", "repro.service.daemon",
-                   "--state-dir", str(state_dirs[node]),
-                   "--cache-dir", str(cache_dir),
-                   "--socket", addrs[node],
-                   "--cluster", ",".join(addrs),
-                   "--advertise", addrs[node],
-                   "--gossip-interval", str(gossip_interval),
-                   "--peer-ttl", str(peer_ttl),
-                   "--workers", str(workers),
-                   "--breaker-threshold", str(breaker_threshold),
-                   "--hb-timeout", "1.0",
-                   "--drain-grace", "30"]
-        env_vars = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env_vars["PYTHONPATH"] = (src_dir + os.pathsep
-                                  + env_vars.get("PYTHONPATH", ""))
-        env_vars[ENV_SPEC] = specs[node]
-        env_vars[ENV_STATE] = str(workdir / f"faults-state-{node}")
-        log = open(workdir / f"daemon-{node}.log", "ab")
-        try:
-            return subprocess.Popen(command, env=env_vars, stdout=log,
-                                    stderr=log)
-        finally:
-            log.close()
-
-    give_up = threading.Event()
-    client_errors: list[str] = []
-    terminal_states: dict[str, dict] = {}
-    terminal_lock = threading.Lock()
+        return drill.spawn(
+            "repro.service.daemon", "--state-dir", str(state_dirs[node]),
+            "--cache-dir", str(cache_dir), "--socket", addrs[node],
+            "--cluster", ",".join(addrs), "--advertise", addrs[node],
+            "--gossip-interval", str(_GOSSIP_INTERVAL),
+            "--peer-ttl", str(_PEER_TTL), "--workers", "2",
+            "--breaker-threshold", "2", "--hb-timeout", "1.0",
+            "--drain-grace", "30", faults=specs[node],
+            state=drill.workdir / f"faults-state-{node}",
+            log=drill.workdir / f"daemon-{node}.log")
 
     def client_loop(tenant: str) -> None:
-        """Poll-submit every cell across the peer list until terminal.
-
-        Submission is the probe *and* the takeover trigger: idempotent
-        ids make re-submission safe everywhere, and re-submitting a
-        dead daemon's job to a survivor is exactly the client-side
-        failover the fleet promises to absorb.
-        """
-        pending = {job_id(digest, cell.index): cell.job.to_payload()
-                   for cell in cells}
+        """Poll-submit every cell across the peer list until terminal:
+        the submission is the probe and the takeover trigger, since
+        re-submitting a dead daemon's job to a survivor is the
+        client-side failover the fleet promises to absorb."""
+        pending = drill.payloads()
         client = ServiceClient(peers=addrs, timeout=10.0,
                                connect_attempts=25,
                                jitter_key=f"cluster-chaos-{tenant}")
         try:
-            while pending and not give_up.is_set():
+            while pending and not drill.stop.is_set():
                 progressed = False
                 for cid, payload in list(pending.items()):
                     try:
                         response = client.submit(cid, payload,
                                                  tenant=tenant,
                                                  shed_retries=3)
-                    except (ServiceError, OSError, ValueError) as error:
-                        client_errors.append(f"{tenant}: {error}")
+                    except (ServiceError, OSError, ValueError):
                         time.sleep(0.3)
                         continue
                     if response.get("state") in TERMINAL:
-                        with terminal_lock:
-                            terminal_states[cid] = response
                         del pending[cid]
                         progressed = True
                 if pending and not progressed:
@@ -801,268 +650,92 @@ def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
         finally:
             client.close()
 
-    daemons: dict[int, subprocess.Popen] = {}
-    threads: list[threading.Thread] = []
-    try:
-        for node in range(3):
-            daemons[node] = start_daemon(node)
-
-        # Poison first: pinned to node 0 so it takes dispatch ordinal 0
-        # there (where worker-wedge:0 lives) and is never routed away.
-        poison_client = ServiceClient(sockets[0], connect_attempts=25)
+    def victim_up() -> bool:
         try:
-            response = poison_client.submit(
-                poison_id, poison_job.to_payload(), tenant="poison",
-                pin=True)
-            if not response.get("ok"):
-                report.mismatches.append(
-                    f"poison submit answered {response!r}")
-        finally:
-            poison_client.close()
+            with _client(addrs[0], connect_attempts=5) as client:
+                view = client.status().get("cluster") or {}
+        except (ServiceError, OSError, ValueError):
+            return False
+        return any(peer.get("addr") == addrs[victim]
+                   and peer.get("state") == "up"
+                   for peer in view.get("peers") or [])
 
-        # Routing only spreads once gossip has met the majority-side
-        # peer (an unmet peer is not in the rendezvous set), and the
-        # whole drill rests on the victim owning jobs when it dies —
-        # so hold the clients until node 0 reports the victim UP.
-        victim_met = False
-        while time.monotonic() < started + 15.0:
-            try:
-                status_client = ServiceClient(sockets[0],
-                                              connect_attempts=5)
-                try:
-                    view = status_client.status().get("cluster") or {}
-                finally:
-                    status_client.close()
-            except (ServiceError, OSError, ValueError):
-                view = {}
-            victim_met = any(peer.get("addr") == addrs[victim]
-                             and peer.get("state") == "up"
-                             for peer in view.get("peers") or [])
-            if victim_met:
-                break
-            time.sleep(0.1)
-        if not victim_met:
-            report.mismatches.append("node 0 never saw the victim UP — "
-                                     "gossip is not running")
-
-        threads = [threading.Thread(target=client_loop, args=(tenant,),
-                                    name=f"cluster-client-{tenant}",
-                                    daemon=True)
-                   for tenant in ("alice", "bob")]
-        for thread in threads:
-            thread.start()
-
-        # Mid-partition murder: the victim dies with slowed jobs in
-        # flight and never comes back — handoff or bust.
-        time.sleep(kill_after + rng.uniform(0.0, 0.5))
+    def storm() -> None:
+        time.sleep(_KILL_AFTER + drill.rng.uniform(0.0, 0.5))
         daemons[victim].kill()
         daemons[victim].wait()
-        report.daemon_kills += 1
+        stats["daemon_kills"] += 1
 
-        for thread in threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 1.0))
-        if any(thread.is_alive() for thread in threads):
-            give_up.set()
-            report.mismatches.append("client thread(s) still waiting at "
-                                     "the drill deadline")
-
-        # The poison must quarantine on node 0 without help; poll.
-        while time.monotonic() < deadline:
-            try:
-                status_client = ServiceClient(sockets[0],
-                                              connect_attempts=5)
-                try:
-                    state = status_client.result(poison_id).get("state")
-                finally:
-                    status_client.close()
-            except (ServiceError, OSError, ValueError):
-                state = None
-            if state == QUARANTINED:
+    with drill:
+        daemons = [start(node) for node in range(3)]
+        drill.submit_poison(addrs[0])
+        # Routing spreads only once gossip has met the victim (an unmet
+        # peer is not in the rendezvous set), and the drill rests on the
+        # victim owning jobs when it dies: hold the clients until node 0
+        # reports the victim UP.
+        while not victim_up():
+            if time.monotonic() > drill.started + 15.0:
+                drill.report.mismatches.append(
+                    "node 0 never saw the victim UP — gossip is not running")
                 break
-            time.sleep(0.5)
-
-        # Give gossip a moment to sync the quarantine to the minority,
-        # then drain the survivors gracefully.
-        time.sleep(4 * gossip_interval)
-        report.drain_clean = True
-        for node in (0, minority):
-            daemons[node].terminate()
-        for node in (0, minority):
-            try:
-                if daemons[node].wait(timeout=60.0) != 0:
-                    report.drain_clean = False
-                    report.mismatches.append(
-                        f"daemon {node} drained with exit "
-                        f"{daemons[node].returncode}")
-            except subprocess.TimeoutExpired:
-                daemons[node].kill()
-                daemons[node].wait()
-                report.drain_clean = False
-                report.mismatches.append(
-                    f"daemon {node} ignored SIGTERM for 60s")
-    finally:
-        give_up.set()
-        for proc in daemons.values():
-            if proc.poll() is None:   # pragma: no cover - cleanup path
-                proc.kill()
-                proc.wait()
-
-    # -------- offline audit: every journal, one fleet-wide verdict ----- #
-    audit = audit_state_dirs(state_dirs)
-    report.effectively_once = audit.effectively_once
-    report.duplicates = audit.duplicates
-    report.adopted = len(audit.adopted)
-    if audit.missing:
-        report.mismatches.append(f"jobs lost fleet-wide: {audit.missing}")
-    if audit.conflicting:
-        report.mismatches.append(
-            f"conflicting terminals: {audit.conflicting}")
-    report.mismatches.extend(audit.problems)
-
-    design_ids = {job_id(digest, cell.index): cell for cell in cells}
-    done_ids = {rid for rid in design_ids
-                if DONE_STATE in audit.states_of(rid)}
-    report.converged = set(design_ids) <= done_ids
-    report.counts = {"done": len(done_ids), "cells": len(design_ids),
-                     "jobs": len(audit.jobs), "adopted": report.adopted}
-    if not report.converged:
-        report.mismatches.append(
-            f"design cells not done fleet-wide: "
-            f"{sorted(set(design_ids) - done_ids)}")
-
-    cache = ResultCache(cache_dir)
-    report.identical = True
-    for cid, cell in sorted(design_ids.items(),
-                            key=lambda item: item[1].index):
-        result = cache.get(cell.job.fingerprint())
-        if result is None:
-            report.identical = False
-            report.mismatches.append(f"no cached result for {cell.label}")
-            continue
-        got = f"{cell.label},{result.cycles},{result.ipc!r}"
-        if got != ref_lines[cell.label]:
-            report.identical = False
-            report.mismatches.append(f"expected {ref_lines[cell.label]!r}, "
-                                     f"got {got!r}")
-
-    poison = audit.jobs.get(poison_id)
-    report.poison_quarantined = (
-        poison is not None and poison.states == {QUARANTINED}
-        and audit.executed_dirs(poison_id) == [state_dirs[0].name])
-    if poison is not None and poison.ordinals[:1] != [0]:
-        report.mismatches.append(
-            f"poison job got ordinal {poison.ordinals!r}, not 0")
-        report.poison_quarantined = False
-
-    report.reclaim_seen = bool(audit.adopted) \
-        or "cluster.reclaim" in audit.event_kinds()
-    if report.expected_reclaim and not report.reclaim_seen:
-        report.mismatches.append("no job was adopted from the dead "
-                                 "victim despite rendezvous demanding it")
-    other_kinds: set[str] = set()
-    for name, kinds in audit.events.items():
-        if name != state_dirs[0].name:
-            other_kinds |= kinds
-    report.quarantine_propagated = "breaker.sync" in other_kinds
-    report.partition_seen = ("peer.dead" in audit.event_kinds()
-                             and "cluster.degraded" in audit.event_kinds())
-    if not report.quarantine_propagated:
-        report.mismatches.append("breaker.sync never reached a survivor")
-    if not report.partition_seen:
-        report.mismatches.append("no peer.dead/cluster.degraded events — "
-                                 "the partition never bit")
-
-    report.elapsed = time.monotonic() - started
-    return report
+            time.sleep(0.1)
+        drill.run_clients(client_loop, storm)
+        drill.await_quarantine(addrs[0])
+        # Let gossip sync the quarantine to the minority before draining.
+        time.sleep(4 * _GOSSIP_INTERVAL)
+        drill.drain([daemons[0], daemons[minority]])
+    audit = drill.audit_verdict(state_dirs, cache_dir)
+    stats.update(adopted=len(audit.adopted), duplicates=audit.duplicates)
+    return drill.finish()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.design.chaos",
-        description="Kill/restart chaos drills: durable campaigns "
-                    "(default) or the repro-serve daemon (--service).")
+        description="Chaos drills: shard workers of a durable campaign "
+                    "(default), one repro-serve daemon (--service) or a "
+                    "three-daemon fleet (--cluster).")
     parser.add_argument("design", help="design file to drill (TOML/JSON)")
-    parser.add_argument("--service", action="store_true",
-                        help="drill the scheduler daemon instead of the "
-                             "campaign store (daemon SIGKILLs, worker "
-                             "kills, a wedged poison job, socket drops, "
-                             "concurrent clients)")
-    parser.add_argument("--cluster", action="store_true",
-                        help="drill a three-daemon federation: a seeded "
-                             "partition, a SIGKILLed (never restarted) "
-                             "victim, lease-based job handoff, a pinned "
-                             "poison job, offline all-journal audit")
-    parser.add_argument("--partition-rounds", type=int, default=12,
-                        help="[--cluster] gossip rounds before the "
-                             "injected partition heals (default 12)")
-    parser.add_argument("--gossip-interval", type=float, default=0.25,
-                        help="[--cluster] fleet gossip interval in "
-                             "seconds (default 0.25)")
-    parser.add_argument("--peer-ttl", type=float, default=1.0,
-                        help="[--cluster] peer suspicion TTL in seconds "
-                             "(default 1.0)")
-    parser.add_argument("--daemon-kills", type=int, default=2,
-                        help="[--service] SIGKILL/restart cycles "
-                             "(default 2)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="[--service] supervised pool size (default 2)")
-    parser.add_argument("--queue-depth", type=int, default=3,
-                        help="[--service] admission bound; small enough "
-                             "that the clients get shed (default 3)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="concurrent worker processes per round "
-                             "(default 2)")
-    parser.add_argument("--min-kills", type=int, default=5,
-                        help="keep drilling until this many workers died "
-                             "at injected points (default 5)")
-    parser.add_argument("--max-rounds", type=int, default=12,
-                        help="hard bound on kill/restart rounds "
-                             "(default 12)")
+    topology = parser.add_mutually_exclusive_group()
+    topology.add_argument("--service", action="store_true",
+                          help="drill one daemon: SIGKILLs and restarts, "
+                               "worker kills, a wedged poison job, socket "
+                               "drops, concurrent clients")
+    topology.add_argument("--cluster", action="store_true",
+                          help="drill a three-daemon fleet: a seeded "
+                               "partition, a SIGKILLed (never restarted) "
+                               "victim, lease-based job handoff, a pinned "
+                               "poison job, an all-journal audit")
+    parser.add_argument("--shards", type=int, default=None,
+                        help="concurrent shard workers per round "
+                             "(default 2; shard drill only)")
+    parser.add_argument("--min-kills", type=int, default=None,
+                        help="keep drilling until this many shard workers "
+                             "died at injected points (default 5; shard "
+                             "drill only)")
     parser.add_argument("--seed", type=int, default=7,
-                        help="RNG seed for kill points (default 7)")
-    parser.add_argument("--root", default=DEFAULT_CHAOS_ROOT,
-                        help="working directory for the drill's stores "
-                             f"(default {DEFAULT_CHAOS_ROOT}/)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="grid-size scale for the drilled design "
-                             "(default 0.1)")
-    parser.add_argument("--lease-ttl", type=float,
-                        default=DEFAULT_CHAOS_TTL,
-                        help="worker lease TTL in seconds "
-                             f"(default {DEFAULT_CHAOS_TTL:g})")
+                        help="RNG seed for kill points and faults "
+                             "(default 7)")
+    parser.add_argument("--root", default=None,
+                        help="working directory for the drill's state "
+                             "(default .repro-chaos/, "
+                             ".repro-service-chaos/ or "
+                             ".repro-cluster-chaos/)")
     args = parser.parse_args(argv)
-    if args.cluster:
-        cluster_report = run_cluster_chaos(
-            args.design, seed=args.seed,
-            root=args.root if args.root != DEFAULT_CHAOS_ROOT
-            else DEFAULT_CLUSTER_CHAOS_ROOT,
-            scale=args.scale, workers=args.workers,
-            gossip_interval=args.gossip_interval, peer_ttl=args.peer_ttl,
-            partition_rounds=args.partition_rounds)
-        print(cluster_report.summary_line())
-        root = (args.root if args.root != DEFAULT_CHAOS_ROOT
-                else DEFAULT_CLUSTER_CHAOS_ROOT)
-        print(f"[cluster chaos: {cluster_report.elapsed:.1f}s, state "
-              f"under {root}/]", file=sys.stderr)
-        return 0 if cluster_report.ok else 1
-    if args.service:
-        service_report = run_service_chaos(
-            args.design, daemon_kills=args.daemon_kills, seed=args.seed,
-            root=args.root if args.root != DEFAULT_CHAOS_ROOT
-            else DEFAULT_SERVICE_CHAOS_ROOT,
-            scale=args.scale, workers=args.workers,
-            queue_depth=args.queue_depth)
-        print(service_report.summary_line())
-        print(f"[service chaos: {service_report.elapsed:.1f}s, state under "
-              f"{args.root if args.root != DEFAULT_CHAOS_ROOT else DEFAULT_SERVICE_CHAOS_ROOT}/]",
-              file=sys.stderr)
-        return 0 if service_report.ok else 1
-    report = run_chaos(args.design, shards=args.shards,
-                       min_kills=args.min_kills, max_rounds=args.max_rounds,
-                       seed=args.seed, root=args.root, scale=args.scale,
-                       lease_ttl=args.lease_ttl)
+    shard_args = {key: value for key, value in (
+        ("shards", args.shards), ("min_kills", args.min_kills))
+        if value is not None}
+    if shard_args and (args.service or args.cluster):
+        parser.error("--shards and --min-kills apply to the shard drill "
+                     "only")
+    name = "fleet" if args.cluster else "daemon" if args.service \
+        else "shards"
+    root = args.root or TOPOLOGIES[name].root
+    run = {"shards": run_chaos, "daemon": run_service_chaos,
+           "fleet": run_cluster_chaos}[name]
+    report = run(args.design, seed=args.seed, root=root, **shard_args)
     print(report.summary_line())
-    print(f"[chaos: {report.elapsed:.1f}s, stores under {args.root}/]",
+    print(f"[{name} chaos: {report.elapsed:.1f}s, state under {root}/]",
           file=sys.stderr)
     return 0 if report.ok else 1
 

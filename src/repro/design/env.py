@@ -104,6 +104,17 @@ class DesignEnv:
         }
 
     @classmethod
+    def merged(cls, pinned: dict, **flags) -> "DesignEnv":
+        """The environment a design file compiles under: the CLI
+        ``flags`` that were given (None means not given), then every key
+        the file pinned (:func:`~repro.design.files.load_design`) on top
+        — anything the file pins wins over the flags."""
+        kwargs = {key: value for key, value in flags.items()
+                  if value is not None}
+        kwargs.update(pinned)
+        return cls(**kwargs)
+
+    @classmethod
     def from_payload(cls, data: dict) -> "DesignEnv":
         return cls(scale=data["scale"], seed=data["seed"],
                    config=GPUConfig(**data["config"]),

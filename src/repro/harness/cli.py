@@ -302,12 +302,10 @@ def _run_design_campaign(args: argparse.Namespace, workers: int,
     except DesignError as error:
         print(f"bad design file {args.design}: {error}", file=sys.stderr)
         return 2
-    env_kwargs: dict = {"scale": args.scale, "seed": args.seed,
-                        "backend": args.backend,
-                        "timeline_window": args.timeline,
-                        "trace": bool(args.trace)}
-    env_kwargs.update(env_overrides)
-    env = DesignEnv(**env_kwargs)
+    env = DesignEnv.merged(env_overrides, scale=args.scale, seed=args.seed,
+                           backend=args.backend,
+                           timeline_window=args.timeline,
+                           trace=bool(args.trace))
     try:
         campaign = Campaign.open(design, env, root=args.campaign_dir)
     except (CampaignError, DesignError, JobError) as error:

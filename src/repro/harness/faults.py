@@ -105,6 +105,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 #: Environment variables honoured by :meth:`FaultPlan.from_env`.
 ENV_SPEC = "REPRO_FAULTS"
@@ -112,6 +113,28 @@ ENV_STATE = "REPRO_FAULTS_STATE"
 
 #: Exit status used by ``kill`` faults (visible in worker-crash logs).
 KILL_EXIT_CODE = 86
+
+
+def child_env(faults: str | None = None,
+              state_dir: str | Path | None = None) -> dict[str, str]:
+    """The environment for a ``python -m repro...`` child process.
+
+    This process's environment with this checkout's ``src`` first on
+    ``PYTHONPATH``, so the child runs the same code.  ``faults`` replaces
+    the inherited fault plan: a spec installs it (``state_dir`` keeps its
+    once-markers), ``""`` clears it, None keeps this process's own.
+    """
+    env = dict(os.environ)
+    src_dir = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    if faults is not None:
+        env.pop(ENV_SPEC, None)
+        env.pop(ENV_STATE, None)
+        if faults:
+            env[ENV_SPEC] = faults
+            env[ENV_STATE] = str(state_dir)
+    return env
+
 
 _ACTIONS = ("fail", "flaky", "kill", "kill-at", "delay", "corrupt",
             "kill-worker", "torn-tail", "corrupt-journal",

@@ -306,16 +306,6 @@ class ServiceClient:
 # CLI entry point: repro-submit
 # --------------------------------------------------------------------------- #
 
-def _design_env(overrides: dict, args) -> DesignEnv:
-    kwargs: dict = {"scale": args.scale}
-    kwargs.update(overrides)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
-    return DesignEnv(**kwargs)
-
-
 def _exit_code(states: dict[str, str]) -> int:
     """The uniform verdict over one submission's final states."""
     values = list(states.values())
@@ -423,7 +413,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                          "(or --status / --drain)")
 
         design, overrides = load_design(args.design)
-        env = _design_env(overrides, args)
+        env = DesignEnv.merged(overrides, scale=args.scale, seed=args.seed,
+                               backend=args.backend)
         digest = design.digest(env)
         cells = design.compile(env)
         tenant = args.tenant or os_user()

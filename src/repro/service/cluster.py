@@ -40,10 +40,11 @@ documented in docs/ROBUSTNESS.md.  Quarantined fingerprints travel in
 gossip too, so one daemon's circuit breaker protects every worker in
 the fleet.
 
-Chaos coverage lives in :func:`repro.design.chaos.run_cluster_chaos`
-(``make cluster-chaos-smoke``): daemon SIGKILLs plus an injected
-``partition:A|B:CYCLES`` fault, audited offline by
-:mod:`repro.service.audit`.
+Chaos coverage is the fleet topology of the one drill harness,
+:func:`repro.design.chaos.run_cluster_chaos` (``make
+cluster-chaos-smoke``; docs/ROBUSTNESS.md, "Chaos drills"): a daemon
+SIGKILL plus an injected ``partition:A|B:CYCLES`` fault, judged by the
+shared verdict over every journal (:mod:`repro.service.audit`).
 """
 
 from __future__ import annotations

@@ -14,25 +14,26 @@ simply dies (OOM-kill, injected ``kill:K``) is detected the same tick
 by EOF and handled identically minus the kill.
 
 Environments that cannot spawn subprocesses degrade to an in-thread
-inline worker running the same dispatch core — mirroring the batch
-engine's pool-to-inline fallback — where a wedge fault degrades to a
-transient crash (the thread cannot be killed) exactly like the inline
-``kill`` fault does.
+inline worker running the worker's own job runner
+(:func:`repro.service.worker.run_one`) — mirroring the batch engine's
+pool-to-inline fallback — where a wedge fault degrades to a transient
+crash (the thread cannot be killed) exactly like the inline ``kill``
+fault does.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from ..harness.engine import Backoff, execute_tagged
-from ..harness.faults import FaultPlan, InjectedTransientFault
-from ..harness.jobs import JobError, SimJob
+from ..harness.cache import ResultCache
+from ..harness.engine import Backoff
+from ..harness.faults import FaultPlan, child_env
+from .worker import run_one
 
 #: Read-silence watchdog: a running worker heartbeats every ~0.5s, so
 #: several missed beats in a row mean wedged, not slow.
@@ -66,6 +67,18 @@ class Dispatch:
     wedged: bool = False
     cached: bool = False
     duration: float = 0.0
+
+    @classmethod
+    def from_outcome(cls, frame: dict[str, Any], job_id: str) -> "Dispatch":
+        """The dispatch an ``outcome`` frame reports, whether a worker
+        process or the inline slot ran :func:`~.worker.run_one`."""
+        return cls(id=frame.get("id", job_id), tag=frame.get("tag", "err"),
+                   fingerprint=frame.get("fingerprint"),
+                   cycles=frame.get("cycles"), ipc=frame.get("ipc"),
+                   error=frame.get("error"),
+                   transient=bool(frame.get("transient")),
+                   cached=bool(frame.get("cached")),
+                   duration=float(frame.get("duration") or 0.0))
 
 
 class _Worker:
@@ -164,12 +177,9 @@ class Supervisor:
                    "--hb-interval", f"{max(self.hb_timeout / 6.0, 0.1):g}"]
         if self.cache_dir:
             command += ["--cache-dir", self.cache_dir]
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         try:
             proc = await asyncio.create_subprocess_exec(
-                *command, env=env,
+                *command, env=child_env(),
                 stdin=asyncio.subprocess.PIPE,
                 stdout=asyncio.subprocess.PIPE,
                 stderr=asyncio.subprocess.DEVNULL)
@@ -264,59 +274,25 @@ class Supervisor:
             if kind == "hb":
                 continue
             if kind == "outcome":
-                return Dispatch(
-                    id=frame.get("id", job_id), tag=frame.get("tag", "err"),
-                    fingerprint=frame.get("fingerprint"),
-                    cycles=frame.get("cycles"), ipc=frame.get("ipc"),
-                    error=frame.get("error"),
-                    transient=bool(frame.get("transient")),
-                    cached=bool(frame.get("cached")),
-                    duration=float(frame.get("duration") or 0.0))
+                return Dispatch.from_outcome(frame, job_id)
 
     async def _run_inline(self, request: dict[str, Any]) -> Dispatch:
-        """The no-subprocess fallback: same core, this process's thread.
+        """The no-subprocess fallback: the worker's job runner, run in
+        this process's executor.
 
         A ``worker-wedge`` fault cannot wedge a thread we could never
         kill, so it degrades to a transient crash — the same contract as
         the inline ``kill`` fault — which still feeds the breaker.
         """
         job_id = request.get("id", "?")
-        ordinal = int(request.get("ordinal", 0))
-        if self.faults is not None \
-                and self.faults.service_worker_wedge(ordinal):
+        if self.faults is not None and self.faults.service_worker_wedge(
+                int(request.get("ordinal", 0))):
             self.wedges += 1
             return Dispatch(id=job_id, tag="err", transient=True,
                             crashed=True, wedged=True,
                             error="injected worker wedge (inline: "
                                   "degraded to transient crash)")
-        try:
-            job = SimJob.from_payload(request["job"])
-        except (JobError, KeyError, TypeError, ValueError) as error:
-            return Dispatch(id=job_id, tag="err",
-                            error=f"{type(error).__name__}: {error}")
-        loop = asyncio.get_running_loop()
-        try:
-            tagged = await loop.run_in_executor(
-                None, lambda: execute_tagged(
-                    ordinal, job, self.faults, request.get("timeout"),
-                    True, request.get("sanitize")))
-        except InjectedTransientFault as error:   # pragma: no cover
-            return Dispatch(id=job_id, tag="err", transient=True,
-                            crashed=True, error=str(error))
-        tag = tagged[0]
-        fingerprint = job.fingerprint()
-        if tag == "ok":
-            result = tagged[2]
-            cached = False
-            if self.cache_dir:
-                from ..harness.cache import ResultCache
-                cached = ResultCache(self.cache_dir).put(fingerprint, result)
-            return Dispatch(id=job_id, tag="ok", fingerprint=fingerprint,
-                            cycles=result.cycles, ipc=result.ipc,
-                            cached=cached)
-        if tag == "timeout":
-            return Dispatch(id=job_id, tag="timeout",
-                            fingerprint=fingerprint, error=tagged[2])
-        _, _, message, _, transient = tagged
-        return Dispatch(id=job_id, tag="err", fingerprint=fingerprint,
-                        error=message, transient=bool(transient))
+        cache = ResultCache(self.cache_dir) if self.cache_dir else None
+        frame = await asyncio.get_running_loop().run_in_executor(
+            None, run_one, request, cache, self.faults, True)
+        return Dispatch.from_outcome(frame, job_id)

@@ -87,8 +87,13 @@ def _wedge() -> None:   # pragma: no cover - killed by the supervisor
 
 
 def run_one(request: dict[str, Any], cache: ResultCache | None,
-            faults: FaultPlan | None) -> dict[str, Any]:
-    """Execute one job request; return its outcome frame."""
+            faults: FaultPlan | None, inline: bool = False) -> dict[str, Any]:
+    """Execute one job request; return its outcome frame.
+
+    ``inline`` marks the supervisor's in-process fallback slot, where
+    an injected fault must not kill the process it runs in
+    (:func:`~repro.harness.engine.execute_tagged`).
+    """
     job_id = request.get("id", "?")
     ordinal = int(request.get("ordinal", 0))
     try:
@@ -100,7 +105,7 @@ def run_one(request: dict[str, Any], cache: ResultCache | None,
     fingerprint = job.fingerprint()
     started = time.monotonic()
     tagged = execute_tagged(ordinal, job, faults,
-                            request.get("timeout"), False,
+                            request.get("timeout"), inline,
                             request.get("sanitize"))
     duration = time.monotonic() - started
     tag = tagged[0]

@@ -160,6 +160,47 @@ def test_design_campaign_exit_codes_partial_then_exhausted(
     assert "exhausted (past --max-retries)" in capsys.readouterr().err
 
 
+def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
+                                                 capsys):
+    # docs/DESIGNS.md: anything the file pins wins over the CLI flags,
+    # in repro-exp --design and repro-submit alike — one design file
+    # plus the same flags compiles to the same jobs through both.
+    from repro.design import DEFAULT_CAMPAIGN_ROOT, Campaign
+    from repro.harness.jobs import SimJob
+    from repro.service import client as submit_cli
+
+    monkeypatch.chdir(tmp_path)
+    design = tmp_path / "pinned.toml"
+    design.write_text('[design]\nname = "pinned"\n\n'
+                      '[[design.factor]]\nname = "bench"\n'
+                      'levels = ["kmeans"]\n\n'
+                      '[design.env]\nscale = 0.02\nseed = 5\n'
+                      'backend = "object"\n')
+    flags = ["--seed", "9", "--backend", "vector"]
+    assert main(["--design", str(design), "--no-cache", *flags]) == 0
+    store, = (tmp_path / DEFAULT_CAMPAIGN_ROOT).iterdir()
+    campaign = Campaign.load(store)
+
+    submitted = []
+
+    class Recorder:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, cid, payload, **kwargs):
+            submitted.append(SimJob.from_payload(payload))
+            return {"ok": True, "state": "queued"}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(submit_cli, "ServiceClient", Recorder)
+    submit_cli.main([str(design), "--no-wait", *flags])
+    assert [job.seed for job in submitted] == [5]
+    assert [job.fingerprint() for job in submitted] \
+        == [cell.fingerprint for cell in campaign.cells]
+
+
 def test_design_campaign_usage_error_exits_two(tmp_path, monkeypatch,
                                                capsys):
     monkeypatch.chdir(tmp_path)

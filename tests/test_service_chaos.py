@@ -32,8 +32,9 @@ def test_daemon_kill_restart_drill_converges_bitwise(tmp_path):
                                breaker_threshold=2, hb_timeout=1.5,
                                kill_window=(1.0, 2.0))
     assert report.ok, report.summary_line()
-    assert report.daemon_kills == 1
-    assert report.incarnations == 2
+    assert report.stats["daemon_kills"] == 1
+    assert report.stats["incarnations"] == 2
     assert report.counts["done"] == 3
-    assert report.exactly_once and report.poison_quarantined
-    assert report.shed_seen and report.breaker_seen and report.drain_clean
+    checks = report.checks
+    assert checks["exactly-once"] and checks["poison-quarantined"]
+    assert checks["shed"] and checks["breaker"] and checks["drain-clean"]

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.design.journal import replay_journal
+from repro.harness.cache import ResultCache
 from repro.harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                       EXIT_SHED)
 from repro.harness.jobs import SimJob
@@ -196,6 +197,58 @@ class TestDaemonLifecycle:
             tmp_path / "state" / "events.jsonl").records
         kinds = {e.get("kind") for e in events}
         assert "breaker.open" in kinds and "worker.respawn" in kinds
+
+
+class TestInlineFallback:
+    """A host that cannot spawn workers degrades to in-process slots."""
+
+    @staticmethod
+    def _no_spawn(monkeypatch):
+        async def refuse(*args, **kwargs):
+            raise OSError("spawning is not allowed here")
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", refuse)
+
+    def test_inline_job_matches_in_process_run_and_is_cached(
+            self, tmp_path, monkeypatch):
+        self._no_spawn(monkeypatch)
+        job = _job(seed=51)
+        daemon, thread, outcome = _start(tmp_path)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                slots = client.status()["workers_detail"]
+                assert slots and all(slot["inline"] for slot in slots)
+                assert client.submit("i:0", job.to_payload())["state"] \
+                    == QUEUED
+                frame = client.watch(["i:0"])["i:0"]
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        expected = job.execute()
+        assert frame["state"] == DONE
+        assert (frame["cycles"], frame["ipc"]) == (expected.cycles,
+                                                   expected.ipc)
+        cached = ResultCache(tmp_path / "cache").get(job.fingerprint())
+        assert cached is not None
+        assert (cached.cycles, cached.ipc) == (expected.cycles, expected.ipc)
+
+    def test_inline_wedge_is_a_crash_the_breaker_quarantines(
+            self, tmp_path, monkeypatch):
+        # An inline slot cannot be wedged and killed, so worker-wedge
+        # degrades to a transient crash; with threshold 1 the breaker
+        # quarantines on the first one.
+        from repro.harness.faults import FaultPlan
+        self._no_spawn(monkeypatch)
+        plan = FaultPlan.parse("worker-wedge:0",
+                               state_dir=str(tmp_path / "faults"))
+        daemon, thread, outcome = _start(tmp_path, faults=plan,
+                                         breaker_threshold=1)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                client.submit("w:0", _job(seed=52).to_payload())
+                frame = client.watch(["w:0"])["w:0"]
+                assert client.status()["wedges"] == 1
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        assert frame["state"] == QUARANTINED
 
 
 class TestRecovery:
