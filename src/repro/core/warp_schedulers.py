@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from ..sim.isa import Op
+from ..sim.isa import MEMORY_OPS, Op
 from ..sim.warp import Warp, WarpState
 
 
@@ -200,7 +200,7 @@ class TwoLevelScheduler(WarpScheduler):
 
     def on_issue(self, warp: Warp, now: int) -> None:
         super().on_issue(warp, now)
-        if warp.program[warp.pc - 1].is_memory:
+        if warp.program.ops[warp.pc - 1] in MEMORY_OPS:
             # Long-latency operation: demote from the active set.
             self._active.pop(warp, None)
         elif warp not in self._active:
@@ -266,7 +266,7 @@ class SWLScheduler(GTOScheduler):
 
     def on_issue(self, warp: Warp, now: int) -> None:
         super().on_issue(warp, now)
-        if warp.program[warp.pc - 1].op is Op.EXIT:
+        if warp.program.ops[warp.pc - 1] == Op.EXIT:
             self._members.discard(warp)
 
     @property

@@ -1,9 +1,10 @@
 """Trace-level instruction set.
 
-The simulator is trace-driven: each warp executes a straight-line list of
-:class:`Instruction` objects.  Control flow, register identities and SIMT
-divergence are resolved when the trace is built (``repro.workloads``), so an
-instruction carries only what the timing model needs:
+The simulator is trace-driven: each warp executes a straight-line trace,
+held as one :class:`ColumnProgram` (an opcode column plus latency and line
+columns, indexed by pc).  Control flow, register identities and SIMT
+divergence are resolved when the trace is built (``repro.workloads``), so a
+row carries only what the timing model needs:
 
 * ``ALU``       — occupies the warp for ``latency`` cycles (dependent chain);
 * ``SHARED``    — shared-memory access; like ALU but with the shared-memory
@@ -15,6 +16,10 @@ instruction carries only what the timing model needs:
                   the LD/ST unit has accepted every transaction;
 * ``BARRIER``   — CTA-wide barrier;
 * ``EXIT``      — warp termination (must be the last instruction).
+
+:class:`Instruction` is the row type: hand-written builders and trace files
+use it, and a :class:`ColumnProgram` reads its rows back as ``Instruction``
+objects for cold readers.  The simulator cores read the columns directly.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ class Op(IntEnum):
     EXIT = 5
 
 
-_MEMORY_OPS = (Op.LD_GLOBAL, Op.ST_GLOBAL)
+#: Opcodes that access global memory (``in`` accepts an ``Op`` or its int).
+MEMORY_OPS = frozenset({Op.LD_GLOBAL, Op.ST_GLOBAL})
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +59,7 @@ class Instruction:
     lines: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.op in _MEMORY_OPS:
+        if self.op in MEMORY_OPS:
             if not self.lines:
                 raise ValueError(f"{self.op.name} instruction needs at least one line")
             if len(set(self.lines)) != len(self.lines):
@@ -65,7 +71,7 @@ class Instruction:
 
     @property
     def is_memory(self) -> bool:
-        return self.op in _MEMORY_OPS
+        return self.op in MEMORY_OPS
 
 
 # Convenience constructors -------------------------------------------------
@@ -104,35 +110,26 @@ def validate_program(program: Sequence[Instruction]) -> None:
     A valid program is non-empty, ends with exactly one EXIT (its last
     instruction), and contains no EXIT anywhere else.
     """
-    if not program:
-        raise ValueError("warp program must not be empty")
-    if program[-1].op is not Op.EXIT:
-        raise ValueError("warp program must end with EXIT")
-    for inst in program[:-1]:
-        if inst.op is Op.EXIT:
-            raise ValueError("EXIT may only appear as the final instruction")
-
-
-# Column traces -------------------------------------------------------------
-
-#: Build-protocol flag: while true, a column-capable trace builder
-#: (``repro.workloads.programs.TraceBuilder``) returns a
-#: :class:`ColumnProgram` from ``build()`` instead of materialising
-#: ``Instruction`` objects.  Toggled only by
-#: :meth:`repro.sim.kernel.Kernel.build_warp_columns` around the builder
-#: call; the simulator is single-threaded per process, so a plain module
-#: flag (reset in a ``finally``) is race-free.
-_COLUMN_MODE = False
+    program_columns(program).check()
 
 
 class ColumnProgram:
-    """Column (structure-of-arrays) form of a validated warp trace.
+    """Column (structure-of-arrays) form of a warp trace.
 
-    The vector backend's per-warp representation: one ``bytes`` of opcode
-    values plus parallel latency/line tuples, indexable by pc.  Carries
-    exactly the fields the timing model reads — building one skips every
-    ``Instruction`` allocation and per-instruction validation, which is a
-    measurable share of short-run wall clock.
+    One ``bytes`` of opcode values plus parallel latency and line tuples,
+    indexable by pc: the form every simulator core runs.  The hot paths
+    read ``ops[pc]``, ``lat[pc]`` and ``lines[pc]``; nothing is allocated
+    per instruction.
+
+    Rows come from two producers, and both check them:
+    ``repro.workloads.programs.TraceBuilder`` checks each row as it is
+    appended, and :func:`program_columns` takes rows that ``Instruction``
+    already checked.  ``Kernel.build_warp_program`` adds the structural
+    checks (EXIT placement, equal column lengths) whatever the producer.
+
+    Indexing, slicing and iteration give a read-only view of the rows as
+    ``Instruction`` objects, for cold readers (trace export, statistics,
+    tests); no hot path uses it.
     """
 
     __slots__ = ("ops", "lat", "lines")
@@ -142,20 +139,46 @@ class ColumnProgram:
         self.lat = lat
         self.lines = lines
 
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the columns are one valid trace:
+        :func:`validate_program`'s rules, checked with ``bytes``
+        operations on ``ops``, and columns of equal length."""
+        ops = self.ops
+        if not ops:
+            raise ValueError("warp program must not be empty")
+        if ops[-1] != Op.EXIT:
+            raise ValueError("warp program must end with EXIT")
+        if ops.index(Op.EXIT) != len(ops) - 1:
+            raise ValueError("EXIT may only appear as the final instruction")
+        if not len(ops) == len(self.lat) == len(self.lines):
+            raise ValueError("warp program columns differ in length")
+
     def __len__(self) -> int:
         return len(self.ops)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return Instruction(Op(self.ops[index]), self.lat[index],
+                           self.lines[index])
+
+    def __iter__(self):
+        return map(Instruction, map(Op, self.ops), self.lat, self.lines)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnProgram):
+            return NotImplemented
+        return (self.ops == other.ops and self.lat == other.lat
+                and self.lines == other.lines)
 
     def __repr__(self) -> str:
         return f"ColumnProgram({len(self.ops)} instructions)"
 
 
-def program_columns(program: Sequence[Instruction]) -> ColumnProgram:
-    """Column form of an ``Instruction`` sequence.
-
-    The fallback for program builders that are not column-capable (replay
-    kernels, hand-written builders): the instructions are materialised as
-    usual and converted.  ``program`` must already be validated.
-    """
+def program_columns(program: Iterable[Instruction]) -> ColumnProgram:
+    """Column form of an ``Instruction`` sequence (not checked here:
+    ``Kernel.build_warp_program`` checks what it returns)."""
+    program = tuple(program)
     return ColumnProgram(
         bytes(inst.op for inst in program),
         tuple(inst.latency for inst in program),

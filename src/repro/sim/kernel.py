@@ -4,6 +4,9 @@ A :class:`Kernel` is the static description of a launch: how many CTAs, how
 many warps per CTA, the per-thread/per-CTA resource appetite, and a builder
 that produces each warp's instruction trace on demand (traces are built
 lazily at CTA dispatch so large grids never materialise in memory at once).
+A builder returns a ``TraceBuilder().build()`` column program or a list of
+:class:`~repro.sim.isa.Instruction`; :meth:`Kernel.build_warp_program`
+hands every core the checked column form either way.
 
 Occupancy — the maximum number of CTAs of this kernel resident on one SM —
 is the min over four hardware limits (CTA slots, warp contexts, registers,
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from . import isa as _isa
 from .config import GPUConfig
-from .isa import ColumnProgram, Instruction, program_columns, validate_program
+from .isa import ColumnProgram, Instruction, program_columns
 
-ProgramBuilder = Callable[[int, int], Sequence[Instruction]]
+ProgramBuilder = Callable[[int, int], ColumnProgram | Sequence[Instruction]]
 
 
 class KernelResourceError(ValueError):
@@ -53,40 +55,19 @@ class Kernel:
                 f"warps_per_cta={self.warps_per_cta})")
 
     # ------------------------------------------------------------------ #
-    def build_warp_program(self, cta_id: int, warp_idx: int) -> list[Instruction]:
-        """Build (and validate) the trace of one warp."""
+    def build_warp_program(self, cta_id: int, warp_idx: int) -> ColumnProgram:
+        """Build and check the trace of one warp: the one build entry point
+        of every core.  A builder's ``Instruction`` list is converted to
+        columns here; either form gets the same structural check."""
         if not 0 <= cta_id < self.num_ctas:
             raise ValueError(f"cta_id {cta_id} out of range")
         if not 0 <= warp_idx < self.warps_per_cta:
             raise ValueError(f"warp_idx {warp_idx} out of range")
-        program = list(self._builder(cta_id, warp_idx))
-        validate_program(program)
+        program = self._builder(cta_id, warp_idx)
+        if not isinstance(program, ColumnProgram):
+            program = program_columns(program)
+        program.check()
         return program
-
-    def build_warp_columns(self, cta_id: int, warp_idx: int) -> ColumnProgram:
-        """Column form of one warp's trace (the vector backend's input).
-
-        A column-capable builder (``TraceBuilder``) skips ``Instruction``
-        materialisation entirely; any other builder falls back to the
-        normal build-and-validate path followed by a conversion, so
-        replay kernels and custom builders work unchanged.  Both paths
-        encode the same (op, latency, lines) rows — the cores therefore
-        execute the identical trace either way.
-        """
-        if not 0 <= cta_id < self.num_ctas:
-            raise ValueError(f"cta_id {cta_id} out of range")
-        if not 0 <= warp_idx < self.warps_per_cta:
-            raise ValueError(f"warp_idx {warp_idx} out of range")
-        _isa._COLUMN_MODE = True
-        try:
-            program = self._builder(cta_id, warp_idx)
-        finally:
-            _isa._COLUMN_MODE = False
-        if type(program) is ColumnProgram:
-            return program
-        program = list(program)
-        validate_program(program)
-        return program_columns(program)
 
     # ------------------------------------------------------------------ #
     def regs_per_cta(self, config: GPUConfig) -> int:

@@ -60,8 +60,8 @@ def _prefetch_sentinel() -> "_PrefetchSentinel":
 
 PREFETCH = _PrefetchSentinel()
 
-_LD_GLOBAL = Op.LD_GLOBAL
-_ST_GLOBAL = Op.ST_GLOBAL
+_LD_GLOBAL = int(Op.LD_GLOBAL)
+_ST_GLOBAL = int(Op.ST_GLOBAL)
 
 
 class SM:
@@ -239,32 +239,31 @@ class SM:
     def _can_issue_qfull(warp: Warp) -> bool:
         """The issue-stage structural check under a full LD/ST queue: a
         memory instruction needs a free queue slot, which cannot open
-        during a pick, so only the instruction kind matters.  Compared with
-        ``!=`` because ``Instruction`` keeps ``op`` as given (an ``Op`` or
-        its int value)."""
-        op = warp.program[warp.pc].op
+        during a pick, so only the instruction kind matters."""
+        op = warp.program.ops[warp.pc]
         return op != _LD_GLOBAL and op != _ST_GLOBAL
 
     def _issue(self, warp: Warp, scheduler, now: int) -> None:
-        instruction = warp.program[warp.pc]
+        program = warp.program
+        pc = warp.pc
         warp.t_ready += now - warp.state_since   # leaving READY
         warp.state_since = now
-        warp.pc += 1
+        warp.pc = pc + 1
         warp.issued += 1
         warp.cta.issued_instrs += 1
         self.issued += 1
         scheduler.on_issue(warp, now)
         self.num_ready -= 1
-        op = instruction.op
-        if op == Op.ALU or op == Op.SHARED:
+        op = program.ops[pc]
+        if op < _LD_GLOBAL:   # ALU or SHARED
             warp.state = WarpState.WAIT_ALU
-            self._events.schedule(now + instruction.latency, self._wake_alu, warp)
-        elif op == Op.LD_GLOBAL:
+            self._events.schedule(now + program.lat[pc], self._wake_alu, warp)
+        elif op == _LD_GLOBAL:
             warp.state = WarpState.WAIT_MEM
-            self.ldst.append(MemRequest(warp, instruction.lines, is_store=False))
-        elif op == Op.ST_GLOBAL:
+            self.ldst.append(MemRequest(warp, program.lines[pc], is_store=False))
+        elif op == _ST_GLOBAL:
             warp.state = WarpState.WAIT_MEM
-            self.ldst.append(MemRequest(warp, instruction.lines, is_store=True))
+            self.ldst.append(MemRequest(warp, program.lines[pc], is_store=True))
         elif op == Op.BARRIER:
             warp.cta.issued_barriers += 1
             self._arrive_barrier(warp, now)

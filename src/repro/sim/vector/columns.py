@@ -26,6 +26,7 @@ from . import ensure_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cta import CTA
+    from ..isa import ColumnProgram
     from ..warp import Warp
 
 #: dtype of :meth:`WarpColumns.snapshot` — one record per slot, mirroring
@@ -65,9 +66,8 @@ class WarpColumns:
         self.last_issue: list[int] = []
         #: Key of the slot's most recent heap push (staleness check).
         self.entry_key: list[int] = []
-        #: Encoded program: ``ops`` packs the Op codes into ``bytes`` (one
-        #: byte per instruction — a tight, cache-friendly int sequence),
-        #: ``lat`` / ``lines`` carry the latency and coalesced-line tuples.
+        #: Each slot's ``ColumnProgram`` columns, one list per column so
+        #: the tick reads ``ops[slot][pc]`` without an attribute hop.
         self.ops: list[bytes] = []
         self.lat: list[tuple[int, ...]] = []
         self.lines: list[tuple[tuple[int, ...], ...]] = []
@@ -85,9 +85,7 @@ class WarpColumns:
         return len(self.state)
 
     def add(self, warp: "Warp", cta: "CTA", *, now: int, sched: int,
-            age: int, baws_base: int, ops: bytes,
-            lat: tuple[int, ...],
-            lines: tuple[tuple[int, ...], ...]) -> int:
+            age: int, baws_base: int, program: "ColumnProgram") -> int:
         """Register a dispatched warp; returns its slot id."""
         slot = len(self.state)
         self.state.append(0)
@@ -99,9 +97,9 @@ class WarpColumns:
         self.t_barrier.append(0)
         self.last_issue.append(-1)
         self.entry_key.append(-1)
-        self.ops.append(ops)
-        self.lat.append(lat)
-        self.lines.append(lines)
+        self.ops.append(program.ops)
+        self.lat.append(program.lat)
+        self.lines.append(program.lines)
         self.warps.append(warp)
         self.ctas.append(cta)
         self.sched.append(sched)

@@ -5,9 +5,10 @@ accounting, ``can_accept``/``free_cta_capacity``, the store-coalescing
 window, prefetch, telemetry snapshot assembly) is inherited unchanged, and
 overrides exactly the per-cycle machinery:
 
-* ``dispatch``    — builds warp columns straight from the kernel's column
-  traces (:meth:`repro.sim.kernel.Kernel.build_warp_columns`), never
-  materialising ``Instruction`` objects;
+* ``dispatch``    — copies each warp's ``ops``/``lat``/``lines`` from the
+  column program :meth:`repro.sim.kernel.Kernel.build_warp_program` built
+  and checked (the same call the object core makes) into the SM's slot
+  columns;
 * ``tick``        — int-heap picks + column-based issue, fully inlined
   (pick, issue and ALU-wake scheduling are one bytecode stream — the
   per-warp virtual dispatch of the object core is the cost this backend
@@ -54,10 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu import KernelRun
     from .gpu import VectorGPU
 
-#: Vector warps never walk an Instruction list — the columns carry the
-#: whole trace — so the ``Warp`` objects (kept for completion-time stats
-#: sync and policy hooks) get an empty program.  Any accidental read of
-#: ``warp.program[...]`` on this backend fails loudly instead of lying.
+#: Vector warps run from the slot columns, whose ``pc`` the ``Warp``
+#: objects (kept for completion-time stats sync and policy hooks) see only
+#: at CTA completion, so they get an empty program: any accidental read of
+#: ``warp.program.ops`` on this backend fails loudly instead of lying.
 _NO_PROGRAM: tuple = ()
 
 
@@ -129,7 +130,7 @@ class VectorSM(SM):
         baws_high = block_seq << (LI_BITS + AGE_BITS)
         slots = []
         for warp_idx in range(kernel.warps_per_cta):
-            trace = kernel.build_warp_columns(cta_id, warp_idx)
+            trace = kernel.build_warp_program(cta_id, warp_idx)
             warp = Warp(cta, warp_idx, _NO_PROGRAM)
             warp.state_since = now
             sched_idx = self._sched_rr
@@ -137,8 +138,7 @@ class VectorSM(SM):
             age = (seq << IDX_BITS) | warp_idx
             slot = cols.add(
                 warp, cta, now=now, sched=sched_idx, age=age,
-                baws_base=baws_high | age,
-                ops=trace.ops, lat=trace.lat, lines=trace.lines)
+                baws_base=baws_high | age, program=trace)
             self._push(vsched[sched_idx], slot)
             self.num_ready += 1
             cta.warps.append(warp)

@@ -14,9 +14,9 @@ store the epoch at push time so stale entries can be skipped lazily.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .isa import Instruction
+from .isa import ColumnProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cta import CTA
@@ -35,7 +35,7 @@ class Warp:
                  "issued", "last_issue", "scheduler", "age_key",
                  "state_since", "t_ready", "t_alu", "t_mem", "t_barrier")
 
-    def __init__(self, cta: "CTA", idx: int, program: Sequence[Instruction]) -> None:
+    def __init__(self, cta: "CTA", idx: int, program: ColumnProgram) -> None:
         self.cta = cta
         self.idx = idx
         self.program = program
@@ -66,9 +66,6 @@ class Warp:
     @property
     def done(self) -> bool:
         return self.state == WarpState.DONE
-
-    def next_instruction(self) -> Instruction:
-        return self.program[self.pc]
 
 
 class MemRequest:

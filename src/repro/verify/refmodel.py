@@ -44,6 +44,7 @@ from ..harness.jobs import SimJob, build_policy
 from ..harness.runner import collect_result
 from ..sim.config import GPUConfig
 from ..sim.gpu import GPU, SimulationDeadlock, SimulationTimeout
+from ..sim.isa import MEMORY_OPS
 from ..sim.sm import SM
 from ..sim.stats import RunResult
 from ..sim.warp import Warp, WarpState
@@ -204,7 +205,7 @@ class ReferenceSM(SM):
 
     def _can_issue(self, warp: Warp) -> bool:
         # Deliberately reads through config (no hoisted _ldst_depth).
-        if warp.program[warp.pc].is_memory:
+        if warp.program.ops[warp.pc] in MEMORY_OPS:
             return len(self.ldst) < self.config.ldst_queue_depth
         return True
 

@@ -1,33 +1,18 @@
-"""Trace builder: composes per-warp instruction lists.
+"""Trace builder: composes per-warp programs.
 
 ``TraceBuilder`` is a tiny fluent helper the benchmark factories use to
-assemble warp programs; it enforces the ISA's well-formedness rules (the
-same checks ``Instruction`` and :func:`repro.sim.isa.validate_program`
-apply) as the rows are appended, which makes two build outputs possible
-from one accumulation:
-
-* the classic ``list[Instruction]`` (with non-memory instructions
-  *interned* — ``Instruction`` is a frozen value type, so the thousands
-  of identical ALU/EXIT objects a suite kernel used to allocate per warp
-  collapse into shared singletons);
-* a :class:`repro.sim.isa.ColumnProgram` when the build runs under
-  ``Kernel.build_warp_columns`` (the vector backend's path), skipping
-  ``Instruction`` materialisation entirely.
-
-Both encode the identical (op, latency, lines) rows, so the simulator
-cores execute the same trace either way.
+assemble warp programs.  It enforces the ISA's well-formedness rules (the
+same checks ``Instruction`` applies) as the rows are appended, and
+``build()`` returns the rows in the one form the simulator runs, a
+:class:`repro.sim.isa.ColumnProgram`, without allocating an
+``Instruction`` per row.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..sim import isa as _isa
 from ..sim.isa import ColumnProgram, Instruction, Op
-
-#: Interned non-memory instructions, keyed by ``(op, latency)``.  Bounded
-#: in practice by the handful of distinct latencies the factories use.
-_NONMEM_CACHE: dict[tuple[Op, int], Instruction] = {}
 
 
 class TraceBuilder:
@@ -42,7 +27,6 @@ class TraceBuilder:
         self._lat: list[int] = []
         self._lines: list[tuple[int, ...]] = []
         self._built = False
-        self._columns = _isa._COLUMN_MODE
 
     # ------------------------------------------------------------------ #
     def alu(self, count: int = 1, latency: int | None = None) -> "TraceBuilder":
@@ -117,39 +101,21 @@ class TraceBuilder:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def build(self) -> "list[Instruction] | ColumnProgram":
+    def build(self) -> ColumnProgram:
         """Append EXIT and return the finished program.
 
         Well-formedness is enforced as rows are appended (the fluent API
-        cannot express an interior EXIT), so the output always satisfies
-        :func:`repro.sim.isa.validate_program` — which
-        ``Kernel.build_warp_program`` re-checks independently.
+        cannot express an interior EXIT), so the output always passes
+        ``ColumnProgram.check``.
         """
         if self._built:
             raise RuntimeError("TraceBuilder.build() may only be called once")
         self._built = True
-        ops = self._ops
-        lat = self._lat
-        all_lines = self._lines
-        ops.append(Op.EXIT)
-        lat.append(1)
-        all_lines.append(())
-        if self._columns:
-            return ColumnProgram(bytes(ops), tuple(lat), tuple(all_lines))
-        cache = _NONMEM_CACHE
-        program: list[Instruction] = []
-        append = program.append
-        for op, latency, lines in zip(ops, lat, all_lines):
-            if lines:
-                append(Instruction(op, latency, lines))
-            else:
-                key = (op, latency)
-                inst = cache.get(key)
-                if inst is None:
-                    inst = Instruction(op, latency=latency)
-                    cache[key] = inst
-                append(inst)
-        return program
+        self._ops.append(Op.EXIT)
+        self._lat.append(1)
+        self._lines.append(())
+        return ColumnProgram(bytes(self._ops), tuple(self._lat),
+                             tuple(self._lines))
 
 
 def instruction_mix(program: Sequence[Instruction]) -> dict[str, int]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..sim.isa import Instruction
+from ..sim.isa import ColumnProgram
 from ..sim.kernel import Kernel
 from .patterns import (DEFAULT_SEED, Region, gather_lines, hot_cold_lines,
                        private_footprint, region_base, rng_for, stream_lines,
@@ -54,7 +54,7 @@ def make_compute(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 6
     region = Region(region_base(name), 1 << 20)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         stream = cta_id * warps_per_cta + warp_idx
         lines = stream_lines(region, stream, 4)
         tb = TraceBuilder()
@@ -79,7 +79,7 @@ def make_blackscholes(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 6
     region = Region(region_base(name), 1 << 20)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         stream = cta_id * warps_per_cta + warp_idx
         lines = stream_lines(region, stream, 2)
         tb = TraceBuilder()
@@ -105,7 +105,7 @@ def make_matmul(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     b_region = Region(region_base(name, 1), 1 << 20)
     c_region = Region(region_base(name, 2), 1 << 20)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         tb = TraceBuilder()
         for tile in range(tiles):
             a_line = a_region.line((cta_id * tiles + tile) * warps_per_cta + warp_idx)
@@ -130,7 +130,7 @@ def make_lud(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 4
     region = Region(region_base(name), 1 << 16)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         tb = TraceBuilder()
         base = cta_id * 8
         for round_idx in range(12):
@@ -151,7 +151,7 @@ def make_nw(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 2
     region = Region(region_base(name), 1 << 18)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         tb = TraceBuilder()
         stream = cta_id * warps_per_cta + warp_idx
         lines = stream_lines(region, stream, 4)
@@ -184,7 +184,7 @@ def make_streaming(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     in_region = Region(region_base(name, 0), 1 << 24)
     out_region = Region(region_base(name, 1), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         stream = cta_id * warps_per_cta + warp_idx
         lines = stream_lines(in_region, stream, iters * lines_per_access)
         tb = TraceBuilder()
@@ -210,7 +210,7 @@ def make_backprop(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     in_region = Region(region_base(name, 0), 1 << 24)
     out_region = Region(region_base(name, 1), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         stream = cta_id * warps_per_cta + warp_idx
         lines = stream_lines(in_region, stream, iters)
         tb = TraceBuilder()
@@ -240,7 +240,7 @@ def make_kmeans(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     iters = 72
     region = Region(region_base(name), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         owner = cta_id * warps_per_cta + warp_idx
         lines = private_footprint(region, owner, footprint, rng, iters)
@@ -264,7 +264,7 @@ def make_iindex(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     hot_region = Region(region_base(name, 0), 1 << 24)
     cold_region = Region(region_base(name, 1), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         hot = private_footprint(hot_region, cta_id, cta_footprint, rng, iters)
         stream = cta_id * warps_per_cta + warp_idx
@@ -289,7 +289,7 @@ def make_bfs(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     hot = Region(region_base(name, 0), 192)
     cold = Region(region_base(name, 1), 1 << 16)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         lines = hot_cold_lines(hot, cold, rng, iters, hot_fraction=0.6)
         tb = TraceBuilder()
@@ -311,7 +311,7 @@ def make_spmv(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     lines_per_access = 4
     region = Region(region_base(name), 4096)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         gathers = gather_lines(region, rng, iters, lines_per_access)
         tb = TraceBuilder()
@@ -342,7 +342,7 @@ def _make_stencil_kernel(name: str, *, base_ctas: int, tile: int, halo: int,
     # same footprint every step, so reuse survives moderate drift.
     step_stride = num_ctas * tile if time_marching else 0
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         own_tile = [region.line(cta_id * tile + i) for i in range(tile)]
         my_out = warp_slice(own_tile, warp_idx, warps_per_cta)
         tb = TraceBuilder()
@@ -411,7 +411,7 @@ def make_histogram(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     bins = Region(region_base(name, 0), 256)
     input_region = Region(region_base(name, 1), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         stream = cta_id * warps_per_cta + warp_idx
         reads = stream_lines(input_region, stream, iters)
@@ -435,7 +435,7 @@ def make_fft(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     stages = 5
     region = Region(region_base(name), 1 << 22)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         tb = TraceBuilder()
         base = cta_id * 64
         for stage in range(stages):
@@ -464,7 +464,7 @@ def make_twophase(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     mem_iters = 36
     region = Region(region_base(name), 1 << 24)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         owner = cta_id * warps_per_cta + warp_idx
         lines = private_footprint(region, owner, footprint, rng, mem_iters)
@@ -490,7 +490,7 @@ def make_gemv(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     vector = Region(region_base(name, 1), row_lines)   # hot, shared by all
     out = Region(region_base(name, 2), 1 << 20)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         row = cta_id * warps_per_cta + warp_idx
         tb = TraceBuilder()
         for i in range(row_lines):
@@ -512,7 +512,7 @@ def make_scan(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 8
     region = Region(region_base(name), 1 << 22)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         stream = cta_id * warps_per_cta + warp_idx
         tb = TraceBuilder()
         tb.load(region.line(stream))
@@ -535,7 +535,7 @@ def make_montecarlo(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     warps_per_cta = 6
     table = Region(region_base(name), 96)   # hot lookup table
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         rng = rng_for(seed, name, cta_id, warp_idx)
         picks = rng.integers(0, table.length, size=8)
         tb = TraceBuilder()
@@ -558,7 +558,7 @@ def make_nbody(scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
     bodies = Region(region_base(name, 0), 512)   # shared by every CTA
     out = Region(region_base(name, 1), 1 << 20)
 
-    def build(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def build(cta_id: int, warp_idx: int) -> ColumnProgram:
         tb = TraceBuilder()
         for tile in range(16):
             tb.load(bodies.line(tile * 32 + warp_idx))

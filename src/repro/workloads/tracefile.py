@@ -24,7 +24,9 @@ Format (version 1)::
 
 Instruction encodings: ``["alu", latency]``, ``["shared", latency]``,
 ``["ld", [lines...]]``, ``["st", [lines...]]``, ``["bar"]``, ``["exit"]``.
-Every (cta, warp) pair must be present.
+Every (cta, warp) pair must be present.  Loading checks each warp's program
+and converts it to column form once; a malformed file raises ``ValueError``
+naming the file (and the ``cta/warp`` key of a bad program).
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from ..sim.isa import Instruction, Op, validate_program
+from ..sim.isa import ColumnProgram, Instruction, Op, program_columns
 from ..sim.kernel import Kernel
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
+
+#: Fields a trace file must carry besides ``format`` and ``version``.
+_REQUIRED = ("name", "num_ctas", "warps_per_cta", "warps")
 
 _ENCODE = {
     Op.ALU: lambda inst: ["alu", inst.latency],
@@ -98,30 +103,43 @@ def save_kernel_trace(kernel: Kernel, path: str | Path) -> None:
 
 
 def load_kernel_trace(path: str | Path) -> Kernel:
-    """Load a trace file back into a Kernel (validating every program)."""
-    document = json.loads(Path(path).read_text())
-    if document.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path}: not a {FORMAT_NAME} file")
+    """Load a trace file back into a Kernel (checking every program)."""
+    try:
+        return _kernel_from_document(json.loads(Path(path).read_text()))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _kernel_from_document(document: object) -> Kernel:
+    if not isinstance(document, dict) \
+            or document.get("format") != FORMAT_NAME:
+        raise ValueError(f"not a {FORMAT_NAME} file")
     if document.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version "
-                         f"{document.get('version')!r}")
+        raise ValueError(f"unsupported version {document.get('version')!r}")
+    missing = [field for field in _REQUIRED if field not in document]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(missing)}")
+    if not isinstance(document["warps"], dict):
+        raise ValueError("'warps' must map 'cta/warp' keys to programs")
     num_ctas = int(document["num_ctas"])
     warps_per_cta = int(document["warps_per_cta"])
-    programs: dict[tuple[int, int], list[Instruction]] = {}
+    programs: dict[tuple[int, int], ColumnProgram] = {}
     for key, encoded in document["warps"].items():
-        cta_text, _, warp_text = key.partition("/")
-        cta_id, warp_idx = int(cta_text), int(warp_text)
-        program = [_decode_instruction(entry) for entry in encoded]
-        validate_program(program)
-        programs[(cta_id, warp_idx)] = program
+        try:
+            cta_text, _, warp_text = key.partition("/")
+            program = program_columns(map(_decode_instruction, encoded))
+            program.check()
+            programs[(int(cta_text), int(warp_text))] = program
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"warp {key}: {exc}") from None
     expected = {(c, w) for c in range(num_ctas) for w in range(warps_per_cta)}
     if set(programs) != expected:
         missing = sorted(expected - set(programs))[:5]
         extra = sorted(set(programs) - expected)[:5]
-        raise ValueError(f"{path}: trace set mismatch "
+        raise ValueError("trace set mismatch "
                          f"(missing {missing}, unexpected {extra})")
 
-    def builder(cta_id: int, warp_idx: int) -> list[Instruction]:
+    def builder(cta_id: int, warp_idx: int) -> ColumnProgram:
         return programs[(cta_id, warp_idx)]
 
     return Kernel(document["name"], num_ctas, warps_per_cta, builder,

@@ -2,11 +2,32 @@
 
 import pytest
 
+from repro.harness.runner import simulate
 from repro.sim.config import GPUConfig
-from repro.sim.isa import Op, alu
+from repro.sim.isa import ColumnProgram, Instruction, Op, alu
 from repro.sim.kernel import KernelResourceError
 
 from helpers import alu_program, make_test_kernel
+
+#: Malformed warp programs, as opcode lists.
+BAD_OPS = {
+    "empty": [],
+    "no-final-exit": [Op.ALU, Op.ALU],
+    "exit-before-end": [Op.ALU, Op.EXIT, Op.ALU, Op.EXIT],
+}
+
+
+def instruction_rows(ops):
+    return [Instruction(op, latency=2) for op in ops]
+
+
+def column_rows(ops):
+    return ColumnProgram(bytes(ops), (2,) * len(ops), ((),) * len(ops))
+
+
+bad_programs = pytest.mark.parametrize(
+    "ops", list(BAD_OPS.values()), ids=list(BAD_OPS))
+both_forms = pytest.mark.parametrize("form", [instruction_rows, column_rows])
 
 
 class TestConstruction:
@@ -35,6 +56,28 @@ class TestProgramBuilding:
     def test_invalid_builder_output_rejected(self):
         kernel = make_test_kernel(builder=lambda c, w: [alu()])  # no EXIT
         with pytest.raises(ValueError):
+            kernel.build_warp_program(0, 0)
+
+    @bad_programs
+    @both_forms
+    def test_malformed_program_rejected(self, ops, form):
+        kernel = make_test_kernel(builder=lambda c, w: form(ops))
+        with pytest.raises(ValueError, match="EXIT|empty"):
+            kernel.build_warp_program(0, 0)
+
+    @bad_programs
+    @both_forms
+    @pytest.mark.parametrize("backend", ["object", "vector"])
+    def test_simulate_rejects_malformed_program(self, ops, form, backend):
+        kernel = make_test_kernel(num_ctas=1, warps_per_cta=1,
+                                  builder=lambda c, w: form(ops))
+        with pytest.raises(ValueError, match="EXIT|empty"):
+            simulate(kernel, config=GPUConfig.small(), backend=backend)
+
+    def test_column_lengths_must_agree(self):
+        program = ColumnProgram(bytes([Op.ALU, Op.EXIT]), (2,), ((), ()))
+        kernel = make_test_kernel(builder=lambda c, w: program)
+        with pytest.raises(ValueError, match="length"):
             kernel.build_warp_program(0, 0)
 
     def test_out_of_range_ids_rejected(self):

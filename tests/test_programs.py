@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.isa import Op
+from repro.sim.isa import (ColumnProgram, Instruction, Op, alu, barrier,
+                           exit_, load, program_columns, shared, store)
 from repro.workloads.programs import (TraceBuilder, instruction_mix,
                                       memory_intensity)
 
@@ -76,3 +77,57 @@ class TestAnalysis:
 
     def test_memory_intensity_empty(self):
         assert memory_intensity([]) == 0.0
+
+
+class TestColumnProgram:
+    """``TraceBuilder`` and ``program_columns`` produce the same columns,
+    and the row view reads them back exactly."""
+
+    @staticmethod
+    def built():
+        return (TraceBuilder(alu_latency=3, shared_latency=30)
+                .alu(2).alu(1, latency=9).shared().shared(1, latency=40)
+                .load([1, 2]).load_strided(0, 8, lanes=8)
+                .load_each([10, 11], alu_between=1)
+                .store(7).barrier().build())
+
+    @staticmethod
+    def rows():
+        return [alu(3), alu(3), alu(9), shared(30), shared(40),
+                load([1, 2]), load([0, 1]),
+                load([10]), alu(3), load([11]), alu(3),
+                store([7]), barrier(), exit_()]
+
+    def test_builder_equals_converted_rows(self):
+        built = self.built()
+        expected = program_columns(self.rows())
+        assert isinstance(built, ColumnProgram)
+        assert built.ops == expected.ops
+        assert built.lat == expected.lat
+        assert built.lines == expected.lines
+        assert built == expected
+
+    def test_row_view(self):
+        program, rows = self.built(), self.rows()
+        assert len(program) == len(rows)
+        assert program[0] == rows[0]
+        assert program[5] == Instruction(Op.LD_GLOBAL, lines=(1, 2))
+        assert program[-1].op is Op.EXIT
+        assert program[-3] == rows[-3]
+        assert program[5:8] == rows[5:8]
+        assert program[::-2] == rows[::-2]
+        assert list(program) == rows
+        with pytest.raises(IndexError):
+            program[len(rows)]
+
+    @pytest.mark.parametrize("row", [
+        store([0, 1]),
+        Instruction(Op.LD_GLOBAL, latency=2, lines=(0, 1)),
+        load([0, 2]),
+    ], ids=["op", "latency", "lines"])
+    def test_one_field_of_one_row_breaks_equality(self, row):
+        rows = self.rows()
+        rows[6] = row
+        other = program_columns(rows)
+        assert self.built() != other
+        assert not self.built() == other

@@ -1,5 +1,7 @@
 """Tests for the repro-sim single-run CLI."""
 
+import json
+
 import pytest
 
 from repro.harness.simcli import main
@@ -78,8 +80,6 @@ def test_timeline_window_to_stdout(capsys):
 
 
 def test_trace_output_chrome_and_jsonl(tmp_path, capsys):
-    import json
-
     chrome = tmp_path / "trace.json"
     assert main(["kmeans", "--scale", "0.05", "--policy", "lcs",
                  "--trace", str(chrome)]) == 0
@@ -100,6 +100,18 @@ def test_trace_file_input(tmp_path, capsys):
     save_kernel_trace(make_kernel("kmeans", scale=0.02), path)
     assert main([str(path), "--policy", "lcs"]) == 0
     assert "kmeans" in capsys.readouterr().out
+
+
+def test_malformed_trace_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    save_kernel_trace(make_kernel("kmeans", scale=0.02), path)
+    document = json.loads(path.read_text())
+    document["warps"]["0/0"][0] = ["alu"]
+    path.write_text(json.dumps(document))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path}: warp 0/0:" in err
 
 
 def test_engine_timeout_is_typed_error(capsys):

@@ -1,6 +1,7 @@
 """Tests for trace file export/import."""
 
 import json
+import re
 
 import pytest
 
@@ -100,5 +101,39 @@ class TestValidation:
         document = json.loads(path.read_text())
         document["warps"]["0/0"] = [["alu", 2]]   # missing exit
         path.write_text(json.dumps(document))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: warp 0/0: ")):
+            load_kernel_trace(path)
+
+    @staticmethod
+    def saved_document(tmp_path):
+        path = tmp_path / "k.json"
+        save_kernel_trace(make_test_kernel(num_ctas=1, warps_per_cta=1), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("program", [
+        [["alu"], ["exit"]],
+        [["ld", 5], ["exit"]],
+        [5, ["exit"]],
+    ], ids=["alu-without-latency", "ld-lines-not-a-list", "entry-not-a-list"])
+    def test_bad_program_names_file_and_warp(self, tmp_path, program):
+        path, document = self.saved_document(tmp_path)
+        document["warps"]["0/0"] = program
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: warp 0/0: ")):
+            load_kernel_trace(path)
+
+    @pytest.mark.parametrize("field", ["num_ctas", "warps"])
+    def test_missing_field_names_file(self, tmp_path, field):
+        path, document = self.saved_document(tmp_path)
+        del document[field]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_kernel_trace(path)
+
+    def test_top_level_list_names_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"format": "repro-trace"}]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             load_kernel_trace(path)

@@ -28,12 +28,6 @@ class TestWarp:
         assert warp.pc == 0
         assert warp.age_key == (cta.seq, 0)
 
-    def test_next_instruction_follows_pc(self):
-        warp = dispatched_cta().warps[0]
-        first = warp.next_instruction()
-        warp.pc += 1
-        assert warp.next_instruction() is warp.program[1]
-
     def test_repr(self):
         warp = dispatched_cta().warps[0]
         assert "READY" in repr(warp)
