@@ -481,8 +481,10 @@ def run_service_chaos(design_path: str | Path, *, daemon_kills: int = 2,
     Every incarnation runs one fault plan: the poison job wedging at
     dispatch ordinal 0, in-worker ``kill:K`` faults on seeded ordinals
     and one seeded ``socket-drop``; marker files keep once-semantics
-    across restarts.  The queue bound is tight, so the two concurrent
-    clients (same design, different tenants) must get shed.  The daemon
+    across restarts.  Admission is tight, a short queue and one token
+    per tenant refilled five times a second, so the two concurrent
+    clients (same design, different tenants) must get shed: they submit
+    the same cells, so one of them is first with at least two.  The daemon
     is SIGKILLed and restarted ``daemon_kills`` times, a seeded
     ``kill_window`` apart, then SIGTERM-drained.
     """
@@ -510,6 +512,7 @@ def run_service_chaos(design_path: str | Path, *, daemon_kills: int = 2,
             "repro.service.daemon", "--state-dir", str(state_dir),
             "--cache-dir", str(cache_dir), "--socket", str(sock),
             "--workers", str(workers), "--queue-depth", str(queue_depth),
+            "--burst", "1", "--rate", "5",
             "--breaker-threshold", str(breaker_threshold),
             "--hb-timeout", str(hb_timeout), "--drain-grace", "30",
             "--trace", str(trace()), faults=spec, state=faults_state,

@@ -7,37 +7,37 @@ through an optional :class:`~repro.harness.cache.ResultCache`; only cache
 misses are executed.  :func:`run_jobs` is the historical list-of-results
 wrapper on top of it.
 
-Execution strategy:
+Execution strategy: every pending job goes through one per-job retry
+loop, and each of its attempts runs either
 
-* ``workers <= 1`` (or a single pending job): run inline in this process —
-  no IPC, no pickling, identical to calling ``job.execute()`` directly.
-* ``workers > 1``: a ``concurrent.futures.ProcessPoolExecutor`` driven by
-  per-job ``submit()`` calls (at most ``workers`` in flight at a time), so
-  each job fails, retries and times out independently.  If the platform
-  cannot spawn a process pool (restricted environments, missing
-  ``fork``/semaphores), the engine silently falls back to the serial path —
-  results are identical by construction, only wall-clock differs.
+* in this process, when ``workers <= 1`` or a single job is pending:
+  no IPC, no pickling, identical to calling ``job.execute()`` directly;
+* or on a :class:`~repro.harness.pool.WorkerPool` of ``workers`` forked
+  processes, driven by ``workers`` threads, so each job fails, retries
+  and times out independently.  Where no process can start, the pool's
+  slots run in-process: results are identical by construction, only
+  wall-clock differs.
 
 Resilience model (see ``docs/ROBUSTNESS.md``):
 
 * **Fault isolation** — one bad job never discards the rest of the batch:
   every completed result is recorded (and cached) as it arrives, and the
   batch always runs to completion unless ``fail_fast`` is set.
-* **Retry with backoff** — failures are classified *transient* (a broken
-  process pool, a killed worker, ``OSError``/``MemoryError``) or
-  *deterministic* (simulation exceptions).  Transients are retried up to
-  ``retries`` times with exponential backoff; a broken pool is respawned
-  transparently and only the in-flight jobs are re-dispatched.
+* **Retry with backoff** — failures are classified *transient* (a worker
+  that died or wedged, ``OSError``/``MemoryError``) or *deterministic*
+  (simulation exceptions).  Transients are retried up to ``retries``
+  times with exponential backoff.  A dead worker costs only its own
+  job an attempt: the pool replaces that one slot.
 * **Deadlines** — ``timeout`` seconds per job, enforced twice: a
   cooperative wall-clock guard inside ``GPU.run`` makes the worker itself
-  raise :class:`~repro.sim.gpu.SimulationTimeout`, and the parent keeps a
-  backstop (timeout + grace) that abandons a stuck worker's pool and
-  re-dispatches the other in-flight jobs.  A timed-out job is a typed
-  ``"timeout"`` outcome, never a hang.
+  raise :class:`~repro.sim.gpu.SimulationTimeout`, and the pool keeps a
+  backstop (timeout + grace) that kills a stuck worker and types its
+  job's attempt a timeout.  A timed-out job is a typed ``"timeout"``
+  outcome, never a hang.
 * **Fault injection** — a :class:`~repro.harness.faults.FaultPlan` drops
   deterministic failures, transient failures, worker kills (including
-  mid-run, cycle-addressed kills), delays, cache corruption and live-state
-  corruption onto chosen jobs so every path above is testable.
+  mid-run, cycle-addressed kills), wedges, delays, cache corruption and
+  live-state corruption onto chosen jobs so every path above is testable.
 * **Checkpoint/resume** — with a
   :class:`~repro.harness.checkpoints.CheckpointPlan`, every attempt
   snapshots its simulation periodically into a fingerprint-keyed store
@@ -57,9 +57,12 @@ Resilience model (see ``docs/ROBUSTNESS.md``):
 from __future__ import annotations
 
 import os
+import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from ..sim.gpu import SimulationTimeout
@@ -88,19 +91,15 @@ DEFAULT_BACKOFF = 0.25
 #: Exceptions a worker classifies as transient (environment, not the job).
 TRANSIENT_EXCEPTIONS = (OSError, EOFError, MemoryError)
 
-#: Poll interval while waiting on in-flight futures (also bounds how often
-#: the parent's deadline backstop is evaluated).
-_WAIT_TICK = 0.1
-
 
 @dataclass(frozen=True)
 class Backoff:
     """Exponential backoff schedule shared by every retry loop.
 
-    The engine's transient-failure retries, the service supervisor's
-    worker respawns and the service client's reconnects all pace
-    themselves with this one policy: ``delay(attempt)`` for attempt
-    ``n >= 1`` is ``base * 2**(n-1)``, capped at ``cap`` seconds.
+    The engine's transient-failure retries, the worker pool's respawns
+    and the service client's reconnects all pace themselves with this
+    one policy: ``delay(attempt)`` for attempt ``n >= 1`` is
+    ``base * 2**(n-1)``, capped at ``cap`` seconds.
     """
 
     base: float = DEFAULT_BACKOFF
@@ -182,7 +181,7 @@ class BatchReport:
     """Structured record of one :func:`run_batch` invocation.
 
     ``outcomes`` is in input order, one entry per job.  ``events`` is the
-    engine's own trace (retries, timeouts, pool respawns, cache write
+    engine's own trace (retries, timeouts, worker respawns, cache write
     errors) as plain dicts ``{"kind", "t", "payload"}`` with ``t`` in
     seconds since the batch started — exportable next to the simulators'
     cycle-domain traces (see ``repro.telemetry.trace``).
@@ -192,7 +191,7 @@ class BatchReport:
     events: list[dict[str, Any]] = field(default_factory=list)
     elapsed: float = 0.0
     #: Corrupt checkpoint files quarantined by workers during this batch
-    #: (worker-process counts, threaded back via the tagged outcomes).
+    #: (worker-process counts, threaded back via the attempts).
     checkpoint_corrupt: int = 0
 
     def __len__(self) -> int:
@@ -238,33 +237,52 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------------- #
-# worker entry point
+# one attempt
 # --------------------------------------------------------------------------- #
+
+@dataclass
+class Attempt:
+    """What one attempt at one job came to.
+
+    ``tag`` is ``"ok"`` (``result`` is set), ``"timeout"`` or ``"err"``.
+    ``crash`` is ``"died"`` or ``"wedged"`` when the worker, not the job,
+    failed; such attempts are transient errors, and the daemon's circuit
+    breaker counts them.  ``progress`` says how far a cooperative timeout
+    got (``{"cycle", "max_cycles", "kind", "checkpoint_cycle",
+    "resumed_from", "checkpoint_corrupt"}``).  ``cached`` says the result
+    is in the cache, ``corrupted`` that an injected fault then scribbled
+    over it.
+    """
+
+    tag: str
+    result: RunResult | None = None
+    error: str | None = None
+    traceback: str | None = None
+    transient: bool = False
+    crash: str | None = None
+    progress: dict[str, Any] | None = None
+    resumed_from: int | None = None
+    checkpoint_corrupt: int = 0
+    cached: bool = False
+    corrupted: bool = False
+
 
 def execute_tagged(index: int, job: SimJob, faults: FaultPlan | None,
                    wall_timeout: float | None, inline: bool = False,
                    sanitize: bool | None = None,
-                   checkpoints: CheckpointPlan | None = None):
-    """Worker entry point: never raises, returns a tagged outcome.
+                   checkpoints: CheckpointPlan | None = None) -> Attempt:
+    """Run one attempt at ``job`` in this process; never raises.
 
-    This is the dispatch core every execution surface shares: the pool
-    workers below, the inline fallback, and the ``repro-serve`` service
-    worker (:mod:`repro.service.worker`) all run jobs through this one
-    function, so fault injection, timeout typing, checkpoint resume and
-    transient-vs-deterministic classification behave identically whether
-    a job came from a one-shot batch or the scheduler daemon.
+    This is the dispatch core under every slot, so fault injection,
+    timeout typing, checkpoint resume and transient-vs-deterministic
+    classification behave the same for a batch job and a daemon job.
+    ``index`` addresses the job's faults: its batch position, or the
+    daemon's dispatch ordinal.  ``inline`` says a ``kill`` fault must
+    not end this process.
 
-    Tags: ``("ok", index, result, meta)``, ``("timeout", index, message,
-    progress)`` or ``("err", index, message, traceback_text, transient)``.
-    ``meta`` carries ``{"resumed_from": cycle | None}``; ``progress``
-    carries ``{"cycle", "max_cycles", "kind", "checkpoint_cycle",
-    "resumed_from"}`` so the parent can report partial progress and decide
-    whether a resume-retry can make headway.
-
-    With a checkpoint plan, every attempt first looks for the newest valid
-    snapshot under this job's fingerprint and resumes it — so a retried
-    (or re-invoked) job continues where the previous attempt's last
-    checkpoint left off instead of starting over.
+    With a checkpoint plan, the attempt first looks for the newest valid
+    snapshot under this job's fingerprint and resumes it, so a retried
+    job continues where the previous attempt's last checkpoint left off.
     """
     resumed_from = None
     ckpt_corrupt = 0
@@ -274,7 +292,7 @@ def execute_tagged(index: int, job: SimJob, faults: FaultPlan | None,
             store = checkpoints.store()
             resume_from = store.newest(job.fingerprint())
             # Quarantines happen in *this* process; the count must ride
-            # the tagged outcome or the parent footer never sees it.
+            # the attempt or the parent footer never sees it.
             ckpt_corrupt = store.corrupt_entries
             if resume_from is not None:
                 resumed_from = resume_from.cycle
@@ -285,46 +303,83 @@ def execute_tagged(index: int, job: SimJob, faults: FaultPlan | None,
         result = job.execute(wall_timeout=wall_timeout, sanitize=sanitize,
                              checkpoint=checkpoints, resume_from=resume_from,
                              saboteur=saboteur)
-        return ("ok", index, result, {"resumed_from": resumed_from,
-                                      "checkpoint_corrupt": ckpt_corrupt})
+        return Attempt("ok", result=result, resumed_from=resumed_from,
+                       checkpoint_corrupt=ckpt_corrupt)
     except SimulationTimeout as error:
         progress = {"cycle": error.cycle, "max_cycles": error.max_cycles,
                     "kind": error.kind,
                     "checkpoint_cycle": error.checkpoint_cycle,
                     "resumed_from": resumed_from,
                     "checkpoint_corrupt": ckpt_corrupt}
-        return ("timeout", index, f"{type(error).__name__}: {error}",
-                progress)
-    except TRANSIENT_EXCEPTIONS as error:
-        import traceback
-        return ("err", index, f"{type(error).__name__}: {error}",
-                traceback.format_exc(), True)
-    except Exception as error:   # noqa: BLE001 - transported to the parent
-        import traceback
-        return ("err", index, f"{type(error).__name__}: {error}",
-                traceback.format_exc(), False)
+        return Attempt("timeout", error=f"{type(error).__name__}: {error}",
+                       progress=progress, resumed_from=resumed_from,
+                       checkpoint_corrupt=ckpt_corrupt)
+    except Exception as error:   # noqa: BLE001 - transported to the caller
+        return Attempt("err", error=f"{type(error).__name__}: {error}",
+                       traceback=traceback.format_exc(),
+                       transient=isinstance(error, TRANSIENT_EXCEPTIONS))
 
 
-#: Backwards-compatible alias (the pool pickles this by qualified name).
-_execute_tagged = execute_tagged
+def store_result(attempt: Attempt, index: int, job: SimJob,
+                 cache: ResultCache | None,
+                 faults: FaultPlan | None) -> Attempt:
+    """Write a successful attempt's result to the cache."""
+    if attempt.tag == "ok" and cache is not None:
+        fingerprint = job.fingerprint()
+        attempt.cached = cache.put(fingerprint, attempt.result)
+        if attempt.cached and faults is not None \
+                and faults.corrupt_cache(index):
+            # Injected corruption: scribble over the entry just written
+            # so the next read exercises the miss-not-crash path.
+            cache.path_for(fingerprint).write_text("{corrupted",
+                                                   encoding="utf-8")
+            attempt.corrupted = True
+    return attempt
+
+
+def run_in_process(index: int, job: SimJob, *,
+                   faults: FaultPlan | None = None,
+                   cache: ResultCache | None = None,
+                   timeout: float | None = None,
+                   sanitize: bool | None = None,
+                   checkpoints: CheckpointPlan | None = None) -> Attempt:
+    """One attempt in this process: what a slot runs, minus the process.
+
+    A ``worker-wedge`` fault cannot wedge a process nobody could kill,
+    so it is a transient wedge crash straight away.
+    """
+    if faults is not None and faults.service_worker_wedge(index):
+        return Attempt("err", transient=True, crash="wedged",
+                       error="injected worker wedge (inline: degraded to "
+                             "transient crash)")
+    attempt = execute_tagged(index, job, faults, timeout, True, sanitize,
+                             checkpoints)
+    return store_result(attempt, index, job, cache, faults)
 
 
 # --------------------------------------------------------------------------- #
-# batch state shared by the inline and pool paths
+# batch state and the per-job retry loop
 # --------------------------------------------------------------------------- #
+
+#: One attempt at job ``index``: ``attempt(index, job, cache=, timeout=,
+#: sanitize=, checkpoints=)``, in-process or on a pool slot.
+AttemptFn = Callable[..., Attempt]
+
 
 class _BatchState:
-    """Outcome recording, caching and engine-event bookkeeping."""
+    """Outcome recording and engine-event bookkeeping.
+
+    Pool threads share it: every record, and the ``progress`` and
+    ``on_outcome`` hooks they fire, run under one lock.
+    """
 
     def __init__(self, jobs: list[SimJob], fingerprints: list[str],
-                 cache: ResultCache | None, faults: FaultPlan | None,
-                 progress: ProgressFn | None,
+                 cache: ResultCache | None, progress: ProgressFn | None,
                  sanitize: bool | None = None,
                  checkpoints: CheckpointPlan | None = None,
                  on_outcome: OutcomeFn | None = None) -> None:
         self.jobs = jobs
         self.cache = cache
-        self.faults = faults
         self.progress = progress
         self.on_outcome = on_outcome
         self.sanitize = sanitize
@@ -337,6 +392,8 @@ class _BatchState:
         self.events: list[dict[str, Any]] = []
         self.done = 0
         self.checkpoint_corrupt = 0
+        self.stopped = False
+        self.lock = threading.RLock()
 
     def note_checkpoint_corrupt(self, index: int, count: int) -> None:
         """Accumulate worker-side quarantine counts into the batch."""
@@ -345,15 +402,16 @@ class _BatchState:
             self.event("checkpoint.corrupt", job=index, count=count)
 
     def event(self, kind: str, **payload: Any) -> None:
-        self.events.append({"kind": kind,
-                            "t": time.monotonic() - self.started,
-                            "payload": payload})
+        with self.lock:
+            self.events.append({"kind": kind,
+                                "t": time.monotonic() - self.started,
+                                "payload": payload})
 
-    def _advance(self, index: int | None = None) -> None:
+    def _advance(self, index: int) -> None:
         self.done += 1
         if self.progress is not None:
             self.progress(self.done, len(self.jobs))
-        if index is not None and self.on_outcome is not None:
+        if self.on_outcome is not None:
             # Terminal-state hook: fires *after* the result is cached, so
             # a listener that journals "done" can rely on the cache entry
             # already existing.
@@ -361,73 +419,71 @@ class _BatchState:
 
     # ------------------------------------------------------------------ #
     def record_cached(self, index: int, result: RunResult) -> None:
-        outcome = self.outcomes[index]
-        outcome.status = "cached"
-        outcome.result = result
-        self._advance(index)
+        with self.lock:
+            outcome = self.outcomes[index]
+            outcome.status = "cached"
+            outcome.result = result
+            self._advance(index)
 
-    def record_ok(self, index: int, result: RunResult, attempts: int,
-                  duration: float, meta: dict[str, Any] | None = None) -> None:
-        outcome = self.outcomes[index]
-        outcome.status = "ok"
-        outcome.result = result
-        outcome.attempts = attempts
-        outcome.duration = duration
-        resumed = (meta or {}).get("resumed_from")
-        if resumed is not None:
-            outcome.resumed_from = resumed
-            self.event("job.resumed", job=index, cycle=resumed)
-        self.note_checkpoint_corrupt(
-            index, int((meta or {}).get("checkpoint_corrupt") or 0))
-        if self.checkpoint_store is not None:
-            # The job is done (and about to be cached): its checkpoints
-            # have served their purpose.
-            self.checkpoint_store.discard(outcome.fingerprint)
-        if self.cache is not None:
-            if not self.cache.put(outcome.fingerprint, result):
+    def record_ok(self, index: int, attempt: Attempt, attempts: int,
+                  duration: float) -> None:
+        with self.lock:
+            outcome = self.outcomes[index]
+            outcome.status = "ok"
+            outcome.result = attempt.result
+            outcome.attempts = attempts
+            outcome.duration = duration
+            if attempt.resumed_from is not None:
+                outcome.resumed_from = attempt.resumed_from
+                self.event("job.resumed", job=index,
+                           cycle=attempt.resumed_from)
+            self.note_checkpoint_corrupt(index, attempt.checkpoint_corrupt)
+            if self.checkpoint_store is not None:
+                # The job is done (and cached): its checkpoints have
+                # served their purpose.
+                self.checkpoint_store.discard(outcome.fingerprint)
+            if self.cache is not None and not attempt.cached:
                 self.event("cache.write_error", job=index,
                            fingerprint=outcome.fingerprint[:12])
-            elif self.faults is not None and self.faults.corrupt_cache(index):
-                # Injected corruption: scribble over the entry just written
-                # so the next read exercises the miss-not-crash path.
-                self.cache.path_for(outcome.fingerprint).write_text(
-                    "{corrupted", encoding="utf-8")
+            elif attempt.corrupted:
                 self.event("cache.corrupted", job=index)
-        if attempts > 1:
-            self.event("job.recovered", job=index, attempts=attempts)
-        self._advance(index)
+            if attempts > 1:
+                self.event("job.recovered", job=index, attempts=attempts)
+            self._advance(index)
 
-    def record_failure(self, index: int, message: str, traceback_text: str | None,
-                       attempts: int, duration: float) -> None:
-        outcome = self.outcomes[index]
-        outcome.status = "failed"
-        outcome.error = message
-        outcome.worker_traceback = traceback_text
-        outcome.attempts = attempts
-        outcome.duration = duration
-        self.event("job.failed", job=index, attempts=attempts, error=message)
-        self._advance(index)
+    def record_failure(self, index: int, attempt: Attempt, attempts: int,
+                       duration: float) -> None:
+        with self.lock:
+            outcome = self.outcomes[index]
+            outcome.status = "failed"
+            outcome.error = attempt.error
+            outcome.worker_traceback = attempt.traceback
+            outcome.attempts = attempts
+            outcome.duration = duration
+            self.event("job.failed", job=index, attempts=attempts,
+                       error=attempt.error)
+            self._advance(index)
 
-    def record_timeout(self, index: int, message: str, attempts: int,
-                       duration: float,
-                       progress: dict[str, Any] | None = None) -> None:
-        outcome = self.outcomes[index]
-        outcome.status = "timeout"
-        outcome.error = message
-        outcome.attempts = attempts
-        outcome.duration = duration
-        outcome.progress = progress
-        self.event("job.timeout", job=index, attempts=attempts, error=message,
-                   progress=progress)
-        self.note_checkpoint_corrupt(
-            index, int((progress or {}).get("checkpoint_corrupt") or 0))
-        self._advance(index)
+    def record_timeout(self, index: int, attempt: Attempt, attempts: int,
+                       duration: float) -> None:
+        with self.lock:
+            outcome = self.outcomes[index]
+            outcome.status = "timeout"
+            outcome.error = attempt.error
+            outcome.attempts = attempts
+            outcome.duration = duration
+            outcome.progress = attempt.progress
+            self.event("job.timeout", job=index, attempts=attempts,
+                       error=attempt.error, progress=attempt.progress)
+            self.note_checkpoint_corrupt(index, attempt.checkpoint_corrupt)
+            self._advance(index)
 
     def record_skipped(self, index: int) -> None:
-        outcome = self.outcomes[index]
-        outcome.status = "skipped"
-        outcome.error = "skipped: fail-fast stopped the batch"
-        self._advance(index)
+        with self.lock:
+            outcome = self.outcomes[index]
+            outcome.status = "skipped"
+            outcome.error = "skipped: fail-fast stopped the batch"
+            self._advance(index)
 
     def retry_delay(self, index: int, attempts: int, backoff: float,
                     reason: str) -> float:
@@ -456,6 +512,52 @@ class _BatchState:
         return saved > (resumed if resumed is not None else -1)
 
 
+def _run_job(state: _BatchState, index: int, attempt_fn: AttemptFn, *,
+             retries: int, timeout: float | None, backoff: float) -> bool:
+    """Attempt job ``index`` until it is terminal; True if it succeeded."""
+    job = state.jobs[index]
+    started = time.monotonic()
+    attempts = 0
+    while True:
+        attempts += 1
+        attempt = attempt_fn(index, job, cache=state.cache, timeout=timeout,
+                             sanitize=state.sanitize,
+                             checkpoints=state.checkpoints)
+        duration = time.monotonic() - started
+        if attempt.tag == "ok":
+            state.record_ok(index, attempt, attempts, duration)
+            return True
+        if attempt.tag == "timeout":
+            reason = "timeout-resume"
+            retry = state.can_resume_timeout(attempt.progress)
+        else:
+            reason = attempt.crash or "transient"
+            retry = attempt.transient
+        if retry and attempts <= retries:
+            time.sleep(state.retry_delay(index, attempts, backoff, reason))
+            continue
+        if attempt.tag == "timeout":
+            state.record_timeout(index, attempt, attempts, duration)
+        else:
+            state.record_failure(index, attempt, attempts, duration)
+        return False
+
+
+def _drain(state: _BatchState, queue: deque[int], attempt_fn: AttemptFn, *,
+           fail_fast: bool, **policy: Any) -> None:
+    """Run queued jobs one after another until the queue is empty."""
+    while True:
+        with state.lock:
+            if not queue:
+                return
+            index = queue.popleft()
+            if state.stopped:
+                state.record_skipped(index)
+                continue
+        if not _run_job(state, index, attempt_fn, **policy) and fail_fast:
+            state.stopped = True
+
+
 # --------------------------------------------------------------------------- #
 # public API
 # --------------------------------------------------------------------------- #
@@ -468,7 +570,6 @@ def run_batch(jobs: Iterable[SimJob], *, workers: int = 1,
               fail_fast: bool = False,
               faults: FaultPlan | None = None,
               backoff: float = DEFAULT_BACKOFF,
-              grace: float | None = None,
               sanitize: bool | None = None,
               checkpoints: CheckpointPlan | None = None,
               on_outcome: OutcomeFn | None = None) -> BatchReport:
@@ -480,10 +581,9 @@ def run_batch(jobs: Iterable[SimJob], *, workers: int = 1,
     first failure (already-running jobs still complete and are recorded;
     undispatched jobs become ``"skipped"``).
 
-    ``timeout`` is the per-job wall-clock deadline in seconds; ``grace``
-    is how long past it the parent waits for the worker's own cooperative
-    :class:`~repro.sim.gpu.SimulationTimeout` before abandoning the pool
-    (default ``max(2, timeout/2)``).
+    ``timeout`` is the per-job wall-clock deadline in seconds; on the
+    pool, a worker still running ``max(2, timeout/2)`` seconds past it
+    is killed and its attempt typed a timeout.
 
     ``sanitize`` arms the in-flight invariant sanitizer in every job;
     ``checkpoints`` (a :class:`~repro.harness.checkpoints.CheckpointPlan`)
@@ -505,15 +605,15 @@ def run_batch(jobs: Iterable[SimJob], *, workers: int = 1,
     if timeout is not None and timeout < 0:
         raise ValueError(f"timeout must be >= 0, got {timeout}")
     fingerprints = [job.fingerprint() for job in jobs]
-    state = _BatchState(jobs, fingerprints, cache, faults, progress,
-                        sanitize, checkpoints, on_outcome)
+    state = _BatchState(jobs, fingerprints, cache, progress, sanitize,
+                        checkpoints, on_outcome)
     state.event("batch.start", jobs=len(jobs), workers=workers,
                 retries=retries, timeout=timeout,
                 sanitize=bool(sanitize),
                 checkpoint_interval=(checkpoints.interval
                                      if checkpoints is not None else None))
 
-    pending: list[int] = []
+    pending: deque[int] = deque()
     for index, fingerprint in enumerate(fingerprints):
         cached = cache.get(fingerprint) if cache is not None else None
         if cached is not None:
@@ -521,16 +621,33 @@ def run_batch(jobs: Iterable[SimJob], *, workers: int = 1,
         else:
             pending.append(index)
 
-    if pending:
-        remaining = pending
-        if workers > 1 and len(pending) > 1:
-            remaining = _run_pool(state, pending, workers=workers,
-                                  retries=retries, timeout=timeout,
-                                  fail_fast=fail_fast, backoff=backoff,
-                                  grace=grace)
-        if remaining:
-            _run_inline(state, remaining, retries=retries, timeout=timeout,
-                        fail_fast=fail_fast, backoff=backoff)
+    policy = dict(retries=retries, timeout=timeout, backoff=backoff,
+                  fail_fast=fail_fast)
+    workers = min(workers, len(pending))
+    if workers <= 1:
+        _drain(state, pending, partial(run_in_process, faults=faults),
+               **policy)
+    else:
+        from .pool import WorkerPool   # only parallel batches fork
+        errors: list[Exception] = []
+
+        def drive() -> None:
+            try:
+                _drain(state, pending, pool.run, **policy)
+            except Exception as error:   # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        with WorkerPool(workers, faults=faults,
+                        on_event=state.event) as pool:
+            threads = [threading.Thread(target=drive, daemon=True,
+                                        name=f"repro-batch-{n}")
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
 
     report = BatchReport(outcomes=state.outcomes, events=state.events,
                          elapsed=time.monotonic() - state.started,
@@ -563,242 +680,3 @@ def run_jobs(jobs: Iterable[SimJob], *, workers: int = 1,
                                 failure.error or failure.status,
                                 failure.worker_traceback)
     return [outcome.result for outcome in report.outcomes]
-
-
-# --------------------------------------------------------------------------- #
-# inline execution (serial; also the no-multiprocessing fallback)
-# --------------------------------------------------------------------------- #
-
-def _run_inline(state: _BatchState, pending: list[int], *, retries: int,
-                timeout: float | None, fail_fast: bool,
-                backoff: float) -> None:
-    stopped = False
-    for index in pending:
-        if stopped:
-            state.record_skipped(index)
-            continue
-        attempts = 0
-        started = time.monotonic()
-        while True:
-            attempts += 1
-            outcome = execute_tagged(index, state.jobs[index], state.faults,
-                                      timeout, True, state.sanitize,
-                                      state.checkpoints)
-            duration = time.monotonic() - started
-            tag = outcome[0]
-            if tag == "ok":
-                state.record_ok(index, outcome[2], attempts, duration,
-                                outcome[3] if len(outcome) > 3 else None)
-                break
-            if tag == "timeout":
-                progress = outcome[3] if len(outcome) > 3 else None
-                if state.can_resume_timeout(progress) and attempts <= retries:
-                    time.sleep(state.retry_delay(index, attempts, backoff,
-                                                 "timeout-resume"))
-                    continue
-                state.record_timeout(index, outcome[2], attempts, duration,
-                                     progress)
-                stopped = stopped or fail_fast
-                break
-            _, _, message, traceback_text, transient = outcome
-            if transient and attempts <= retries:
-                time.sleep(state.retry_delay(index, attempts, backoff,
-                                             "transient"))
-                continue
-            state.record_failure(index, message, traceback_text, attempts,
-                                 duration)
-            stopped = stopped or fail_fast
-            break
-
-
-# --------------------------------------------------------------------------- #
-# pool execution (submit-based futures, bounded in-flight)
-# --------------------------------------------------------------------------- #
-
-def _make_pool(workers: int):
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor(max_workers=workers)
-    except (ImportError, NotImplementedError, OSError, PermissionError,
-            RuntimeError):
-        return None
-
-
-def _run_pool(state: _BatchState, pending: list[int], *, workers: int,
-              retries: int, timeout: float | None, fail_fast: bool,
-              backoff: float, grace: float | None) -> list[int]:
-    """Drive the pending jobs through a process pool.
-
-    Returns the indices that still need to run (non-empty only when no
-    pool could be created or a respawn failed — the caller then degrades
-    to inline execution, preserving the engine's old fallback contract).
-    """
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    max_workers = min(workers, len(pending))
-    pool = _make_pool(max_workers)
-    if pool is None:
-        return pending
-    if grace is None:
-        grace = max(2.0, timeout / 2) if timeout else 2.0
-
-    queue: deque[tuple[int, float]] = deque((i, 0.0) for i in pending)
-    attempts = {index: 0 for index in pending}
-    inflight: dict[Any, tuple[int, float]] = {}
-    stopped = False
-
-    def pop_ready(now: float) -> int | None:
-        """Next index whose backoff delay has elapsed (queue order kept)."""
-        for _ in range(len(queue)):
-            index, not_before = queue.popleft()
-            if not_before <= now:
-                return index
-            queue.append((index, not_before))
-        return None
-
-    def requeue(index: int, not_before: float) -> None:
-        queue.append((index, not_before))
-
-    def respawn(reason: str) -> bool:
-        """Replace a dead/abandoned pool; False degrades to inline."""
-        nonlocal pool
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:   # noqa: BLE001 - the pool is already broken
-            pass
-        state.event("pool.respawn", reason=reason,
-                    inflight=len(inflight) + len(queue))
-        pool = _make_pool(max_workers)
-        return pool is not None
-
-    def fail_transient(index: int, message: str, reason: str) -> None:
-        """A transient, non-job fault (crash/abandonment): retry or fail."""
-        if attempts[index] <= retries:
-            delay = state.retry_delay(index, attempts[index], backoff, reason)
-            requeue(index, time.monotonic() + delay)
-        else:
-            state.record_failure(index, message, None, attempts[index], 0.0)
-
-    while queue or inflight:
-        now = time.monotonic()
-        # Keep at most ``max_workers`` futures outstanding so a submitted
-        # job starts (almost) immediately — that's what makes the
-        # submit-time stamp a usable deadline reference.
-        while not stopped and pool is not None \
-                and len(inflight) < max_workers:
-            index = pop_ready(now)
-            if index is None:
-                break
-            attempts[index] += 1
-            try:
-                future = pool.submit(execute_tagged, index,
-                                     state.jobs[index], state.faults,
-                                     timeout, False, state.sanitize,
-                                     state.checkpoints)
-            except (BrokenProcessPool, RuntimeError):
-                attempts[index] -= 1
-                requeue(index, now)
-                if not respawn("submit-failed"):
-                    break
-                continue
-            inflight[future] = (index, now)
-
-        if not inflight:
-            if stopped or pool is None:
-                break
-            if queue:   # every queued job is waiting out its backoff
-                next_ready = min(nb for _, nb in queue)
-                time.sleep(max(0.0, min(next_ready - time.monotonic(),
-                                        _WAIT_TICK)))
-                continue
-            break
-
-        done, _ = wait(set(inflight), timeout=_WAIT_TICK,
-                       return_when=FIRST_COMPLETED)
-
-        if not done and timeout is not None:
-            # Parent-side backstop: the worker's cooperative guard should
-            # have fired by ``timeout``; past timeout + grace the worker is
-            # wedged (a sleep, a native loop) — abandon the pool, mark the
-            # job timed out and re-dispatch the other in-flight jobs
-            # without charging them an attempt.
-            now = time.monotonic()
-            overdue = [(future, index, submitted)
-                       for future, (index, submitted) in inflight.items()
-                       if now - submitted > timeout + grace]
-            if overdue:
-                for future, index, submitted in overdue:
-                    inflight.pop(future)
-                    state.record_timeout(
-                        index, f"exceeded --timeout {timeout:g}s "
-                        f"(parent backstop after "
-                        f"{now - submitted:.1f}s)",
-                        attempts[index], now - submitted)
-                    stopped = stopped or fail_fast
-                for future, (index, _) in list(inflight.items()):
-                    inflight.pop(future)
-                    attempts[index] -= 1   # not this job's fault
-                    requeue(index, now)
-                if not respawn("stuck-worker"):
-                    break
-            continue
-
-        for future in done:
-            index, submitted = inflight.pop(future)
-            duration = time.monotonic() - submitted
-            try:
-                outcome = future.result()
-            except BrokenProcessPool as error:
-                # A worker died (OOM-kill, os._exit): the executor fails
-                # *every* in-flight future.  Treat them all as transient.
-                crashed = [index] + [i for i, _ in inflight.values()]
-                inflight.clear()
-                for crashed_index in crashed:
-                    fail_transient(crashed_index,
-                                   f"worker crashed: {error}", "pool-broken")
-                # A failed respawn leaves ``pool`` as None; the loop then
-                # exits and the caller degrades to inline execution.
-                respawn("worker-crashed")
-                break
-            except Exception as error:   # noqa: BLE001 - e.g. unpicklable
-                state.record_failure(index, f"{type(error).__name__}: "
-                                     f"{error}", None, attempts[index],
-                                     duration)
-                stopped = stopped or fail_fast
-                continue
-
-            tag = outcome[0]
-            if tag == "ok":
-                state.record_ok(index, outcome[2], attempts[index], duration,
-                                outcome[3] if len(outcome) > 3 else None)
-            elif tag == "timeout":
-                progress = outcome[3] if len(outcome) > 3 else None
-                if state.can_resume_timeout(progress) \
-                        and attempts[index] <= retries:
-                    delay = state.retry_delay(index, attempts[index],
-                                              backoff, "timeout-resume")
-                    requeue(index, time.monotonic() + delay)
-                else:
-                    state.record_timeout(index, outcome[2], attempts[index],
-                                         duration, progress)
-                    stopped = stopped or fail_fast
-            else:
-                _, _, message, traceback_text, transient = outcome
-                if transient and attempts[index] <= retries:
-                    delay = state.retry_delay(index, attempts[index],
-                                              backoff, "transient")
-                    requeue(index, time.monotonic() + delay)
-                else:
-                    state.record_failure(index, message, traceback_text,
-                                         attempts[index], duration)
-                    stopped = stopped or fail_fast
-
-    if stopped:
-        for index, _ in queue:
-            state.record_skipped(index)
-        queue.clear()
-    leftovers = [index for index, _ in queue]
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return leftovers

@@ -198,46 +198,14 @@ class ExperimentContext:
         affected parameter combinations.  With ``fail_fast`` set the first
         failure raises here instead.
         """
-        batch: list[tuple[SimJob, str]] = []
-        seen: set[tuple] = set()
+        jobs = list(jobs)
         for job in jobs:
             if job.scale != self.scale or job.seed != self.seed \
                     or job.config != self.config:
                 raise ValueError(
                     "prefetch jobs must be built by this context "
                     "(ctx.job(...)); scale/seed/config differ")
-            key = self._memo_key(job)
-            if key in self._cache or key in seen:
-                continue
-            fingerprint = job.fingerprint()
-            pooled = self._pool.get(fingerprint)
-            if pooled is not None:
-                self._cache[key] = pooled
-                continue
-            seen.add(key)
-            batch.append((job, fingerprint))
-        if not batch:
-            return
-        report = run_batch([job for job, _ in batch], workers=self.jobs,
-                           cache=self.cache,
-                           retries=self.retries, timeout=self.timeout,
-                           fail_fast=self.fail_fast, faults=self.faults,
-                           sanitize=self.sanitize,
-                           checkpoints=self.checkpoints)
-        self.reports.append(report)
-        for (job, fingerprint), outcome in zip(batch, report.outcomes):
-            key = self._memo_key(job)
-            if outcome.result is not None:
-                self._cache[key] = outcome.result
-                self._pool[fingerprint] = outcome.result
-            else:
-                self._failed[key] = outcome
-        if self.fail_fast:
-            failure = report.first_failure()
-            if failure is not None:
-                raise JobExecutionError(failure.fingerprint,
-                                        failure.error or failure.status,
-                                        failure.worker_traceback)
+        prefetch_contexts((self, job) for job in jobs)
 
     def prefetch_design(self, design: Design) -> list[CompiledCell]:
         """Compile a design under this context and batch-execute it.

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the batch engine.
 
 Every recovery path in :mod:`repro.harness.engine` — transient retry,
-pool-crash respawn, per-job deadlines, cache-corruption misses — is
+worker respawn, per-job deadlines, cache-corruption misses — is
 exercised by *injecting* the corresponding failure at a known point.  A
 :class:`FaultPlan` is a small, picklable schedule of faults keyed by the
 job's index within its batch, evaluated inside the worker (or the inline
@@ -14,14 +14,15 @@ Spec grammar (one or more comma/semicolon-separated entries)::
     flaky:K         job K raises InjectedTransientFault once, then runs
                     (a transient worker error: retried and recovered)
     kill:K          the worker running job K dies with os._exit once
-                    (an OOM-kill: the pool breaks and is respawned;
-                    inline execution degrades to a transient raise)
+                    (an OOM-kill: that one worker is replaced and the
+                    job retried; inline execution degrades to a
+                    transient raise)
     kill-at:K:C     the worker running job K dies with os._exit once,
                     *mid-run* at simulated cycle C (a crash with work in
                     flight: resume-from-checkpoint territory; inline
                     execution degrades to a transient raise)
     delay:K:S       job K sleeps S seconds before executing
-                    (a runaway job: trips the --timeout backstop)
+                    (a runaway job: trips the pool's --timeout backstop)
     corrupt:K       job K's cache entry is overwritten with garbage
                     right after it is written (a torn/corrupted entry:
                     the next read must quarantine + miss, never crash)
@@ -63,14 +64,15 @@ their index K is a protocol or dispatch ordinal, not a batch position::
                         its K-th received frame, once (a flaky network:
                         the client must reconnect and resubmit — safe,
                         because submissions are idempotent by job id)
-    worker-wedge:K      the service worker executing dispatch ordinal K
-                        goes silent (heartbeats stop, the job hangs) on
-                        EVERY attempt — a poison job: the supervisor's
-                        watchdog must kill + respawn the worker each time
-                        and the circuit breaker must quarantine the
-                        fingerprint instead of letting it stall the
-                        queue (inline workers degrade the wedge to a
-                        transient crash, mirroring ``kill``)
+    worker-wedge:K      the pool worker running job (or dispatch
+                        ordinal) K goes silent (heartbeats stop, the job
+                        hangs) on EVERY attempt — a poison job: the
+                        pool's heartbeat watchdog must kill + respawn the
+                        worker each time, and the daemon's circuit
+                        breaker must quarantine the fingerprint instead
+                        of letting it stall the queue (in-process slots
+                        degrade the wedge to a transient crash,
+                        mirroring ``kill``)
 
 Cluster-grade faults address the federation layer
 (:mod:`repro.service.cluster`); they are keyed by *node index* (a
@@ -226,9 +228,9 @@ def _parse_partition_groups(spec: str) -> tuple[frozenset, frozenset]:
 class FaultPlan:
     """A picklable schedule of injected faults, shared with workers.
 
-    The plan travels to worker processes by pickle; the *fired-once* state
-    lives in ``state_dir`` marker files so it is shared across processes
-    and across pool respawns.
+    Forked pool workers inherit the plan; the *fired-once* state lives in
+    ``state_dir`` marker files so it is shared across processes and
+    across worker respawns.
     """
 
     def __init__(self, faults: list[Fault] | tuple[Fault, ...],

@@ -3,11 +3,10 @@
 The one-shot batch engine promoted to an always-on scheduler daemon:
 ``repro-serve`` (:mod:`repro.service.daemon`) owns a journal-backed
 persistent submission queue, admission control with load shedding
-(:mod:`repro.service.admission`), a heartbeat-supervised worker pool
-(:mod:`repro.service.supervisor` driving
-:mod:`repro.service.worker` subprocesses through the engine's shared
-dispatch core), a per-fingerprint circuit breaker (with half-open
-probing) for poison jobs, and graceful drain on SIGTERM.
+(:mod:`repro.service.admission`), the batch engine's heartbeat-watched
+worker pool (:mod:`repro.harness.pool`), a per-fingerprint circuit
+breaker (with half-open probing) for poison jobs, and graceful drain on
+SIGTERM.
 ``repro-submit`` (:mod:`repro.service.client`) compiles a design
 client-side and talks newline-delimited JSON
 (:mod:`repro.service.protocol`) over a unix socket or TCP, failing over
@@ -23,6 +22,7 @@ journal into one offline exactly-once verdict.  See docs/ROBUSTNESS.md
 ladder, the membership protocol and the crash matrix.
 """
 
+from ..harness.pool import DEFAULT_HB_TIMEOUT
 from .admission import (ADMIT_OK, ADMIT_PROBE, ADMIT_REFUSE,
                         DEFAULT_BREAKER_COOLDOWN, DEFAULT_BREAKER_THRESHOLD,
                         DEFAULT_BURST, DEFAULT_QUEUE_DEPTH, DEFAULT_RATE,
@@ -38,7 +38,6 @@ from .protocol import (DONE, FAILED, MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        QUARANTINED, QUEUED, RUNNING, SHED, STATES, TERMINAL,
                        ProtocolError, decode_frame, encode_frame,
                        error_response, job_id)
-from .supervisor import DEFAULT_HB_TIMEOUT, Dispatch, Supervisor
 
 __all__ = [
     "ADMIT_OK", "ADMIT_PROBE", "ADMIT_REFUSE", "DEFAULT_BREAKER_COOLDOWN",
@@ -48,9 +47,9 @@ __all__ = [
     "FAILED", "MAX_FRAME_BYTES", "PEER_DEAD", "PEER_SUSPECT",
     "PEER_UNKNOWN", "PEER_UP", "PROTOCOL_VERSION", "QUARANTINED", "QUEUED",
     "RUNNING", "SHED", "SOCKET_NAME", "STATES", "TERMINAL", "AuditReport",
-    "CircuitBreaker", "ClusterManager", "Dispatch", "FairShareQueue",
+    "CircuitBreaker", "ClusterManager", "FairShareQueue",
     "JobAudit", "JobRecord", "JobTable", "PeerState", "ProtocolError",
-    "SchedulerDaemon", "ServiceClient", "ServiceError", "Supervisor",
+    "SchedulerDaemon", "ServiceClient", "ServiceError",
     "TokenBucket", "audit_state_dirs", "decode_frame", "encode_frame",
     "error_response", "job_id", "parse_address", "rendezvous_owner",
 ]

@@ -15,8 +15,9 @@ The daemon owns:
 * **admission control** (:mod:`repro.service.admission`) — circuit
   breaker, per-tenant token buckets, bounded fair-share queue; refusals
   are explicit shed responses, never silent drops;
-* a **supervised worker pool** (:mod:`repro.service.supervisor`) —
-  heartbeat-watchdogged subprocess workers, respawned with backoff;
+* a **worker pool** (:class:`repro.harness.pool.WorkerPool`, the one
+  the batch engine uses) — forked, heartbeat-watchdogged workers, each
+  replaced with backoff when it dies, wedges or overruns ``timeout``;
   worker deaths and wedges are journaled crashes that feed the breaker,
   so a poison job is quarantined after ``breaker_threshold`` kills
   instead of stalling the queue;
@@ -46,16 +47,19 @@ import os
 import signal
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..design.journal import Journal, load_snapshot, replay_journal, \
     write_snapshot
 from ..harness.cache import ResultCache
-from ..harness.engine import DEFAULT_RETRIES, Backoff
+from ..harness.engine import DEFAULT_RETRIES, Attempt
 from ..harness.exit_codes import EXIT_OK, EXIT_PARTIAL
 from ..harness.faults import FaultPlan, FaultSpecError
 from ..harness.jobs import JobError, SimJob
+from ..harness.pool import DEFAULT_HB_TIMEOUT, WorkerPool
+from ..sim.stats import RunResult
 from .admission import (ADMIT_PROBE, ADMIT_REFUSE, DEFAULT_BREAKER_COOLDOWN,
                         DEFAULT_BREAKER_THRESHOLD, DEFAULT_BURST,
                         DEFAULT_QUEUE_DEPTH, DEFAULT_RATE, CircuitBreaker,
@@ -66,7 +70,6 @@ from .protocol import (DONE, FAILED, MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        QUARANTINED, QUEUED, RUNNING, SHED, TERMINAL,
                        ProtocolError, decode_frame, encode_frame,
                        error_response)
-from .supervisor import DEFAULT_HB_TIMEOUT, Dispatch, Supervisor
 
 #: Default service state directory (journal, events, snapshot, socket).
 DEFAULT_STATE_DIR = ".repro-serve"
@@ -84,6 +87,11 @@ QUEUE_DIGEST = "repro-service-queue"
 
 #: Default seconds a drain waits for in-flight jobs before exiting.
 DEFAULT_DRAIN_GRACE = 30.0
+
+#: Seconds a drain keeps serving open client connections once no job is
+#: in flight, so a client mid-conversation hears "draining" (and can fail
+#: over) instead of a refused connection.
+DRAIN_LINGER = 1.0
 
 
 class JobRecord:
@@ -264,7 +272,9 @@ class SchedulerDaemon:
         self.timeout = timeout
         self.drain_grace = drain_grace
         self.trace_path = Path(trace) if trace else None
-        self.faults = faults
+        # Forked workers run under this plan, so REPRO_FAULTS drives them
+        # even when no plan is passed.
+        self.faults = faults if faults is not None else FaultPlan.from_env()
         self.log = log if log is not None else sys.stderr
 
         self.worker_id = f"serve-{int(time.time())}"
@@ -275,10 +285,11 @@ class SchedulerDaemon:
         self.breaker = CircuitBreaker(threshold=breaker_threshold,
                                       cooldown=breaker_cooldown)
         self._probes: dict[str, str] = {}   # fingerprint -> probe job id
-        self.supervisor = Supervisor(workers, cache_dir=cache_dir,
-                                     hb_timeout=hb_timeout,
-                                     backoff=Backoff(),
-                                     faults=faults, on_event=self.event)
+        self.pool = WorkerPool(workers, hb_timeout=hb_timeout,
+                               faults=self.faults, on_event=self.event)
+        # One thread per slot runs WorkerPool.run, which blocks.
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-serve-pool")
 
         self.started = time.monotonic()
         self.draining = False
@@ -292,6 +303,7 @@ class SchedulerDaemon:
         self._drained = asyncio.Event()
         self._watchers: list[tuple[set[str], asyncio.Queue]] = []
         self._inflight = 0
+        self._connections = 0
         self._server: asyncio.AbstractServer | None = None
 
         self.cluster: ClusterManager | None = None
@@ -303,7 +315,7 @@ class SchedulerDaemon:
             self.cluster = ClusterManager(
                 self, list(cluster_members), advertise,
                 gossip_interval=gossip_interval, peer_ttl=peer_ttl,
-                faults=faults)
+                faults=self.faults)
 
     # ------------------------------------------------------------------ #
     # logging / events
@@ -380,10 +392,10 @@ class SchedulerDaemon:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
 
-        # Bind before the pool warms up: clients may connect and queue
-        # while worker subprocesses are still booting.  The stream limit
-        # sits just past the protocol frame bound so an oversized line
-        # is a typed refusal, never an unhandled LimitOverrunError.
+        # Bind before the pool starts: clients may connect and queue
+        # while the workers fork.  The stream limit sits just past the
+        # protocol frame bound so an oversized line is a typed refusal,
+        # never an unhandled LimitOverrunError.
         if self.host is not None:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=self.host, port=self.port,
@@ -401,7 +413,7 @@ class SchedulerDaemon:
             where = str(self.socket_path)
         self._log(f"listening on {where} "
                   f"({self.workers} worker(s), pid {os.getpid()})")
-        await self.supervisor.start()
+        self.pool.start()
 
         gossip = None
         if self.cluster is not None:
@@ -420,7 +432,8 @@ class SchedulerDaemon:
         await asyncio.gather(*dispatchers, return_exceptions=True)
         self._server.close()
         await self._server.wait_closed()
-        await self.supervisor.close()
+        self.pool.close()
+        self._executor.shutdown(wait=False)
         ok = self.table.snapshot()
         self.event("daemon.stop", snapshot=ok,
                    pending=len(self.table.pending()))
@@ -448,8 +461,11 @@ class SchedulerDaemon:
         self._log(f"draining ({reason}); refusing new submissions")
         self.event("daemon.drain", reason=reason,
                    queued=len(self.queue), inflight=self._inflight)
-        deadline = time.monotonic() + self.drain_grace
-        while self._inflight > 0 and time.monotonic() < deadline:
+        started = time.monotonic()
+        linger = started + min(DRAIN_LINGER, self.drain_grace)
+        while time.monotonic() < started + self.drain_grace and (
+                self._inflight > 0 or (self._connections
+                                       and time.monotonic() < linger)):
             await asyncio.sleep(0.05)
         self._drained.set()
 
@@ -494,43 +510,57 @@ class SchedulerDaemon:
                 self._inflight -= 1
 
     async def _dispatch_one(self, job: JobRecord) -> None:
-        # Dedup against the cache at the last moment too: a previous
-        # incarnation's worker may have finished this fingerprint after
-        # the submit was journaled but before any terminal record.
-        cached = await asyncio.get_running_loop().run_in_executor(
-            None, self.cache.get, job.fingerprint)
-        if cached is not None:
+        # One hop to a pool thread for the cache check and the attempt:
+        # on a loaded host every thread wake-up waits for a time slice.
+        cached, attempt = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._run_on_pool, job)
+        if attempt is None:
             self._terminal(job, DONE, cycles=cached.cycles, ipc=cached.ipc,
                            cached=True)
             return
         self.dispatched += 1
-        dispatch = await self.supervisor.run_job({
-            "id": job.id, "ordinal": job.ordinal, "job": job.job,
-            "timeout": self.timeout})
-        self._settle(job, dispatch)
+        self._settle(job, attempt)
 
-    def _settle(self, job: JobRecord, dispatch: Dispatch) -> None:
+    def _run_on_pool(self, job: JobRecord
+                     ) -> tuple[RunResult | None, Attempt | None]:
+        """On a pool thread: the cached result, else one attempt."""
+        # Dedup against the cache at the last moment too: a previous
+        # incarnation's worker may have finished this fingerprint after
+        # the submit was journaled but before any terminal record.
+        cached = self.cache.get(job.fingerprint)
+        if cached is not None:
+            return cached, None
+        try:
+            sim_job = SimJob.from_payload(job.job)
+        except (JobError, KeyError, TypeError, ValueError) as error:
+            return None, Attempt("err",
+                                 error=f"{type(error).__name__}: {error}")
+        # The job's faults are addressed by its dispatch ordinal.
+        return None, self.pool.run(job.ordinal, sim_job, cache=self.cache,
+                                   timeout=self.timeout)
+
+    def _settle(self, job: JobRecord, attempt: Attempt) -> None:
         if self.cluster is not None and not self.cluster.has_quorum() \
                 and job.state not in TERMINAL:
             # Quorum was lost while this job was in flight: journaling a
             # terminal now could conflict with a majority-side reclaim.
             # Re-queue; on rejoin the dispatch re-runs (a cache hit, or
             # folds the peer's terminal first).
-            self.event("cluster.defer", id=job.id, tag=dispatch.tag)
+            self.event("cluster.defer", id=job.id, tag=attempt.tag)
             self.queue.push(job.tenant, job.id, force=True)
             return
-        if dispatch.tag == "ok":
-            self._terminal(job, DONE, cycles=dispatch.cycles,
-                           ipc=dispatch.ipc, cached=dispatch.cached)
+        if attempt.tag == "ok":
+            self._terminal(job, DONE, cycles=attempt.result.cycles,
+                           ipc=attempt.result.ipc, cached=attempt.cached)
             return
-        if dispatch.crashed:
+        if attempt.crash is not None:
+            wedged = attempt.crash == "wedged"
             self.table.append("crash", id=job.id,
                               fingerprint=job.fingerprint,
-                              error=dispatch.error,
-                              wedged=dispatch.wedged)
+                              error=attempt.error, wedged=wedged)
             opened = self.breaker.record_crash(job.fingerprint)
             self._probes.pop(job.fingerprint, None)
-            self.event("worker.crash", id=job.id, wedged=dispatch.wedged,
+            self.event("worker.crash", id=job.id, wedged=wedged,
                        crashes=job.crashes)
             if opened:
                 self.event("breaker.open", fingerprint=job.fingerprint[:12],
@@ -539,17 +569,16 @@ class SchedulerDaemon:
                 self._terminal(job, QUARANTINED,
                                error=f"circuit breaker open after "
                                      f"{job.crashes} worker crash(es): "
-                                     f"{dispatch.error}")
+                                     f"{attempt.error}")
             else:
-                self._requeue(job, dispatch.error)
+                self._requeue(job, attempt.error)
             return
-        if dispatch.tag == "err" and dispatch.transient \
+        if attempt.tag == "err" and attempt.transient \
                 and job.retries < self.retries:
             job.retries += 1
-            self._requeue(job, dispatch.error)
+            self._requeue(job, attempt.error)
             return
-        self._terminal(job, FAILED,
-                       error=dispatch.error or dispatch.tag)
+        self._terminal(job, FAILED, error=attempt.error or attempt.tag)
 
     def _requeue(self, job: JobRecord, reason: str | None) -> None:
         self.event("job.requeue", id=job.id, reason=(reason or "")[:120])
@@ -619,6 +648,7 @@ class SchedulerDaemon:
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections += 1
         try:
             while True:
                 try:
@@ -672,6 +702,7 @@ class SchedulerDaemon:
             # (clients reconnect; jobs are journaled either way).
             pass
         finally:
+            self._connections -= 1
             try:
                 writer.close()
             except Exception:   # noqa: BLE001 - already torn down
@@ -851,9 +882,9 @@ class SchedulerDaemon:
             "queue_depth": self.queue.depth,
             "inflight": self._inflight, "dispatched": self.dispatched,
             "workers": self.workers,
-            "workers_detail": self.supervisor.health(),
-            "respawns": self.supervisor.respawns,
-            "wedges": self.supervisor.wedges,
+            "workers_detail": self.pool.health(),
+            "respawns": self.pool.respawns,
+            "wedges": self.pool.wedges,
             "breaker_open": self.breaker.open_count(),
             "breaker": {
                 "threshold": self.breaker.threshold,
@@ -975,7 +1006,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default .repro-cache)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="supervised worker processes (default 2)")
+                        help="worker processes (default 2)")
     parser.add_argument("--queue-depth", type=int,
                         default=DEFAULT_QUEUE_DEPTH,
                         help="admitted-job bound before load shedding "

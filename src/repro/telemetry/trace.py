@@ -122,7 +122,7 @@ def merge_chrome_traces(
     ``named`` is a sequence of ``(label, events, timeline_or_None)``.
 
     ``engine_events`` optionally adds the batch engine's resilience trace
-    (``job.retry``, ``job.timeout``, ``job.failed``, ``pool.respawn``,
+    (``job.retry``, ``job.timeout``, ``job.failed``, ``worker.respawn``,
     ``cache.write_error`` — see ``BatchReport.events``) as one extra lane.
     Those records carry wall-clock seconds, not cycles, so the lane has
     its own time base; what matters is the ordering of recovery actions.

@@ -6,14 +6,19 @@ exercised here by injecting the corresponding failure at a known point
 with :class:`repro.harness.faults.FaultPlan`.
 """
 
+import multiprocessing
+import sys
+
 import pytest
 
+from repro.harness import pool
 from repro.harness.cache import ResultCache
 from repro.harness.engine import (BatchError, JobExecutionError, run_batch,
                                   run_jobs)
 from repro.harness.faults import (Fault, FaultPlan, FaultSpecError,
                                   InjectedFault, InjectedTransientFault)
 from repro.harness.jobs import SimJob
+from repro.harness.pool import WorkerPool
 from repro.sim.config import GPUConfig
 
 SMALL = GPUConfig.small()
@@ -196,7 +201,7 @@ class TestPoolCrashRecovery:
         assert [o.status for o in report.outcomes] == ["ok"] * 4
         assert report.retried >= 1
         kinds = [e["kind"] for e in report.events]
-        assert "pool.respawn" in kinds and "job.recovered" in kinds
+        assert "worker.respawn" in kinds and "job.recovered" in kinds
         for job in jobs:
             assert cache.get(job.fingerprint()) is not None
         assert report.results() == run_batch(jobs).results()
@@ -236,12 +241,77 @@ class TestDeadlines:
         # delay:0:5 wedges job 0 *before* the cooperative guard arms, so
         # only the parent's timeout+grace backstop can reclaim it.  Job 1
         # is unaffected and completes normally.
-        report = run_batch(_jobs(2), workers=2, timeout=1.0, grace=0.3,
+        report = run_batch(_jobs(2), workers=2, timeout=1.0,
                            faults=_plan("delay:0:5", tmp_path))
         assert report.outcomes[0].status == "timeout"
         assert "backstop" in report.outcomes[0].error
         assert report.outcomes[1].status == "ok"
-        assert "pool.respawn" in [e["kind"] for e in report.events]
+        assert "worker.respawn" in [e["kind"] for e in report.events]
+
+
+# --------------------------------------------------------------------------- #
+# the worker pool: a worker's crash, wedge or overrun costs only its attempt
+# --------------------------------------------------------------------------- #
+
+class TestWorkerPool:
+    def test_killed_worker_costs_no_sibling_an_attempt(self, tmp_path):
+        report = run_batch(_jobs(2), workers=2,
+                           faults=_plan("kill:0", tmp_path))
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]
+        assert report.outcomes[0].attempts == 2
+        assert report.outcomes[1].attempts == 1
+
+    def test_overrun_replaces_only_its_own_worker(self, tmp_path):
+        report = run_batch(_jobs(2), workers=2, timeout=1.0,
+                           faults=_plan("delay:0:5", tmp_path))
+        assert report.outcomes[0].status == "timeout"
+        assert report.outcomes[1].status == "ok"
+        assert report.outcomes[1].attempts == 1
+        respawns = [e for e in report.events if e["kind"] == "worker.respawn"]
+        assert len(respawns) == 1
+        assert respawns[0]["payload"]["reason"] == "timeout"
+
+    def test_wedged_worker_fails_its_job(self, tmp_path, monkeypatch):
+        # No --timeout: only the heartbeat watchdog can catch the wedge.
+        monkeypatch.setattr(pool, "DEFAULT_HB_TIMEOUT", 1.0)
+        report = run_batch(_jobs(2), workers=2, retries=0,
+                           faults=_plan("worker-wedge:0", tmp_path))
+        assert report.outcomes[0].status == "failed"
+        assert "wedged" in report.outcomes[0].error
+        assert report.outcomes[1].status == "ok"
+
+    def test_slots_run_in_process_when_no_process_starts(self, monkeypatch):
+        def refuse(self):
+            raise OSError("process start refused")
+
+        monkeypatch.setattr(WorkerPool, "_start_process", refuse)
+        jobs = _jobs(2)
+        report = run_batch(jobs, workers=2)
+        assert report.results() == run_batch(jobs).results()
+        inline = [e["payload"]["slot"] for e in report.events
+                  if e["kind"] == "worker.inline"]
+        assert sorted(inline) == [0, 1]
+
+    def test_pool_threads_share_the_batch_state(self):
+        # More pool threads than cores and a tiny switch interval: a lost
+        # update in the shared outcome bookkeeping would show up here.
+        jobs = [_job(scale=0.02, seed=seed) for seed in range(8)]
+        seen, finished = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_batch(jobs, workers=4,
+                               progress=lambda done, total: seen.append(done),
+                               on_outcome=finished.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == list(range(1, 9))
+        assert sorted(outcome.index for outcome in finished) == list(range(8))
+        assert [o.status for o in report.outcomes] == ["ok"] * 8
+
+    def test_no_worker_outlives_its_batch(self, tmp_path):
+        run_batch(_jobs(3), workers=2, faults=_plan("kill:1", tmp_path))
+        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------------- #

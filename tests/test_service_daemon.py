@@ -10,8 +10,13 @@ drill (``tests/test_service_chaos.py``).
 
 import asyncio
 import io
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +24,10 @@ from repro.design.journal import replay_journal
 from repro.harness.cache import ResultCache
 from repro.harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                       EXIT_SHED)
+from repro.harness.faults import FaultPlan, child_env
 from repro.harness.jobs import SimJob
-from repro.service.client import ServiceClient, _exit_code
+from repro.harness.pool import WorkerPool
+from repro.service.client import ServiceClient, ServiceError, _exit_code
 from repro.service.daemon import (QUEUE_JOURNAL, JobTable, SchedulerDaemon)
 from repro.service.protocol import (DONE, FAILED, QUARANTINED, QUEUED,
                                     SHED, TERMINAL)
@@ -198,15 +205,36 @@ class TestDaemonLifecycle:
         kinds = {e.get("kind") for e in events}
         assert "breaker.open" in kinds and "worker.respawn" in kinds
 
+    def test_faults_flag_reaches_the_workers(self, tmp_path, monkeypatch):
+        # repro-serve --faults: the daemon's own plan, with REPRO_FAULTS
+        # unset, must wedge the worker that runs dispatch ordinal 0.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS_STATE", raising=False)
+        plan = FaultPlan.parse("worker-wedge:0",
+                               state_dir=str(tmp_path / "faults"))
+        daemon, thread, outcome = _start(tmp_path, faults=plan,
+                                         breaker_threshold=1,
+                                         hb_timeout=1.0)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                client.submit("f:0", _job(seed=33).to_payload())
+                frame = client.watch(["f:0"])["f:0"]
+                status = client.status()
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        assert frame["state"] == QUARANTINED
+        assert status["wedges"] >= 1
+        assert not any(slot["inline"] for slot in status["workers_detail"])
+
 
 class TestInlineFallback:
     """A host that cannot spawn workers degrades to in-process slots."""
 
     @staticmethod
     def _no_spawn(monkeypatch):
-        async def refuse(*args, **kwargs):
+        def refuse(*args, **kwargs):
             raise OSError("spawning is not allowed here")
-        monkeypatch.setattr(asyncio, "create_subprocess_exec", refuse)
+        monkeypatch.setattr(WorkerPool, "_start_process", refuse)
 
     def test_inline_job_matches_in_process_run_and_is_cached(
             self, tmp_path, monkeypatch):
@@ -249,6 +277,79 @@ class TestInlineFallback:
         finally:
             assert _stop(daemon, thread, outcome) == EXIT_OK
         assert frame["state"] == QUARANTINED
+
+
+def _alive(pid):
+    """Is ``pid`` a live process?  A zombie is not (nobody may reap an
+    orphan in a container)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestForkedWorkers:
+    """Workers are forked from the daemon: they must neither outlive it
+    nor signal it.  The daemon runs as a subprocess, because only an
+    event loop on the main thread installs signal handlers."""
+
+    @staticmethod
+    def _spawn(tmp_path):
+        """A ``repro-serve --workers 2`` process with both workers up."""
+        socket_path = tmp_path / "state" / "serve.sock"
+        with open(tmp_path / "daemon.log", "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service.daemon",
+                 "--state-dir", str(tmp_path / "state"),
+                 "--cache-dir", str(tmp_path / "cache"), "--workers", "2"],
+                env=child_env(""), stdout=log, stderr=log)
+        deadline = time.monotonic() + 30.0
+        while True:
+            assert proc.poll() is None, "repro-serve exited"
+            assert time.monotonic() < deadline, "workers never came up"
+            try:
+                with ServiceClient(socket_path,
+                                   connect_attempts=1) as client:
+                    slots = client.status()["workers_detail"]
+            except (ServiceError, OSError):
+                slots = []
+            if len(slots) == 2 and all(slot["alive"] and not slot["inline"]
+                                       for slot in slots):
+                return proc, socket_path, [slot["pid"] for slot in slots]
+            time.sleep(0.05)
+
+    def test_workers_exit_when_the_daemon_is_killed(self, tmp_path):
+        proc, _, pids = self._spawn(tmp_path)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2.0
+        while any(_alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, "workers outlived the daemon"
+            time.sleep(0.05)
+
+    def test_signalled_worker_does_not_drain_the_daemon(self, tmp_path):
+        proc, socket_path, pids = self._spawn(tmp_path)
+        try:
+            os.kill(pids[0], signal.SIGTERM)
+            time.sleep(0.5)
+            with ServiceClient(socket_path) as client:
+                client.submit("s:0", _job(seed=61).to_payload())
+                assert client.watch(["s:0"])["s:0"]["state"] == DONE
+            events = replay_journal(
+                tmp_path / "state" / "events.jsonl").records
+            assert "daemon.drain" not in {e.get("kind") for e in events}
+            with ServiceClient(socket_path) as client:
+                client.drain()
+            assert proc.wait(timeout=30) == EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 class TestRecovery:
