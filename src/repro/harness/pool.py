@@ -156,6 +156,23 @@ class _Slot:
         self.conn = None
         self.jobs = 0
 
+    def exited(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the process to exit.
+
+        Polls instead of ``Process.join(timeout)``: the child closed the
+        sentinel pipe ``multiprocessing`` watches, so that ``join`` falls
+        through to a ``waitpid`` that blocks until the child exits.
+        """
+        deadline = time.monotonic() + timeout
+        pause = 0.0005
+        while self.process.is_alive():
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return False
+            time.sleep(min(pause, left))
+            pause = min(2 * pause, 0.05)
+        return True
+
     def stop(self) -> None:
         """Kill the process (if any) and close the pipe."""
         if self.process is not None:
@@ -219,7 +236,7 @@ class WorkerPool:
                 pass
         deadline = time.monotonic() + 2.0
         for slot in live:
-            slot.process.join(max(deadline - time.monotonic(), 0.0))
+            slot.exited(deadline - time.monotonic())
             slot.stop()
 
     def health(self) -> list[dict[str, Any]]:
@@ -348,7 +365,7 @@ class WorkerPool:
                     last = time.monotonic()
                     continue
             except (EOFError, OSError):
-                slot.process.join(1.0)
+                slot.exited(1.0)
                 return (_crash("died", f"worker crashed (exit "
                                        f"{slot.process.exitcode})"),
                         "died")

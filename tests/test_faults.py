@@ -8,6 +8,8 @@ with :class:`repro.harness.faults.FaultPlan`.
 
 import multiprocessing
 import sys
+import threading
+import time
 
 import pytest
 
@@ -311,6 +313,24 @@ class TestWorkerPool:
 
     def test_no_worker_outlives_its_batch(self, tmp_path):
         run_batch(_jobs(3), workers=2, faults=_plan("kill:1", tmp_path))
+        assert multiprocessing.active_children() == []
+
+    def test_close_kills_a_busy_worker_after_its_grace(self, tmp_path):
+        # A drain must not wait out a long attempt: close() gives a busy
+        # worker 2 s, then kills it, and the attempt ends as a crash.
+        workers = WorkerPool(1, faults=_plan("delay:0:30", tmp_path))
+        workers.start()
+        attempts = []
+        runner = threading.Thread(
+            target=lambda: attempts.append(workers.run(0, _job())))
+        runner.start()
+        time.sleep(0.5)
+        started = time.monotonic()
+        workers.close()
+        assert time.monotonic() - started < 3.0
+        runner.join(timeout=5.0)
+        assert not runner.is_alive()
+        assert attempts[0].crash == "died"
         assert multiprocessing.active_children() == []
 
 

@@ -146,6 +146,36 @@ class TestDaemonLifecycle:
         assert any(e.get("kind") == "admission.shed"
                    and e.get("reason") == "rate-limit" for e in events)
 
+    def test_full_queue_sheds_with_retry_after(self, tmp_path):
+        # The one worker is held by a slow job and the queue holds one:
+        # the next submission finds the queue full.
+        plan = FaultPlan.parse("delay:0:2",
+                               state_dir=str(tmp_path / "faults"))
+        daemon, thread, outcome = _start(tmp_path, faults=plan,
+                                         queue_depth=1)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                client.submit("q:0", _job(seed=41).to_payload())
+                deadline = time.monotonic() + 10.0
+                while client.status()["inflight"] < 1:
+                    assert time.monotonic() < deadline, "q:0 never ran"
+                    time.sleep(0.02)
+                queued = client.submit("q:1", _job(seed=42).to_payload(),
+                                       shed_retries=0)
+                assert queued["state"] == QUEUED
+                full = client.submit("q:2", _job(seed=43).to_payload(),
+                                     shed_retries=0)
+                assert full["state"] == SHED
+                assert full["reason"] == "queue-full"
+                assert full["retry_after"] > 0
+                client.watch(["q:0", "q:1"])
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        events = replay_journal(
+            tmp_path / "state" / "events.jsonl").records
+        assert any(e.get("kind") == "admission.shed"
+                   and e.get("reason") == "queue-full" for e in events)
+
     def test_draining_daemon_sheds_submissions(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path)
         try:
