@@ -113,7 +113,7 @@ design-smoke:    ## design layer drill: compile all E-designs + campaign resume
 
 campaign-chaos-smoke: ## durable-campaign drill: kill/restart 2 shards until bitwise convergence
 	@rm -rf .repro-chaos; \
-	PYTHONPATH=src $(PY) -m repro.design.chaos examples/shard_demo.toml \
+	PYTHONPATH=src $(PY) -m repro.service.chaos examples/shard_demo.toml \
 		--shards 2 --min-kills 5 --seed 7 --root .repro-chaos \
 		|| { echo "campaign-chaos-smoke: drill failed; journals kept" \
 		     "under .repro-chaos/ for inspection"; exit 1; }; \
@@ -167,7 +167,7 @@ service-smoke:   ## service drill: daemon + 2 clients, SIGTERM mid-flight, resta
 
 service-chaos-smoke: ## service chaos drill: daemon SIGKILLs, worker wedge, socket drops, 2 clients
 	@rm -rf .repro-service-chaos; \
-	PYTHONPATH=src $(PY) -m repro.design.chaos examples/lcs_threshold.toml \
+	PYTHONPATH=src $(PY) -m repro.service.chaos examples/lcs_threshold.toml \
 		--service --seed 7 --root .repro-service-chaos \
 		|| { echo "service-chaos-smoke: drill failed; journal +" \
 		     "daemon.log kept under .repro-service-chaos/"; exit 1; }; \
@@ -177,7 +177,7 @@ service-chaos-smoke: ## service chaos drill: daemon SIGKILLs, worker wedge, sock
 
 cluster-chaos-smoke: ## federation drill: 3 daemons, partition + SIGKILL, lease handoff, all-journal audit
 	@rm -rf .repro-cluster-chaos; \
-	PYTHONPATH=src $(PY) -m repro.design.chaos examples/lcs_threshold.toml \
+	PYTHONPATH=src $(PY) -m repro.service.chaos examples/lcs_threshold.toml \
 		--cluster --seed 7 --root .repro-cluster-chaos \
 		|| { echo "cluster-chaos-smoke: drill failed; per-daemon" \
 		     "journals + logs kept under .repro-cluster-chaos/"; exit 1; }; \

@@ -1,45 +1,38 @@
 """Durable, shardable campaigns: a design sweep that survives anything.
 
-A :class:`Campaign` is one compiled design bound to an on-disk store
-(``.repro-campaigns/<name>-<digest12>/``) built for crash safety and
-concurrency:
+A :class:`Campaign` is one compiled design bound to a store directory
+(``.repro-campaigns/<name>-<digest12>/``):
 
 * ``meta.json`` — what the campaign *is*: design digest, compile
   environment, one static record per cell (label, job payload,
   fingerprint).  Written atomically exactly once.
-* ``journal.jsonl`` — what *happened*: an append-only, checksummed
-  write-ahead journal (:mod:`repro.design.journal`) of ``claim`` /
-  ``heartbeat`` / ``release`` / ``done`` / ``failed`` / ``exhausted``
-  records.  Torn-tail and corrupt-record tolerant on replay; appends
-  interleave whole records, so N workers share one journal safely.
-* ``snapshot.json`` — periodic compaction: terminal cell states folded
-  from the journal, written atomically, after which the journal is
-  truncated.  Replay is always ``fold(snapshot) + fold(journal)`` and
-  the fold is idempotent, so a crash between the two steps is harmless.
+* ``journal.jsonl`` and ``snapshot.json`` — what *happened*, kept by a
+  :class:`~repro.design.store.JobStore`: ``claim`` / ``heartbeat`` /
+  ``release`` / ``done`` / ``failed`` / ``exhausted`` records keyed by
+  ``id``, and the snapshot compaction leaves behind.
 
-Cell claiming is lease-based (:mod:`repro.design.leases`): a worker
-appends a claim with its id and a TTL, heartbeats while it runs, and
-loses the lease if it goes silent — so ``repro-exp --design F --shard``
-processes on one host or several sharing a filesystem drain one campaign
-together, expired leases are reclaimed, and a double completion (two
-workers racing one cell) resolves deterministically by fingerprint with
+Each cell is a job declared to the store with id ``job_id(digest,
+index)``, the id ``repro-submit`` gives the same cell.  Workers claim
+cells by lease, so ``repro-exp --design F --shard`` processes on one
+host or several sharing a filesystem drain one campaign together, a
+crashed worker's leases expire and its cells are reclaimed, and a
+double completion (two workers racing one cell) is counted, with
 bitwise-identical results either way.
 
 The digest is part of the directory name, so re-running the same design
 file against the same environment lands on the same store and resumes,
 while *any* change to factors, filters, overrides, ordering or
-environment starts a fresh campaign next door.  Pre-journal manifests
-(``manifest.json``, format 1) are migrated in place on open; unparseable
-ones are quarantined as ``.corrupt`` (mirroring the result cache) and
-the campaign restarts from the design, never crashes.
+environment starts a fresh campaign next door.  A store this code cannot
+read (a corrupt meta, or an older format: format-2 ``meta.json`` with
+cell-keyed records, format-1 ``manifest.json``) is set aside as
+``.corrupt`` and rebuilt from the design; its done cells replay from the
+result cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import socket
 import tempfile
 import threading
 import time
@@ -54,85 +47,30 @@ from ..harness.faults import FaultPlan
 from ..harness.jobs import SimJob
 from .design import Design, DesignError
 from .env import DesignEnv
-from .journal import (JOURNAL_NAME, Journal, load_snapshot, replay_journal,
-                      write_snapshot)
-from .leases import (DEFAULT_LEASE_TTL, DONE, EXHAUSTED, FAILED, PENDING,
-                     CampaignState, claim_winner, claimable, fold_records,
-                     newly_exhausted)
+from .journal import JOURNAL_NAME, SNAPSHOT_NAME
+from .store import (CLAIMED, DEFAULT_LEASE_TTL, DONE, EXHAUSTED, FAILED,
+                    PENDING, TTL_JITTER_FRAC, Job, JobStore,
+                    default_worker_id, job_id, worker_ttl_jitter)
 
 #: Where campaign stores live by default (git-ignorable, like the
 #: result cache and checkpoint store).
 DEFAULT_CAMPAIGN_ROOT = ".repro-campaigns"
 
-#: On-disk meta format version (format 1 was the rewrite-the-world
-#: ``manifest.json``; it is migrated on open).
-_META_FORMAT = 2
+#: On-disk meta format version (2 keyed journal records by cell index,
+#: 1 was the rewrite-the-world ``manifest.json``).
+_META_FORMAT = 3
 
 _META = "meta.json"
-_LEGACY_MANIFEST = "manifest.json"
-_COMPACT_LOCK = "compact.lock"
+
+#: A format-1 store's only file.
+_MANIFEST = "manifest.json"
 
 #: Auto-compact once the journal accumulates this many records.
 DEFAULT_COMPACT_EVERY = 512
 
-#: A compact.lock older than this is a crashed compactor: break it.
-_LOCK_STALE_SECONDS = 60.0
-
-#: Per-worker lease-TTL jitter span, as a fraction of the base TTL.
-#: Each worker's effective TTL is ``ttl * (1 + frac * jitter)`` with
-#: ``jitter`` deterministic in [0, 1) from the worker id — so N workers
-#: whose leases all expired in one crash do not stampede the reclaim in
-#: lockstep: their expiry (and heartbeat) clocks are spread over a
-#: quarter-TTL window instead of firing at the same instant.
-TTL_JITTER_FRAC = 0.25
-
 
 class CampaignError(RuntimeError):
     """A campaign store is unusable (corrupt, wrong format, no meta)."""
-
-
-def default_worker_id() -> str:
-    """Host + pid: unique among workers sharing a filesystem."""
-    return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def worker_ttl_jitter(worker_id: str) -> float:
-    """A deterministic jitter fraction in ``[0, 1)`` for one worker id.
-
-    Hash-derived, not random: the same worker always computes the same
-    effective TTL, so lease arbitration stays reproducible while
-    *different* workers are still decorrelated.
-    """
-    digest = hashlib.sha256(worker_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") / 2**32
-
-
-@dataclass
-class CampaignCell:
-    """One design cell: static identity plus its folded journal state."""
-
-    index: int
-    label: str
-    fingerprint: str
-    job: dict                      # SimJob.to_payload rendering
-    status: str = PENDING          # pending|claimed|done|failed|exhausted
-    attempts: int = 0
-    cycles: int | None = None
-    ipc: float | None = None
-    error: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        """The static half only — dynamic state lives in the journal."""
-        return {"index": self.index, "label": self.label,
-                "fingerprint": self.fingerprint, "job": self.job}
-
-    @classmethod
-    def from_record(cls, data: dict) -> "CampaignCell":
-        return cls(index=data["index"], label=data["label"],
-                   fingerprint=data["fingerprint"], job=data["job"],
-                   status=data.get("status", PENDING),
-                   cycles=data.get("cycles"), ipc=data.get("ipc"),
-                   error=data.get("error"))
 
 
 @dataclass
@@ -192,15 +130,15 @@ class _Heartbeat(threading.Thread):
     longer defends.
     """
 
-    def __init__(self, journal: Journal, interval: float) -> None:
+    def __init__(self, store: JobStore, interval: float) -> None:
         super().__init__(name="campaign-heartbeat", daemon=True)
-        self.journal = journal
+        self.store = store
         self.interval = interval
         self._halt = threading.Event()
 
     def run(self) -> None:
         while not self._halt.wait(self.interval):
-            self.journal.heartbeat()
+            self.store.append("heartbeat")
 
     def stop(self) -> None:
         self._halt.set()
@@ -216,17 +154,18 @@ class Campaign:
     digest: str
     path: Path
     env: DesignEnv
-    cells: list[CampaignCell] = field(default_factory=list)
-    #: The append handle of the most recent/current :meth:`run`.
-    journal: Journal | None = field(default=None, repr=False)
+    #: One declared store job per design cell, in cell-index order.
+    cells: list[Job] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._state: CampaignState | None = None
-        self._journal_records = 0
-        self._nonce = 0
-        #: Replay damage observed by the last refresh (reported once).
-        self.replay_corrupt = 0
-        self.replay_torn = False
+        self._bind("-", None)
+
+    def _bind(self, worker: str, faults: FaultPlan | None) -> JobStore:
+        """A store handle appending as ``worker``, folded from disk."""
+        self.store = JobStore(self.path, key=self.digest, worker=worker,
+                              faults=faults)
+        self.store.declare(self.cells)
+        return self.store.refresh()
 
     # ------------------------------------------------------------------ #
     # opening / loading
@@ -238,9 +177,9 @@ class Campaign:
 
         A store from a previous (possibly interrupted, possibly still
         *running* elsewhere) campaign of the same design+environment is
-        loaded — journal state and all; any other design lands in its
-        own directory.  A corrupt meta file is quarantined and the store
-        rebuilt from the design; pre-journal manifests are migrated.
+        loaded, journal state and all; any other design lands in its
+        own directory.  A store with a corrupt or older-format meta is
+        set aside as ``.corrupt`` and rebuilt from the design.
         """
         env = env if env is not None else DesignEnv()
         compiled = design.compile(env)
@@ -250,27 +189,29 @@ class Campaign:
         digest = design.digest(env)
         path = Path(root) / f"{design.name}-{digest[:12]}"
         _sweep_strays(path)
-        if (path / _META).is_file() or (path / _LEGACY_MANIFEST).is_file():
+        unusable = (path / _MANIFEST).is_file()
+        if (path / _META).is_file():
             try:
                 campaign = cls.load(path)
             except CampaignError:
-                # load() already quarantined the unparseable file; the
-                # design is in hand, so rebuild instead of raising.
-                campaign = None
-            if campaign is not None:
-                if campaign.digest != digest:   # pragma: no cover - paranoia
+                # Set the journal aside only with a meta load() has
+                # quarantined, not one it merely could not read.
+                unusable = not (path / _META).exists()
+            else:
+                if campaign.digest != digest:   # pragma: no cover
                     raise CampaignError(
                         f"store at {path} records digest "
                         f"{campaign.digest[:12]}, expected {digest[:12]}")
                 return campaign
-        cells = [CampaignCell(index=cc.index, label=cc.label,
-                              fingerprint=cc.job.fingerprint(),
-                              job=cc.job.to_payload())
+        if unusable:
+            for name in (_MANIFEST, JOURNAL_NAME, SNAPSHOT_NAME):
+                _quarantine(path / name)
+        cells = [Job(job_id(digest, cc.index), cc.job.fingerprint(),
+                     cc.job.to_payload(), cc.index, label=cc.label)
                  for cc in compiled]
         campaign = cls(name=design.name, digest=digest, path=path,
                        env=env, cells=cells)
         campaign._write_meta()
-        campaign.refresh()
         return campaign
 
     @classmethod
@@ -278,53 +219,24 @@ class Campaign:
         """Bind an existing store (meta + journal replay).
 
         Stray ``.tmp-*`` files (a process killed between write and
-        rename) are swept; an unparseable meta/manifest is quarantined
-        as ``.corrupt`` before :class:`CampaignError` is raised, so the
-        bad file can never wedge the store (``open()`` then rebuilds it
-        from the design).
+        rename) are swept; an unparseable or older-format meta is
+        quarantined as ``.corrupt`` before :class:`CampaignError` is
+        raised, so the bad file can never wedge the store (``open()``
+        then rebuilds it from the design).
         """
         path = Path(path)
         _sweep_strays(path)
         meta = path / _META
-        legacy = path / _LEGACY_MANIFEST
-        if meta.is_file():
-            data = _read_store_file(meta, expect_format=_META_FORMAT)
-            campaign = cls(name=data["name"], digest=data["digest"],
-                           path=path,
-                           env=DesignEnv.from_payload(data["env"]),
-                           cells=[CampaignCell.from_record(r)
-                                  for r in data["cells"]])
-        elif legacy.is_file():
-            campaign = cls._migrate_legacy(path, legacy)
-        else:
+        if not meta.is_file():
             raise CampaignError(f"no campaign store under {path}")
-        campaign.refresh()
-        return campaign
-
-    @classmethod
-    def _migrate_legacy(cls, path: Path, legacy: Path) -> "Campaign":
-        """Lift a format-1 manifest into meta + journal records."""
-        data = _read_store_file(legacy, expect_format=1)
-        campaign = cls(name=data["name"], digest=data["digest"], path=path,
-                       env=DesignEnv.from_payload(data["env"]),
-                       cells=[CampaignCell.from_record(r)
-                              for r in data["cells"]])
-        campaign._write_meta()
-        journal = Journal(path / JOURNAL_NAME, worker="migration")
-        for cell in campaign.cells:
-            if cell.status == DONE:
-                journal.append("done", cell=cell.index,
-                               fingerprint=cell.fingerprint,
-                               cycles=cell.cycles, ipc=cell.ipc)
-            elif cell.status == FAILED:
-                journal.append("failed", cell=cell.index,
-                               fingerprint=cell.fingerprint,
-                               error=cell.error)
-        try:
-            legacy.rename(legacy.with_name(legacy.name + ".migrated"))
-        except OSError:
-            pass
-        return campaign
+        data = _read_meta(meta)
+        digest = data["digest"]
+        return cls(name=data["name"], digest=digest, path=path,
+                   env=DesignEnv.from_payload(data["env"]),
+                   cells=[Job(job_id(digest, cell["index"]),
+                              cell["fingerprint"], cell["job"],
+                              cell["index"], label=cell["label"])
+                          for cell in data["cells"]])
 
     def _write_meta(self) -> None:
         """Atomic one-time meta write (tmp + rename)."""
@@ -335,7 +247,9 @@ class Campaign:
             "digest": self.digest,
             "env": self.env.to_payload(),
             "written": time.time(),
-            "cells": [cell.to_record() for cell in self.cells],
+            "cells": [{"index": cell.index, "label": cell.label,
+                       "fingerprint": cell.fingerprint, "job": cell.job}
+                      for cell in self.cells],
         }
         fd, tmp = tempfile.mkstemp(dir=self.path, prefix=".tmp-meta-")
         try:
@@ -352,39 +266,8 @@ class Campaign:
     # ------------------------------------------------------------------ #
     # state
     # ------------------------------------------------------------------ #
-    def refresh(self) -> CampaignState:
-        """Re-fold snapshot + journal (+ any unpersisted records) and
-        update every cell's status/attempts/result fields."""
-        replay = replay_journal(self.path / JOURNAL_NAME)
-        records = list(replay.records)
-        if self.journal is not None and self.journal.unpersisted:
-            records.extend(self.journal.unpersisted)
-        state = fold_records(
-            records, base=load_snapshot(self.path, self.digest),
-            fingerprints={cell.index: cell.fingerprint
-                          for cell in self.cells})
-        self._journal_records = len(replay.records)
-        self.replay_corrupt = replay.corrupt_records
-        self.replay_torn = replay.torn_tail
-        now = time.time()
-        for cell in self.cells:
-            folded = state.cells[cell.index]
-            cell.status = folded.display_status(state.beats, now)
-            cell.attempts = folded.attempts
-            cell.cycles = folded.cycles
-            cell.ipc = folded.ipc
-            cell.error = folded.error
-        self._state = state
-        return state
-
-    def pending(self) -> list[CampaignCell]:
-        """Cells still owed a result (failed cells retry; exhausted and
-        done cells do not)."""
-        return [cell for cell in self.cells
-                if cell.status not in (DONE, EXHAUSTED)]
-
     def counts(self) -> dict[str, int]:
-        out = {PENDING: 0, "claimed": 0, DONE: 0, FAILED: 0, EXHAUSTED: 0}
+        out = {PENDING: 0, CLAIMED: 0, DONE: 0, FAILED: 0, EXHAUSTED: 0}
         for cell in self.cells:
             out[cell.status] = out.get(cell.status, 0) + 1
         return out
@@ -417,13 +300,10 @@ class Campaign:
         ``max_retries`` caps per-cell failures across invocations: a
         cell failing ``max_retries + 1`` times is journaled
         ``exhausted`` and never claimed again.  Within one invocation a
-        failed cell is not re-claimed (retry happens on resume, as the
-        manifest-era campaign did).
+        failed cell is not re-claimed (retry happens on resume).
         """
         worker_id = worker_id or default_worker_id()
-        journal = Journal(self.path / JOURNAL_NAME, worker=worker_id,
-                          faults=faults)
-        self.journal = journal
+        store = self._bind(worker_id, faults)
         started = time.monotonic()
         report = CampaignReport()
 
@@ -432,16 +312,14 @@ class Campaign:
                                   "t": time.monotonic() - started,
                                   "payload": payload})
 
-        state = self.refresh()
-        if self.replay_corrupt or self.replay_torn:
-            event("journal.damage", corrupt=self.replay_corrupt,
-                  torn_tail=self.replay_torn)
-        report.resumed = sum(1 for cell in state.cells.values()
-                             if cell.status == DONE)
-        exhausted_before = {index for index, cell in state.cells.items()
-                            if cell.status == EXHAUSTED}
+        if store.replay_corrupt or store.replay_torn:
+            event("journal.damage", corrupt=store.replay_corrupt,
+                  torn_tail=store.replay_torn)
+        report.resumed = sum(1 for cell in self.cells if cell.state == DONE)
+        exhausted_before = {cell.id for cell in self.cells
+                            if cell.state == EXHAUSTED}
         stall = faults is not None and faults.stall_heartbeats()
-        failed_this_run: set[int] = set()
+        failed_this_run: set[str] = set()
 
         # Deterministic per-worker lease jitter: spread expiry/heartbeat
         # clocks so N workers never stampede expired leases in lockstep.
@@ -453,62 +331,61 @@ class Campaign:
         # where the loop raises — a heartbeat must never outlive its run.
         heart = None
         if not stall:
-            heart = _Heartbeat(journal, interval=max(lease_ttl / 3.0, 0.2))
+            heart = _Heartbeat(store, interval=max(lease_ttl / 3.0, 0.2))
             heart.start()
         elif faults is not None:
             event("heartbeat.stalled", worker=worker_id)
 
         try:
             while True:
-                if self._note_exhausted(journal, state, max_retries, event):
-                    state = self.refresh()
-                now = time.time()
-                todo = claimable(state, now=now, worker=worker_id,
-                                 max_retries=max_retries,
-                                 exclude=failed_this_run)
+                self._note_exhausted(max_retries, event)
+                todo = store.claimable(worker=worker_id,
+                                       max_retries=max_retries,
+                                       exclude=failed_this_run)
                 if not todo:
                     break
                 if shard:
                     todo = todo[:max(claim_chunk or workers, 1)]
-                for index in todo:
-                    if state.cells[index].claims:
+                for cell in todo:
+                    if cell.claims:
                         report.leases_reclaimed += 1
-                        event("lease.expired", cell=index,
-                              holder=state.cells[index].claims[0]
-                              .get("worker"))
-                claimed = self._claim(journal, todo, worker_id, lease_ttl,
-                                      report, event)
+                        event("lease.expired", cell=cell.index,
+                              holder=cell.claims[0].get("worker"))
+                claimed, lost = store.claim(todo, lease_ttl)
+                for cell, holder in lost:
+                    report.lease_conflicts += 1
+                    event("lease.conflict", cell=cell.index, winner=holder)
+                for cell in claimed:
+                    event("lease.claim", cell=cell.index, ttl=lease_ttl)
                 if not claimed:
-                    state = self.refresh()
                     continue
 
-                jobs = [SimJob.from_payload(self.cells[index].job)
-                        for index in claimed]
-
                 def on_outcome(outcome, _cells=claimed):
-                    index = _cells[outcome.index]
-                    cell = self.cells[index]
+                    cell = _cells[outcome.index]
                     if outcome.result is not None:
-                        journal.append("done", cell=index,
-                                       fingerprint=cell.fingerprint,
-                                       cycles=outcome.result.cycles,
-                                       ipc=outcome.result.ipc)
-                        event("cell.done", cell=index, status=outcome.status)
+                        store.append("done", id=cell.id,
+                                     fingerprint=cell.fingerprint,
+                                     cycles=outcome.result.cycles,
+                                     ipc=outcome.result.ipc)
+                        event("cell.done", cell=cell.index,
+                              status=outcome.status)
                     elif outcome.status == "skipped":
-                        journal.append("release", cell=index)
-                        event("lease.released", cell=index)
+                        store.append("release", id=cell.id)
+                        event("lease.released", cell=cell.index)
                     else:
                         error = outcome.error or outcome.status
-                        journal.append(
-                            "failed", cell=index,
+                        store.append(
+                            "failed", id=cell.id,
                             fingerprint=cell.fingerprint,
                             error=(error.splitlines()[0][:200] if error
                                    else None))
-                        event("cell.failed", cell=index,
+                        event("cell.failed", cell=cell.index,
                               status=outcome.status)
 
                 offset = time.monotonic() - started
-                batch = run_batch(jobs, workers=workers, cache=cache,
+                batch = run_batch([SimJob.from_payload(cell.job)
+                                   for cell in claimed],
+                                  workers=workers, cache=cache,
                                   retries=retries, timeout=timeout,
                                   fail_fast=fail_fast, faults=faults,
                                   sanitize=sanitize, checkpoints=checkpoints,
@@ -519,209 +396,84 @@ class Campaign:
                 for outcome in batch.outcomes:
                     if outcome.result is None \
                             and outcome.status != "skipped":
-                        failed_this_run.add(claimed[outcome.index])
-                state = self.refresh()
-                if self._journal_records >= compact_every:
-                    self.compact(event=event)
-                    state = self.refresh()
+                        failed_this_run.add(claimed[outcome.index].id)
+                store.refresh()
+                records = store.journal_records
+                if records >= compact_every and store.compact():
+                    event("journal.compact", records=records)
                 if fail_fast and failed_this_run:
                     break
         finally:
             if heart is not None:
                 heart.stop()
 
-        if self._note_exhausted(journal, state, max_retries, event):
-            pass
-        state = self.refresh()
-        if journal.append_errors:
+        self._note_exhausted(max_retries, event)
+        store.refresh()
+        snapshot = store.close()
+        if snapshot is not None:
             # Degraded durability: the journal lost records (disk full,
-            # injected fail-append) — persist the folded state as a
-            # snapshot so the next invocation still resumes correctly.
-            ok = write_snapshot(self.path, self.digest,
-                                self._snapshot_payload(state))
-            event("campaign.snapshot_fallback", ok=ok,
-                  lost_appends=journal.append_errors)
-        newly = {index for index, cell in state.cells.items()
-                 if cell.status == EXHAUSTED} - exhausted_before
-        report.exhausted = sum(1 for cell in state.cells.values()
-                               if cell.status == EXHAUSTED)
-        report.failed = len(failed_this_run - newly)
-        report.duplicate_done = state.duplicate_done
-        report.journal_appends = journal.appends
-        report.journal_append_errors = journal.append_errors
+            # injected fail-append); the store persisted its folded state
+            # as a snapshot so the next invocation still resumes.
+            event("campaign.snapshot_fallback", ok=snapshot,
+                  lost_appends=store.journal.append_errors)
+        exhausted = {cell.id for cell in self.cells
+                     if cell.state == EXHAUSTED}
+        report.exhausted = len(exhausted)
+        report.failed = len(failed_this_run - (exhausted - exhausted_before))
+        report.duplicate_done = store.duplicate_done
+        report.journal_appends = store.journal.appends
+        report.journal_append_errors = store.journal.append_errors
         return report
 
-    # ------------------------------------------------------------------ #
-    def _claim(self, journal: Journal, indices: list[int], worker: str,
-               ttl: float, report: CampaignReport,
-               event) -> list[int]:
-        """Lease ``indices``; return the subset this worker won.
-
-        Claim-then-arbitrate: append a claim per cell, re-read the
-        journal, keep the cells where our claim is first in file order
-        among live ones, and release the rest.  With a degraded journal
-        (appends failing) arbitration is impossible — claim locally and
-        proceed, trading lease safety for completion (double execution
-        stays safe: results are deterministic and dedup'd by
-        fingerprint).
-        """
-        nonces: dict[int, str] = {}
-        persisted: dict[int, bool] = {}
-        for index in indices:
-            self._nonce += 1
-            nonce = f"{worker}#{self._nonce}"
-            nonces[index] = nonce
-            _, ok = journal.append("claim", cell=index,
-                                   fingerprint=self.cells[index].fingerprint,
-                                   nonce=nonce, ttl=ttl)
-            persisted[index] = ok
-        state = self.refresh()
-        now = time.time()
-        won: list[int] = []
-        for index in indices:
-            if not persisted[index]:
-                won.append(index)
-                continue
-            winner = claim_winner(state.cells[index], state.beats, now)
-            if winner is not None and winner.get("nonce") == nonces[index]:
-                won.append(index)
-                event("lease.claim", cell=index, ttl=ttl)
-            else:
-                journal.append("release", cell=index, nonce=nonces[index])
-                report.lease_conflicts += 1
-                event("lease.conflict", cell=index,
-                      winner=(winner or {}).get("worker"))
-        return won
-
-    def _note_exhausted(self, journal: Journal, state: CampaignState,
-                        max_retries: int | None, event) -> int:
-        """Journal cells whose retry budget ran out; return how many."""
-        exhausted = newly_exhausted(state, max_retries)
-        for index in exhausted:
-            journal.append("exhausted", cell=index,
-                           fingerprint=self.cells[index].fingerprint,
-                           attempts=state.cells[index].attempts)
-            event("cell.exhausted", cell=index,
-                  attempts=state.cells[index].attempts)
-        return len(exhausted)
-
-    # ------------------------------------------------------------------ #
-    # compaction
-    # ------------------------------------------------------------------ #
-    def _snapshot_payload(self, state: CampaignState) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for index, cell in state.cells.items():
-            if cell.status == PENDING and cell.attempts == 0:
-                continue
-            entry: dict[str, Any] = {"status": cell.status}
-            if cell.status == DONE:
-                entry.update(cycles=cell.cycles, ipc=cell.ipc)
-            else:
-                entry.update(attempts=cell.attempts, error=cell.error)
-            out[index] = entry
-        return out
-
-    def compact(self, *, force: bool = False, event=None) -> bool:
-        """Fold the journal into ``snapshot.json`` and truncate it.
-
-        Safe only when nobody holds a live lease (claims are ephemeral
-        and not snapshotted), so the check is a precondition and a
-        ``compact.lock`` (O_EXCL, stale-broken) serializes concurrent
-        compactors.  A record appended between the locked re-read and
-        the truncation can only come from a lease-expired worker; losing
-        it costs an idempotent re-execution, never a wrong state.
-        Returns True when a compaction actually happened.
-        """
-        state = self.refresh()
-        now = time.time()
-        if not force:
-            for cell in state.cells.values():
-                if claim_winner(cell, state.beats, now) is not None:
-                    return False
-        if not self._take_compact_lock():
-            return False
-        try:
-            state = self.refresh()
-            records = self._journal_records
-            if not write_snapshot(self.path, self.digest,
-                                  self._snapshot_payload(state)):
-                return False
-            fd, tmp = tempfile.mkstemp(dir=self.path, prefix=".tmp-jnl-")
-            os.close(fd)
-            os.replace(tmp, self.path / JOURNAL_NAME)
-        except OSError:
-            return False
-        finally:
-            try:
-                os.unlink(self.path / _COMPACT_LOCK)
-            except OSError:
-                pass
-        if event is not None:
-            event("journal.compact", records=records,
-                  cells=len(self._snapshot_payload(state)))
-        return True
-
-    def _take_compact_lock(self) -> bool:
-        lock = self.path / _COMPACT_LOCK
-        for attempt in range(2):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, f"{default_worker_id()} {time.time()}\n"
-                         .encode())
-                os.close(fd)
-                return True
-            except FileExistsError:
-                try:
-                    stale = (time.time() - lock.stat().st_mtime
-                             > _LOCK_STALE_SECONDS)
-                except OSError:
-                    continue   # holder just released; retry once
-                if not stale:
-                    return False
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    return False
-            except OSError:
-                return False
-        return False
+    def _note_exhausted(self, max_retries: int | None, event) -> None:
+        """Journal failed cells whose retry budget ran out."""
+        if max_retries is None:
+            return
+        for cell in self.cells:
+            if cell.state == FAILED and cell.attempts > max_retries:
+                self.store.append("exhausted", id=cell.id,
+                                  fingerprint=cell.fingerprint,
+                                  attempts=cell.attempts)
+                event("cell.exhausted", cell=cell.index,
+                      attempts=cell.attempts)
 
 
 # --------------------------------------------------------------------------- #
 # store-file helpers
 # --------------------------------------------------------------------------- #
 
-def _sweep_strays(path: Path) -> int:
+def _sweep_strays(path: Path) -> None:
     """Remove ``.tmp-*`` strays a killed process left behind."""
-    removed = 0
     if not path.is_dir():
-        return removed
+        return
     for stray in path.glob(".tmp-*"):
         try:
             stray.unlink()
-            removed += 1
         except OSError:
             pass
-    return removed
 
 
-def _read_store_file(path: Path, *, expect_format: int) -> dict:
-    """Parse a meta/manifest file; quarantine-and-raise when unusable."""
+def _quarantine(path: Path) -> None:
+    try:
+        path.rename(path.with_name(path.name + ".corrupt"))
+    except OSError:
+        pass
+
+
+def _read_meta(path: Path) -> dict:
+    """Parse the meta file; quarantine-and-raise when unusable."""
     try:
         data = json.loads(path.read_text())
-        if data.get("format") != expect_format:
+        if data.get("format") != _META_FORMAT:
             raise ValueError(f"format {data.get('format')!r}, "
-                             f"expected {expect_format}")
+                             f"expected {_META_FORMAT}")
         if not isinstance(data.get("cells"), list):
             raise ValueError("no cell list")
         return data
     except OSError as error:
         raise CampaignError(f"unreadable campaign store file {path}: "
                             f"{error}") from None
-    except (ValueError, KeyError, TypeError) as error:
-        try:
-            path.rename(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        _quarantine(path)
         raise CampaignError(f"corrupt campaign store file {path} "
                             f"(quarantined as .corrupt): {error}") from None

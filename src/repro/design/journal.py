@@ -1,18 +1,16 @@
-"""Append-only, checksummed JSONL write-ahead journal for campaigns.
+"""Append-only, checksummed JSONL write-ahead journal for job stores.
 
-The durable half of a campaign directory.  The *meta* file
-(``meta.json``) records what the campaign **is** — design digest,
-environment, one static entry per cell — and is written exactly once;
-everything that **happens** (a worker claiming a cell, heartbeating its
-leases, finishing or failing a cell, a cell exhausting its retry budget)
-is appended here as one self-checksummed JSON line.  Nothing is ever
-rewritten in place, so a crash at any byte can at worst tear the final
-record — and replay is torn-tail tolerant by construction.
+The durable history of a :class:`~repro.design.store.JobStore`, shared
+by campaigns and the ``repro-serve`` daemon.  Everything that
+**happens** to a job (submitted, claimed by a worker, finished, failed,
+crashed, exhausted) is appended here as one self-checksummed JSON line.
+Nothing is ever rewritten in place, so a crash at any byte can at worst
+tear the final record, and replay is torn-tail tolerant by construction.
 
 Record format (one per line)::
 
-    {"type": "done", "cell": 3, "fingerprint": "ab..", "worker": "h-42",
-     "t": 1754650000.1, ..., "crc": "9f2c4e..."}
+    {"type": "done", "id": "ab12..:3", "fingerprint": "ab..",
+     "worker": "h-42", "t": 1754650000.1, ..., "crc": "9f2c4e..."}
 
 ``crc`` is the first 16 hex chars of sha256 over the canonical JSON of
 the record *without* the crc key.  :func:`replay_journal` drops any line
@@ -25,18 +23,15 @@ tested in ``tests/test_journal.py``).
 Appends are a single ``write()`` on an ``O_APPEND`` descriptor opened
 per call, so concurrent workers sharing one journal file (one host or
 several sharing a filesystem) interleave whole records, never bytes —
-file order is the total order lease arbitration relies on
-(:mod:`repro.design.leases`).  An append that fails with ``OSError``
-(disk full, read-only store, or an injected ``fail-append`` fault)
-degrades gracefully: warn once, count it, keep the record in memory so
-the campaign can fall back to a snapshot on exit instead of aborting.
+file order is the total order lease arbitration relies on.  An append
+that fails with ``OSError`` (disk full, read-only store, or an injected
+``fail-append`` fault) degrades gracefully: warn once, count it, keep
+the record in memory so the store can fall back to a snapshot when it
+stops instead of aborting.
 
-The *snapshot* (``snapshot.json``) is the compaction target: terminal
-per-cell states folded up to some journal prefix, written atomically.
-Replay is always ``fold(snapshot) + fold(journal)``; compaction writes
-the snapshot and truncates the journal in that order, so a crash between
-the two steps merely replays records the snapshot already covers — the
-fold is idempotent for terminal records.
+The *snapshot* (``snapshot.json``) is written atomically and bound to
+its store by a key; what it holds is the store's business
+(:mod:`repro.design.store`).
 """
 
 from __future__ import annotations
@@ -55,12 +50,13 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..harness.faults import FaultPlan
 
-#: File names inside a campaign directory.
+#: File names inside a store directory.
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
 
-#: On-disk snapshot format version.
-SNAPSHOT_FORMAT = 1
+#: On-disk snapshot format version (format 1 held a campaign's terminal
+#: cell states and no covered prefix).
+SNAPSHOT_FORMAT = 2
 
 #: Hex chars of sha256 kept as the per-record checksum.
 _CRC_HEX = 16
@@ -131,14 +127,13 @@ def replay_journal(path: str | Path) -> JournalReplay:
 
 
 class Journal:
-    """One worker's append handle on a campaign journal.
+    """One worker's append handle on a store journal.
 
     ``worker`` stamps every record (lease arbitration and heartbeats key
     on it); ``faults`` optionally wires the campaign-grade injected
     failures (``fail-append``, ``torn-tail``, ``corrupt-journal``,
     ``kill-worker`` — see :mod:`repro.harness.faults`), addressed by this
-    process's append ordinal.  Thread-safe: the campaign's heartbeat
-    thread and its outcome callback append concurrently.
+    process's append ordinal.  Thread-safe.
     """
 
     def __init__(self, path: str | Path, *, worker: str = "-",
@@ -148,7 +143,7 @@ class Journal:
         self.faults = faults
         self.appends = 0
         self.append_errors = 0
-        #: Records that failed to persist (kept so the campaign can fold
+        #: Records that failed to persist (kept so the store can fold
         #: them into its in-memory state and snapshot them on exit).
         self.unpersisted: list[dict] = []
         self._warned = False
@@ -188,7 +183,7 @@ class Journal:
                 if not self._warned:
                     self._warned = True
                     warnings.warn(
-                        f"campaign journal {self.path} is not appendable "
+                        f"journal {self.path} is not appendable "
                         f"({type_name(error)}: {error}); continuing with "
                         f"in-memory state and snapshot-on-exit durability",
                         RuntimeWarning, stacklevel=2)
@@ -197,10 +192,6 @@ class Journal:
         if self.faults is not None:
             self._post_append_faults(ordinal, len(line))
         return record, True
-
-    def heartbeat(self) -> None:
-        """Refresh this worker's leases (liveness rides every record)."""
-        self.append("heartbeat")
 
     # ------------------------------------------------------------------ #
     def _post_append_faults(self, ordinal: int, line_len: int) -> None:
@@ -239,24 +230,20 @@ def type_name(error: BaseException) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# snapshots (the compaction target)
+# snapshots
 # --------------------------------------------------------------------------- #
 
-def write_snapshot(directory: str | Path, digest: str,
-                   cells: dict[int, dict]) -> bool:
-    """Atomically persist folded terminal cell states; True on success.
+def write_snapshot(directory: str | Path, key: str,
+                   state: dict[str, Any]) -> bool:
+    """Atomically persist a store's folded ``state``; True on success.
 
-    ``cells`` maps cell index to a plain state dict (status, attempts,
-    cycles, ipc, error).  Like every store in this repo, an unwritable
-    snapshot degrades (returns False) rather than raising.
+    ``state`` is any JSON-able dict, bound to its store by ``key``.
+    Like every store in this repo, an unwritable snapshot degrades
+    (returns False) rather than raising.
     """
     directory = Path(directory)
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "digest": digest,
-        "written": time.time(),
-        "cells": {str(index): state for index, state in cells.items()},
-    }
+    payload = {"format": SNAPSHOT_FORMAT, "key": key,
+               "written": time.time(), "state": state}
     tmp_name = None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -274,14 +261,12 @@ def write_snapshot(directory: str | Path, digest: str,
     return True
 
 
-def load_snapshot(directory: str | Path, digest: str) -> dict[int, dict]:
-    """The snapshot's cell states, or empty when absent/corrupt/foreign.
+def load_snapshot(directory: str | Path, key: str) -> dict[str, Any]:
+    """The snapshot's state, or empty when absent, corrupt or foreign.
 
-    A snapshot that does not decode — or that records a different design
-    digest — is quarantined to ``snapshot.json.corrupt`` (mirroring the
-    result cache) and ignored: compaction already replayed its records
-    from the journal once, so losing a snapshot costs re-simulated
-    cells, never a wrong state.
+    A snapshot that does not decode, is of another format, or is bound
+    to a different key is quarantined to ``snapshot.json.corrupt``
+    (mirroring the result cache) and ignored.
     """
     path = Path(directory) / SNAPSHOT_NAME
     try:
@@ -292,10 +277,11 @@ def load_snapshot(directory: str | Path, digest: str) -> dict[int, dict]:
         payload = json.loads(raw)
         if payload.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("unknown snapshot format")
-        if payload.get("digest") != digest:
-            raise ValueError("snapshot from a different campaign")
-        cells = {int(index): dict(state)
-                 for index, state in payload["cells"].items()}
+        if payload.get("key") != key:
+            raise ValueError("snapshot from a different store")
+        state = payload["state"]
+        if not isinstance(state, dict):
+            raise ValueError("snapshot state is not an object")
     except (ValueError, KeyError, TypeError, AttributeError):
         try:
             path.rename(path.with_name(path.name + ".corrupt"))
@@ -305,4 +291,4 @@ def load_snapshot(directory: str | Path, digest: str) -> dict[int, dict]:
             except OSError:
                 pass
         return {}
-    return cells
+    return state

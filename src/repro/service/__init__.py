@@ -33,7 +33,7 @@ from .cluster import (DEFAULT_GOSSIP_INTERVAL, DEFAULT_PEER_TTL, PEER_DEAD,
                       PEER_SUSPECT, PEER_UNKNOWN, PEER_UP, ClusterManager,
                       PeerState, parse_address, rendezvous_owner)
 from .daemon import (DEFAULT_DRAIN_GRACE, DEFAULT_STATE_DIR, SOCKET_NAME,
-                     JobRecord, JobTable, SchedulerDaemon)
+                     SchedulerDaemon)
 from .protocol import (DONE, FAILED, MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        QUARANTINED, QUEUED, RUNNING, SHED, STATES, TERMINAL,
                        ProtocolError, decode_frame, encode_frame,
@@ -48,7 +48,7 @@ __all__ = [
     "PEER_UNKNOWN", "PEER_UP", "PROTOCOL_VERSION", "QUARANTINED", "QUEUED",
     "RUNNING", "SHED", "SOCKET_NAME", "STATES", "TERMINAL", "AuditReport",
     "CircuitBreaker", "ClusterManager", "FairShareQueue",
-    "JobAudit", "JobRecord", "JobTable", "PeerState", "ProtocolError",
+    "JobAudit", "PeerState", "ProtocolError",
     "SchedulerDaemon", "ServiceClient", "ServiceError",
     "TokenBucket", "audit_state_dirs", "decode_frame", "encode_frame",
     "error_response", "job_id", "parse_address", "rendezvous_owner",

@@ -25,7 +25,7 @@ sleep only happens after a full fruitless rotation.  Job ids being
 idempotency keys makes this failover transparent — whichever daemon
 answers either owns the job, forwards it, or reports the known state.
 Reconnect backoff carries a deterministic per-client jitter
-(:func:`repro.design.campaign.worker_ttl_jitter` over a host+pid key,
+(:func:`repro.design.store.worker_ttl_jitter` over a host+pid key,
 mirroring the campaign lease-TTL jitter) so a fleet of clients stampeding
 after a daemon restart decorrelates without losing reproducibility.
 """
@@ -40,9 +40,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..design.campaign import worker_ttl_jitter
 from ..design.env import DesignEnv
 from ..design.files import load_design
+from ..design.store import worker_ttl_jitter
 from ..harness.engine import Backoff
 from ..harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                   EXIT_SHED)

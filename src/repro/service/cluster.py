@@ -8,8 +8,8 @@ machinery that already exists elsewhere in the tree:
 
 **Membership.**  Every ``gossip_interval`` seconds each daemon probes
 every peer with a gossip frame; the response synchronises both
-directions in one exchange.  Peer liveness is the campaign lease rule
-verbatim (:func:`repro.design.leases.lease_alive`): a peer whose newest
+directions in one exchange.  Peer liveness is the job store's lease rule
+verbatim (:func:`repro.design.store.lease_alive`): a peer whose newest
 contact is older than its TTL is *suspected*, older than twice its TTL
 is *dead*.  TTLs are deterministically jittered per (observer, peer)
 pair — the same sha256 trick as campaign worker leases — so N observers
@@ -41,7 +41,7 @@ gossip too, so one daemon's circuit breaker protects every worker in
 the fleet.
 
 Chaos coverage is the fleet topology of the one drill harness,
-:func:`repro.design.chaos.run_cluster_chaos` (``make
+:func:`repro.service.chaos.run_cluster_chaos` (``make
 cluster-chaos-smoke``; docs/ROBUSTNESS.md, "Chaos drills"): a daemon
 SIGKILL plus an injected ``partition:A|B:CYCLES`` fault, judged by the
 shared verdict over every journal (:mod:`repro.service.audit`).
@@ -54,8 +54,8 @@ import hashlib
 import time
 from typing import TYPE_CHECKING, Any
 
-from ..design.campaign import TTL_JITTER_FRAC, worker_ttl_jitter
-from ..design.leases import lease_alive
+from ..design.journal import replay_journal
+from ..design.store import TTL_JITTER_FRAC, lease_alive, worker_ttl_jitter
 from ..harness.faults import FaultPlan
 from .protocol import (MAX_FRAME_BYTES, TERMINAL, ProtocolError, decode_frame,
                        encode_frame, error_response)
@@ -522,11 +522,13 @@ class ClusterManager:
     # ------------------------------------------------------------------ #
     # recovery / status
     # ------------------------------------------------------------------ #
-    def recover(self, records: list[dict[str, Any]]) -> int:
-        """Rebuild the replicated-job table from journal replay."""
+    def recover(self) -> int:
+        """Rebuild the replicated-job table from the daemon's journal:
+        its ``cluster-job`` / ``cluster-terminal`` records, which the
+        job store's fold skips."""
         now = time.monotonic()
         restored = 0
-        for record in records:
+        for record in replay_journal(self.daemon.table.journal.path).records:
             kind = record.get("type")
             if kind == "cluster-job":
                 job_id = record.get("id")

@@ -4,14 +4,14 @@ An asyncio server speaking the NDJSON protocol
 (:mod:`repro.service.protocol`) over a unix socket (default) or TCP.
 The daemon owns:
 
-* a **durable submission queue** — every accepted job is a ``submit``
-  record in a write-ahead journal (:mod:`repro.design.journal`) before
-  the client hears "queued"; terminal states (``done`` / ``failed`` /
-  ``quarantined``) and worker crashes (``crash``) are journaled the
-  same way, so a SIGKILL at any byte loses nothing: the next
-  incarnation re-folds the journal and re-queues whatever lacks a
-  terminal record (re-dispatch hits the result cache, so recovery is
-  idempotent *and* cheap);
+* a **durable submission queue** — a :class:`~repro.design.store.JobStore`
+  on the state directory: every accepted job is a ``submit`` record in
+  its write-ahead journal before the client hears "queued"; terminal
+  states (``done`` / ``failed`` / ``quarantined``) and worker crashes
+  (``crash``) are journaled the same way, so a SIGKILL at any byte
+  loses nothing: the next incarnation re-folds the journal and
+  re-queues whatever lacks a terminal record (re-dispatch hits the
+  result cache, so recovery is idempotent *and* cheap);
 * **admission control** (:mod:`repro.service.admission`) — circuit
   breaker, per-tenant token buckets, bounded fair-share queue; refusals
   are explicit shed responses, never silent drops;
@@ -22,9 +22,9 @@ The daemon owns:
   so a poison job is quarantined after ``breaker_threshold`` kills
   instead of stalling the queue;
 * **graceful drain** — SIGTERM (or a ``drain`` request) stops
-  admission, lets in-flight jobs finish (bounded by ``drain_grace``),
-  folds the journal into a snapshot and exits 0.  Queued jobs stay
-  journaled for the next incarnation;
+  admission, lets in-flight jobs finish (bounded by ``drain_grace``)
+  and exits 0.  Queued jobs stay journaled for the next incarnation;
+  a snapshot is written only if journal appends were lost;
 * optionally a **cluster membership** (:mod:`repro.service.cluster`,
   ``--cluster``/``--advertise``) — gossip heartbeats to every peer,
   lease-based handoff of a dead peer's jobs, rendezvous-hash submit
@@ -51,8 +51,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..design.journal import Journal, load_snapshot, replay_journal, \
-    write_snapshot
+from ..design.journal import JOURNAL_NAME, Journal
+from ..design.store import PENDING, Job, JobStore
 from ..harness.cache import ResultCache
 from ..harness.engine import DEFAULT_RETRIES, Attempt
 from ..harness.exit_codes import EXIT_OK, EXIT_PARTIAL
@@ -78,164 +78,11 @@ DEFAULT_STATE_DIR = ".repro-serve"
 SOCKET_NAME = "serve.sock"
 
 #: Journal and event-stream file names inside the state directory.
-QUEUE_JOURNAL = "journal.jsonl"
+QUEUE_JOURNAL = JOURNAL_NAME
 EVENTS_JOURNAL = "events.jsonl"
-
-#: The queue snapshot's digest key (there is no design digest to bind;
-#: this guards against pointing --state-dir at a campaign store).
-QUEUE_DIGEST = "repro-service-queue"
 
 #: Default seconds a drain waits for in-flight jobs before exiting.
 DEFAULT_DRAIN_GRACE = 30.0
-
-#: Seconds a drain keeps serving open client connections once no job is
-#: in flight, so a client mid-conversation hears "draining" (and can fail
-#: over) instead of a refused connection.
-DRAIN_LINGER = 1.0
-
-
-class JobRecord:
-    """One accepted job's folded state (journal + in-memory overlay)."""
-
-    __slots__ = ("id", "tenant", "fingerprint", "ordinal", "job", "state",
-                 "crashes", "retries", "error", "cycles", "ipc", "running")
-
-    def __init__(self, id: str, tenant: str, fingerprint: str, ordinal: int,
-                 job: dict[str, Any]) -> None:
-        self.id = id
-        self.tenant = tenant
-        self.fingerprint = fingerprint
-        self.ordinal = ordinal
-        self.job = job
-        self.state = QUEUED
-        self.crashes = 0     # journaled worker deaths/wedges (durable)
-        self.retries = 0     # in-band transient retries (this incarnation)
-        self.error: str | None = None
-        self.cycles: int | None = None
-        self.ipc: float | None = None
-        self.running = False   # in-flight right now (never journaled)
-
-    def public_state(self) -> str:
-        if self.state == QUEUED and self.running:
-            return RUNNING
-        return self.state
-
-    def to_snapshot(self) -> dict[str, Any]:
-        return {"id": self.id, "tenant": self.tenant,
-                "fingerprint": self.fingerprint, "job": self.job,
-                "status": self.state, "crashes": self.crashes,
-                "error": self.error, "cycles": self.cycles, "ipc": self.ipc}
-
-    @classmethod
-    def from_snapshot(cls, ordinal: int, data: dict[str, Any]) -> "JobRecord":
-        record = cls(data["id"], data.get("tenant", "-"),
-                     data["fingerprint"], ordinal, data.get("job") or {})
-        record.state = data.get("status", QUEUED)
-        record.crashes = int(data.get("crashes") or 0)
-        record.error = data.get("error")
-        record.cycles = data.get("cycles")
-        record.ipc = data.get("ipc")
-        return record
-
-
-class JobTable:
-    """The durable queue state: fold(snapshot) + fold(journal).
-
-    The same recovery shape as a campaign store, with jobs instead of
-    cells: ``submit`` introduces a job; ``done`` / ``failed`` /
-    ``quarantined`` are idempotent terminal folds; ``crash`` counts
-    attribution for the circuit breaker.  Unknown record types are
-    ignored (forward compatibility), corrupt records and torn tails are
-    dropped by journal replay exactly as campaigns drop them.
-    """
-
-    def __init__(self, state_dir: Path, worker_id: str,
-                 faults: FaultPlan | None = None) -> None:
-        self.state_dir = state_dir
-        self.jobs: dict[str, JobRecord] = {}
-        self.order: list[str] = []          # submission (= ordinal) order
-        self.next_ordinal = 0
-        self.replay_corrupt = 0
-        self.replay_torn = False
-        #: Replayed cluster-replication records (for ClusterManager
-        #: recovery); empty on a non-clustered daemon's journal.
-        self.cluster_records: list[dict[str, Any]] = []
-        self.journal = Journal(state_dir / QUEUE_JOURNAL, worker=worker_id,
-                               faults=faults)
-
-    # -- folding ------------------------------------------------------- #
-    def load(self) -> None:
-        for ordinal, data in sorted(
-                load_snapshot(self.state_dir, QUEUE_DIGEST).items()):
-            record = JobRecord.from_snapshot(ordinal, data)
-            self.jobs[record.id] = record
-            self.order.append(record.id)
-            self.next_ordinal = max(self.next_ordinal, ordinal + 1)
-        replay = replay_journal(self.state_dir / QUEUE_JOURNAL)
-        self.replay_corrupt = replay.corrupt_records
-        self.replay_torn = replay.torn_tail
-        for record in replay.records:
-            self.fold(record)
-            if record.get("type") in ("cluster-job", "cluster-terminal"):
-                self.cluster_records.append(record)
-
-    def fold(self, record: dict[str, Any]) -> None:
-        kind = record.get("type")
-        job_id = record.get("id")
-        if kind == "submit":
-            if job_id in self.jobs:
-                return   # replayed duplicate (idempotent)
-            ordinal = int(record.get("ordinal") or 0)
-            job = JobRecord(job_id, record.get("tenant", "-"),
-                            record.get("fingerprint", ""), ordinal,
-                            record.get("job") or {})
-            self.jobs[job_id] = job
-            self.order.append(job_id)
-            self.next_ordinal = max(self.next_ordinal, ordinal + 1)
-            return
-        job = self.jobs.get(job_id)
-        if job is None:
-            return   # terminal for a submit we never saw (foreign/corrupt)
-        if kind == "crash":
-            job.crashes += 1
-        elif kind in ("done", "failed", "quarantined") \
-                and job.state not in TERMINAL:
-            job.state = {"done": DONE, "failed": FAILED,
-                         "quarantined": QUARANTINED}[kind]
-            job.error = record.get("error")
-            job.cycles = record.get("cycles")
-            job.ipc = record.get("ipc")
-        elif kind == "peer-terminal" and job.state not in TERMINAL \
-                and record.get("state") in TERMINAL:
-            # A cluster peer executed this job for us (handoff/rejoin):
-            # terminal for scheduling, but distinct in the journal so
-            # the offline audit never counts it as a local execution.
-            job.state = record["state"]
-            job.error = record.get("error")
-            job.cycles = record.get("cycles")
-            job.ipc = record.get("ipc")
-
-    # -- appends (journal + fold in one step) -------------------------- #
-    def append(self, kind: str, **payload: Any) -> None:
-        record, _ = self.journal.append(kind, **payload)
-        self.fold(record)
-
-    def pending(self) -> list[JobRecord]:
-        """Accepted jobs without a terminal state, in submission order."""
-        return [self.jobs[job_id] for job_id in self.order
-                if self.jobs[job_id].state not in TERMINAL]
-
-    def counts(self) -> dict[str, int]:
-        out = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, QUARANTINED: 0}
-        for job in self.jobs.values():
-            out[job.public_state()] += 1
-        return out
-
-    def snapshot(self) -> bool:
-        return write_snapshot(
-            self.state_dir, QUEUE_DIGEST,
-            {self.jobs[job_id].ordinal: self.jobs[job_id].to_snapshot()
-             for job_id in self.order})
 
 
 class SchedulerDaemon:
@@ -278,7 +125,11 @@ class SchedulerDaemon:
         self.log = log if log is not None else sys.stderr
 
         self.worker_id = f"serve-{int(time.time())}"
-        self.table = JobTable(self.state_dir, self.worker_id)
+        #: The durable queue.  The in-flight set and the in-band retry
+        #: counts are this incarnation's own, never journaled.
+        self.table = JobStore(self.state_dir, worker=self.worker_id)
+        self._running: set[str] = set()
+        self._retries: dict[str, int] = {}
         self.queue = FairShareQueue(depth=queue_depth)
         self.buckets: dict[str, TokenBucket] = {}
         self.rate, self.burst = rate, burst
@@ -303,7 +154,6 @@ class SchedulerDaemon:
         self._drained = asyncio.Event()
         self._watchers: list[tuple[set[str], asyncio.Queue]] = []
         self._inflight = 0
-        self._connections = 0
         self._server: asyncio.AbstractServer | None = None
 
         self.cluster: ClusterManager | None = None
@@ -337,17 +187,17 @@ class SchedulerDaemon:
     def recover(self) -> int:
         """Fold snapshot + journal; re-queue every non-terminal job."""
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.table.load()
+        self.table.refresh()
         if self.table.replay_corrupt or self.table.replay_torn:
             self.event("journal.damage", corrupt=self.table.replay_corrupt,
                        torn_tail=self.table.replay_torn)
-        for job in self.jobs_by_fingerprint_crashes():
+        for job in self.table.jobs.values():
             # Rebuild breaker state from journaled crash attribution so
             # a poison job cannot reset its count by killing the daemon.
             for _ in range(job.crashes):
                 self.breaker.record_crash(job.fingerprint)
         requeued = 0
-        for job in self.table.pending():
+        for job in self._pending():
             verdict = self.breaker.admit(job.fingerprint)
             if verdict == ADMIT_REFUSE:
                 self.table.append("quarantined", id=job.id,
@@ -364,13 +214,20 @@ class SchedulerDaemon:
             self.queue.push(job.tenant, job.id, force=True)
             requeued += 1
         if self.cluster is not None:
-            restored = self.cluster.recover(self.table.cluster_records)
+            restored = self.cluster.recover()
             if restored:
                 self.event("cluster.recover", remote_jobs=restored)
         return requeued
 
-    def jobs_by_fingerprint_crashes(self) -> list[JobRecord]:
-        return [job for job in self.table.jobs.values() if job.crashes]
+    def _pending(self) -> list[Job]:
+        """Accepted jobs without a terminal state, in submission order."""
+        return [job for job in self.table.ordered()
+                if job.state not in TERMINAL]
+
+    def _public_state(self, job: Job) -> str:
+        if job.state == PENDING:
+            return RUNNING if job.id in self._running else QUEUED
+        return job.state
 
     # ------------------------------------------------------------------ #
     # the server
@@ -434,14 +291,16 @@ class SchedulerDaemon:
         await self._server.wait_closed()
         self.pool.close()
         self._executor.shutdown(wait=False)
-        ok = self.table.snapshot()
-        self.event("daemon.stop", snapshot=ok,
-                   pending=len(self.table.pending()))
+        snapshot = self.table.close()
+        pending = len(self._pending())
+        self.event("daemon.stop", snapshot=snapshot, pending=pending)
         if self.trace_path is not None:
             self._write_trace()
-        self._log(f"drained: snapshot={'ok' if ok else 'FAILED'}, "
-                  f"{len(self.table.pending())} job(s) left for the next "
-                  f"incarnation")
+        lost = ("" if snapshot is None else
+                f" (journal appends lost: snapshot "
+                f"{'ok' if snapshot else 'FAILED'})")
+        self._log(f"drained: {pending} job(s) left for the next "
+                  f"incarnation{lost}")
         return EXIT_OK
 
     def _write_trace(self) -> None:
@@ -454,18 +313,15 @@ class SchedulerDaemon:
             self._log(f"trace write failed: {error}")
 
     async def drain(self, reason: str) -> None:
-        """Stop admitting, let in-flight work finish, snapshot, stop."""
+        """Stop admitting, let in-flight work finish, stop."""
         if self.draining:
             return
         self.draining = True
         self._log(f"draining ({reason}); refusing new submissions")
         self.event("daemon.drain", reason=reason,
                    queued=len(self.queue), inflight=self._inflight)
-        started = time.monotonic()
-        linger = started + min(DRAIN_LINGER, self.drain_grace)
-        while time.monotonic() < started + self.drain_grace and (
-                self._inflight > 0 or (self._connections
-                                       and time.monotonic() < linger)):
+        deadline = time.monotonic() + self.drain_grace
+        while self._inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         self._drained.set()
 
@@ -502,14 +358,14 @@ class SchedulerDaemon:
                                      "(fingerprint quarantined)")
                 continue
             self._inflight += 1
-            job.running = True
+            self._running.add(job.id)
             try:
                 await self._dispatch_one(job)
             finally:
-                job.running = False
+                self._running.discard(job.id)
                 self._inflight -= 1
 
-    async def _dispatch_one(self, job: JobRecord) -> None:
+    async def _dispatch_one(self, job: Job) -> None:
         # One hop to a pool thread for the cache check and the attempt:
         # on a loaded host every thread wake-up waits for a time slice.
         cached, attempt = await asyncio.get_running_loop().run_in_executor(
@@ -521,7 +377,7 @@ class SchedulerDaemon:
         self.dispatched += 1
         self._settle(job, attempt)
 
-    def _run_on_pool(self, job: JobRecord
+    def _run_on_pool(self, job: Job
                      ) -> tuple[RunResult | None, Attempt | None]:
         """On a pool thread: the cached result, else one attempt."""
         # Dedup against the cache at the last moment too: a previous
@@ -536,10 +392,10 @@ class SchedulerDaemon:
             return None, Attempt("err",
                                  error=f"{type(error).__name__}: {error}")
         # The job's faults are addressed by its dispatch ordinal.
-        return None, self.pool.run(job.ordinal, sim_job, cache=self.cache,
+        return None, self.pool.run(job.index, sim_job, cache=self.cache,
                                    timeout=self.timeout)
 
-    def _settle(self, job: JobRecord, attempt: Attempt) -> None:
+    def _settle(self, job: Job, attempt: Attempt) -> None:
         if self.cluster is not None and not self.cluster.has_quorum() \
                 and job.state not in TERMINAL:
             # Quorum was lost while this job was in flight: journaling a
@@ -574,24 +430,23 @@ class SchedulerDaemon:
                 self._requeue(job, attempt.error)
             return
         if attempt.tag == "err" and attempt.transient \
-                and job.retries < self.retries:
-            job.retries += 1
+                and self._retries.get(job.id, 0) < self.retries:
+            self._retries[job.id] = self._retries.get(job.id, 0) + 1
             self._requeue(job, attempt.error)
             return
         self._terminal(job, FAILED, error=attempt.error or attempt.tag)
 
-    def _requeue(self, job: JobRecord, reason: str | None) -> None:
+    def _requeue(self, job: Job, reason: str | None) -> None:
         self.event("job.requeue", id=job.id, reason=(reason or "")[:120])
         # Forced: this job already passed admission; the depth bound
         # sheds new work, it never drops accepted work.
         self.queue.push(job.tenant, job.id, force=True)
         self._kick.set()
 
-    def _terminal(self, job: JobRecord, state: str, *,
+    def _terminal(self, job: Job, state: str, *,
                   cycles: int | None = None, ipc: float | None = None,
                   error: str | None = None, cached: bool = False) -> None:
-        kind = {DONE: "done", FAILED: "failed",
-                QUARANTINED: "quarantined"}[state]
+        kind = state   # the record kind is the state's name
         payload: dict[str, Any] = {"id": job.id,
                                    "fingerprint": job.fingerprint}
         if state == DONE:
@@ -633,7 +488,7 @@ class SchedulerDaemon:
         keyed by job fingerprint.
         """
         tenant = remote.get("tenant", "-")
-        ordinal = self.table.next_ordinal
+        ordinal = self.table.next_index
         self.table.append("submit", id=remote["id"], tenant=tenant,
                           fingerprint=remote.get("fingerprint", ""),
                           ordinal=ordinal, job=remote.get("job"),
@@ -648,7 +503,6 @@ class SchedulerDaemon:
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._connections += 1
         try:
             while True:
                 try:
@@ -702,7 +556,6 @@ class SchedulerDaemon:
             # (clients reconnect; jobs are journaled either way).
             pass
         finally:
-            self._connections -= 1
             try:
                 writer.close()
             except Exception:   # noqa: BLE001 - already torn down
@@ -783,7 +636,7 @@ class SchedulerDaemon:
             # Idempotent resubmission (reconnect, concurrent client):
             # answer with the job's current state, enqueue nothing.
             return {"ok": True, "op": "submit", "id": job_id,
-                    "state": known.public_state(), "duplicate": True,
+                    "state": self._public_state(known), "duplicate": True,
                     "cycles": known.cycles, "ipc": known.ipc,
                     "error": known.error}
         try:
@@ -821,7 +674,7 @@ class SchedulerDaemon:
         cached = self.cache.get(fingerprint)
         if cached is not None:
             # Free repeat query: accept + complete in one breath.
-            ordinal = self.table.next_ordinal
+            ordinal = self.table.next_index
             self.table.append("submit", id=job_id, tenant=tenant,
                               fingerprint=fingerprint, ordinal=ordinal,
                               job=frame.get("job"))
@@ -836,7 +689,7 @@ class SchedulerDaemon:
             self._unprobe(fingerprint, probe)
             return self._shed(job_id, "queue-full",
                               retry_after=1.0, depth=self.queue.depth)
-        ordinal = self.table.next_ordinal
+        ordinal = self.table.next_index
         self.table.append("submit", id=job_id, tenant=tenant,
                           fingerprint=fingerprint, ordinal=ordinal,
                           job=frame.get("job"))
@@ -870,6 +723,13 @@ class SchedulerDaemon:
         return response
 
     # -- status / result / watch -------------------------------------- #
+    def _counts(self) -> dict[str, int]:
+        out = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, QUARANTINED: 0}
+        for job in self.table.jobs.values():
+            state = self._public_state(job)
+            out[state] = out.get(state, 0) + 1
+        return out
+
     def _op_status(self) -> dict[str, Any]:
         healthy = not self.draining and (self.cluster is None
                                          or self.cluster.has_quorum())
@@ -878,7 +738,7 @@ class SchedulerDaemon:
             "healthy": healthy, "draining": self.draining,
             "uptime": round(time.monotonic() - self.started, 3),
             "pid": os.getpid(),
-            "jobs": self.table.counts(), "queued": len(self.queue),
+            "jobs": self._counts(), "queued": len(self.queue),
             "queue_depth": self.queue.depth,
             "inflight": self._inflight, "dispatched": self.dispatched,
             "workers": self.workers,
@@ -916,7 +776,7 @@ class SchedulerDaemon:
             return error_response("result",
                                   f"unknown job id {frame.get('id')!r}")
         response = {"ok": True, "op": "result", "id": job.id,
-                    "state": job.public_state(), "cycles": job.cycles,
+                    "state": self._public_state(job), "cycles": job.cycles,
                     "ipc": job.ipc, "error": job.error}
         if job.state == DONE:
             result = self.cache.get(job.fingerprint)

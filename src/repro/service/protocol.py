@@ -37,7 +37,8 @@ Job ids are chosen by the *client* and are idempotency keys: submitting
 the same id twice (a reconnect after a dropped socket, a re-run of
 ``repro-submit``) returns the job's current state instead of enqueueing
 a duplicate.  ``repro-submit`` derives ids from the design digest and
-cell index (:func:`job_id`), so two concurrent clients submitting the
+cell index (:func:`~repro.design.store.job_id`, the id a campaign
+store gives the same cell), so two concurrent clients submitting the
 same design converge on the same jobs.
 """
 
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import json
 from typing import Any
+
+from ..design.store import job_id  # noqa: F401  (re-exported: wire ids)
 
 #: Protocol version, echoed in ``status`` responses.  Version 2 added
 #: the ``gossip`` op and the ``route``/``pin`` submit fields.
@@ -105,12 +108,3 @@ def decode_frame(line: bytes) -> dict[str, Any]:
 def error_response(op: str | None, message: str) -> dict[str, Any]:
     """The daemon's uniform bad-request answer (connection stays up)."""
     return {"ok": False, "op": op or "?", "error": message}
-
-
-def job_id(digest: str, index: int) -> str:
-    """The deterministic id ``repro-submit`` uses for one design cell.
-
-    Digest-prefixed so ids from different designs can never collide,
-    and stable across client restarts so resubmission is idempotent.
-    """
-    return f"{digest[:12]}:{index}"

@@ -10,7 +10,7 @@ final table is bitwise-identical to an unfaulted single-worker run.
 
 import textwrap
 
-from repro.design.chaos import run_chaos
+from repro.service.chaos import run_chaos
 
 
 def test_kill_restart_drill_converges_bitwise(tmp_path):

@@ -1,6 +1,6 @@
 """Durable-campaign tests: lease protocol, retry budgets, compaction
-equivalence, append-failure degradation, and migration from the
-manifest era.
+equivalence, append-failure degradation, and older-format stores set
+aside and rebuilt.
 
 The subprocess-level kill/restart drill lives in
 ``tests/test_campaign_chaos.py``; everything here runs in-process (so no
@@ -8,16 +8,16 @@ The subprocess-level kill/restart drill lives in
 """
 
 import json
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.design import (Campaign, CampaignError, Design, DesignEnv,
-                          Factor, Journal, fold_records, load_snapshot,
-                          replay_journal)
-from repro.design.campaign import _LEGACY_MANIFEST, _META
+                          Factor, Job, JobStore, Journal, replay_journal)
+from repro.design.campaign import _META
 from repro.design.journal import JOURNAL_NAME, SNAPSHOT_NAME
-from repro.design.leases import claim_winner, claimable
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
 
@@ -31,24 +31,36 @@ def _design(benches=("kmeans", "streaming")):
     ])
 
 
-def _fingerprints(campaign):
-    return {cell.index: cell.fingerprint for cell in campaign.cells}
+def _claimable(campaign, worker, **kwargs):
+    return [job.index for job in
+            campaign.store.refresh().claimable(worker=worker, **kwargs)]
+
+
+def _fold(campaign, journal_bytes, directory):
+    """A fresh store over ``journal_bytes`` declaring ``campaign``'s cells."""
+    directory.mkdir()
+    (directory / JOURNAL_NAME).write_bytes(journal_bytes)
+    store = JobStore(directory, key=campaign.digest)
+    store.declare(Job(cell.id, cell.fingerprint, cell.job, cell.index)
+                  for cell in campaign.cells)
+    return store.refresh()
 
 
 class TestLeaseProtocol:
     def test_first_live_claim_in_file_order_wins(self, tmp_path):
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
+        cell = campaign.cells[0].id
         journal = Journal(campaign.path / JOURNAL_NAME, worker="w1")
-        journal.append("claim", cell=0, fingerprint="x", nonce="a", ttl=60)
+        journal.append("claim", id=cell, fingerprint="x", nonce="a", ttl=60)
         Journal(campaign.path / JOURNAL_NAME, worker="w2") \
-            .append("claim", cell=0, fingerprint="x", nonce="b", ttl=60)
-        state = campaign.refresh()
-        winner = claim_winner(state.cells[0], state.beats, time.time())
+            .append("claim", id=cell, fingerprint="x", nonce="b", ttl=60)
+        store = campaign.store.refresh()
+        winner = store.winner(campaign.cells[0], time.time())
         assert winner["worker"] == "w1" and winner["nonce"] == "a"
         # w2 may not claim cell 0, but cell 1 is free.
-        assert claimable(state, now=time.time(), worker="w2") == [1]
-        assert claimable(state, now=time.time(), worker="w1") == [0, 1]
+        assert _claimable(campaign, "w2") == [1]
+        assert _claimable(campaign, "w1") == [0, 1]
 
     def test_expired_lease_is_reclaimed_and_run(self, tmp_path):
         # A worker claimed a cell and died silently: once its TTL lapses
@@ -57,11 +69,10 @@ class TestLeaseProtocol:
         cache = ResultCache(tmp_path / "cache")
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
         dead = Journal(campaign.path / JOURNAL_NAME, worker="dead")
-        dead.append("claim", cell=0,
+        dead.append("claim", id=campaign.cells[0].id,
                     fingerprint=campaign.cells[0].fingerprint,
                     nonce="dead#1", ttl=0.2)
-        state = campaign.refresh()
-        assert claimable(state, now=time.time(), worker="live") == [1]
+        assert _claimable(campaign, "live") == [1]
         time.sleep(0.25)
         report = campaign.run(cache=cache, worker_id="live")
         assert report.ok and report.executed == 2
@@ -71,13 +82,12 @@ class TestLeaseProtocol:
     def test_release_unblocks_a_cell_immediately(self, tmp_path):
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
+        cell = campaign.cells[0].id
         other = Journal(campaign.path / JOURNAL_NAME, worker="other")
-        other.append("claim", cell=0, fingerprint="x", nonce="n1", ttl=60)
-        state = campaign.refresh()
-        assert claimable(state, now=time.time(), worker="me") == [1]
-        other.append("release", cell=0, nonce="n1")
-        state = campaign.refresh()
-        assert claimable(state, now=time.time(), worker="me") == [0, 1]
+        other.append("claim", id=cell, fingerprint="x", nonce="n1", ttl=60)
+        assert _claimable(campaign, "me") == [1]
+        other.append("release", id=cell, nonce="n1")
+        assert _claimable(campaign, "me") == [0, 1]
 
     def test_double_completion_resolves_by_first_done_record(self, tmp_path):
         # Two workers raced one cell (an expired-but-alive holder and its
@@ -85,25 +95,26 @@ class TestLeaseProtocol:
         # second is a counted duplicate, never an error.
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        fp = campaign.cells[0].fingerprint
+        cell = campaign.cells[0]
+        fp = cell.fingerprint
         Journal(campaign.path / JOURNAL_NAME, worker="w1") \
-            .append("done", cell=0, fingerprint=fp, cycles=111, ipc=1.0)
+            .append("done", id=cell.id, fingerprint=fp, cycles=111, ipc=1.0)
         Journal(campaign.path / JOURNAL_NAME, worker="w2") \
-            .append("done", cell=0, fingerprint=fp, cycles=111, ipc=1.0)
-        state = campaign.refresh()
-        assert state.cells[0].status == "done"
-        assert state.cells[0].cycles == 111
-        assert state.duplicate_done == 1
+            .append("done", id=cell.id, fingerprint=fp, cycles=111, ipc=1.0)
+        store = campaign.store.refresh()
+        assert cell.status == "done"
+        assert cell.cycles == 111
+        assert store.duplicate_done == 1
 
     def test_done_with_wrong_fingerprint_is_ignored(self, tmp_path):
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
         Journal(campaign.path / JOURNAL_NAME, worker="stale") \
-            .append("done", cell=0, fingerprint="from-another-design",
-                    cycles=9, ipc=9.9)
-        state = campaign.refresh()
-        assert state.cells[0].status == "pending"
-        assert state.ignored_records == 1
+            .append("done", id=campaign.cells[0].id,
+                    fingerprint="from-another-design", cycles=9, ipc=9.9)
+        store = campaign.store.refresh()
+        assert campaign.cells[0].status == "pending"
+        assert store.ignored_records == 1
 
 
 class TestShardedRuns:
@@ -120,8 +131,7 @@ class TestShardedRuns:
         rb = b.run(cache=cache, worker_id="B", shard=True, claim_chunk=1)
         assert ra.ok and rb.ok
         assert ra.executed == 3 and rb.executed == 0 and rb.resumed == 3
-        state = b.refresh()
-        assert state.duplicate_done == 0
+        assert b.store.refresh().duplicate_done == 0
 
 
 class TestRetryBudget:
@@ -179,27 +189,56 @@ class TestCompaction:
         campaign = Campaign.open(design, env, root=tmp_path / "c")
         # Complete two cells, keep the full journal aside, compact, then
         # append a post-compaction record.
-        fps = _fingerprints(campaign)
+        cells = campaign.cells
         journal = Journal(campaign.path / JOURNAL_NAME, worker="w")
-        journal.append("done", cell=0, fingerprint=fps[0], cycles=10,
-                       ipc=1.0)
-        journal.append("failed", cell=1, fingerprint=fps[1], error="x")
-        full_records = list(replay_journal(campaign.path
-                                           / JOURNAL_NAME).records)
-        assert campaign.compact()
+        journal.append("done", id=cells[0].id,
+                       fingerprint=cells[0].fingerprint, cycles=10, ipc=1.0)
+        journal.append("failed", id=cells[1].id,
+                       fingerprint=cells[1].fingerprint, error="x")
+        full_bytes = (campaign.path / JOURNAL_NAME).read_bytes()
+        assert campaign.store.compact()
         tail = Journal(campaign.path / JOURNAL_NAME, worker="w")
-        tail.append("done", cell=2, fingerprint=fps[2], cycles=30, ipc=3.0)
-        tail_record = replay_journal(campaign.path / JOURNAL_NAME).records
-        full_records.extend(tail_record)
+        tail.append("done", id=cells[2].id, fingerprint=cells[2].fingerprint,
+                    cycles=30, ipc=3.0)
+        full_bytes += (campaign.path / JOURNAL_NAME).read_bytes()
 
-        via_snapshot = fold_records(
-            tail_record, fingerprints=fps,
-            base=load_snapshot(campaign.path, campaign.digest))
-        via_full = fold_records(full_records, fingerprints=fps)
-        for index in fps:
-            a, b = via_snapshot.cells[index], via_full.cells[index]
+        via_snapshot = campaign.store.refresh()
+        via_full = _fold(campaign, full_bytes, tmp_path / "full")
+        for cell in cells:
+            a, b = via_snapshot.jobs[cell.id], via_full.jobs[cell.id]
             assert (a.status, a.attempts, a.cycles, a.ipc, a.error) \
                 == (b.status, b.attempts, b.cycles, b.ipc, b.error)
+
+    def test_compaction_killed_before_truncation_changes_nothing(
+            self, tmp_path, monkeypatch):
+        # The snapshot lands but the journal is never truncated (the
+        # compactor died in between): replay must skip the prefix the
+        # snapshot covers instead of folding it a second time.
+        env = DesignEnv(scale=TINY)
+        campaign = Campaign.open(_design(), env, root=tmp_path / "c")
+        failed, done = campaign.cells
+        journal = Journal(campaign.path / JOURNAL_NAME, worker="w")
+        journal.append("failed", id=failed.id,
+                       fingerprint=failed.fingerprint, error="x")
+        journal.append("done", id=done.id, fingerprint=done.fingerprint,
+                       cycles=10, ipc=1.0)
+        replace = os.replace
+
+        def killed_before_truncation(src, dst):
+            if Path(dst).name == JOURNAL_NAME:
+                raise OSError("compactor killed before truncation")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_before_truncation)
+        assert campaign.store.compact() is False
+        monkeypatch.undo()
+        assert (campaign.path / SNAPSHOT_NAME).exists()
+        assert len(replay_journal(campaign.path / JOURNAL_NAME).records) == 2
+
+        reopened = Campaign.open(_design(), env, root=tmp_path / "c")
+        assert reopened.cells[0].attempts == 1
+        assert reopened.store.duplicate_done == 0
+        assert _claimable(reopened, "me", max_retries=1) == [0]
 
     def test_compact_truncates_journal_and_resumes(self, tmp_path):
         env = DesignEnv(scale=TINY)
@@ -207,7 +246,7 @@ class TestCompaction:
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
         campaign.run(cache=cache)
         assert len(replay_journal(campaign.path / JOURNAL_NAME).records) > 0
-        assert campaign.compact()
+        assert campaign.store.compact()
         assert replay_journal(campaign.path / JOURNAL_NAME).records == []
         assert (campaign.path / SNAPSHOT_NAME).exists()
         resumed = Campaign.open(_design(), env, root=tmp_path / "c")
@@ -218,11 +257,11 @@ class TestCompaction:
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
         Journal(campaign.path / JOURNAL_NAME, worker="other") \
-            .append("claim", cell=0,
+            .append("claim", id=campaign.cells[0].id,
                     fingerprint=campaign.cells[0].fingerprint,
                     nonce="n", ttl=60)
-        assert campaign.compact() is False
-        assert campaign.compact(force=True) is True
+        assert campaign.store.compact() is False
+        assert campaign.store.compact(force=True) is True
 
     def test_auto_compaction_during_run(self, tmp_path):
         env = DesignEnv(scale=TINY)
@@ -259,33 +298,50 @@ class TestAppendFailureDegradation:
 
 
 class TestStoreHygiene:
-    def test_legacy_manifest_is_migrated(self, tmp_path):
+    def test_older_format_stores_are_set_aside_and_rebuilt(self, tmp_path):
+        # A format-1 store (one manifest.json) and a format-2 store
+        # (meta.json + a journal keyed by cell index) cannot be read:
+        # each is set aside as .corrupt and rebuilt from the design, and
+        # its done cells replay from the warm result cache.
         env = DesignEnv(scale=TINY)
+        cache = ResultCache(tmp_path / "cache")
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        # Rebuild the pre-journal store shape: one manifest.json, no
-        # meta/journal.
-        manifest = {
-            "format": 1, "name": campaign.name, "digest": campaign.digest,
-            "env": campaign.env.to_payload(), "written": 0.0,
-            "cells": [{**cell.to_record(),
-                       "status": "done" if cell.index == 0 else "failed",
-                       "cycles": 42 if cell.index == 0 else None,
-                       "ipc": 1.5 if cell.index == 0 else None,
-                       "error": None if cell.index == 0 else "boom"}
-                      for cell in campaign.cells],
-        }
-        for name in (_META, JOURNAL_NAME):
-            (campaign.path / name).unlink(missing_ok=True)
-        (campaign.path / _LEGACY_MANIFEST).write_text(json.dumps(manifest))
+        assert campaign.run(cache=cache).ok
+        meta = json.loads((campaign.path / _META).read_text())
+        cells = [{"index": cell.index, "label": cell.label,
+                  "fingerprint": cell.fingerprint, "job": cell.job}
+                 for cell in campaign.cells]
+        manifest = {**meta, "format": 1,
+                    "cells": [{**cell, "status": "done", "cycles": 42,
+                               "ipc": 1.5, "error": None}
+                              for cell in cells]}
+        format2 = {**meta, "format": 2}
+        for stale, files in (
+                ("manifest.json", {"manifest.json": json.dumps(manifest)}),
+                (_META, {_META: json.dumps(format2)})):
+            for name in (_META, JOURNAL_NAME, SNAPSHOT_NAME):
+                (campaign.path / name).unlink(missing_ok=True)
+            for name, text in files.items():
+                (campaign.path / name).write_text(text)
+            if stale == _META:
+                journal = Journal(campaign.path / JOURNAL_NAME, worker="old")
+                for cell in cells:
+                    journal.append("done", cell=cell["index"],
+                                   fingerprint=cell["fingerprint"],
+                                   cycles=42, ipc=1.5)
 
-        migrated = Campaign.open(_design(), env, root=tmp_path / "c")
-        assert migrated.counts()["done"] == 1
-        assert migrated.counts()["failed"] == 1
-        assert migrated.cells[0].cycles == 42
-        assert migrated.cells[1].attempts == 1
-        assert (campaign.path / _META).exists()
-        assert not (campaign.path / _LEGACY_MANIFEST).exists()
-        assert (campaign.path / (_LEGACY_MANIFEST + ".migrated")).exists()
+            rebuilt = Campaign.open(_design(), env, root=tmp_path / "c")
+            assert (campaign.path / (stale + ".corrupt")).exists()
+            assert not (campaign.path / "manifest.json").exists()
+            assert json.loads((campaign.path / _META).read_text())[
+                "format"] == 3
+            assert rebuilt.counts()["pending"] == 2
+            hits, misses = cache.hits, cache.misses
+            report = rebuilt.run(cache=cache)
+            assert report.ok and report.executed == 2
+            assert (cache.hits, cache.misses) == (hits + 2, misses)
+            assert [cell.cycles for cell in rebuilt.cells] \
+                == [cell.cycles for cell in campaign.cells]
 
     def test_stray_tmp_files_are_swept_on_open(self, tmp_path):
         env = DesignEnv(scale=TINY)
@@ -303,7 +359,7 @@ class TestStoreHygiene:
         reopened = Campaign.open(_design(), env, root=tmp_path / "c")
         assert len(reopened.cells) == 2
         assert (campaign.path / (_META + ".corrupt")).exists()
-        assert json.loads((campaign.path / _META).read_text())["format"] == 2
+        assert json.loads((campaign.path / _META).read_text())["format"] == 3
 
     def test_corrupt_meta_load_quarantines_then_raises(self, tmp_path):
         env = DesignEnv(scale=TINY)

@@ -14,9 +14,9 @@ import textwrap
 import pytest
 
 from repro.design.campaign import Campaign
-from repro.design.chaos import POISON_ID, TOPOLOGIES, DrillReport, _Drill
 from repro.design.journal import JOURNAL_NAME, Journal
 from repro.harness.cache import ResultCache
+from repro.service.chaos import POISON_ID, TOPOLOGIES, DrillReport, _Drill
 from repro.service.protocol import job_id
 
 DESIGN = textwrap.dedent("""\
@@ -126,7 +126,7 @@ def _judge_shards(drill, root, *, skip_first=False, cycles_off=0,
         if skip_first and first:
             continue
         for _ in range(2 if done_twice and first else 1):
-            journal.append("done", cell=cell.index,
+            journal.append("done", id=cell.id,
                            fingerprint=cell.fingerprint,
                            cycles=result.cycles + (cycles_off if first
                                                    else 0),

@@ -183,15 +183,19 @@ class TestJournalFaultHooks:
 
 
 class TestSnapshots:
-    CELLS = {0: {"status": "done", "cycles": 100, "ipc": 1.5},
-             3: {"status": "failed", "attempts": 2, "error": "boom"}}
+    # Any JSON object: the store's folded state and covered prefix.
+    STATE = {"covers": {"records": 2, "crc": "9f2c4e0011223344"},
+             "jobs": [{"id": "d:0", "state": "done", "cycles": 100,
+                       "ipc": 1.5},
+                      {"id": "d:3", "state": "failed", "attempts": 2,
+                       "error": "boom"}]}
 
     def test_round_trip(self, tmp_path):
-        assert write_snapshot(tmp_path, "digest-a", self.CELLS)
-        assert load_snapshot(tmp_path, "digest-a") == self.CELLS
+        assert write_snapshot(tmp_path, "digest-a", self.STATE)
+        assert load_snapshot(tmp_path, "digest-a") == self.STATE
 
     def test_wrong_digest_is_quarantined(self, tmp_path):
-        write_snapshot(tmp_path, "digest-a", self.CELLS)
+        write_snapshot(tmp_path, "digest-a", self.STATE)
         assert load_snapshot(tmp_path, "digest-b") == {}
         assert (tmp_path / (SNAPSHOT_NAME + ".corrupt")).exists()
 
@@ -207,6 +211,6 @@ class TestSnapshots:
         target.mkdir()
         os.chmod(target, 0o500)
         try:
-            assert write_snapshot(target, "d", self.CELLS) is False
+            assert write_snapshot(target, "d", self.STATE) is False
         finally:
             os.chmod(target, 0o700)

@@ -13,7 +13,7 @@ the breaker opening are journaled, and the final SIGTERM drain exits 0.
 
 import textwrap
 
-from repro.design.chaos import run_service_chaos
+from repro.service.chaos import run_service_chaos
 
 
 def test_daemon_kill_restart_drill_converges_bitwise(tmp_path):

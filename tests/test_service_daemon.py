@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.design.journal import replay_journal
+from repro.design.journal import Journal, replay_journal
+from repro.design.store import JobStore
 from repro.harness.cache import ResultCache
 from repro.harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                       EXIT_SHED)
@@ -28,7 +29,7 @@ from repro.harness.faults import FaultPlan, child_env
 from repro.harness.jobs import SimJob
 from repro.harness.pool import WorkerPool
 from repro.service.client import ServiceClient, ServiceError, _exit_code
-from repro.service.daemon import (QUEUE_JOURNAL, JobTable, SchedulerDaemon)
+from repro.service.daemon import QUEUE_JOURNAL, SchedulerDaemon
 from repro.service.protocol import (DONE, FAILED, QUARANTINED, QUEUED,
                                     SHED, TERMINAL)
 from repro.sim.config import GPUConfig
@@ -113,14 +114,14 @@ class TestDaemonLifecycle:
         finally:
             assert _stop(daemon, thread, outcome) == EXIT_OK
         # The journal tells the whole story: one submit per id, exactly
-        # one terminal record each, and the drain left a snapshot.
+        # one terminal record each; a healthy drain writes no snapshot.
         records = replay_journal(tmp_path / "state" / QUEUE_JOURNAL).records
         kinds = [(r["type"], r["id"]) for r in records
                  if r["type"] in ("submit", "done")]
         assert kinds.count(("submit", "t:0")) == 1
         assert kinds.count(("done", "t:0")) == 1
         assert kinds.count(("done", "t:1")) == 1
-        assert (tmp_path / "state" / "snapshot.json").exists()
+        assert not (tmp_path / "state" / "snapshot.json").exists()
 
     def test_rate_limit_sheds_with_retry_after(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path, rate=0.001, burst=1)
@@ -177,12 +178,20 @@ class TestDaemonLifecycle:
                    and e.get("reason") == "queue-full" for e in events)
 
     def test_draining_daemon_sheds_submissions(self, tmp_path):
-        daemon, thread, outcome = _start(tmp_path)
+        # A slow job keeps the drain waiting, so the daemon still
+        # answers the submit that follows it.
+        plan = FaultPlan.parse("delay:0:1",
+                               state_dir=str(tmp_path / "faults"))
+        daemon, thread, outcome = _start(tmp_path, faults=plan)
         try:
             with ServiceClient(daemon.socket_path) as client:
+                client.submit("d:0", _job(seed=21).to_payload())
+                deadline = time.monotonic() + 10.0
+                while client.status()["inflight"] < 1:
+                    assert time.monotonic() < deadline, "d:0 never ran"
+                    time.sleep(0.02)
                 client.drain()
-                time.sleep(0.2)
-                response = client.submit("d:0", _job(seed=21).to_payload(),
+                response = client.submit("d:1", _job(seed=22).to_payload(),
                                          shed_retries=0)
                 assert response["state"] == SHED
                 assert response["reason"] == "draining"
@@ -389,7 +398,7 @@ class TestRecovery:
         state = tmp_path / "state"
         state.mkdir(parents=True)
         job = _job(seed=41)
-        table = JobTable(state, "forged")
+        table = JobStore(state, worker="forged")
         table.append("submit", id="z:0", tenant="t",
                      fingerprint=job.fingerprint(), ordinal=0,
                      job=job.to_payload())
@@ -409,7 +418,7 @@ class TestRecovery:
         state = tmp_path / "state"
         state.mkdir(parents=True)
         job = _job(seed=42)
-        table = JobTable(state, "forged")
+        table = JobStore(state, worker="forged")
         table.append("submit", id="z:1", tenant="t",
                      fingerprint=job.fingerprint(), ordinal=0,
                      job=job.to_payload())
@@ -425,40 +434,73 @@ class TestRecovery:
         assert record.crashes == 3
         assert daemon.breaker.is_open(job.fingerprint())
 
+    def test_drain_does_not_inflate_crash_counts(self, tmp_path):
+        # Two journaled crashes (threshold 3), then the job finished.  A
+        # drained incarnation in between must leave the next one reading
+        # two crashes, not the journal's plus a snapshot's copy of them.
+        state = tmp_path / "state"
+        state.mkdir(parents=True)
+        job = _job(seed=43)
+        fingerprint = job.fingerprint()
+        journal = Journal(state / QUEUE_JOURNAL, worker="forged")
+        journal.append("submit", id="z:2", tenant="t",
+                       fingerprint=fingerprint, ordinal=0,
+                       job=job.to_payload())
+        for _ in range(2):
+            journal.append("crash", id="z:2", fingerprint=fingerprint,
+                           error="killed worker", wedged=True)
+        journal.append("done", id="z:2", fingerprint=fingerprint,
+                       cycles=5, ipc=1.0)
+        daemon, thread, outcome = _start(tmp_path)
+        assert _stop(daemon, thread, outcome) == EXIT_OK
+        second = SchedulerDaemon(state_dir=state,
+                                 cache_dir=tmp_path / "cache",
+                                 log=io.StringIO())
+        second.recover()
+        assert second.table.jobs["z:2"].crashes == 2
+        assert not second.breaker.is_open(fingerprint)
+
 
 class TestJobTable:
     def test_fold_is_idempotent_and_first_terminal_wins(self, tmp_path):
-        table = JobTable(tmp_path, "w")
-        table.fold({"type": "submit", "id": "a", "tenant": "t",
-                    "fingerprint": "fp", "ordinal": 0, "job": {}})
-        table.fold({"type": "submit", "id": "a", "tenant": "t",
-                    "fingerprint": "fp", "ordinal": 0, "job": {}})
+        table = JobStore(tmp_path, worker="w")
+        table.append("submit", id="a", tenant="t", fingerprint="fp",
+                     ordinal=0, job={})
+        table.append("submit", id="a", tenant="t", fingerprint="fp",
+                     ordinal=0, job={})
         assert len(table.order) == 1
-        table.fold({"type": "done", "id": "a", "cycles": 10, "ipc": 1.0})
-        table.fold({"type": "failed", "id": "a", "error": "late"})
+        table.append("done", id="a", cycles=10, ipc=1.0)
+        table.append("failed", id="a", error="late")
         job = table.jobs["a"]
         assert job.state == DONE and job.cycles == 10
         # Terminal records for unknown ids are ignored, not crashes.
-        table.fold({"type": "done", "id": "ghost"})
+        table.append("done", id="ghost")
         assert "ghost" not in table.jobs
 
     def test_snapshot_round_trips_through_load(self, tmp_path):
-        table = JobTable(tmp_path, "w")
+        # The disk fills after two appends: the store keeps folding in
+        # memory, snapshots when it stops, and a fresh store folds
+        # snapshot + journal to the same state, even after the journal
+        # is truncated (the snapshot is sufficient).
+        plan = FaultPlan.parse("fail-append:2",
+                               state_dir=str(tmp_path / "faults"))
+        table = JobStore(tmp_path, worker="w", faults=plan)
         table.append("submit", id="a", tenant="t", fingerprint="fp",
                      ordinal=0, job={"scale": 1})
         table.append("done", id="a", fingerprint="fp", cycles=5, ipc=2.0)
-        table.append("submit", id="b", tenant="t", fingerprint="fq",
-                     ordinal=1, job={"scale": 2})
-        assert table.snapshot()
-        # A fresh table folds snapshot + journal to the same state even
-        # after the journal is truncated (the snapshot is sufficient).
-        (tmp_path / QUEUE_JOURNAL).write_bytes(b"")
-        reloaded = JobTable(tmp_path, "w2")
-        reloaded.load()
-        assert reloaded.jobs["a"].state == DONE
-        assert reloaded.jobs["b"].state == QUEUED
-        assert [j.id for j in reloaded.pending()] == ["b"]
-        assert reloaded.next_ordinal == 2
+        with pytest.warns(RuntimeWarning, match="not appendable"):
+            table.append("submit", id="b", tenant="t", fingerprint="fq",
+                         ordinal=1, job={"scale": 2})
+        assert table.close()
+        for truncate in (False, True):
+            if truncate:
+                (tmp_path / QUEUE_JOURNAL).write_bytes(b"")
+            reloaded = JobStore(tmp_path, worker="w2").refresh()
+            assert reloaded.jobs["a"].state == DONE
+            assert reloaded.jobs["b"].state not in TERMINAL
+            assert [job.id for job in reloaded.ordered()
+                    if job.state not in TERMINAL] == ["b"]
+            assert reloaded.next_index == 2
 
 
 class TestExitCodes:
