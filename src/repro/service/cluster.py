@@ -238,8 +238,15 @@ class ClusterManager:
     # the gossip loop
     # ------------------------------------------------------------------ #
     async def run(self) -> None:
-        """Probe every peer once per interval, forever (until cancelled)."""
-        while True:
+        """Probe every peer once per interval until the daemon drains.
+
+        The loop ends on its own once the daemon is draining, as its
+        dispatch loops do, instead of relying on ``serve()``'s cancel
+        alone: on Python 3.11 ``asyncio.wait_for`` (under :meth:`call`)
+        returns the exchange's result and drops a cancel that arrives in
+        the step the exchange completes, which would leave this loop
+        running and ``serve()`` waiting for it forever."""
+        while not self.daemon.draining:
             try:
                 await self._gossip_round()
             except asyncio.CancelledError:

@@ -2,9 +2,13 @@
 
 The simulator is cycle-driven on the core side (warp schedulers and LD/ST
 units tick every cycle) and event-driven on the memory side: interconnect
-traversals, L2 lookups and DRAM completions are scheduled as future events.
-Events at the same cycle fire in insertion order (FIFO), which keeps runs
-deterministic.
+traversals, L2 lookups and DRAM completions are scheduled as future events,
+and so are L1-hit and store wakes (WAIT_MEM -> READY) and policy timers
+such as DynCTA's sampler.  Events at the same cycle fire in insertion
+order (FIFO), which keeps runs deterministic and lets a sampler see the
+memory wakes due before it.  ALU/SHARED completions do not come here: they
+go into the GPU's wake calendar (:attr:`repro.sim.gpu.GPU._wake_cal`),
+because no event callback can observe a WAIT_ALU -> READY change.
 """
 
 from __future__ import annotations

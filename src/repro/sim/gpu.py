@@ -1,13 +1,16 @@
 """Top-level GPU: ties SMs, the memory system and a CTA scheduler together.
 
-The run loop is cycle-driven with event-queue fast-forward: when no SM can
-make progress without a memory response, the clock jumps straight to the
-next pending event (results are identical to ticking every cycle — the skip
-condition is exactly "no state transition can happen before that event").
+The run loop is cycle-driven with fast-forward: when no SM can make
+progress, the clock jumps straight to the next pending wake-up — the head
+of the event queue (memory traffic, L1-hit and store wakes, policy timers)
+or of the ALU wake calendar (ALU/SHARED completions, grouped per cycle).
+Results are identical to ticking every cycle: the skip condition is
+exactly "no state transition can happen before that wake-up".
 """
 
 from __future__ import annotations
 
+from heapq import heappop
 from time import monotonic as _monotonic
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -192,17 +195,19 @@ class KernelRun:
 class GPU:
     """One simulated device.  Create, then :meth:`run` a CTA scheduler."""
 
-    #: The vector core's wake-calendar heap (``VectorGPU`` sets its own
-    #: and drains it with ``_drain_wakes``).  Always empty here, so the
-    #: loop's wake gate never fires; a class attribute keeps it out of
-    #: the pickled object-core GPU.
-    _wake_heap: "list[int] | tuple[()]" = ()
-
     def __init__(self, config: GPUConfig | None = None,
                  warp_scheduler: str | Callable[[], WarpScheduler] = "gto",
                  telemetry: "TelemetryHub | None" = None) -> None:
         self.config = config if config is not None else DEFAULT_CONFIG
         self.events = EventQueue()
+        #: The ALU wake calendar both cores share: wake cycle -> entries
+        #: in issue order (a ``Warp`` on the object core, a packed
+        #: ``sm/slot`` int on the vector core), plus a min-heap of the
+        #: distinct pending cycles.  Only WAIT_ALU -> READY wakes go here;
+        #: no event callback can observe that change, so the loop drains
+        #: the calendar before ``run_due`` at no cost to the results.
+        self._wake_cal: dict[int, list] = {}
+        self._wake_heap: list[int] = []
         # Telemetry is strictly opt-in: window closing is a run-loop rider
         # (one comparison per iteration only when a window is set) and the
         # per-CTA emit guards cost one attribute test per dispatch or
@@ -382,6 +387,12 @@ class GPU:
             events.run_due(drain_to)
             cycle = max(cycle, drain_to)
         self.cycle = cycle
+        # Every CTA completed, so no warp can still be mid-instruction; a
+        # leftover wake means the core and the calendar disagree.
+        if self._wake_heap:
+            raise SimulationError(
+                "wake calendar not empty after run "
+                f"(next at cycle {self._wake_heap[0]})")
         if hub is not None:
             hub.on_run_end(cycle)
 
@@ -399,9 +410,8 @@ class GPU:
         * **service gate** — the riders of :class:`_RunService` (window
           closing, saboteur, sanitizer, checkpoint) fire only when the
           cycle reaches their next boundary;
-        * **wake gate** — the vector core's wake calendar
-          (:attr:`_wake_heap`, always empty on the object core) is drained
-          only when its head is due;
+        * **wake gate** — the ALU wake calendar (:attr:`_wake_cal`) is
+          drained by :meth:`_drain_wakes` only when its head is due;
         * **fill gate** — ``fill()`` runs only while the scheduler's
           ``_need_fill`` flag is up (the first thing ``fill`` itself checks,
           and no policy overrides ``fill``);
@@ -410,9 +420,12 @@ class GPU:
 
         An idle iteration fast-forwards to the earlier of the event-queue
         head and the calendar head: nothing can change state before
-        either.  Calendar wakes and memory events at the same cycle touch
-        disjoint warps and only move them into READY, so draining the
-        calendar first is equivalent to any other order.
+        either.  The calendar holds only WAIT_ALU -> READY wakes, which no
+        event callback can observe (DynCTA's sampler counts WAIT_MEM and
+        non-DONE warps), so draining it before the events due at the same
+        cycle gives the results of any other order.  L1-hit and store wakes
+        (WAIT_MEM -> READY) stay on the event queue, in FIFO order with the
+        events that can observe them.
         """
         events = self.events
         run_due = events.run_due
@@ -483,6 +496,16 @@ class GPU:
                 f"completion counter reached {self._ctas_done}/{total_ctas} "
                 "but the CTA scheduler disagrees — counter drift")
         return cycle
+
+    def _drain_wakes(self, cycle: int) -> None:
+        """Fire every calendar wake due by ``cycle``, in issue order per
+        wake cycle, through :meth:`SM._wake_alu` (the loop's wake gate
+        calls this only when the calendar head is due)."""
+        calheap = self._wake_heap
+        cal_pop = self._wake_cal.pop
+        while calheap and calheap[0] <= cycle:
+            for warp in cal_pop(heappop(calheap)):
+                warp.cta.sm._wake_alu(cycle, warp)
 
     # ------------------------------------------------------------------ #
     @property

@@ -28,6 +28,10 @@ Checked invariant families (the live mirrors of ``validate_run``):
 * **Monotonicity** — the cycle counter and every cumulative statistic
   (issued instructions, cache accesses, DRAM traffic) only move forward
   between consecutive checks.
+* **Wake calendar** — the GPU's ALU wake calendar holds one entry per
+  WAIT_ALU warp (summed from ``sm.warp_state_counts()``, so both cores
+  are checked the same way), its heap and its dict hold the same cycles,
+  and no pending wake is earlier than the current cycle.
 
 The ``REPRO_SANITIZE`` environment variable (any non-empty value) turns
 the sanitizer on for every ``simulate()`` call that does not say
@@ -89,6 +93,7 @@ class InvariantSanitizer:
         self._check_sm_resources(gpu, cycle)
         self._check_caches(gpu, cycle)
         self._check_monotone(gpu, cycle)
+        self._check_wake_calendar(gpu, cycle)
 
     # ------------------------------------------------------------------ #
     def _check_cycle(self, cycle: int) -> None:
@@ -211,3 +216,22 @@ class InvariantSanitizer:
                     f"counter {name} moved from {previous} to {value}",
                     cycle=cycle, check="monotone-stats")
         self._baselines = counters
+
+    def _check_wake_calendar(self, gpu: "GPU", cycle: int) -> None:
+        calendar = gpu._wake_cal
+        cycles = sorted(calendar)
+        if sorted(gpu._wake_heap) != cycles:
+            raise InvariantViolation(
+                f"calendar heap holds {len(gpu._wake_heap)} cycle(s), its "
+                f"buckets {len(cycles)}; they must hold the same cycles",
+                cycle=cycle, check="wake-calendar")
+        if cycles and cycles[0] < cycle:
+            raise InvariantViolation(
+                f"a wake due at cycle {cycles[0]} is still pending",
+                cycle=cycle, check="wake-calendar")
+        entries = sum(len(bucket) for bucket in calendar.values())
+        waiting = sum(sm.warp_state_counts()[1] for sm in gpu.sms)
+        if entries != waiting:
+            raise InvariantViolation(
+                f"{entries} calendar wake(s) for {waiting} WAIT_ALU "
+                f"warp(s)", cycle=cycle, check="wake-calendar")

@@ -24,6 +24,7 @@ lives here; the CTA scheduler asks :meth:`can_accept` before dispatching.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from ..mem.cache import Access, Cache
@@ -70,8 +71,8 @@ class SM:
                  "active_ctas", "used_slots", "used_warps", "used_regs",
                  "used_shmem", "kernel_active", "_sched_rr", "completed_ctas",
                  "_store_window", "_store_window_set", "_mem", "_events",
-                 "_ldst_depth", "_store_coalescing", "_prefetch_next",
-                 "_l1_hit_latency")
+                 "_cal", "_calheap", "_ldst_depth", "_store_coalescing",
+                 "_prefetch_next", "_l1_hit_latency")
 
     #: Sentinel registered as the MSHR waiter of a prefetch request; fills
     #: install the line but wake nobody.  A module-level singleton (not a
@@ -115,6 +116,8 @@ class SM:
         # transaction), so resolve the gpu.*/config.* indirections once.
         self._mem = gpu.mem
         self._events = gpu.events
+        self._cal = gpu._wake_cal
+        self._calheap = gpu._wake_heap
         self._ldst_depth = config.ldst_queue_depth
         self._store_coalescing = config.store_coalescing
         self._prefetch_next = config.l1_prefetch_next_line
@@ -257,7 +260,14 @@ class SM:
         op = program.ops[pc]
         if op < _LD_GLOBAL:   # ALU or SHARED
             warp.state = WarpState.WAIT_ALU
-            self._events.schedule(now + program.lat[pc], self._wake_alu, warp)
+            # GPU._drain_wakes calls _wake_alu for it at cycle ``at``.
+            at = now + program.lat[pc]
+            bucket = self._cal.get(at)
+            if bucket is None:
+                self._cal[at] = [warp]
+                heappush(self._calheap, at)
+            else:
+                bucket.append(warp)
         elif op == _LD_GLOBAL:
             warp.state = WarpState.WAIT_MEM
             self.ldst.append(MemRequest(warp, program.lines[pc], is_store=False))

@@ -2,13 +2,14 @@
 
 The object core (:mod:`repro.sim.gpu` / :mod:`repro.sim.sm`) advances the
 machine one Python object at a time: every warp is a ``Warp`` instance,
-every scheduler heap entry a ``(key, epoch, Warp)`` tuple, every ALU
-completion its own ``EventQueue`` callback.  That representation is the
-*reference*: easy to read, easy to instrument, and the thing every other
-layer (refmodel, goldens, fuzzer) validates against.
+every scheduler heap entry a ``(key, epoch, Warp)`` tuple, every wake a
+method call on its SM.  That representation is the *reference*: easy to
+read, easy to instrument, and the thing every other layer (refmodel,
+goldens, fuzzer) validates against.
 
 This package re-implements the per-SM hot path in struct-of-arrays form;
-the run loop itself (:meth:`repro.sim.gpu.GPU._loop`) is shared:
+the run loop itself (:meth:`repro.sim.gpu.GPU._loop`) and its ALU wake
+calendar are shared:
 
 * **Columns, not objects** (:mod:`.columns`) — warp state lives in parallel
   per-SM columns (``state``/``pc``/``state_since``/``t_*``/``last_issue``)
@@ -19,12 +20,12 @@ the run loop itself (:meth:`repro.sim.gpu.GPU._loop`) is shared:
   heaps hold single machine integers encoding ``(priority key, slot)``
   instead of tuples holding Python objects, and staleness is a column
   compare instead of an epoch attribute read.
-* **A batched wake calendar** (:mod:`.core` / :mod:`.gpu`) — ALU/SHARED
-  completions and L1-hit load wakeups are grouped per wake cycle in one
-  ``{cycle: [packed sm/slot]}`` calendar, drained by the shared loop's
-  wake gate, instead of one ``EventQueue`` entry per instruction.  The
-  event queue keeps only genuine memory-system traffic, which shrinks it
-  by orders of magnitude on compute-heavy kernels.
+* **Packed wake entries** (:mod:`.core` / :mod:`.gpu`) — an ALU/SHARED
+  completion goes into the GPU's shared ``{cycle: [entries]}`` wake
+  calendar as one ``sm_id << SLOT_BITS | slot`` int, which
+  :meth:`VectorGPU._drain_wakes` decodes; the object core files the
+  ``Warp`` itself.  L1-hit and store wakeups are ``EventQueue`` entries
+  on both cores.
 
 The contract is **bitwise parity**: for every supported configuration the
 vector backend must produce a ``RunResult`` identical to the object core —

@@ -14,8 +14,10 @@ overrides exactly the per-cycle machinery:
   per-warp virtual dispatch of the object core is the cost this backend
   exists to remove);
 * ``_ldst_tick``  — same L1/queue walk, but the request's ``warp`` field
-  carries the *slot id* (the memory subsystem treats it opaquely) and
-  hit-completion wakeups go through the batched wake calendar;
+  carries the *slot id* (the memory subsystem treats it opaquely), so a
+  hit-completion wakeup is an ``EventQueue`` entry for
+  :meth:`VectorSM._wake_mem_slot`, as the object core's is for
+  ``_wake_mem_event``;
 * ``mem_response``— fills wake slots directly, no object hop;
 * ``warp_state_counts`` / ``resident_warp_states`` — column reads for the
   telemetry probes and the DynCTA sampler.
@@ -29,10 +31,13 @@ Parity invariants this file preserves (vs. the object core):
   ``t_*`` bucket at the same ``now`` the object core's event callback
   would have used (the loop's current cycle, not the scheduled cycle —
   ``EventQueue.run_due`` passes the loop clock).
-* Within-cycle ordering between ALU-calendar wakes and memory-event wakes
-  is immaterial: both only flip disjoint warps to READY, increment
-  ``num_ready`` and clear ``gate_blocked``; no same-cycle code observes
-  the intermediate interleaving before the issue stage runs.
+* Wake ordering: ALU/SHARED completions go into the GPU's shared wake
+  calendar, which the loop drains before the events due in the same
+  cycle.  That is safe only because no event callback can observe a
+  WAIT_ALU -> READY change.  A WAIT_MEM -> READY change *is* observable:
+  DynCTA's ``_sample`` counts WAIT_MEM warps, so L1-hit and store wakes
+  ride the event queue in FIFO order with it, exactly as on the object
+  core.
 """
 
 from __future__ import annotations
@@ -66,12 +71,10 @@ class VectorSM(SM):
     __slots__ = ("cols", "_state", "_pc", "_since", "_t_ready", "_t_alu",
                  "_t_mem", "_t_barrier", "_li", "_ekey", "_ops", "_lat",
                  "_lines", "_cta_of", "_sched_of", "_age", "_baws",
-                 "_cta_slots", "_vsched", "_kind", "_greedy", "_cal",
-                 "_calheap", "_wake_base")
+                 "_cta_slots", "_vsched", "_kind", "_greedy", "_wake_base")
 
     def __init__(self, gpu: "VectorGPU", sm_id: int, config: GPUConfig,
-                 scheduler_factory: Callable[[], object], kind: int,
-                 cal: dict, calheap: list) -> None:
+                 scheduler_factory: Callable[[], object], kind: int) -> None:
         super().__init__(gpu, sm_id, config, scheduler_factory)
         self.cols = WarpColumns()
         cols = self.cols
@@ -98,12 +101,8 @@ class VectorSM(SM):
         self._vsched = [VecScheduler() for _ in range(config.issue_width)]
         self._kind = kind
         self._greedy = kind in GREEDY_KINDS
-        # Shared GPU-level wake calendar: {cycle: [packed entries]} plus a
-        # min-heap of pending cycles.  Entry layout:
-        #   sm_id << (SLOT_BITS + 1) | slot << 1 | is_mem_wake
-        self._cal = cal
-        self._calheap = calheap
-        self._wake_base = sm_id << (SLOT_BITS + 1)
+        # ALU wake-calendar entry layout: sm_id << SLOT_BITS | slot.
+        self._wake_base = sm_id << SLOT_BITS
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -272,10 +271,10 @@ class VectorSM(SM):
                     at = now + lat[slot][pc]
                     bucket = cal.get(at)
                     if bucket is None:
-                        cal[at] = [wake_base | (slot << 1)]
+                        cal[at] = [wake_base | slot]
                         push(calheap, at)
                     else:
-                        bucket.append(wake_base | (slot << 1))
+                        bucket.append(wake_base | slot)
                 elif op == 2:    # LD_GLOBAL
                     state[slot] = 2
                     ldst.append(
@@ -307,14 +306,6 @@ class VectorSM(SM):
             else:
                 self.gate_blocked = True
         return active
-
-    def _schedule_wake(self, at: int, entry: int) -> None:
-        bucket = self._cal.get(at)
-        if bucket is None:
-            self._cal[at] = [entry]
-            heappush(self._calheap, at)
-        else:
-            bucket.append(entry)
 
     # ------------------------------------------------------------------ #
     # Wakeups / barrier release
@@ -415,11 +406,11 @@ class VectorSM(SM):
             request.accepted = True
             if request.complete:
                 # All transactions hit (or it was a store): the warp
-                # resumes after the L1 hit latency — via the wake
-                # calendar instead of a per-request event.
-                self._schedule_wake(
-                    now + self._l1_hit_latency,
-                    self._wake_base | (request.warp << 1) | 1)
+                # resumes after the L1 hit latency.  An event, not a
+                # calendar entry: a same-cycle DynCTA sample counts
+                # WAIT_MEM warps and must see this wake in FIFO order.
+                self._events.schedule(now + self._l1_hit_latency,
+                                      self._wake_mem_slot, request.warp)
 
     def mem_response(self, now: int, line: int) -> None:
         self.ldst_blocked = False

@@ -2,7 +2,7 @@
 
 A warp is the unit the per-SM schedulers operate on.  Its lifecycle::
 
-    READY --issue ALU/SHARED--> WAIT_ALU --(latency event)--> READY
+    READY --issue ALU/SHARED--> WAIT_ALU --(calendar wake)--> READY
     READY --issue LD/ST------> WAIT_MEM --(all lines back)--> READY
     READY --issue BARRIER----> WAIT_BARRIER --(CTA arrives)--> READY
     READY --issue EXIT-------> DONE

@@ -228,9 +228,11 @@ class ReferenceGPU(GPU):
     def _loop(self, cta_scheduler, cycle_accurate,
               deadline=None, service=None) -> int:
         """The naive loop: no gates, no idle skip, no fast-forward.  It
-        services the same loop-top riders as the tuned loop (telemetry
-        windows included), so both models sample identical states."""
+        drains the ALU wake calendar every cycle, and services the same
+        loop-top riders as the tuned loop (telemetry windows included),
+        so both models sample identical states."""
         events = self.events
+        calheap = self._wake_heap
         sms = self.sms
         max_cycles = self.config.max_cycles
         cycle = self.cycle
@@ -245,13 +247,14 @@ class ReferenceGPU(GPU):
             if service_at is not None and cycle >= service_at:
                 self.cycle = cycle
                 service_at = service.service(self, cycle)
+            self._drain_wakes(cycle)
             events.run_due(cycle)
             cta_scheduler.fill(cycle)
             active = False
             for sm in sms:
                 if sm.tick(cycle):
                     active = True
-            if not active and events.next_time() is None:
+            if not active and events.next_time() is None and not calheap:
                 self.cycle = cycle
                 raise SimulationDeadlock(
                     f"cycle {cycle}: no progress possible (reference "

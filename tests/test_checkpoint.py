@@ -34,9 +34,10 @@ from repro.harness.runner import simulate
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointError,
                                   CheckpointRecorder, Snapshot)
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import SimulationTimeout
-from repro.sim.invariants import InvariantViolation
+from repro.sim.gpu import GPU, SimulationTimeout
+from repro.sim.invariants import InvariantSanitizer, InvariantViolation
 from repro.sim.sm import PREFETCH
+from repro.sim.vector import VectorGPU
 from repro.telemetry.hub import TelemetryHub
 
 SCALE = 0.05
@@ -380,6 +381,38 @@ def test_sanitizer_raises_directly_via_simulate(tmp_path):
         job.execute(sanitize=True, saboteur=faults.run_saboteur(0))
     assert excinfo.value.check == "sm-accounting"
     assert excinfo.value.cycle >= 1000
+
+
+class _DropOneWake:
+    """Saboteur that removes one pending ALU wake from the GPU's calendar
+    at the first loop-top service at or after ``at`` that finds one."""
+
+    def __init__(self, at: int) -> None:
+        self.at = at
+        self.done = False
+
+    def fire(self, gpu, cycle: int) -> None:
+        for bucket in gpu._wake_cal.values():
+            bucket.pop()
+            self.done = True
+            return
+
+
+@pytest.mark.parametrize("gpu_class", [GPU, VectorGPU],
+                         ids=["object", "vector"])
+def test_sanitizer_catches_a_dropped_calendar_wake(gpu_class):
+    # Driven through GPU.run directly: simulate() takes no saboteur on
+    # the vector core.
+    job = _job(("compute",), ("rr",))
+    kernels = job.build_kernels()
+    gpu = gpu_class(config=job.config, warp_scheduler=job.warp)
+    saboteur = _DropOneWake(at=1000)
+    with pytest.raises(InvariantViolation) as excinfo:
+        gpu.run(build_policy(job.policy, kernels),
+                sanitizer=InvariantSanitizer(), saboteur=saboteur)
+    assert saboteur.done
+    assert excinfo.value.check == "wake-calendar"
+    assert "WAIT_ALU" in str(excinfo.value)
 
 
 def test_sanitize_env_variable(tmp_path, monkeypatch):

@@ -582,6 +582,46 @@ class TestOfflineAudit:
 # a real three-daemon fleet over unix sockets
 # --------------------------------------------------------------------------- #
 
+class TestDrainEndsGossip:
+    def test_serve_returns_when_a_round_absorbs_its_cancel(self, tmp_path):
+        members = [str(tmp_path / "a.sock"), str(tmp_path / "b.sock")]
+        daemon = SchedulerDaemon(
+            state_dir=tmp_path / "state", cache_dir=tmp_path / "cache",
+            workers=1, drain_grace=1.0, log=io.StringIO(),
+            cluster_members=members, advertise=members[0],
+            gossip_interval=0.05, peer_ttl=1.0)
+        absorbed = []
+
+        async def gossip_round():
+            # The first round swallows the cancel serve() sends after the
+            # drain, as asyncio.wait_for does when the exchange it awaits
+            # completes in the step the cancel arrives; later rounds are
+            # instant.
+            if absorbed:
+                return
+            in_round.set()
+            try:
+                await asyncio.sleep(30)
+            except asyncio.CancelledError:
+                absorbed.append(True)
+
+        daemon.cluster._gossip_round = gossip_round
+
+        async def scenario():
+            serving = asyncio.ensure_future(daemon.serve())
+            await asyncio.wait_for(in_round.wait(), 10)
+            await daemon.drain("test")
+            try:
+                return await asyncio.wait_for(serving, 10)
+            except asyncio.TimeoutError:
+                daemon.pool.close()
+                raise
+
+        in_round = asyncio.Event()
+        assert asyncio.run(scenario()) == EXIT_OK
+        assert absorbed == [True]
+
+
 class TestLiveFleet:
     def test_route_execute_replicate_audit(self, tmp_path):
         members = [str(tmp_path / f"s{i}" / "serve.sock") for i in range(3)]

@@ -22,6 +22,13 @@ def boot(kernel, config=None, warp_scheduler="gto"):
     return gpu, gpu.sms[0]
 
 
+def fire_due(gpu, cycle):
+    """What the run loop does before ``fill`` and the SM ticks: fire the
+    ALU wake calendar's due wakes, then the due events."""
+    gpu._drain_wakes(cycle)
+    gpu.events.run_due(cycle)
+
+
 class TestSchedulerPartitioning:
     def test_warps_split_round_robin_between_schedulers(self):
         kernel = make_test_kernel(num_ctas=1, warps_per_cta=4)
@@ -94,7 +101,7 @@ class TestGateBlocking:
             cycle += 1
         # Draining one transaction (an LD/ST pop) clears the gate.
         while sm.gate_blocked and cycle < 200:
-            gpu.events.run_due(cycle)
+            fire_due(gpu, cycle)
             sm.tick(cycle)
             cycle += 1
         assert not sm.gate_blocked or cycle < 200
@@ -145,7 +152,7 @@ class TestQueueFullMark:
         assert warp3.scheduler is second
         picks, marked, warp3_issues = [], [], []
         for cycle in range(20):
-            gpu.events.run_due(cycle)
+            fire_due(gpu, cycle)
             issued = sm.issued
             sm.tick(cycle)
             assert len(sm.ldst) == 1        # the queue stays full
@@ -224,7 +231,7 @@ class TestResourceRelease:
         cycle = 0
         scheduler = gpu.cta_scheduler
         while not scheduler.done and cycle < 10_000:
-            gpu.events.run_due(cycle)
+            fire_due(gpu, cycle)
             scheduler.fill(cycle)
             sm.tick(cycle)
             cycle += 1
@@ -241,7 +248,7 @@ class TestResourceRelease:
         cta = sm.active_ctas[0]
         cycle = 0
         while not gpu.cta_scheduler.done and cycle < 10_000:
-            gpu.events.run_due(cycle)
+            fire_due(gpu, cycle)
             gpu.cta_scheduler.fill(cycle)
             sm.tick(cycle)
             cycle += 1

@@ -37,6 +37,18 @@ def _job_label(job):
 
 CROSSCHECK = crosscheck_matrix()
 
+#: DynCTA cells where the vector core once woke L1-hit and store warps
+#: (WAIT_MEM -> READY) before a DynCTA sample due in the same cycle, which
+#: counts WAIT_MEM warps: srad lost a quota decrement and finished 2048
+#: cycles early, kmeans kept one CTA more on SM 10.
+DYNCTA_CELLS = [
+    pytest.param(SimJob(names=(name,), scale=0.05, warp="gto",
+                        policy=("dyncta",), seed=seed, config=config),
+                 id=f"dyncta-{name}-{label}-{seed}")
+    for name, label, config, seeds in (("srad", "small", SMALL, (1, 2, 3)),
+                                       ("kmeans", "default", GPUConfig(), (2,)))
+    for seed in seeds]
+
 
 # --------------------------------------------------------------------------- #
 # the pinned cross-check matrix, object vs vector
@@ -49,7 +61,7 @@ class TestCrosscheckParity:
         assert len(CROSSCHECK) == 12
         assert all(vector_supported(job.warp) for job in CROSSCHECK)
 
-    @pytest.mark.parametrize("job", CROSSCHECK, ids=_job_label)
+    @pytest.mark.parametrize("job", CROSSCHECK + DYNCTA_CELLS, ids=_job_label)
     def test_vector_matches_object_bitwise(self, job):
         obj = replace(job, backend="object").execute().to_dict()
         vec = replace(job, backend="vector").execute().to_dict()
