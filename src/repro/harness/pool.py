@@ -155,6 +155,7 @@ class _Slot:
         self.process = None
         self.conn = None
         self.jobs = 0
+        self._stopping = threading.Lock()
 
     def exited(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for the process to exit.
@@ -174,11 +175,18 @@ class _Slot:
         return True
 
     def stop(self) -> None:
-        """Kill the process (if any) and close the pipe."""
-        if self.process is not None:
-            self.process.kill()
-            self.process.join()
-            self.conn.close()
+        """Kill the process (if any) and close the pipe.
+
+        ``WorkerPool.close()`` and a ``run()`` replacing the worker that
+        close killed can both get here at once; one ``conn.close()`` after
+        the other is harmless, but two together close the descriptor
+        twice (EBADF), so they take turns.
+        """
+        with self._stopping:
+            if self.process is not None:
+                self.process.kill()
+                self.process.join()
+                self.conn.close()
 
 
 class WorkerPool:

@@ -333,6 +333,37 @@ class TestWorkerPool:
         assert attempts[0].crash == "died"
         assert multiprocessing.active_children() == []
 
+    def test_concurrent_slot_stops_take_turns(self):
+        # close() and a run() replacing the worker close killed both stop
+        # the slot; two pipe closes at once closed one descriptor twice.
+        barrier = threading.Barrier(2, timeout=0.5)
+        together = []
+
+        class Pipe:
+            def close(self):
+                try:
+                    barrier.wait()
+                    together.append(True)
+                except threading.BrokenBarrierError:
+                    pass
+
+        class Process:
+            def kill(self):
+                pass
+
+            def join(self):
+                pass
+
+        slot = pool._Slot(0)
+        slot.process, slot.conn = Process(), Pipe()
+        stoppers = [threading.Thread(target=slot.stop) for _ in range(2)]
+        for thread in stoppers:
+            thread.start()
+        for thread in stoppers:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in stoppers)
+        assert together == []
+
 
 # --------------------------------------------------------------------------- #
 # cache corruption injection
