@@ -220,8 +220,14 @@ class LCSMonitor:
             raise ValueError("util_guard must be in [0, 1]")
         if barrier_guard < 0.0:
             raise ValueError("barrier_guard must be non-negative")
+        param = _RULE_DEFAULTS[rule] if param is None else param
+        # The rule functions check this too, but only once monitoring
+        # ends; a bad value must fail here, before the run starts.
+        if not isinstance(param, (int, float)) or not 0.0 < param <= 1.0:
+            raise ValueError(f"LCS {rule} param must be a number in "
+                             f"(0, 1], got {param!r}")
         self.rule = rule
-        self.param = _RULE_DEFAULTS[rule] if param is None else param
+        self.param = param
         self.util_guard = util_guard
         self.barrier_guard = barrier_guard
         self.monitor_sm = monitor_sm   # None = first CTA completion anywhere

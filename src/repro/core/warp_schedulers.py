@@ -276,6 +276,9 @@ class SWLScheduler(GTOScheduler):
 
 def swl_factory(warp_limit: int) -> Callable[[], "SWLScheduler"]:
     """A zero-arg factory for SWL at a given per-scheduler warp limit."""
+    if warp_limit < 1:
+        raise ValueError("warp_limit must be >= 1")
+
     def factory() -> SWLScheduler:
         return SWLScheduler(warp_limit=warp_limit)
 

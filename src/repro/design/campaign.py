@@ -5,7 +5,8 @@ A :class:`Campaign` is one compiled design bound to a store directory
 
 * ``meta.json`` — what the campaign *is*: design digest, compile
   environment, one static record per cell (label, job payload,
-  fingerprint).  Written atomically exactly once.
+  fingerprint).  Written exactly once, through
+  :func:`repro.harness.files.write_atomic`.
 * ``journal.jsonl`` and ``snapshot.json`` — what *happened*, kept by a
   :class:`~repro.design.store.JobStore`: ``claim`` / ``heartbeat`` /
   ``release`` / ``done`` / ``failed`` / ``exhausted`` records keyed by
@@ -26,14 +27,14 @@ environment starts a fresh campaign next door.  A store this code cannot
 read (a corrupt meta, or an older format: format-2 ``meta.json`` with
 cell-keyed records, format-1 ``manifest.json``) is set aside as
 ``.corrupt`` and rebuilt from the design; its done cells replay from the
-result cache.
+result cache.  Opening or loading a store sweeps the ``.tmp-*`` strays a
+killed writer left; the write, quarantine and sweep mechanics are
+:mod:`repro.harness.files`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,7 +45,8 @@ from ..harness.cache import ResultCache
 from ..harness.checkpoints import CheckpointPlan
 from ..harness.engine import DEFAULT_RETRIES, BatchReport, run_batch
 from ..harness.faults import FaultPlan
-from ..harness.jobs import SimJob
+from ..harness.files import quarantine, sweep, write_atomic
+from ..harness.jobs import JobError, SimJob
 from .design import Design, DesignError
 from .env import DesignEnv
 from .journal import JOURNAL_NAME, SNAPSHOT_NAME
@@ -179,16 +181,24 @@ class Campaign:
         *running* elsewhere) campaign of the same design+environment is
         loaded, journal state and all; any other design lands in its
         own directory.  A store with a corrupt or older-format meta is
-        set aside as ``.corrupt`` and rebuilt from the design.
+        set aside as ``.corrupt`` and rebuilt from the design.  A cell
+        whose job no worker could run (:meth:`SimJob.check
+        <repro.harness.jobs.SimJob.check>`) raises :class:`JobError`
+        before anything is written.
         """
         env = env if env is not None else DesignEnv()
         compiled = design.compile(env)
         if not compiled:
             raise DesignError(f"design {design.name!r} compiled to zero "
                               f"cells; nothing to run")
+        for cc in compiled:
+            try:
+                cc.job.check()
+            except JobError as error:
+                raise JobError(f"cell {cc.label!r}: {error}") from None
         digest = design.digest(env)
         path = Path(root) / f"{design.name}-{digest[:12]}"
-        _sweep_strays(path)
+        sweep(path, ".tmp-*")
         unusable = (path / _MANIFEST).is_file()
         if (path / _META).is_file():
             try:
@@ -205,7 +215,7 @@ class Campaign:
                 return campaign
         if unusable:
             for name in (_MANIFEST, JOURNAL_NAME, SNAPSHOT_NAME):
-                _quarantine(path / name)
+                quarantine(path / name)
         cells = [Job(job_id(digest, cc.index), cc.job.fingerprint(),
                      cc.job.to_payload(), cc.index, label=cc.label)
                  for cc in compiled]
@@ -225,7 +235,7 @@ class Campaign:
         then rebuilds it from the design).
         """
         path = Path(path)
-        _sweep_strays(path)
+        sweep(path, ".tmp-*")
         meta = path / _META
         if not meta.is_file():
             raise CampaignError(f"no campaign store under {path}")
@@ -239,8 +249,7 @@ class Campaign:
                           for cell in data["cells"]])
 
     def _write_meta(self) -> None:
-        """Atomic one-time meta write (tmp + rename)."""
-        self.path.mkdir(parents=True, exist_ok=True)
+        """Atomic one-time meta write; raises on failure."""
         payload = {
             "format": _META_FORMAT,
             "name": self.name,
@@ -251,17 +260,7 @@ class Campaign:
                        "fingerprint": cell.fingerprint, "job": cell.job}
                       for cell in self.cells],
         }
-        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=".tmp-meta-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=1)
-            os.replace(tmp, self.path / _META)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path / _META, json.dumps(payload, indent=1))
 
     # ------------------------------------------------------------------ #
     # state
@@ -442,24 +441,6 @@ class Campaign:
 # store-file helpers
 # --------------------------------------------------------------------------- #
 
-def _sweep_strays(path: Path) -> None:
-    """Remove ``.tmp-*`` strays a killed process left behind."""
-    if not path.is_dir():
-        return
-    for stray in path.glob(".tmp-*"):
-        try:
-            stray.unlink()
-        except OSError:
-            pass
-
-
-def _quarantine(path: Path) -> None:
-    try:
-        path.rename(path.with_name(path.name + ".corrupt"))
-    except OSError:
-        pass
-
-
 def _read_meta(path: Path) -> dict:
     """Parse the meta file; quarantine-and-raise when unusable."""
     try:
@@ -474,6 +455,6 @@ def _read_meta(path: Path) -> dict:
         raise CampaignError(f"unreadable campaign store file {path}: "
                             f"{error}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as error:
-        _quarantine(path)
+        quarantine(path)
         raise CampaignError(f"corrupt campaign store file {path} "
                             f"(quarantined as .corrupt): {error}") from None

@@ -29,9 +29,9 @@ that fails with ``OSError`` (disk full, read-only store, or an injected
 the record in memory so the store can fall back to a snapshot when it
 stops instead of aborting.
 
-The *snapshot* (``snapshot.json``) is written atomically and bound to
-its store by a key; what it holds is the store's business
-(:mod:`repro.design.store`).
+The *snapshot* (``snapshot.json``) is bound to its store by a key and
+written and quarantined through :mod:`repro.harness.files`; what it
+holds is the store's business (:mod:`repro.design.store`).
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+
+from ..harness.files import quarantine, write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..harness.faults import FaultPlan
@@ -241,22 +242,11 @@ def write_snapshot(directory: str | Path, key: str,
     Like every store in this repo, an unwritable snapshot degrades
     (returns False) rather than raising.
     """
-    directory = Path(directory)
     payload = {"format": SNAPSHOT_FORMAT, "key": key,
                "written": time.time(), "state": state}
-    tmp_name = None
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-snap-")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, directory / SNAPSHOT_NAME)
+        write_atomic(Path(directory) / SNAPSHOT_NAME, json.dumps(payload))
     except OSError:
-        if tmp_name is not None:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
         return False
     return True
 
@@ -283,12 +273,6 @@ def load_snapshot(directory: str | Path, key: str) -> dict[str, Any]:
         if not isinstance(state, dict):
             raise ValueError("snapshot state is not an object")
     except (ValueError, KeyError, TypeError, AttributeError):
-        try:
-            path.rename(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        quarantine(path)
         return {}
     return state

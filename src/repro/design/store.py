@@ -48,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import os
 import socket
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..harness.files import write_atomic
 from .journal import (JOURNAL_NAME, Journal, load_snapshot, replay_journal,
                       write_snapshot)
 
@@ -468,9 +468,7 @@ class JobStore:
                 self._reload()
                 if not self._write_snapshot():
                     return False
-                fd, tmp = tempfile.mkstemp(dir=self.path, prefix=".tmp-jnl-")
-                os.close(fd)
-                os.replace(tmp, self.path / JOURNAL_NAME)
+                write_atomic(self.path / JOURNAL_NAME, b"")
                 self._covered = (0, None)
         except OSError:
             return False

@@ -1,14 +1,13 @@
 """Persistent, cross-process result cache.
 
 One JSON file per job fingerprint under a cache root (default
-``.repro-cache/`` in the working directory).  Writes are atomic — the entry
-is written to a temporary file in the same directory and ``os.replace``'d
-into place — so concurrent workers (or concurrent ``repro-exp``
-invocations) can never observe a half-written entry.  A corrupted or
-unreadable entry is treated as a miss and silently recomputed, never a
-crash; an *unwritable* cache (disk full, read-only directory) degrades the
-same way — :meth:`ResultCache.put` warns once, counts a ``write_errors``
-stat and the batch keeps running un-cached.
+``.repro-cache/`` in the working directory), written and quarantined
+through :mod:`repro.harness.files`: concurrent workers (or concurrent
+``repro-exp`` invocations) never observe a half-written entry.  A
+corrupted or unreadable entry is treated as a miss and silently
+recomputed, never a crash; an *unwritable* cache (disk full, read-only
+directory) degrades the same way — :meth:`ResultCache.put` warns once,
+counts a ``write_errors`` stat and the batch keeps running un-cached.
 
 The cache key is :meth:`repro.harness.jobs.SimJob.fingerprint`, which
 includes the :data:`~repro.harness.jobs.SIM_VERSION` salt; bumping the salt
@@ -20,22 +19,20 @@ decode runs inside the same try block as everything else, so an entry with
 a mangled timeline or trace is a miss and gets recomputed, never a crash.
 
 A *corrupt* entry (the file exists but does not decode) is additionally
-**quarantined**: renamed to ``<fingerprint>.corrupt`` — deleted outright
-if even the rename fails — and counted in ``corrupt_entries``, so a bad
-entry is reported once in the batch summary instead of silently
-re-missing on every future run.
+**quarantined** to ``<fingerprint>.json.corrupt`` and counted in
+``corrupt_entries``, so a bad entry is reported once in the batch summary
+instead of silently re-missing on every future run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Any
 
 from ..sim.stats import RunResult
+from .files import quarantine, sweep, write_atomic
 
 #: Default cache directory (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -70,8 +67,8 @@ class ResultCache:
 
         An entry that exists but fails to decode — bad JSON, a truncated
         write from a killed process, a schema change — is quarantined to
-        ``<fingerprint>.corrupt`` and counted in :attr:`corrupt_entries`
-        before the miss is returned.
+        ``<fingerprint>.json.corrupt`` and counted in
+        :attr:`corrupt_entries` before the miss is returned.
         """
         path = self.path_for(fingerprint)
         try:
@@ -87,25 +84,15 @@ class ResultCache:
                 raise ValueError(f"unknown entry format in {path}")
             result = RunResult.from_dict(entry["result"])
         except (ValueError, KeyError, TypeError, AttributeError):
-            self._quarantine(path)
+            quarantine(path)
+            self.corrupt_entries += 1
             self.misses += 1
             return None
         self.hits += 1
         return result
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside so it is reported, not re-read."""
-        self.corrupt_entries += 1
-        try:
-            path.rename(path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
     def put(self, fingerprint: str, result: RunResult) -> bool:
-        """Store a result atomically (tmp file + rename).
+        """Store a result atomically.
 
         Returns True on success.  Storage failures (disk full, read-only
         cache directory, quota) degrade gracefully: the first one warns,
@@ -117,60 +104,26 @@ class ResultCache:
             "fingerprint": fingerprint,
             "result": result.to_dict(),
         }
-        payload = json.dumps(entry, separators=(",", ":"))
-        tmp_name = None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-",
-                                            suffix=".json")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self.path_for(fingerprint))
+            write_atomic(self.path_for(fingerprint),
+                         json.dumps(entry, separators=(",", ":")))
         except OSError as error:
-            self._note_write_error(error)
-            self._discard_tmp(tmp_name)
+            self.write_errors += 1
+            if not self._warned_unwritable:
+                self._warned_unwritable = True
+                warnings.warn(
+                    f"result cache {self.root} is not writable "
+                    f"({type(error).__name__}: {error}); continuing "
+                    f"un-cached", RuntimeWarning, stacklevel=2)
             return False
-        except BaseException:
-            self._discard_tmp(tmp_name)
-            raise
         return True
-
-    def _note_write_error(self, error: OSError) -> None:
-        self.write_errors += 1
-        if not self._warned_unwritable:
-            self._warned_unwritable = True
-            warnings.warn(
-                f"result cache {self.root} is not writable "
-                f"({type(error).__name__}: {error}); continuing un-cached",
-                RuntimeWarning, stacklevel=3)
-
-    @staticmethod
-    def _discard_tmp(tmp_name: str | None) -> None:
-        if tmp_name is None:
-            return
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         # Stray .tmp-* files (a worker killed mid-write) are not entries.
-        if not self.root.is_dir():
-            return 0
         return sum(1 for path in self.root.glob("*.json")
                    if not path.name.startswith(".tmp-"))
 
     def clear(self) -> int:
         """Delete every entry (plus quarantined/temp files); return count."""
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for path in {*self.root.glob("*.json"), *self.root.glob("*.corrupt"),
-                     *self.root.glob(".tmp-*")}:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sweep(self.root, "*.json", "*.corrupt", ".tmp-*")

@@ -9,15 +9,16 @@ from cycle zero.  The layout mirrors :mod:`repro.harness.cache`:
   directory), one file per ``(fingerprint, cycle)`` pair, named
   ``<fingerprint>.<cycle>.ckpt`` with the cycle zero-padded so lexical
   order is cycle order;
-* writes are atomic (tmp file + ``os.replace``) and *best-effort* — an
-  unwritable store warns once, counts ``write_errors`` and the run keeps
-  going unprotected rather than crashing;
+* files are written, quarantined and swept through
+  :mod:`repro.harness.files`; writes are *best-effort* — an unwritable
+  store warns once, counts ``write_errors`` and the run keeps going
+  unprotected rather than crashing;
 * every file embeds a sha256 digest of the snapshot payload.  A file that
-  fails to load or verify is **quarantined** (renamed to ``*.corrupt``, or
-  deleted when even the rename fails), counted in ``corrupt_entries``, and
-  the next-newest checkpoint is tried — a truncated write from a killed
-  worker can cost at most one checkpoint interval of progress, never the
-  run;
+  fails to load or verify is **quarantined** (to
+  ``<fingerprint>.<cycle>.ckpt.corrupt``), counted in ``corrupt_entries``,
+  and the next-newest checkpoint is tried — a truncated write from a
+  killed worker can cost at most one checkpoint interval of progress,
+  never the run;
 * only the newest :data:`KEEP_PER_JOB` checkpoints per fingerprint are
   retained (resume only ever wants the newest; the runner-up survives as
   insurance against a corrupt newest).
@@ -30,14 +31,13 @@ processes, each of which opens its own :class:`CheckpointStore` handle.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..sim.checkpoint import CHECKPOINT_VERSION, Snapshot
+from .files import quarantine, sweep, write_atomic
 
 #: Default checkpoint directory (relative to the working directory).
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
@@ -105,22 +105,19 @@ class CheckpointStore:
             "digest": hashlib.sha256(snapshot.payload).hexdigest(),
             "snapshot": snapshot,
         }
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp_name = None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-",
-                                            suffix=".ckpt")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self.path_for(fingerprint, snapshot.cycle))
+            write_atomic(self.path_for(fingerprint, snapshot.cycle),
+                         pickle.dumps(record,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
         except OSError as error:
-            self._note_write_error(error)
-            self._discard_tmp(tmp_name)
+            self.write_errors += 1
+            if not self._warned_unwritable:
+                self._warned_unwritable = True
+                warnings.warn(
+                    f"checkpoint store {self.root} is not writable "
+                    f"({type(error).__name__}: {error}); running "
+                    f"unprotected", RuntimeWarning, stacklevel=2)
             return False
-        except BaseException:
-            self._discard_tmp(tmp_name)
-            raise
         self._prune(fingerprint)
         return True
 
@@ -128,8 +125,8 @@ class CheckpointStore:
         """The newest *valid* snapshot for a job, or None.
 
         Corrupt files (bad pickle, digest mismatch, wrong format or
-        version) are quarantined to ``*.corrupt`` and counted, and the
-        next-newest candidate is tried.
+        version) are quarantined to ``*.ckpt.corrupt`` and counted, and
+        the next-newest candidate is tried.
         """
         for path in sorted(self._entries(fingerprint), reverse=True):
             snapshot = self._load(path, fingerprint)
@@ -145,31 +142,16 @@ class CheckpointStore:
         value and would otherwise accumulate forever (``clear`` was the
         only thing that ever deleted them).
         """
-        removed = 0
-        for path in self._entries(fingerprint) + self._strays(fingerprint):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sweep(self.root, f"{fingerprint}.*.ckpt",
+                     f"{fingerprint}.*.corrupt")
 
     def corrupt_strays(self) -> list[Path]:
         """Every quarantined ``*.corrupt`` file currently in the store."""
-        if not self.root.is_dir():
-            return []
         return sorted(self.root.glob("*.corrupt"))
 
     # ------------------------------------------------------------------ #
     def _entries(self, fingerprint: str) -> list[Path]:
-        if not self.root.is_dir():
-            return []
         return list(self.root.glob(f"{fingerprint}.*.ckpt"))
-
-    def _strays(self, fingerprint: str) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return list(self.root.glob(f"{fingerprint}.*.corrupt"))
 
     def _load(self, path: Path, fingerprint: str) -> Snapshot | None:
         try:
@@ -191,69 +173,28 @@ class CheckpointStore:
             # Racing process pruned/claimed it: not corruption, just gone.
             return None
         except Exception:   # noqa: BLE001 - any decode failure is corruption
-            self._quarantine(path)
+            quarantine(path)
+            self.corrupt_entries += 1
             return None
         return snapshot
 
-    def _quarantine(self, path: Path) -> None:
-        self.corrupt_entries += 1
-        try:
-            path.rename(path.with_suffix(".corrupt"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
     def _prune(self, fingerprint: str) -> None:
         # Keep the newest KEEP_PER_JOB *valid* checkpoints.  Quarantined
-        # ``*.corrupt`` files must never count toward the keep margin —
-        # the runner-up exists precisely as insurance against a corrupt
-        # newest, so letting a quarantine displace it would defeat it.
-        entries = [path for path in self._entries(fingerprint)
-                   if path.suffix == ".ckpt"]
-        stale = sorted(entries)[:-KEEP_PER_JOB]
-        for path in stale:
+        # ``*.corrupt`` files (which the ``*.ckpt`` glob never matches)
+        # must not count toward the keep margin — the runner-up exists
+        # precisely as insurance against a corrupt newest, so letting a
+        # quarantine displace it would defeat it.
+        for path in sorted(self._entries(fingerprint))[:-KEEP_PER_JOB]:
             try:
                 path.unlink()
             except OSError:
                 pass
-
-    def _note_write_error(self, error: OSError) -> None:
-        self.write_errors += 1
-        if not self._warned_unwritable:
-            self._warned_unwritable = True
-            warnings.warn(
-                f"checkpoint store {self.root} is not writable "
-                f"({type(error).__name__}: {error}); running unprotected",
-                RuntimeWarning, stacklevel=3)
-
-    @staticmethod
-    def _discard_tmp(tmp_name: str | None) -> None:
-        if tmp_name is None:
-            return
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
         return sum(1 for path in self.root.glob("*.ckpt")
                    if not path.name.startswith(".tmp-"))
 
     def clear(self) -> int:
         """Delete every checkpoint, quarantine and temp file."""
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for path in {*self.root.glob("*.ckpt"), *self.root.glob("*.corrupt"),
-                     *self.root.glob(".tmp-*")}:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sweep(self.root, "*.ckpt", "*.corrupt", ".tmp-*")

@@ -448,6 +448,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"--lease-ttl must be > 0, got {args.lease_ttl}",
               file=sys.stderr)
         return 2
+    if args.scale <= 0:
+        print(f"--scale must be > 0, got {args.scale}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
+    if args.timeline is not None and args.timeline < 1:
+        print(f"--timeline must be >= 1 cycle, got {args.timeline}",
+              file=sys.stderr)
+        return 2
     if not args.design and (args.shard or args.worker_id
                             or args.lease_ttl is not None
                             or args.max_retries is not None):

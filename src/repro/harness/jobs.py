@@ -298,6 +298,23 @@ class SimJob:
         return [make_kernel(name, scale=self.scale * mult, seed=self.seed)
                 for name, mult in zip(self.names, self.scale_mults)]
 
+    def check(self) -> None:
+        """Build the kernels, policy and warp scheduler once, or raise.
+
+        The constructor checks descriptor shapes only, so values out of
+        range (``("static", 0)``, ``warp=("swl", 0)``, ``scale=0``, a
+        negative seed) surface here as :class:`JobError` instead of in a
+        worker.  Callers admitting jobs from outside (the daemon,
+        ``repro-sim``, :meth:`Campaign.open
+        <repro.design.campaign.Campaign.open>`) call it; the constructor
+        does not, as a design replay makes thousands of jobs.
+        """
+        try:
+            build_policy(self.policy, self.build_kernels())
+            build_warp_scheduler(self.warp)
+        except (ValueError, TypeError) as error:
+            raise JobError(str(error)) from None
+
     def execute(self, *, wall_timeout: float | None = None,
                 sanitize: bool | None = None,
                 checkpoint: "CheckpointPlan | None" = None,

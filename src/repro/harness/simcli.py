@@ -206,6 +206,18 @@ def _print_result(result: RunResult, kernel_name: str,
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(argv)
+    if args.timeline is not None and args.timeline.isdigit() \
+            and int(args.timeline) < 1:
+        print(f"--timeline window must be >= 1 cycle, got {args.timeline}",
+              file=sys.stderr)
+        return 2
+    if args.timeline_period < 1:
+        print(f"--timeline-period must be >= 1 cycle, got "
+              f"{args.timeline_period}", file=sys.stderr)
+        return 2
+    if args.timeout is not None and args.timeout < 0:
+        print(f"--timeout must be >= 0, got {args.timeout}", file=sys.stderr)
+        return 2
     use_engine = (not args.kernel.endswith(".json")
                   and args.timeline is None
                   and not args.trace)
@@ -229,6 +241,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                          warp=_warp_descriptor(args.warp),
                          policy=_policy_descriptor(args.policy),
                          config=config, backend=args.backend)
+            job.check()
             kernel = job.build_kernels()[0]
         else:
             kernel = _load_kernel(args.kernel, args.scale, args.seed)

@@ -641,6 +641,7 @@ class SchedulerDaemon:
                     "error": known.error}
         try:
             job = SimJob.from_payload(frame.get("job") or {})
+            job.check()
         except (JobError, KeyError, TypeError, ValueError) as error:
             return error_response("submit",
                                   f"bad job payload: {error}")

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterable
+
+from ..harness.files import write_atomic
 
 #: Format marker for the header line; bump on incompatible layout changes.
 ARTIFACT_VERSION = 1
@@ -35,11 +36,10 @@ def write_failure_artifact(path: str | os.PathLike[str],
     The first line is a header object (``{"kind": "header", ...}``) with
     the artifact version, the producing command and any ``context`` the
     caller wants preserved (master seed, tier, store path).  The write is
-    atomic (tmp file + rename) so a crashed run never leaves a truncated
-    artifact for CI to upload.
+    atomic (:func:`repro.harness.files.write_atomic`) so a crashed run
+    never leaves a truncated artifact for CI to upload; a failed write
+    raises.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header: dict[str, Any] = {
         "kind": "header",
         "version": ARTIFACT_VERSION,
@@ -47,25 +47,10 @@ def write_failure_artifact(path: str | os.PathLike[str],
     }
     if context:
         header.update(context)
-    count = 0
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
-                                    suffix=".jsonl")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True,
-                                    default=str) + "\n")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True,
-                                        default=str) + "\n")
-                count += 1
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return count
+    lines = [json.dumps(obj, sort_keys=True, default=str) + "\n"
+             for obj in (header, *records)]
+    write_atomic(path, "".join(lines))
+    return len(lines) - 1
 
 
 def read_failure_artifact(path: str | os.PathLike[str]

@@ -9,7 +9,9 @@ config)`` simulation, keyed by a human-readable label and guarded by the
 job's :meth:`~repro.harness.jobs.SimJob.fingerprint` (so a silently edited
 matrix definition is reported as *stale*, never silently re-baselined) and
 a sha256 digest of the stored result payload (so a corrupted or
-hand-edited golden is reported as *tampered*, never trusted).
+hand-edited golden is reported as *tampered*, never trusted).  Entries
+are written and their strays swept through :mod:`repro.harness.files`;
+a failed write raises.
 
 :func:`verify_goldens` re-runs the matrix through the batch engine with
 the persistent result cache **bypassed** (a drift gate that reads its own
@@ -39,14 +41,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..harness.cache import ResultCache
 from ..harness.engine import run_batch
+from ..harness.files import sweep, write_atomic
 from ..harness.jobs import SimJob
 from ..sim.config import GPUConfig
 
@@ -211,10 +212,9 @@ def golden_matrix(tier: str = "smoke") -> list[GoldenCell]:
 class GoldenStore:
     """A directory of ``<label>.json`` golden entries (one per cell).
 
-    Writes are atomic (tmp file + ``os.replace``) like the result cache,
-    so an interrupted ``--update`` can leave a ``.tmp-*`` stray but never
-    a half-written golden; strays are removed by :meth:`clear_strays`
-    (and ``make clean-state``).
+    An interrupted ``--update`` can leave a ``.tmp-*`` stray but never a
+    half-written golden; strays are removed by :meth:`clear_strays` (and
+    ``make clean-state``).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -234,21 +234,8 @@ class GoldenStore:
             "digest": result_digest(result_dict),
             "result": result_dict,
         }
-        payload = json.dumps(entry, sort_keys=True, indent=1)
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            path = self.path_for(cell.label)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        path = self.path_for(cell.label)
+        write_atomic(path, json.dumps(entry, sort_keys=True, indent=1) + "\n")
         return path
 
     def get(self, label: str) -> dict[str, Any] | None:
@@ -280,8 +267,6 @@ class GoldenStore:
         return entry
 
     def labels(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
         return sorted(p.stem for p in self.root.glob("*.json")
                       if not p.name.startswith(".tmp-"))
 
@@ -290,16 +275,7 @@ class GoldenStore:
 
     def clear_strays(self) -> int:
         """Remove ``.tmp-*`` leftovers from interrupted updates."""
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for path in self.root.glob(".tmp-*"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sweep(self.root, ".tmp-*")
 
 
 # --------------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from pathlib import Path
 from ..harness.experiments import (EXPERIMENT_DESIGNS, EXPERIMENTS,
                                    ExperimentContext, e12_benchmark_table,
                                    e12_config_table, plan_experiments)
+from ..harness.files import write_atomic
 
 #: Where the committed table goldens live.
 DEFAULT_TABLE_ROOT = Path("goldens") / "tables"
@@ -79,12 +80,11 @@ def verify_tables(root: str | Path = DEFAULT_TABLE_ROOT,
 
 
 def update_tables(root: str | Path = DEFAULT_TABLE_ROOT) -> int:
-    """(Re)write every table golden; returns the number written."""
+    """(Re)write every table golden atomically; returns the number written."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     tables = build_tables()
     for stem, text in sorted(tables.items()):
-        (root / f"{stem}.csv").write_text(text)
+        write_atomic(root / f"{stem}.csv", text)
     for path in sorted(root.glob("*.csv")):
         if path.stem not in tables:
             path.unlink()

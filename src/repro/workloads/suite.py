@@ -679,6 +679,10 @@ def make_kernel(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kern
     except KeyError:
         raise ValueError(f"unknown benchmark {name!r}; "
                          f"available: {sorted(SUITE)}") from None
+    # Programs are built lazily; numpy would reject a negative seed only
+    # when the first one is.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return info.make(scale=scale, seed=seed)
 
 

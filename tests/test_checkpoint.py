@@ -474,7 +474,7 @@ def test_store_quarantines_corrupt_newest(tmp_path):
     assert recovered.cycle == snapshots[-2].cycle
     assert store.corrupt_entries == 1
     assert not newest_path.exists()
-    assert newest_path.with_suffix(".corrupt").exists()
+    assert newest_path.with_name(newest_path.name + ".corrupt").exists()
     # And the recovered snapshot actually resumes correctly.
     reference = fingerprint_result(job.execute())
     resumed = simulate(job.build_kernels(), resume_from=recovered)

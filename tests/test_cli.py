@@ -1,5 +1,7 @@
 """Tests for the repro-exp command-line interface."""
 
+import pytest
+
 from repro.harness.cli import main
 
 
@@ -92,6 +94,17 @@ def test_bad_fault_spec_is_usage_error(capsys):
 def test_negative_retries_and_timeout_rejected(capsys):
     assert main(["e5", "--retries", "-1"]) == 2
     assert main(["e5", "--timeout", "-3"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scale", "0"], "--scale must be > 0, got 0.0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--timeline", "0"], "--timeline must be >= 1 cycle, got 0"),
+])
+def test_out_of_range_run_flags_rejected(capsys, argv, message):
+    # Each used to dispatch a batch of jobs doomed to fail in a worker.
+    assert main(["e5", "--scale", "0.02", "--no-cache", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_injected_failure_reports_and_exits_nonzero(capsys):
@@ -207,6 +220,28 @@ def test_design_campaign_usage_error_exits_two(tmp_path, monkeypatch,
     assert main(["--design", str(tmp_path / "missing.toml")]) == 2
     assert "cannot read design file" in capsys.readouterr().err
     assert main(["--shard"]) == 2     # campaign flag without --design
+
+
+def test_design_campaign_with_an_unrunnable_cell_exits_two(
+        tmp_path, monkeypatch, capsys):
+    # ["static", 0] has a valid shape but no worker could run it: the
+    # campaign refuses to open, writes no store and dispatches nothing.
+    from repro.design import DEFAULT_CAMPAIGN_ROOT
+
+    monkeypatch.chdir(tmp_path)
+    design = tmp_path / "sweep.toml"
+    design.write_text('[design]\nname = "cli-bad-cell"\n\n'
+                      '[[design.factor]]\nname = "bench"\n'
+                      'levels = ["kmeans"]\n\n'
+                      '[[design.factor]]\nname = "policy"\n'
+                      'levels = [["rr"], ["static", 0]]\n')
+    assert main(["--design", str(design), "--scale", "0.02",
+                 "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot open campaign" in err
+    assert "CTA limit for 'kmeans' must be >= 1" in err
+    assert "dispatched" not in err
+    assert not (tmp_path / DEFAULT_CAMPAIGN_ROOT).exists()
 
 
 def test_design_campaign_degraded_journal_footer(tmp_path, monkeypatch,

@@ -10,10 +10,7 @@ The two acceptance properties live here:
 """
 
 import json
-import os
 import warnings
-
-import pytest
 
 from repro.design.journal import (JOURNAL_NAME, SNAPSHOT_NAME, Journal,
                                   decode_record, load_snapshot, record_crc,
@@ -205,12 +202,9 @@ class TestSnapshots:
         assert (tmp_path / (SNAPSHOT_NAME + ".corrupt")).exists()
 
     def test_unwritable_directory_returns_false(self, tmp_path):
-        if hasattr(os, "geteuid") and os.geteuid() == 0:
-            pytest.skip("permissions are not enforced for root")
-        target = tmp_path / "ro"
-        target.mkdir()
-        os.chmod(target, 0o500)
-        try:
-            assert write_snapshot(target, "d", self.STATE) is False
-        finally:
-            os.chmod(target, 0o700)
+        # A regular file where the directory should be makes mkdir raise
+        # (chmod tricks do not work for root, which runs this suite).
+        target = tmp_path / "store"
+        target.write_text("not a directory")
+        assert write_snapshot(target, "d", self.STATE) is False
+        assert target.read_text() == "not a directory"

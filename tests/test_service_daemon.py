@@ -123,6 +123,23 @@ class TestDaemonLifecycle:
         assert kinds.count(("done", "t:1")) == 1
         assert not (tmp_path / "state" / "snapshot.json").exists()
 
+    def test_out_of_range_job_is_refused_at_admission(self, tmp_path):
+        # ("static", 0) has a valid shape but no worker could run it: it
+        # is refused like a shape error, never queued to fail later.
+        daemon, thread, outcome = _start(tmp_path)
+        try:
+            payload = {**_job().to_payload(), "policy": ["static", 0]}
+            with ServiceClient(daemon.socket_path) as client:
+                response = client.submit("bad:0", payload)
+                assert not response["ok"]
+                assert "bad job payload" in response["error"]
+                assert "must be >= 1" in response["error"]
+                assert client.status()["queued"] == 0
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        records = replay_journal(tmp_path / "state" / QUEUE_JOURNAL).records
+        assert not [r for r in records if r.get("id") == "bad:0"]
+
     def test_rate_limit_sheds_with_retry_after(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path, rate=0.001, burst=1)
         try:

@@ -60,6 +60,33 @@ def test_unknown_kernel_errors(capsys):
     assert main(["nonesuch"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--policy", "static:0"], "CTA limit for 'kmeans' must be >= 1"),
+    (["--policy", "bcs:0"], "block_size must be >= 1"),
+    (["--warp", "swl:0"], "warp_limit must be >= 1"),
+    (["--warp", "swl:0", "--timeline", "500"], "warp_limit must be >= 1"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_unrunnable_job_is_a_usage_error(capsys, argv, message):
+    # Each has a valid shape and used to fail only inside the worker,
+    # printing its traceback.
+    assert main(["kmeans", "--scale", "0.05", "--no-cache", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--timeline", "0"], "--timeline window must be >= 1 cycle"),
+    (["--timeline", "-", "--timeline-period", "0"],
+     "--timeline-period must be >= 1 cycle"),
+    (["--timeout", "-1"], "--timeout must be >= 0, got -1.0"),
+])
+def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
+    assert main(["kmeans", "--scale", "0.05", "--no-cache", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_timeline_output(tmp_path, capsys):
     csv = tmp_path / "timeline.csv"
     assert main(["kmeans", "--scale", "0.05", "--timeline", str(csv),

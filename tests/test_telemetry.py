@@ -347,7 +347,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     # The mangled entry was quarantined, not left to re-miss forever.
     assert cache.corrupt_entries == 1
     assert not path.exists()
-    assert path.with_suffix(".corrupt").exists()
+    assert path.with_name(path.name + ".corrupt").exists()
 
     cache.put(job.fingerprint(), result)
     raw = path.read_text()
