@@ -4,7 +4,8 @@ PY      ?= python
 PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test lint bench bench-smoke bench-engine bench-core \
-	bench-core-check bench-e2e-smoke fault-smoke resume-smoke design-smoke \
+	bench-core-check bench-work bench-work-check bench-e2e-smoke \
+	fault-smoke resume-smoke design-smoke \
 	campaign-chaos-smoke service-smoke service-chaos-smoke \
 	cluster-chaos-smoke clean-cache clean-state verify-smoke \
 	verify-full goldens table-goldens
@@ -35,6 +36,12 @@ bench-core:      ## re-baseline BENCH_core.json: object vs vector wall-clock
 bench-core-check: ## assert backend parity + no >20% speedup regression
 	PYTHONPATH=src $(PY) benchmarks/bench_core.py --repeats 2 \
 		--check BENCH_core.json
+
+bench-work:      ## re-record BENCH_work.json: exact simulator work counters at the golden seed
+	$(PY) benchmarks/work_counts.py --out BENCH_work.json
+
+bench-work-check: ## fail if any counter in BENCH_work.json changed (~1 min)
+	$(PY) benchmarks/work_counts.py --check BENCH_work.json
 
 bench-e2e-smoke: ## end-to-end benchmark self-tests: all workloads tiny + traced (~1 min)
 	$(PYTEST) benchmarks/e2e -q

@@ -19,7 +19,7 @@ Policy subclasses shape dispatch by overriding:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..sim.kernel import Kernel
 
@@ -158,14 +158,19 @@ class StaticLimitCTAScheduler(CTAScheduler):
     def __init__(self, kernels: Kernel | Sequence[Kernel],
                  limit_per_sm: int | dict[str, int]) -> None:
         super().__init__(kernels)
-        if isinstance(limit_per_sm, int):
-            limits = {kernel.name: limit_per_sm for kernel in self.kernels}
-        else:
+        if isinstance(limit_per_sm, Mapping):
             limits = dict(limit_per_sm)
+        else:
+            limits = {kernel.name: limit_per_sm for kernel in self.kernels}
         for kernel in self.kernels:
             value = limits.get(kernel.name)
             if value is None:
                 raise ValueError(f"no CTA limit given for kernel {kernel.name!r}")
+            # bool is an int subclass, but True would run as limit 1 under
+            # another job fingerprint than ("static", 1).
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"CTA limit for {kernel.name!r} must be an "
+                                 f"int, got {value!r}")
             if value < 1:
                 raise ValueError(f"CTA limit for {kernel.name!r} must be >= 1")
         self._limits = limits

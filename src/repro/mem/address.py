@@ -30,8 +30,9 @@ class DRAMCoordinates(NamedTuple):
     row: int
 
 
-def dram_coordinates(line: int, channels: int, banks: int, row_lines: int) -> DRAMCoordinates:
-    """Map a line address to (channel, bank, row).
+def dram_location(line: int, channels: int, banks: int,
+                  row_lines: int) -> tuple[int, int, int]:
+    """Map a line address to a plain ``(channel, bank, row)`` tuple.
 
     Interleaving is *row-chunked*: ``row_lines`` consecutive lines live in
     one (channel, bank, row), then the next chunk moves to the next channel.
@@ -40,9 +41,15 @@ def dram_coordinates(line: int, channels: int, banks: int, row_lines: int) -> DR
     behaviour GPU memory controllers' address hashing aims for.  (Pure
     line-granularity interleaving makes every stream touch every channel,
     which together with many concurrent streams thrashes every row buffer.)
+    The DRAM model calls this once per request, so it builds no
+    :class:`DRAMCoordinates`.
     """
     chunk = line // row_lines
-    channel = chunk % channels
-    bank = (chunk // channels) % banks
-    row = chunk // (channels * banks)
-    return DRAMCoordinates(channel, bank, row)
+    return (chunk % channels, (chunk // channels) % banks,
+            chunk // (channels * banks))
+
+
+def dram_coordinates(line: int, channels: int, banks: int, row_lines: int) -> DRAMCoordinates:
+    """:func:`dram_location` with named fields."""
+    return DRAMCoordinates._make(dram_location(line, channels, banks,
+                                               row_lines))

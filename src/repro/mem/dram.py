@@ -19,12 +19,13 @@ callback supplied by the caller.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable
 
 from ..sim.config import GPUConfig
 from ..sim.events import EventQueue
 from ..sim.stats import DRAMStats
-from .address import dram_coordinates
+from .address import dram_location
 
 #: How many of the oldest pending requests the scheduler considers for a
 #: row hit (finite scheduler visibility, like real controllers).
@@ -78,7 +79,7 @@ class DRAMModel:
 
     def _enqueue(self, line: int, now: int, callback: ResponseCallback | None,
                  arg: Any) -> None:
-        channel_idx, bank, row = dram_coordinates(
+        channel_idx, bank, row = dram_location(
             line, self._num_channels, self._banks, self._row_lines)
         channel = self._channels[channel_idx]
         channel.pending.append((bank, row, callback, arg))
@@ -111,8 +112,8 @@ class DRAMModel:
         if index is None:
             # Every candidate's bank is mid-activate; retry when one frees.
             bank_ready = channel.bank_ready
-            self._wake(channel_idx, min(bank_ready[request[0]]
-                                        for request in pending[:SCAN_WINDOW]))
+            self._wake(channel_idx, min(bank_ready[request[0]] for request
+                                        in islice(pending, SCAN_WINDOW)))
             return
         bank, row, callback, callback_arg = pending.pop(index)
         if channel.open_row[bank] == row:
@@ -136,12 +137,13 @@ class DRAMModel:
     @staticmethod
     def _pick(channel: _Channel, now: int) -> int | None:
         """FR-FCFS over the oldest SCAN_WINDOW requests: the queue index of
-        the first ready row hit, else of the oldest ready request."""
+        the first ready row hit, else of the oldest ready request.  The
+        window is scanned in place; a service copies no part of the queue."""
         bank_ready = channel.bank_ready
         open_row = channel.open_row
         oldest_ready = None
         for index, (bank, row, _, _) in enumerate(
-                channel.pending[:SCAN_WINDOW]):
+                islice(channel.pending, SCAN_WINDOW)):
             if bank_ready[bank] > now:
                 continue
             if open_row[bank] == row:
@@ -174,7 +176,7 @@ class DRAMModel:
 
     def open_row(self, line: int) -> int | None:
         """Currently open row of the bank serving ``line`` (None if closed)."""
-        coords = dram_coordinates(line, self._num_channels, self._banks,
-                                  self._row_lines)
-        row = self._channels[coords.channel].open_row[coords.bank]
+        channel, bank, _ = dram_location(line, self._num_channels,
+                                         self._banks, self._row_lines)
+        row = self._channels[channel].open_row[bank]
         return None if row < 0 else row

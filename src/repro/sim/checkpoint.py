@@ -39,7 +39,7 @@ from .kernel import Kernel
 #: Snapshot payload protocol version.  Bump whenever the simulator's object
 #: graph changes shape; old snapshots then fail restore with a typed error
 #: instead of resuming into a subtly-wrong machine.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Persistent-id tag for externalized kernels.
 _KERNEL_TAG = "repro.kernel"

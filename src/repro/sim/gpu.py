@@ -416,7 +416,7 @@ class GPU:
           ``_need_fill`` flag is up (the first thing ``fill`` itself checks,
           and no policy overrides ``fill``);
         * **event gate** — ``run_due`` runs only when the queue's head is
-          due, read by a direct heap peek.
+          due, read by a direct peek at its heap of bucket cycles.
 
         An idle iteration fast-forwards to the earlier of the event-queue
         head and the calendar head: nothing can change state before
@@ -452,7 +452,7 @@ class GPU:
                 service_at = service.service(self, cycle)
             if calheap and calheap[0] <= cycle:
                 self._drain_wakes(cycle)
-            if ev_heap and ev_heap[0][0] <= cycle:
+            if ev_heap and ev_heap[0] <= cycle:
                 run_due(cycle)
             if cta_scheduler._need_fill:
                 fill(cycle)
@@ -470,7 +470,7 @@ class GPU:
                 cycle += 1
             else:
                 if ev_heap:
-                    next_event = ev_heap[0][0]
+                    next_event = ev_heap[0]
                     if calheap and calheap[0] < next_event:
                         next_event = calheap[0]
                 elif calheap:

@@ -32,6 +32,10 @@ Checked invariant families (the live mirrors of ``validate_run``):
   WAIT_ALU warp (summed from ``sm.warp_state_counts()``, so both cores
   are checked the same way), its heap and its dict hold the same cycles,
   and no pending wake is earlier than the current cycle.
+* **Event calendar** — the event queue's heap holds the cycle of every
+  bucket exactly once and nothing else, in heap order (the run loop
+  reads its head), no bucket is empty and none is earlier than the
+  current cycle.
 
 The ``REPRO_SANITIZE`` environment variable (any non-empty value) turns
 the sanitizer on for every ``simulate()`` call that does not say
@@ -94,6 +98,7 @@ class InvariantSanitizer:
         self._check_caches(gpu, cycle)
         self._check_monotone(gpu, cycle)
         self._check_wake_calendar(gpu, cycle)
+        self._check_event_calendar(gpu, cycle)
 
     # ------------------------------------------------------------------ #
     def _check_cycle(self, cycle: int) -> None:
@@ -235,3 +240,27 @@ class InvariantSanitizer:
             raise InvariantViolation(
                 f"{entries} calendar wake(s) for {waiting} WAIT_ALU "
                 f"warp(s)", cycle=cycle, check="wake-calendar")
+
+    def _check_event_calendar(self, gpu: "GPU", cycle: int) -> None:
+        buckets = gpu.events._buckets
+        heap = gpu.events._heap
+        cycles = sorted(buckets)
+        if sorted(heap) != cycles:
+            raise InvariantViolation(
+                f"event heap holds {len(heap)} cycle(s), the queue "
+                f"{len(cycles)} bucket(s); each bucket's cycle must be on "
+                f"the heap exactly once", cycle=cycle, check="event-calendar")
+        if any(heap[index] < heap[(index - 1) // 2]
+               for index in range(1, len(heap))):
+            raise InvariantViolation(
+                f"event heap out of order: head {heap[0]}, earliest "
+                f"bucket {cycles[0]}", cycle=cycle, check="event-calendar")
+        if cycles and cycles[0] < cycle:
+            raise InvariantViolation(
+                f"an event due at cycle {cycles[0]} is still pending",
+                cycle=cycle, check="event-calendar")
+        for at in cycles:
+            if not buckets[at]:
+                raise InvariantViolation(
+                    f"the event bucket for cycle {at} is empty",
+                    cycle=cycle, check="event-calendar")

@@ -20,6 +20,7 @@ The contracts that matter most:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import pickle
 
@@ -415,6 +416,53 @@ def test_sanitizer_catches_a_dropped_calendar_wake(gpu_class):
     assert "WAIT_ALU" in str(excinfo.value)
 
 
+class _ForgeEventCalendar:
+    """Saboteur that breaks the event queue's calendar one way, at the
+    first loop-top service at or after ``at`` with two pending cycles."""
+
+    def __init__(self, at: int, kind: str) -> None:
+        self.at = at
+        self.kind = kind
+        self.done = False
+
+    def fire(self, gpu, cycle: int) -> None:
+        events = gpu.events
+        heap = events._heap
+        if len(heap) < 2:
+            return
+        head = heap[0]
+        if self.kind == "lost-cycle":
+            heap.remove(head)
+            heapq.heapify(heap)
+        elif self.kind == "duplicate-cycle":
+            heapq.heappush(heap, head)
+        elif self.kind == "out-of-order":
+            heap[0], heap[-1] = heap[-1], heap[0]
+        elif self.kind == "empty-bucket":
+            events._buckets[head].clear()
+        else:   # overdue: an event left behind before the current cycle
+            events.schedule(cycle - 1, lambda now, arg: None)
+        self.done = True
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("lost-cycle", "exactly once"), ("duplicate-cycle", "exactly once"),
+    ("out-of-order", "out of order"), ("empty-bucket", "is empty"),
+    ("overdue", "still pending"),
+])
+def test_sanitizer_catches_a_forged_event_calendar(kind, message):
+    job = _job(("kmeans",), ("rr",))
+    kernels = job.build_kernels()
+    gpu = GPU(config=job.config, warp_scheduler=job.warp)
+    saboteur = _ForgeEventCalendar(at=1000, kind=kind)
+    with pytest.raises(InvariantViolation) as excinfo:
+        gpu.run(build_policy(job.policy, kernels),
+                sanitizer=InvariantSanitizer(), saboteur=saboteur)
+    assert saboteur.done
+    assert excinfo.value.check == "event-calendar"
+    assert message in str(excinfo.value)
+
+
 def test_sanitize_env_variable(tmp_path, monkeypatch):
     from repro.sim.invariants import ENV_SANITIZE
     job = _job(("kmeans",), ("rr",))
@@ -505,3 +553,23 @@ def test_engine_resumes_from_preexisting_checkpoint(tmp_path):
     assert outcome.status == "ok"
     assert outcome.resumed_from == snapshots[0].cycle
     assert fingerprint_result(outcome.result) == reference
+
+
+def test_engine_sets_aside_an_older_version_checkpoint(tmp_path):
+    """A snapshot of an older machine shape (say, before the event queue
+    became a calendar) is quarantined and the job restarts from cycle 0."""
+    job = _job(("kmeans",), ("lcs",))
+    reference = fingerprint_result(job.execute())
+    plan = CheckpointPlan(interval=10**9, root=tmp_path / "ckpt")
+    snapshot = _snapshot_for(job)[0]
+    older = Snapshot(version=CHECKPOINT_VERSION - 1, cycle=snapshot.cycle,
+                     kernels=snapshot.kernels, payload=snapshot.payload)
+    plan.store().put(job.fingerprint(), older)
+
+    report = run_batch([job], workers=1, checkpoints=plan)
+    outcome = report.outcomes[0]
+    assert outcome.status == "ok"
+    assert outcome.resumed_from is None
+    assert fingerprint_result(outcome.result) == reference
+    # Quarantined on load, then swept with the finished job's files.
+    assert len(plan.store()) == 0 and not plan.store().corrupt_strays()

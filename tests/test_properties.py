@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import heapq
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +114,77 @@ def test_events_fire_in_nondecreasing_time_order(times):
         queue.run_due(queue.next_time())
     assert fired == sorted(fired)
     assert len(fired) == len(times)
+
+
+class _HeapQueue:
+    """The ``(time, seq, callback, arg)`` heap the calendar replaced: the
+    reference firing order."""
+
+    def __init__(self):
+        self.heap = []
+        self.seq = 0
+
+    def __len__(self):
+        return len(self.heap)
+
+    def schedule(self, time, callback, arg=None):
+        heapq.heappush(self.heap, (time, self.seq, callback, arg))
+        self.seq += 1
+
+    def next_time(self):
+        return self.heap[0][0] if self.heap else None
+
+    def run_due(self, now):
+        fired = 0
+        while self.heap and self.heap[0][0] <= now:
+            _, _, callback, arg = heapq.heappop(self.heap)
+            callback(now, arg)
+            fired += 1
+        return fired
+
+
+def _drive(queue, spawn, ops):
+    """Run one schedule program against ``queue``; return what it saw.
+
+    Event ``k < len(spawn)`` schedules one child per delay in
+    ``spawn[k]`` when it fires, at ``now + delay`` (delay 0 lands in the
+    cycle being fired).  ``("at", d)`` schedules from outside at the
+    current clock plus ``d``; ``("run", d)`` advances the clock to ``d``
+    past the later of itself and the queue's head, then fires what is
+    due."""
+    seen = []
+    next_id = [0]
+
+    def fire(now, event):
+        seen.append(("fire", event, now))
+        if event < len(spawn):
+            for delay in spawn[event]:
+                queue.schedule(now + delay, fire, next_id[0])
+                next_id[0] += 1
+
+    clock = 0
+    for op, delta in ops:
+        if op == "at":
+            queue.schedule(clock + delta, fire, next_id[0])
+            next_id[0] += 1
+        elif queue:
+            clock = max(clock, queue.next_time()) + delta
+            seen.append(("run", clock, queue.run_due(clock)))
+        seen.append(("state", len(queue), queue.next_time()))
+    while queue:
+        seen.append(("drain", queue.run_due(queue.next_time())))
+    return seen
+
+
+@given(spawn=st.lists(st.lists(st.integers(min_value=0, max_value=4),
+                               max_size=3), max_size=30),
+       ops=st.lists(st.tuples(st.sampled_from(["at", "run"]),
+                              st.integers(min_value=0, max_value=6)),
+                    min_size=1, max_size=40))
+@settings(max_examples=200)
+def test_event_calendar_fires_like_a_time_seq_heap(spawn, ops):
+    assert _drive(EventQueue(), spawn, ops) == _drive(_HeapQueue(), spawn,
+                                                      ops)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                       EXIT_SHED)
 from repro.harness.faults import FaultPlan, child_env
-from repro.harness.jobs import SimJob
+from repro.harness.jobs import JobError, SimJob
 from repro.harness.pool import WorkerPool
 from repro.service.client import ServiceClient, ServiceError, _exit_code
 from repro.service.daemon import QUEUE_JOURNAL, SchedulerDaemon
@@ -139,6 +140,34 @@ class TestDaemonLifecycle:
             assert _stop(daemon, thread, outcome) == EXIT_OK
         records = replay_journal(tmp_path / "state" / QUEUE_JOURNAL).records
         assert not [r for r in records if r.get("id") == "bad:0"]
+
+    @pytest.mark.parametrize("limit, shown", [
+        ("x", "'x'"), (2.5, "2.5"), (True, "True"), ({"kmeans": 1.5}, "1.5"),
+    ])
+    def test_non_int_static_limit_is_refused_naming_it(self, limit, shown):
+        # True would otherwise run as limit 1 under another fingerprint;
+        # "x" used to fail inside dict() with a message about sequences.
+        job = replace(_job(), policy=("static", limit))
+        with pytest.raises(JobError) as caught:
+            job.check()
+        assert str(caught.value) == (f"CTA limit for 'kmeans' must be an "
+                                     f"int, got {shown}")
+
+    def test_non_int_static_limit_is_refused_at_admission(self, tmp_path):
+        daemon, thread, outcome = _start(tmp_path)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                for index, limit in enumerate(["x", 2.5, True]):
+                    payload = {**_job().to_payload(),
+                               "policy": ["static", limit]}
+                    response = client.submit(f"bad:{index}", payload)
+                    assert not response["ok"]
+                    assert "bad job payload" in response["error"]
+                    assert (f"CTA limit for 'kmeans' must be an int, got "
+                            f"{limit!r}") in response["error"]
+                assert client.status()["queued"] == 0
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
 
     def test_rate_limit_sheds_with_retry_after(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path, rate=0.001, burst=1)
