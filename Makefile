@@ -4,14 +4,14 @@ PY      ?= python
 PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test lint bench bench-smoke bench-engine bench-core \
-	bench-core-check bench-work bench-work-check bench-e2e-smoke \
-	fault-smoke resume-smoke design-smoke \
+	bench-core-check bench-work bench-work-check bench-trajectory \
+	bench-e2e-smoke fault-smoke resume-smoke design-smoke \
 	campaign-chaos-smoke service-smoke service-chaos-smoke \
 	cluster-chaos-smoke clean-cache clean-state verify-smoke \
 	verify-full goldens table-goldens
 
 test:            ## tier-1 test suite
-	$(PYTEST) -q
+	$(PYTEST)
 
 lint:            ## ruff checks (skipped with a notice if ruff is absent)
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -25,7 +25,7 @@ bench:           ## full experiment benchmarks (slow)
 
 bench-smoke:     ## quick engine sanity: serial vs parallel vs warm cache
 	REPRO_BENCH_SCALE=0.25 $(PYTEST) benchmarks/bench_engine.py \
-		--benchmark-only -q
+		--benchmark-only
 
 bench-engine:    ## engine benchmarks at the default scale
 	$(PYTEST) benchmarks/bench_engine.py --benchmark-only
@@ -43,8 +43,12 @@ bench-work:      ## re-record BENCH_work.json: exact simulator work counters at 
 bench-work-check: ## fail if any counter in BENCH_work.json changed (~1 min)
 	$(PY) benchmarks/work_counts.py --check BENCH_work.json
 
+bench-trajectory: ## append paired parent/change runs to BENCH_e2e.json (PARENT= CHANGE= TITLE= TIER1_S=)
+	$(PY) benchmarks/trajectory.py $(PARENT) $(CHANGE) --title "$(TITLE)" \
+		--tier1-s $(TIER1_S) --out BENCH_e2e.json
+
 bench-e2e-smoke: ## end-to-end benchmark self-tests: all workloads tiny + traced (~1 min)
-	$(PYTEST) benchmarks/e2e -q
+	$(PYTEST) benchmarks/e2e
 
 EXP = PYTHONPATH=src $(PY) -m repro.harness.cli
 

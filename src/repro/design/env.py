@@ -8,12 +8,15 @@ makes designs reusable: the same factorial declaration compiles to the
 quick smoke matrix at ``scale=0.02`` and to the full evaluation at
 ``scale=1.0`` without being rewritten.
 
-:func:`build_job` is the single job-construction path shared by the design
-layer and :class:`~repro.harness.experiments.ExperimentContext` — both
-produce byte-identical :class:`~repro.harness.jobs.SimJob` descriptions
-(including the vector-backend fallback for warp schedulers the vector core
-does not implement), which is what keeps design-compiled campaigns and
-hand-driven experiments in the same result-cache universe.
+:meth:`DesignEnv.job` is the single job-construction path shared by the
+design layer and :class:`~repro.harness.experiments.ExperimentContext`,
+which owns one environment and builds every job through it.  Both produce
+byte-identical :class:`~repro.harness.jobs.SimJob` descriptions (including
+the vector-backend fallback for warp schedulers the vector core does not
+implement), which is what keeps design-compiled campaigns and hand-driven
+experiments in the same result-cache universe.  The environment hands out
+one job object per distinct cell, so a cell that a plan, a driver's design
+and a driver's ``ctx.run`` all name is built and fingerprinted once.
 """
 
 from __future__ import annotations
@@ -63,7 +66,11 @@ class DesignEnv:
     timeline_window: int | None = None
     trace: bool = False
     backend: str = "object"
-    _occupancy: dict[tuple, int] = field(default_factory=dict, repr=False)
+    # Memos of this environment's lifetime; neither takes part in ==.
+    _occupancy: dict[tuple, int] = field(default_factory=dict, repr=False,
+                                         compare=False)
+    _jobs: dict[tuple, SimJob] = field(default_factory=dict, repr=False,
+                                       compare=False)
 
     def occupancy(self, name: str,
                   config: GPUConfig | None = None) -> int:
@@ -83,12 +90,30 @@ class DesignEnv:
             scale_mults: Sequence[float] | None = None,
             config: GPUConfig | None = None) -> SimJob:
         """One job under this environment (``config`` overrides the
-        baseline hardware for per-cell hardware factors)."""
-        return build_job(names=names, scale=self.scale, seed=self.seed,
-                         config=config if config is not None else self.config,
-                         warp=warp, policy=policy, scale_mults=scale_mults,
-                         timeline_window=self.timeline_window,
-                         trace=self.trace, backend=self.backend)
+        baseline hardware for per-cell hardware factors).
+
+        Memoised: equal arguments get the same job object, so its stored
+        fingerprint is computed once.  The policy's element types join
+        the key, as ``("lcs", "tail", 1)`` and ``("lcs", "tail", 1.0)`` are
+        equal but fingerprint differently.
+        """
+        names = (names,) if isinstance(names, str) else tuple(names)
+        warp = tuple(warp) if isinstance(warp, list) else warp
+        policy = tuple(policy)
+        config = config if config is not None else self.config
+        if scale_mults is not None:
+            scale_mults = tuple(scale_mults)
+        key = (names, warp, policy, tuple(map(type, policy)), scale_mults,
+               config)
+        job = self._jobs.get(key)
+        if job is None:
+            job = build_job(names=names, scale=self.scale, seed=self.seed,
+                            config=config, warp=warp, policy=policy,
+                            scale_mults=scale_mults,
+                            timeline_window=self.timeline_window,
+                            trace=self.trace, backend=self.backend)
+            self._jobs[key] = job
+        return job
 
     def to_payload(self) -> dict:
         """JSON-compatible rendering (campaign manifests)."""

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from ..design import CompiledCell, Design, DesignEnv, Factor
-from ..design.env import build_job
 from ..sim.config import GPUConfig
 from ..sim.kernel import Kernel
 from ..sim.stats import RunResult
@@ -119,20 +118,33 @@ class ExperimentContext:
     _cache: dict[tuple, RunResult] = field(default_factory=dict, repr=False)
     _failed: dict[tuple, JobOutcome] = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        # This context's compile environment, derived from the fields
+        # above (so not a field itself): every job and occupancy the
+        # context hands out comes from it, memoised for the context's
+        # lifetime.  Each sub-context builds its own for its hardware.
+        self._env = DesignEnv(scale=self.scale, seed=self.seed,
+                              config=self.config,
+                              timeline_window=self.timeline_window,
+                              trace=self.trace, backend=self.backend)
+
     # ------------------------------------------------------------------ #
     def kernel(self, name: str, scale_mult: float = 1.0) -> Kernel:
         """A fresh kernel instance (policies hold per-run state)."""
         return make_kernel(name, scale=self.scale * scale_mult, seed=self.seed)
 
     def occupancy(self, name: str) -> int:
-        return self.kernel(name).max_ctas_per_sm(self.config)
+        """Resident-CTA limit of one suite kernel on this context's
+        hardware (memoised by the context's environment)."""
+        return self._env.occupancy(name)
 
     def subcontext(self, config: GPUConfig) -> "ExperimentContext":
         """A context on different hardware sharing every other setting.
 
         Built with :func:`dataclasses.replace`, so a field added to the
         context tomorrow is forwarded automatically — only the per-config
-        run memos reset (their keys deliberately omit the hardware).  The
+        run memos (whose keys deliberately omit the hardware) and the
+        environment are new.  The
         ``reports`` list, fingerprint pool and sub-context registry are
         shared by reference, not copied, so sub-context failures surface
         in the parent's summary and shared cells never run twice.
@@ -161,22 +173,19 @@ class ExperimentContext:
             scale_mults: Sequence[float] | None = None) -> SimJob:
         """The declarative job for one :meth:`run` parameter combination.
 
-        Delegates to :func:`repro.design.build_job` — the single job
-        construction path shared with the design compiler — so a design
-        cell and a hand-built run can never drift apart (vector-backend
-        fallback included).
+        Delegates to this context's :class:`~repro.design.DesignEnv` — the
+        single job construction path shared with the design compiler — so
+        a design cell and a hand-built run can never drift apart
+        (vector-backend fallback included), and both get the same job
+        object.
         """
-        return build_job(names=names, scale=self.scale, seed=self.seed,
-                         config=self.config, warp=warp, policy=policy,
-                         scale_mults=scale_mults,
-                         timeline_window=self.timeline_window,
-                         trace=self.trace, backend=self.backend)
+        return self._env.job(names, warp=warp, policy=policy,
+                             scale_mults=scale_mults)
 
     def design_env(self) -> DesignEnv:
-        """This context's settings as a design-compile environment."""
-        return DesignEnv(scale=self.scale, seed=self.seed, config=self.config,
-                         timeline_window=self.timeline_window,
-                         trace=self.trace, backend=self.backend)
+        """This context's compile environment (one per context, so the
+        designs it compiles share its job and occupancy memos)."""
+        return self._env
 
     @staticmethod
     def _memo_key(job: SimJob) -> tuple:
@@ -1388,26 +1397,30 @@ def plan_experiments(ctx: ExperimentContext,
 
     The cross-experiment dedup satellite: instead of one engine batch per
     driver, compile every requested design up front, collapse cells with
-    identical job fingerprints (the gto x rr baselines E3/E5/E9/... all
-    share, the E6/E7 matrix, the static sweeps E1/E3/E4/E11 revisit) and
-    run the whole invocation as one maximally parallel batch.  The
-    drivers' own ``prefetch_design`` calls then find every cell memoised.
+    identical jobs (the gto x rr baselines E3/E5/E9/... all share, the
+    E6/E7 matrix, the static sweeps E1/E3/E4/E11 revisit) and run the
+    whole invocation as one maximally parallel batch.  Duplicates drop by
+    job equality first, so only distinct jobs are fingerprinted; equal
+    fingerprints then collapse too.  The drivers' own ``prefetch_design``
+    calls then find every cell memoised.
 
     Returns the number of *unique* jobs planned (after dedup).
     """
     env = ctx.design_env()
-    pairs: list[tuple[ExperimentContext, SimJob]] = []
-    seen: set[str] = set()
+    unique: dict[SimJob, None] = {}
     for exp_id in exp_ids:
         builder = EXPERIMENT_DESIGNS.get(exp_id)
-        if builder is None:
+        if builder is not None:
+            for cc in builder().compile(env):
+                unique.setdefault(cc.job)
+    pairs: list[tuple[ExperimentContext, SimJob]] = []
+    seen: set[str] = set()
+    for job in unique:
+        fingerprint = job.fingerprint()
+        if fingerprint in seen:
             continue
-        for cc in builder().compile(env):
-            fingerprint = cc.job.fingerprint()
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            pairs.append((ctx.for_config(cc.job.config), cc.job))
+        seen.add(fingerprint)
+        pairs.append((ctx.for_config(job.config), job))
     if pairs:
         prefetch_contexts(pairs)
     return len(pairs)

@@ -231,7 +231,17 @@ class SimJob:
 
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> str:
-        """sha256 over a canonical JSON of all inputs + the version salt."""
+        """sha256 over a canonical JSON of all inputs + the version salt.
+
+        Computed once per job object and stored on it, keyed by
+        :data:`SIM_VERSION`: a job is frozen, so only the salt can change
+        its digest.  The memo is a plain attribute, not a field, so
+        ``==``, ``hash``, ``repr`` and :meth:`to_payload` ignore it and
+        :func:`dataclasses.replace` starts the new job without one.
+        """
+        memo = self.__dict__.get("_fingerprint")
+        if memo is not None and memo[0] == SIM_VERSION:
+            return memo[1]
         payload = {
             "version": SIM_VERSION,
             "names": list(self.names),
@@ -252,7 +262,9 @@ class SimJob:
             payload["trace"] = True
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_fingerprint", (SIM_VERSION, digest))
+        return digest
 
     # ------------------------------------------------------------------ #
     def to_payload(self) -> dict:

@@ -31,6 +31,9 @@ from .address import dram_location
 #: row hit (finite scheduler visibility, like real controllers).
 SCAN_WINDOW = 32
 
+#: Later than any bank-ready cycle (the start of ``_pick``'s running min).
+_NEVER = float("inf")
+
 ResponseCallback = Callable[[int, Any], None]
 
 
@@ -108,12 +111,10 @@ class DRAMModel:
         if channel.bus_free > now:
             self._wake(channel_idx, channel.bus_free)
             return
-        index = self._pick(channel, now)
+        index, wake = self._pick(channel, now)
         if index is None:
             # Every candidate's bank is mid-activate; retry when one frees.
-            bank_ready = channel.bank_ready
-            self._wake(channel_idx, min(bank_ready[request[0]] for request
-                                        in islice(pending, SCAN_WINDOW)))
+            self._wake(channel_idx, wake)
             return
         bank, row, callback, callback_arg = pending.pop(index)
         if channel.open_row[bank] == row:
@@ -135,22 +136,28 @@ class DRAMModel:
             self._wake(channel_idx, channel.bus_free)
 
     @staticmethod
-    def _pick(channel: _Channel, now: int) -> int | None:
-        """FR-FCFS over the oldest SCAN_WINDOW requests: the queue index of
-        the first ready row hit, else of the oldest ready request.  The
-        window is scanned in place; a service copies no part of the queue."""
+    def _pick(channel: _Channel, now: int) -> tuple[int | None, int]:
+        """FR-FCFS over the oldest SCAN_WINDOW requests: ``(index, _)``
+        with the queue index of the first ready row hit, else of the
+        oldest ready request; ``(None, wake)`` when no bank in the window
+        is ready, ``wake`` being the earliest cycle one frees.  The window
+        is scanned once, in place; a service copies no part of the queue."""
         bank_ready = channel.bank_ready
         open_row = channel.open_row
         oldest_ready = None
+        wake = _NEVER
         for index, (bank, row, _, _) in enumerate(
                 islice(channel.pending, SCAN_WINDOW)):
-            if bank_ready[bank] > now:
+            ready = bank_ready[bank]
+            if ready > now:
+                if ready < wake:
+                    wake = ready
                 continue
             if open_row[bank] == row:
-                return index             # first ready row hit wins
+                return index, now        # first ready row hit wins
             if oldest_ready is None:
                 oldest_ready = index
-        return oldest_ready
+        return oldest_ready, wake
 
     # ------------------------------------------------------------------ #
     @property

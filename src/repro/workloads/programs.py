@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..sim.isa import ColumnProgram, Instruction, Op
+from ..sim.isa import (MEMORY_OPS, ColumnProgram, Instruction, Op,
+                       program_columns)
 
 
 class TraceBuilder:
@@ -126,9 +127,14 @@ def instruction_mix(program: Sequence[Instruction]) -> dict[str, int]:
     return mix
 
 
-def memory_intensity(program: Sequence[Instruction]) -> float:
-    """Fraction of instructions that access global memory."""
-    if not program:
+def memory_intensity(program: ColumnProgram | Sequence[Instruction]) -> float:
+    """Fraction of instructions that access global memory.
+
+    Counts the ``MEMORY_OPS`` opcodes of the ``ops`` column; an
+    ``Instruction`` sequence is converted to columns once first."""
+    if not isinstance(program, ColumnProgram):
+        program = program_columns(program)
+    ops = program.ops
+    if not ops:
         return 0.0
-    mem = sum(1 for inst in program if inst.is_memory)
-    return mem / len(program)
+    return sum(map(ops.count, MEMORY_OPS)) / len(ops)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from collections import Counter
+from types import SimpleNamespace
+
+from repro.harness import jobs
 from repro.sim.isa import Instruction, Op
 from repro.sim.kernel import Kernel
 
@@ -30,3 +36,24 @@ def make_test_kernel(name: str = "test", num_ctas: int = 4,
             return alu_program()
     kwargs.setdefault("regs_per_thread", 8)
     return Kernel(name, num_ctas, warps_per_cta, builder, **kwargs)
+
+
+def count_job_work(monkeypatch) -> Counter:
+    """Count, from now on, ``SimJob`` constructions (``built``) and the
+    fingerprint payloads rendered to JSON (``rendered``) and hashed
+    (``hashed``)."""
+    counts: Counter = Counter()
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(jobs.SimJob, "__post_init__",
+                        counted("built", jobs.SimJob.__post_init__))
+    monkeypatch.setattr(jobs, "json",
+                        SimpleNamespace(dumps=counted("rendered", json.dumps)))
+    monkeypatch.setattr(jobs, "hashlib", SimpleNamespace(
+        sha256=counted("hashed", hashlib.sha256)))
+    return counts

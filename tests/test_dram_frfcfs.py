@@ -4,9 +4,11 @@ and a naive cycle-by-cycle reference."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.address import dram_coordinates
-from repro.mem.dram import DRAMModel, SCAN_WINDOW
+from repro.mem.dram import DRAMModel, SCAN_WINDOW, _Channel
 from repro.sim.config import GPUConfig
 from repro.sim.events import EventQueue
 
@@ -234,3 +236,42 @@ class TestAgainstNaiveReference:
         log, done = run_model(config, stream)
         assert done == expected_done
         assert log == expected_log
+
+
+def double_scan(channel, now):
+    """The pick of a two-scan service: FR-FCFS over the window and, when
+    no bank in it is ready, a second scan for the earliest ready cycle.
+    Returns ``(index, None)`` or ``(None, wake)``."""
+    window = channel.pending[:SCAN_WINDOW]
+    ready = [i for i, (bank, _, _, _) in enumerate(window)
+             if channel.bank_ready[bank] <= now]
+    hits = [i for i in ready if channel.open_row[window[i][0]] == window[i][1]]
+    if ready:
+        return (hits or ready)[0], None
+    return None, min(channel.bank_ready[bank] for bank, _, _, _ in window)
+
+
+class TestOneScanPick:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_pick_and_wake_as_a_double_scan(self, data):
+        banks = data.draw(st.integers(1, 8))
+        channel = _Channel(banks)
+        channel.bank_ready = data.draw(st.lists(
+            st.integers(1, 60), min_size=banks, max_size=banks))
+        channel.open_row = data.draw(st.lists(
+            st.integers(-1, 3), min_size=banks, max_size=banks))
+        channel.pending = data.draw(st.lists(
+            st.tuples(st.integers(0, banks - 1), st.integers(0, 3),
+                      st.none(), st.none()),
+            min_size=1, max_size=2 * SCAN_WINDOW))
+        now = data.draw(st.integers(0, 60))
+        if data.draw(st.booleans()):
+            # Every bank in the window busy: the no-ready path.
+            now = min(channel.bank_ready[bank] for bank, _, _, _
+                      in channel.pending[:SCAN_WINDOW]) - 1
+        index, wake = DRAMModel._pick(channel, now)
+        expected_index, expected_wake = double_scan(channel, now)
+        assert index == expected_index
+        if index is None:
+            assert wake == expected_wake

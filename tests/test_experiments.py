@@ -7,8 +7,12 @@ from repro.harness.experiments import (EXPERIMENTS, ExperimentContext,
                                        e3_lcs_speedup, e4_lcs_vs_oracle,
                                        e5_warp_schedulers, e6_bcs, e7_bcs_l1,
                                        e8_cke, e12_benchmark_table,
-                                       e12_config_table, run_experiment)
+                                       e12_config_table, plan_experiments,
+                                       run_experiment)
+from repro.verify.tables import TABLE_SCALE
 from repro.workloads.suite import SUITE
+
+from helpers import count_job_work
 
 TINY = 0.02   # a handful of CTAs per kernel: fast, exercises all code paths
 
@@ -107,3 +111,26 @@ class TestDrivers:
         expected = ({f"e{i}" for i in range(1, 12)}
                     | {f"e{i}" for i in range(13, 23)})
         assert set(EXPERIMENTS) == expected
+
+
+class TestJobWork:
+    def test_plan_then_driver_builds_and_fingerprints_each_job_once(
+            self, monkeypatch):
+        counts = count_job_work(monkeypatch)
+        ctx = ExperimentContext(scale=TABLE_SCALE, jobs=1)
+        planned = plan_experiments(ctx, ["e5"])
+        table = e5_warp_schedulers(ctx)
+        assert table.rows[-1][0] == "GMEAN" and len(ctx._pool) == planned
+        assert counts["built"] == planned
+        assert counts["hashed"] == planned
+
+    def test_job_and_occupancy_come_from_one_env(self):
+        ctx = ExperimentContext(scale=TINY)
+        assert ctx.job("kmeans") is ctx.job("kmeans")
+        assert ctx.job("kmeans") is ctx.design_env().job(("kmeans",))
+        assert ctx.design_env() is ctx.design_env()
+        assert ctx.occupancy("kmeans") == ctx.kernel("kmeans").max_ctas_per_sm(
+            ctx.config)
+        sub = ctx.for_config(ctx.config.with_overrides(l1_mshr_entries=64))
+        assert sub.design_env() is not ctx.design_env()
+        assert sub.job("kmeans").config == sub.config

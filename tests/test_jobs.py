@@ -1,6 +1,11 @@
 """Tests for the declarative job layer (repro.harness.jobs)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bcs import BCSScheduler
 from repro.core.lcs import LCSScheduler
@@ -8,9 +13,26 @@ from repro.harness.jobs import (JobError, KernelSpec, SimJob, build_policy,
                                 build_warp_scheduler, validate_policy,
                                 validate_warp)
 from repro.sim.config import GPUConfig
-from repro.workloads.suite import make_kernel
+from repro.workloads.suite import SUITE, make_kernel
+
+from helpers import count_job_work
 
 SMALL = GPUConfig.small()
+
+#: Random job descriptors (keyword arguments of ``SimJob``).
+DESCRIPTORS = st.fixed_dictionaries({
+    "names": st.lists(st.sampled_from(sorted(SUITE)), min_size=1,
+                      max_size=2).map(tuple),
+    "scale": st.sampled_from((0.02, 0.1, 0.5, 1.0)),
+    "seed": st.integers(0, 2 ** 31),
+    "warp": st.sampled_from(("lrr", "gto", "baws", "two-level", ("swl", 4))),
+    "policy": st.sampled_from((("rr",), ("static", 2), ("lcs",),
+                               ("lcs", "tail", 0.5), ("bcs", 2, None),
+                               ("dyncta",))),
+    "config": st.sampled_from((GPUConfig(), SMALL)),
+    "timeline_window": st.none() | st.integers(1, 5000),
+    "trace": st.booleans(),
+})
 
 
 class TestValidation:
@@ -102,6 +124,34 @@ class TestFingerprint:
         before = job.fingerprint()
         monkeypatch.setattr("repro.harness.jobs.SIM_VERSION", 999)
         assert job.fingerprint() != before
+
+    def test_payload_rendered_and_hashed_once_per_job(self, monkeypatch):
+        counts = count_job_work(monkeypatch)
+        job = SimJob(names=("kmeans",), scale=0.1)
+        first = job.fingerprint()
+        assert [job.fingerprint() for _ in range(3)] == [first] * 3
+        assert counts["rendered"] == counts["hashed"] == 1
+
+    def test_memo_is_not_part_of_the_job(self):
+        job = SimJob(names=("kmeans",), scale=0.1)
+        before = (repr(job), hash(job), job.to_payload())
+        job.fingerprint()
+        assert (repr(job), hash(job), job.to_payload()) == before
+        assert job == SimJob(names=("kmeans",), scale=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(DESCRIPTORS, DESCRIPTORS)
+    def test_memoised_fingerprint_equals_a_fresh_jobs(self, first, second):
+        # The memoised job, a pickled copy and a dataclasses.replace copy
+        # against freshly built jobs.
+        job = SimJob(**first)
+        job.fingerprint()
+        assert job.fingerprint() == SimJob(**first).fingerprint()
+        assert pickle.loads(pickle.dumps(job)).fingerprint() \
+            == SimJob(**first).fingerprint()
+        # scale_mults was normalised to the first job's names: reset it.
+        assert replace(job, scale_mults=None, **second).fingerprint() \
+            == SimJob(**second).fingerprint()
 
 
 class TestExecute:
