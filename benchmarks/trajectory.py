@@ -1,14 +1,18 @@
 """The committed performance trajectory: one entry per performance change.
 
-Reads two files of untraced runs in the format ``benchmarks/e2e/run.py
---out`` writes, the parent's and the change's, and appends one entry to
-``BENCH_e2e.json``.  The runs are meant to alternate on one host: the
-i-th run of a workload on each side (all sets of a file, in order) make
-pair i, and both must have used the same seed.  For every workload and
-every end-to-end metric of ``BENCHMARK.json`` the entry keeps one record:
-the parent and change medians, the number of pairs, the change's wins
-(ties count for neither side) and the parent's interquartile range.  The
-entry also keeps the tier-1 suite's wall time with the change.
+Reads two files of untraced runs, the parent's and the change's, and
+appends one entry to ``BENCH_e2e.json``.  Either file is a set file in the
+format ``benchmarks/e2e/run.py --out`` writes, or the captured stdout of
+``run.py --workload W --seed S`` runs appended one after another (each run
+is its ``digest W seed=S ...`` line followed by its final JSON line), which
+is how alternating pairs of one workload are recorded.  The runs are meant
+to alternate on one host: the i-th run of a workload on each side (all
+runs of a file, in order) make pair i, and both must have used the same
+seed.  For every workload and every end-to-end metric of
+``BENCHMARK.json`` the entry keeps one record: the parent and change
+medians, the number of pairs, the change's wins (ties count for neither
+side) and the parent's interquartile range.  The entry also keeps the
+tier-1 suite's wall time with the change.
 
     python3 benchmarks/trajectory.py parent.json change.json \\
         --title "what the change did" --tier1-s 345 --out BENCH_e2e.json
@@ -33,14 +37,41 @@ from summary import quartiles  # noqa: E402
 
 
 def load_runs(path: Path) -> dict[str, list[dict]]:
-    """Every run of every set in ``path``, per workload, in file order."""
+    """Every run of every set (or of the run log) in ``path``, per
+    workload, in file order."""
+    text = path.read_text()
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return _log_runs(text, path)
     runs: dict[str, list[dict]] = {}
-    for number, run_set in enumerate(json.loads(path.read_text())["sets"]):
+    for number, run_set in enumerate(document["sets"]):
         if run_set["trace"]:
             raise SystemExit(f"trajectory: set {number} of {path} is "
                              f"traced; end-to-end metrics need --trace 0")
         for workload, found in run_set["runs"].items():
             runs.setdefault(workload, []).extend(found)
+    return runs
+
+
+def _log_runs(text: str, path: Path) -> dict[str, list[dict]]:
+    """The runs of captured ``run.py --workload W`` stdout: each JSON line
+    after a ``digest W seed=S D`` line is one run of W at seed S."""
+    runs: dict[str, list[dict]] = {}
+    digest = None
+    for line in text.splitlines():
+        if line.startswith("digest "):
+            digest = line.split()
+        elif line.startswith("{") and digest is not None:
+            _, workload, seed, value = digest
+            run = json.loads(line)
+            run["seed"] = int(seed.removeprefix("seed="))
+            run["digest"] = value
+            runs.setdefault(workload, []).append(run)
+            digest = None
+    if not runs:
+        raise SystemExit(f"trajectory: {path} is neither a set file nor a "
+                         f"log of run.py runs")
     return runs
 
 
@@ -61,6 +92,13 @@ def records(parent: dict[str, list[dict]], change: dict[str, list[dict]],
                 raise SystemExit(f"trajectory: {workload} pairs a parent run "
                                  f"at seed {a['seed']} with a change run at "
                                  f"seed {b['seed']}")
+            for run in (a, b):
+                missing = [m["name"] for m in spec["end_to_end"]
+                           if m["name"] not in run["metrics"]]
+                if missing:
+                    raise SystemExit(f"trajectory: the {workload} run at seed "
+                                     f"{run['seed']} has no {missing[0]}; "
+                                     f"end-to-end metrics need --trace 0")
         for metric in spec["end_to_end"]:
             name = metric["name"]
             a = [run["metrics"][name]["value"] for run, _ in pairs]

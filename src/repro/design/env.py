@@ -15,8 +15,9 @@ byte-identical :class:`~repro.harness.jobs.SimJob` descriptions (including
 the vector-backend fallback for warp schedulers the vector core does not
 implement), which is what keeps design-compiled campaigns and hand-driven
 experiments in the same result-cache universe.  The environment hands out
-one job object per distinct cell, so a cell that a plan, a driver's design
-and a driver's ``ctx.run`` all name is built and fingerprinted once.
+one job object per distinct cell, on its own hardware or any other
+(``config=``), so a cell that a plan and a driver's ``ctx.run`` both name is
+built and fingerprinted once.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ class DesignEnv:
                             trace=self.trace, backend=self.backend)
             self._jobs[key] = job
         return job
+
+    def jobs(self) -> list[SimJob]:
+        """Every job this environment has handed out, in first-request
+        order."""
+        return list(self._jobs.values())
 
     def to_payload(self) -> dict:
         """JSON-compatible rendering (campaign manifests)."""

@@ -498,12 +498,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                             sanitize=args.sanitize, checkpoints=checkpoints,
                             backend=args.backend)
     total_started = time.perf_counter()
-    # Plan phase: several experiments in one invocation run as a single
-    # deduplicated engine batch (their designs share baselines and whole
-    # sweeps), so each simulation executes at most once per invocation and
+    # Plan phase: the requested experiments run as a single deduplicated
+    # engine batch (their designs share baselines and whole sweeps), so
+    # each simulation executes at most once per invocation and
     # parallelism spans experiment boundaries.
     design_ids = [e for e in requested if e in EXPERIMENT_DESIGNS]
-    if len(design_ids) > 1:
+    if design_ids:
         plan_started = time.perf_counter()
         try:
             planned = plan_experiments(ctx, design_ids)

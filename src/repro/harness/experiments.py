@@ -1,25 +1,24 @@
 """Experiment drivers — one per reconstructed figure/table (E1..E22).
 
-Every driver is now two declarative halves:
+Every driver is two declarative halves:
 
 * a **design** (``design_eNN``): the experiment's factorial space —
   crossed/nested/derived :class:`~repro.design.Factor`\\ s compiled to
   :class:`SimJob`\\ s by the :mod:`repro.design` layer.  Designs are data:
   the CLI counts their cells for ``--list``, :func:`plan_experiments`
-  merges them across experiments into one deduplicated engine batch, and
-  campaigns (``repro-exp --design``) run file-borne designs through the
-  identical machinery;
-* a **table assembly** (``eNN_*``): reads the memoised results back and
-  lays out the rows the paper would plot.  Byte-identical to the
-  pre-design-layer tables (asserted by ``tests/test_table_goldens.py``).
+  compiles them and merges them across experiments into one deduplicated
+  engine batch, and campaigns (``repro-exp --design``) run file-borne
+  designs through the identical machinery;
+* a **table assembly** (``eNN_*``): reads the planned results back through
+  :meth:`ExperimentContext.run` and lays out the rows the paper would
+  plot.  Byte-identical to the pre-design-layer tables (asserted by
+  ``tests/test_table_goldens.py``).
 
 Each ``eNN_*`` function takes an :class:`ExperimentContext` and returns a
 :class:`~repro.harness.reporting.Table`.  The context memoises simulation
-runs, so experiments that share configurations (e.g. E3's baseline and
-E4's oracle sweep) pay for each simulation once — and a shared
-fingerprint *pool* extends that guarantee across hardware sub-contexts,
-so identical cells declared by several experiments in one invocation run
-exactly once.
+runs by job fingerprint, so experiments that share configurations (e.g.
+E3's baseline and E4's oracle sweep) pay for each simulation once per
+invocation, on the context's own hardware or on any other.
 
 Scale convention: ``ExperimentContext(scale=...)`` scales every kernel's
 grid; 1.0 is the full evaluation size (~4 waves of CTAs per kernel),
@@ -29,10 +28,10 @@ by the test suite and the quick benchmark mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..design import CompiledCell, Design, DesignEnv, Factor
+from ..design import Design, DesignEnv, Factor
 from ..sim.config import GPUConfig
 from ..sim.kernel import Kernel
 from ..sim.stats import RunResult
@@ -43,7 +42,7 @@ from ..workloads.suite import (CKE_PAIRS, LCS_SET, LOCALITY_SET,
 from .cache import ResultCache
 from .checkpoints import CheckpointPlan
 from .engine import (DEFAULT_RETRIES, BatchReport, JobExecutionError,
-                     JobOutcome, run_batch, run_jobs)
+                     JobOutcome, run_batch)
 from .faults import FaultPlan
 from .jobs import SimJob
 from .metrics import cke_metrics
@@ -63,18 +62,18 @@ class ExperimentContext:
     """Shared settings plus a memo of completed simulation runs.
 
     ``jobs`` and ``cache`` plug the context into the batch engine
-    (:mod:`repro.harness.engine`): experiment drivers *declare* their runs
-    up front — as :class:`~repro.design.Design` objects via
-    :meth:`prefetch_design`, or as raw job lists via :meth:`prefetch` —
-    the engine executes the cache misses across ``jobs`` worker processes
-    when ``jobs > 1``, and :meth:`run` then assembles tables entirely from
-    the in-memory memo.  Results are bit-identical to serial, uncached
-    execution by construction.
+    (:mod:`repro.harness.engine`): :func:`plan_experiments` compiles the
+    requested experiments' designs under this context and runs them as
+    one engine batch through :meth:`prefetch` — the cache misses across
+    ``jobs`` worker processes when ``jobs > 1`` — and the drivers then
+    assemble their tables from :meth:`run`, which reads the memo.  A run
+    nobody planned goes through the same batch path on demand.  Results
+    are bit-identical to serial, uncached execution by construction.
 
-    Hardware sub-contexts (:meth:`for_config`) share the parent's
-    fingerprint pool, reports list and sub-context registry, so a cell
-    two experiments both declare — even under different contexts of the
-    same invocation — simulates once.
+    Results and failures are memoised by job fingerprint, whatever
+    hardware the job names (``config=``), so a cell several experiments
+    declare simulates once per invocation and a job that failed is not
+    dispatched again.
     """
 
     scale: float = 0.4
@@ -104,25 +103,19 @@ class ExperimentContext:
     # 'vector').  Not fingerprint-relevant: the backends are
     # bitwise-identical by contract, so tables are too.
     backend: str = "object"
-    # Engine reports accumulate here, one per prefetch batch; sub-contexts
-    # share the parent's list so a CLI failure summary sees everything.
+    # Engine reports accumulate here, one per batch, so a CLI failure
+    # summary sees everything.
     reports: list[BatchReport] = field(default_factory=list, repr=False)
-    # Cross-context result pool (fingerprint -> result) and the
-    # per-hardware sub-context registry.  Both are shared *by reference*
-    # with every sub-context: a job two contexts would both run — the
-    # gto x rr baseline a dozen experiments share, say — simulates once
-    # per invocation, wherever it was declared first.
-    _pool: dict[str, RunResult] = field(default_factory=dict, repr=False)
-    _subcontexts: dict[GPUConfig, "ExperimentContext"] = \
-        field(default_factory=dict, repr=False)
-    _cache: dict[tuple, RunResult] = field(default_factory=dict, repr=False)
-    _failed: dict[tuple, JobOutcome] = field(default_factory=dict, repr=False)
+    # Fingerprint -> result of every job that produced one, and
+    # fingerprint -> outcome of every job that did not.
+    _results: dict[str, RunResult] = field(default_factory=dict, repr=False)
+    _failed: dict[str, JobOutcome] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # This context's compile environment, derived from the fields
         # above (so not a field itself): every job and occupancy the
-        # context hands out comes from it, memoised for the context's
-        # lifetime.  Each sub-context builds its own for its hardware.
+        # context hands out, on any hardware, comes from it, memoised for
+        # the context's lifetime.
         self._env = DesignEnv(scale=self.scale, seed=self.seed,
                               config=self.config,
                               timeline_window=self.timeline_window,
@@ -133,148 +126,96 @@ class ExperimentContext:
         """A fresh kernel instance (policies hold per-run state)."""
         return make_kernel(name, scale=self.scale * scale_mult, seed=self.seed)
 
-    def occupancy(self, name: str) -> int:
+    def occupancy(self, name: str, config: GPUConfig | None = None) -> int:
         """Resident-CTA limit of one suite kernel on this context's
-        hardware (memoised by the context's environment)."""
-        return self._env.occupancy(name)
+        hardware, or on ``config`` (memoised by the context's
+        environment)."""
+        return self._env.occupancy(name, config)
 
-    def subcontext(self, config: GPUConfig) -> "ExperimentContext":
-        """A context on different hardware sharing every other setting.
-
-        Built with :func:`dataclasses.replace`, so a field added to the
-        context tomorrow is forwarded automatically — only the per-config
-        run memos (whose keys deliberately omit the hardware) and the
-        environment are new.  The
-        ``reports`` list, fingerprint pool and sub-context registry are
-        shared by reference, not copied, so sub-context failures surface
-        in the parent's summary and shared cells never run twice.
-        """
-        return replace(self, config=config, _cache={}, _failed={})
-
-    def for_config(self, config: GPUConfig) -> "ExperimentContext":
-        """The memoised sub-context for ``config`` (self when equal).
-
-        Two experiments asking for the same hardware variant in one
-        invocation get the *same* sub-context — and therefore share its
-        run memo — instead of each building a private one.
-        """
-        if config == self.config:
-            return self
-        sub = self._subcontexts.get(config)
-        if sub is None:
-            sub = self.subcontext(config)
-            self._subcontexts[config] = sub
-        return sub
-
-    # ------------------------------------------------------------------ #
     def job(self, names: str | Sequence[str], *,
             warp: str | tuple = "gto",
             policy: tuple = ("rr",),
-            scale_mults: Sequence[float] | None = None) -> SimJob:
+            scale_mults: Sequence[float] | None = None,
+            config: GPUConfig | None = None) -> SimJob:
         """The declarative job for one :meth:`run` parameter combination.
 
         Delegates to this context's :class:`~repro.design.DesignEnv` — the
         single job construction path shared with the design compiler — so
         a design cell and a hand-built run can never drift apart
         (vector-backend fallback included), and both get the same job
-        object.
+        object.  ``config`` names other hardware; every other setting
+        (scale, seed, telemetry riders, backend) is the context's.
         """
         return self._env.job(names, warp=warp, policy=policy,
-                             scale_mults=scale_mults)
+                             scale_mults=scale_mults, config=config)
 
     def design_env(self) -> DesignEnv:
         """This context's compile environment (one per context, so the
         designs it compiles share its job and occupancy memos)."""
         return self._env
 
-    @staticmethod
-    def _memo_key(job: SimJob) -> tuple:
-        return (job.names, job.scale_mults, job.warp, job.policy)
+    def prefetch(self, jobs: Iterable[SimJob]) -> int:
+        """Execute the jobs not yet memoised as one batch (parallel +
+        cached); returns the number of distinct jobs given.
 
-    def prefetch(self, jobs: Iterable[SimJob]) -> None:
-        """Execute not-yet-memoised jobs as one batch (parallel + cached).
-
-        Drivers call this with every run they are about to consume; the
-        subsequent :meth:`run` calls are then pure memo lookups.  Jobs
-        whose fingerprint is already in the shared pool (declared by an
-        earlier experiment of this invocation) are filed from the pool
-        without touching the engine.
-
-        Failures are isolated per job: successful results are memoised
-        (and cached) regardless of what happened to their batch-mates,
-        failed jobs are remembered so :meth:`run` raises a
+        Jobs with equal fingerprints run once, and a job this context
+        already ran or saw fail is not dispatched again.  Failures are
+        isolated per job: successful results are memoised (and cached)
+        regardless of what happened to their batch-mates, failed jobs
+        are remembered so :meth:`run` raises a
         :class:`~repro.harness.engine.JobExecutionError` for exactly the
-        affected parameter combinations.  With ``fail_fast`` set the first
-        failure raises here instead.
+        affected jobs.  With ``fail_fast`` set the first failure raises
+        here instead.
         """
-        jobs = list(jobs)
+        wanted: dict[str, SimJob] = {}
         for job in jobs:
-            if job.scale != self.scale or job.seed != self.seed \
-                    or job.config != self.config:
-                raise ValueError(
-                    "prefetch jobs must be built by this context "
-                    "(ctx.job(...)); scale/seed/config differ")
-        prefetch_contexts((self, job) for job in jobs)
-
-    def prefetch_design(self, design: Design) -> list[CompiledCell]:
-        """Compile a design under this context and batch-execute it.
-
-        Cells carrying their own hardware (a ``config`` factor) are routed
-        to the matching :meth:`for_config` sub-context; everything runs as
-        one engine batch.  Returns the compiled cells (drivers usually
-        ignore them and read results back via :meth:`run`).
-        """
-        compiled = design.compile(self.design_env())
-        prefetch_contexts((self.for_config(cc.job.config), cc.job)
-                          for cc in compiled)
-        return compiled
+            wanted.setdefault(job.fingerprint(), job)
+        pending = {fingerprint: job for fingerprint, job in wanted.items()
+                   if fingerprint not in self._results
+                   and fingerprint not in self._failed}
+        if not pending:
+            return len(wanted)
+        report = run_batch(list(pending.values()), workers=self.jobs,
+                           cache=self.cache, retries=self.retries,
+                           timeout=self.timeout, fail_fast=self.fail_fast,
+                           faults=self.faults, sanitize=self.sanitize,
+                           checkpoints=self.checkpoints)
+        self.reports.append(report)
+        for fingerprint, outcome in zip(pending, report.outcomes):
+            if outcome.result is not None:
+                self._results[fingerprint] = outcome.result
+            else:
+                self._failed[fingerprint] = outcome
+        failure = report.first_failure() if self.fail_fast else None
+        if failure is not None:
+            raise _execution_error(failure)
+        return len(wanted)
 
     # ------------------------------------------------------------------ #
     def run(self, names: str | Sequence[str], *,
             warp: str | tuple = "gto",
             policy: tuple = ("rr",),
-            scale_mults: Sequence[float] | None = None) -> RunResult:
-        """Simulate (memoised on the full parameter tuple)."""
+            scale_mults: Sequence[float] | None = None,
+            config: GPUConfig | None = None) -> RunResult:
+        """The memoised result of one job (run on demand if unplanned)."""
         job = self.job(names, warp=warp, policy=policy,
-                       scale_mults=scale_mults)
-        key = self._memo_key(job)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        failed = self._failed.get(key)
-        if failed is not None:
-            # The batch already tried (and retried) this combination; raise
-            # the recorded outcome instead of re-simulating a known failure.
-            raise JobExecutionError(failed.fingerprint,
-                                    failed.error or failed.status,
-                                    failed.worker_traceback)
+                       scale_mults=scale_mults, config=config)
         fingerprint = job.fingerprint()
-        pooled = self._pool.get(fingerprint)
-        if pooled is not None:
-            self._cache[key] = pooled
-            return pooled
-        result = run_jobs([job], cache=self.cache, retries=self.retries,
-                          timeout=self.timeout, faults=self.faults,
-                          sanitize=self.sanitize,
-                          checkpoints=self.checkpoints)[0]
-        self._cache[key] = result
-        self._pool[fingerprint] = result
+        if fingerprint not in self._results:
+            self.prefetch([job])
+        result = self._results.get(fingerprint)
+        if result is None:
+            # The batch already tried (and retried) this job; raise the
+            # recorded outcome instead of re-simulating a known failure.
+            raise _execution_error(self._failed[fingerprint])
         return result
 
     # ------------------------------------------------------------------ #
-    def static_sweep_jobs(self, name: str, *,
-                          warp: str | tuple = "gto") -> list[SimJob]:
-        """The per-limit jobs of :meth:`static_sweep` (for prefetching)."""
-        return [self.job(name, warp=warp, policy=("static", limit))
-                for limit in range(1, self.occupancy(name) + 1)]
-
     def static_sweep(self, name: str, *,
                      warp: str | tuple = "gto") -> dict[int, RunResult]:
         """One run per static CTA limit 1..occupancy."""
-        occupancy = self.occupancy(name)
-        self.prefetch(self.static_sweep_jobs(name, warp=warp))
         return {limit: self.run(name, warp=warp, policy=("static", limit))
-                for limit in range(1, occupancy + 1)}
+                for limit in range(1, self.occupancy(name) + 1)}
 
     def oracle_best(self, name: str, *, warp: str = "gto") -> tuple[int, RunResult]:
         """(best static limit, its run) by cycles."""
@@ -283,14 +224,15 @@ class ExperimentContext:
         return best, sweep[best]
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _run_label(key: tuple) -> str:
-        """A filesystem-safe slug for one memoised run's parameters."""
-        names, _mults, warp, policy = key
-        warp_part = (f"{warp[0]}{warp[1]}" if isinstance(warp, tuple)
-                     else str(warp))
-        policy_part = "_".join(str(p) for p in policy if p is not None)
-        slug = "+".join(names) + f".{warp_part}.{policy_part}"
+    def _run_label(self, job: SimJob) -> str:
+        """A filesystem-safe slug for one run's parameters; a run on other
+        hardware than the context's also carries its fingerprint."""
+        warp_part = (f"{job.warp[0]}{job.warp[1]}"
+                     if isinstance(job.warp, tuple) else str(job.warp))
+        policy_part = "_".join(str(p) for p in job.policy if p is not None)
+        slug = "+".join(job.names) + f".{warp_part}.{policy_part}"
+        if job.config != self.config:
+            slug += f".{job.fingerprint()[:12]}"
         return slug.replace("/", "-").replace(" ", "")
 
     def telemetry_runs(self) -> list[tuple[str, RunResult]]:
@@ -299,17 +241,19 @@ class ExperimentContext:
         Labels are deterministic slugs of the run parameters, suitable as
         file stems; runs without a timeline or trace are skipped.
         """
-        out = []
-        for key, result in self._cache.items():
-            if "timeline" in result.meta or "trace" in result.meta:
-                out.append((self._run_label(key), result))
-        out.sort(key=lambda pair: pair[0])
-        return out
+        runs: dict[str, tuple[str, RunResult]] = {}
+        for job in self._env.jobs():
+            result = self._results.get(job.fingerprint())
+            if result is not None and ("timeline" in result.meta
+                                       or "trace" in result.meta):
+                runs.setdefault(job.fingerprint(),
+                                (self._run_label(job), result))
+        return sorted(runs.values(), key=lambda pair: pair[0])
 
     # ------------------------------------------------------------------ #
     def failure_outcomes(self) -> list[JobOutcome]:
         """Every failed/timed-out/skipped outcome across all batches run
-        through this context (including shared-report sub-contexts)."""
+        through this context."""
         return [outcome for report in self.reports
                 for outcome in report.outcomes if outcome.result is None]
 
@@ -319,54 +263,10 @@ class ExperimentContext:
         return [event for report in self.reports for event in report.events]
 
 
-def prefetch_contexts(
-        items: Iterable[tuple[ExperimentContext, SimJob]]) -> None:
-    """Batch-execute jobs that belong to *several* contexts.
-
-    Designs with hardware factors (E19/E20/E22) compile to jobs on
-    different configurations, so their runs live in different contexts;
-    this executes all their pending jobs as one engine batch and files
-    each result in the owning context's memo — consulting and feeding the
-    shared fingerprint pool, so a cell that already ran anywhere in this
-    invocation is never dispatched again.
-    """
-    pending: list[tuple[ExperimentContext, SimJob, str]] = []
-    seen: set[tuple] = set()
-    for ctx, job in items:
-        memo_key = ExperimentContext._memo_key(job)
-        key = (id(ctx), memo_key)
-        if key in seen or memo_key in ctx._cache:
-            continue
-        fingerprint = job.fingerprint()
-        pooled = ctx._pool.get(fingerprint)
-        if pooled is not None:
-            ctx._cache[memo_key] = pooled
-            continue
-        seen.add(key)
-        pending.append((ctx, job, fingerprint))
-    if not pending:
-        return
-    workers = max(ctx.jobs for ctx, _, _ in pending)
-    lead = pending[0][0]
-    report = run_batch([job for _, job, _ in pending], workers=workers,
-                       cache=lead.cache, retries=lead.retries,
-                       timeout=lead.timeout, fail_fast=lead.fail_fast,
-                       faults=lead.faults, sanitize=lead.sanitize,
-                       checkpoints=lead.checkpoints)
-    lead.reports.append(report)
-    for (ctx, job, fingerprint), outcome in zip(pending, report.outcomes):
-        key = ExperimentContext._memo_key(job)
-        if outcome.result is not None:
-            ctx._cache[key] = outcome.result
-            ctx._pool[fingerprint] = outcome.result
-        else:
-            ctx._failed[key] = outcome
-    if lead.fail_fast:
-        failure = report.first_failure()
-        if failure is not None:
-            raise JobExecutionError(failure.fingerprint,
-                                    failure.error or failure.status,
-                                    failure.worker_traceback)
+def _execution_error(outcome: JobOutcome) -> JobExecutionError:
+    return JobExecutionError(outcome.fingerprint,
+                             outcome.error or outcome.status,
+                             outcome.worker_traceback)
 
 
 # =========================================================================== #
@@ -390,8 +290,7 @@ def _variant_factors(*variants: tuple[str, tuple]) -> list[Factor]:
     ]
 
 
-def static_sweep_design(benchmarks: Sequence[str], *,
-                        warp: str = "gto") -> Design:
+def static_sweep_design(benchmarks: Sequence[str]) -> Design:
     """bench x (limit nested in occupancy) -> ('static', limit) jobs.
 
     The canonical nested factor: the limit range depends on the
@@ -402,7 +301,7 @@ def static_sweep_design(benchmarks: Sequence[str], *,
         "static-sweep",
         factors=[
             _bench_factor(benchmarks),
-            Factor.crossed("warp", (warp,)),
+            Factor.crossed("warp", ("gto",)),
             Factor.nested("limit", lambda cell, env: range(
                 1, env.occupancy(cell["bench"]) + 1)),
             Factor.derived("policy",
@@ -410,12 +309,11 @@ def static_sweep_design(benchmarks: Sequence[str], *,
         ])
 
 
-def baseline_design(benchmarks: Sequence[str], *,
-                    warp: str = "gto") -> Design:
+def baseline_design(benchmarks: Sequence[str]) -> Design:
     """The max-occupancy GTO baseline every speedup normalizes to."""
     return Design("baseline", factors=[
         _bench_factor(benchmarks),
-        Factor.crossed("warp", (warp,)),
+        Factor.crossed("warp", ("gto",)),
         _policy_factor(("rr",)),
     ])
 
@@ -424,15 +322,14 @@ def baseline_design(benchmarks: Sequence[str], *,
 # E1 — motivation: IPC vs CTAs per core
 # =========================================================================== #
 
-def design_e1(benchmarks: Sequence[str] = MOTIVATION_SET) -> Design:
-    return Design.chain("e1", static_sweep_design(benchmarks))
+def design_e1() -> Design:
+    return Design.chain("e1", static_sweep_design(MOTIVATION_SET))
 
 
 def e1_occupancy_sweep(ctx: ExperimentContext,
                        benchmarks: Sequence[str] = MOTIVATION_SET) -> Table:
     """Normalized IPC against the per-core CTA limit (paper's motivation
     figure): memory-sensitive kernels peak *below* maximum occupancy."""
-    ctx.prefetch_design(design_e1(benchmarks))
     max_occ = max(ctx.occupancy(name) for name in benchmarks)
     columns = ["benchmark"] + [f"n={n}" for n in range(1, max_occ + 1)] \
         + ["best_n", "max_n"]
@@ -456,11 +353,10 @@ def e1_occupancy_sweep(ctx: ExperimentContext,
 # E2 — motivation: per-CTA issue counts under GTO
 # =========================================================================== #
 
-def design_e2(benchmarks: Sequence[str] = MOTIVATION_SET,
-              rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+def design_e2() -> Design:
     return Design("e2", factors=[
-        _bench_factor(benchmarks),
-        _policy_factor(("lcs", rule, param)),
+        _bench_factor(MOTIVATION_SET),
+        _policy_factor(("lcs", LCS_RULE, LCS_PARAM)),
     ])
 
 
@@ -470,7 +366,6 @@ def e2_issue_signature(ctx: ExperimentContext,
                        param: float = LCS_PARAM) -> Table:
     """The monitored core's per-CTA issued-instruction distribution at the
     end of the LCS monitoring period, normalized to the busiest CTA."""
-    ctx.prefetch_design(design_e2(benchmarks, rule, param))
     max_occ = max(ctx.occupancy(name) for name in benchmarks)
     columns = ["benchmark"] + [f"cta{r}" for r in range(1, max_occ + 1)] \
         + ["n_star"]
@@ -494,14 +389,14 @@ def e2_issue_signature(ctx: ExperimentContext,
 # E3 — headline: LCS speedup over the maximum-occupancy baseline
 # =========================================================================== #
 
-def design_e3(benchmarks: Sequence[str] = LCS_SET,
-              rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+def design_e3() -> Design:
     return Design.chain(
         "e3",
-        baseline_design(benchmarks),
-        Design("e3-lcs", factors=[_bench_factor(benchmarks),
-                                  _policy_factor(("lcs", rule, param))]),
-        static_sweep_design(benchmarks))
+        baseline_design(LCS_SET),
+        Design("e3-lcs", factors=[
+            _bench_factor(LCS_SET),
+            _policy_factor(("lcs", LCS_RULE, LCS_PARAM))]),
+        static_sweep_design(LCS_SET))
 
 
 def e3_lcs_speedup(ctx: ExperimentContext,
@@ -509,7 +404,6 @@ def e3_lcs_speedup(ctx: ExperimentContext,
                    rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """The headline figure: LCS speedup over the max-occupancy baseline,
     with the exhaustive static oracle alongside."""
-    ctx.prefetch_design(design_e3(benchmarks, rule, param))
     table = Table(
         "E3: LCS and oracle speedup over baseline (GTO, max occupancy)",
         ["benchmark", "base_ipc", "lcs_ipc", "oracle_ipc",
@@ -536,20 +430,19 @@ def e3_lcs_speedup(ctx: ExperimentContext,
 # E4 — LCS decision quality vs the exhaustive oracle
 # =========================================================================== #
 
-def design_e4(benchmarks: Sequence[str] = LCS_SET,
-              rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+def design_e4() -> Design:
     return Design.chain(
         "e4",
-        Design("e4-lcs", factors=[_bench_factor(benchmarks),
-                                  _policy_factor(("lcs", rule, param))]),
-        static_sweep_design(benchmarks))
+        Design("e4-lcs", factors=[
+            _bench_factor(LCS_SET),
+            _policy_factor(("lcs", LCS_RULE, LCS_PARAM))]),
+        static_sweep_design(LCS_SET))
 
 
 def e4_lcs_vs_oracle(ctx: ExperimentContext,
                      benchmarks: Sequence[str] = LCS_SET,
                      rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Decision quality: the online N* against the oracle's static best."""
-    ctx.prefetch_design(design_e4(benchmarks, rule, param))
     table = Table(
         "E4: LCS-chosen CTA count vs oracle static best",
         ["benchmark", "occupancy", "n_lcs", "n_oracle",
@@ -569,9 +462,9 @@ def e4_lcs_vs_oracle(ctx: ExperimentContext,
 # E5 — warp-scheduler baseline: LRR vs GTO
 # =========================================================================== #
 
-def design_e5(benchmarks: Sequence[str] = LCS_SET) -> Design:
+def design_e5() -> Design:
     return Design("e5", factors=[
-        _bench_factor(benchmarks),
+        _bench_factor(LCS_SET),
         Factor.crossed("warp", ("lrr", "gto", "two-level")),
         _policy_factor(("rr",)),
     ])
@@ -580,7 +473,6 @@ def design_e5(benchmarks: Sequence[str] = LCS_SET) -> Design:
 def e5_warp_schedulers(ctx: ExperimentContext,
                        benchmarks: Sequence[str] = LCS_SET) -> Table:
     """Warp-scheduler baselines: LRR vs GTO vs two-level round robin."""
-    ctx.prefetch_design(design_e5(benchmarks))
     table = Table(
         "E5: warp schedulers at max occupancy (speedup over LRR)",
         ["benchmark", "lrr_ipc", "gto_ipc", "twolevel_ipc",
@@ -604,14 +496,13 @@ def e5_warp_schedulers(ctx: ExperimentContext,
 # E6 — BCS and BCS+BAWS speedups
 # =========================================================================== #
 
-def design_e6(benchmarks: Sequence[str] = LOCALITY_SET,
-              block_size: int = BCS_BLOCK) -> Design:
+def design_e6() -> Design:
     """The (baseline, BCS, BCS+BAWS) cells E6 and E7 both consume."""
     return Design("e6", factors=[
-        _bench_factor(benchmarks),
+        _bench_factor(LOCALITY_SET),
         *_variant_factors(("gto", ("rr",)),
-                          ("gto", ("bcs", block_size, None)),
-                          ("baws", ("bcs", block_size, None))),
+                          ("gto", ("bcs", BCS_BLOCK, None)),
+                          ("baws", ("bcs", BCS_BLOCK, None))),
     ])
 
 
@@ -619,7 +510,6 @@ def e6_bcs(ctx: ExperimentContext,
            benchmarks: Sequence[str] = LOCALITY_SET,
            block_size: int = BCS_BLOCK) -> Table:
     """BCS and BCS+BAWS speedups on the inter-CTA-locality kernels."""
-    ctx.prefetch_design(design_e6(benchmarks, block_size))
     table = Table(
         "E6: BCS speedup over baseline (block = consecutive pair)",
         ["benchmark", "base_ipc", "bcs_gto", "bcs_baws"])
@@ -646,7 +536,6 @@ def e7_bcs_l1(ctx: ExperimentContext,
               benchmarks: Sequence[str] = LOCALITY_SET,
               block_size: int = BCS_BLOCK) -> Table:
     """L1 miss rates and MSHR merges under BCS (where the speedup is from)."""
-    ctx.prefetch_design(design_e6(benchmarks, block_size))
     table = Table(
         "E7: L1 miss rate and MSHR merges under BCS",
         ["benchmark", "miss_base", "miss_bcs", "miss_baws",
@@ -665,12 +554,11 @@ def e7_bcs_l1(ctx: ExperimentContext,
 # E8 — concurrent kernel execution
 # =========================================================================== #
 
-def design_e8(pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS,
-              rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+def design_e8() -> Design:
     return Design("e8", factors=[
-        Factor.crossed("pair", tuple(pairs)),
+        Factor.crossed("pair", CKE_PAIRS),
         _policy_factor(("sequential",), ("spatial",), ("smk",),
-                       ("mixed", rule, param)),
+                       ("mixed", LCS_RULE, LCS_PARAM)),
         Factor.derived("bench",
                        lambda cell, env: tuple(cell["pair"][:2])),
         Factor.derived("scale_mults",
@@ -683,7 +571,6 @@ def e8_cke(ctx: ExperimentContext,
            rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Concurrent kernel execution: sequential vs spatial vs SMK-even vs
     the paper's LCS-guided mixed allocation."""
-    ctx.prefetch_design(design_e8(pairs, rule, param))
     table = Table(
         "E8: concurrent kernel execution (speedup over sequential)",
         ["pair", "seq_cycles", "spatial", "smk_even", "mixed", "n_star"])
@@ -713,16 +600,18 @@ def e8_cke(ctx: ExperimentContext,
 # E9 — sensitivity: LCS issue-share threshold
 # =========================================================================== #
 
-def design_e9(benchmarks: Sequence[str] = LCS_SET,
-              variants: Sequence[tuple[str, float]] = (
-                  ("tail", 0.3), ("tail", 0.5), ("tail", 0.7),
-                  ("coverage", 0.9), ("threshold", 0.18))) -> Design:
+#: The LCS (rule, parameter) variants E9 sweeps.
+E9_VARIANTS = (("tail", 0.3), ("tail", 0.5), ("tail", 0.7),
+               ("coverage", 0.9), ("threshold", 0.18))
+
+
+def design_e9() -> Design:
     return Design.chain(
         "e9",
-        baseline_design(benchmarks),
+        baseline_design(LCS_SET),
         Design("e9-variants", factors=[
-            _bench_factor(benchmarks),
-            Factor.crossed("rule_param", tuple(variants)),
+            _bench_factor(LCS_SET),
+            Factor.crossed("rule_param", E9_VARIANTS),
             Factor.derived("policy",
                            lambda cell, env: ("lcs",) + cell["rule_param"]),
         ]))
@@ -730,12 +619,9 @@ def design_e9(benchmarks: Sequence[str] = LCS_SET,
 
 def e9_lcs_threshold(ctx: ExperimentContext,
                      benchmarks: Sequence[str] = LCS_SET,
-                     variants: Sequence[tuple[str, float]] = (
-                         ("tail", 0.3), ("tail", 0.5), ("tail", 0.7),
-                         ("coverage", 0.9), ("threshold", 0.18)),
+                     variants: Sequence[tuple[str, float]] = E9_VARIANTS,
                      ) -> Table:
     """Sensitivity of LCS to its decision rule and parameter."""
-    ctx.prefetch_design(design_e9(benchmarks, variants))
     columns = ["benchmark"] + [f"{rule[:3]}={param}" for rule, param in variants]
     table = Table("E9: LCS speedup vs decision rule/parameter", columns)
     per_variant: dict[tuple[str, float], list[float]] = {v: [] for v in variants}
@@ -756,15 +642,18 @@ def e9_lcs_threshold(ctx: ExperimentContext,
 # E10 — sensitivity: BCS block size
 # =========================================================================== #
 
-def design_e10(benchmarks: Sequence[str] = LOCALITY_SET,
-               sizes: Sequence[int] = (1, 2, 4)) -> Design:
+#: The BCS block sizes E10 sweeps.
+E10_BLOCKS = (1, 2, 4)
+
+
+def design_e10() -> Design:
     return Design.chain(
         "e10",
-        baseline_design(benchmarks),
+        baseline_design(LOCALITY_SET),
         Design("e10-blocks", factors=[
-            _bench_factor(benchmarks),
+            _bench_factor(LOCALITY_SET),
             Factor.crossed("warp", ("baws",)),
-            Factor.crossed("block", tuple(sizes)),
+            Factor.crossed("block", E10_BLOCKS),
             Factor.derived("policy",
                            lambda cell, env: ("bcs", cell["block"], None)),
         ]))
@@ -772,9 +661,8 @@ def design_e10(benchmarks: Sequence[str] = LOCALITY_SET,
 
 def e10_block_size(ctx: ExperimentContext,
                    benchmarks: Sequence[str] = LOCALITY_SET,
-                   sizes: Sequence[int] = (1, 2, 4)) -> Table:
+                   sizes: Sequence[int] = E10_BLOCKS) -> Table:
     """Sensitivity of BCS+BAWS to the block size (pairs are the sweet spot)."""
-    ctx.prefetch_design(design_e10(benchmarks, sizes))
     columns = ["benchmark"] + [f"block={b}" for b in sizes]
     table = Table("E10: BCS+BAWS speedup vs block size", columns)
     per_size: dict[int, list[float]] = {b: [] for b in sizes}
@@ -795,26 +683,25 @@ def e10_block_size(ctx: ExperimentContext,
 # E11 — ablation: LCS needs a greedy warp scheduler
 # =========================================================================== #
 
-def design_e11(benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                            "spmv", "streaming"),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E11_BENCHMARKS = ("kmeans", "iindex", "spmv", "streaming")
+
+
+def design_e11() -> Design:
     return Design.chain(
         "e11",
-        static_sweep_design(benchmarks),
+        static_sweep_design(E11_BENCHMARKS),
         Design("e11-matrix", factors=[
-            _bench_factor(benchmarks),
+            _bench_factor(E11_BENCHMARKS),
             Factor.crossed("warp", ("gto", "lrr")),
-            _policy_factor(("rr",), ("lcs", rule, param)),
+            _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
         ]))
 
 
 def e11_lcs_needs_gto(ctx: ExperimentContext,
-                      benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                                   "spmv", "streaming"),
+                      benchmarks: Sequence[str] = E11_BENCHMARKS,
                       rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Run the LCS monitor under LRR: without greedy age priority the
     per-CTA issue counts flatten out and the decision degrades."""
-    ctx.prefetch_design(design_e11(benchmarks, rule, param))
     table = Table(
         "E11: LCS decision under GTO vs LRR monitoring",
         ["benchmark", "n_oracle", "n_gto", "n_lrr",
@@ -887,23 +774,22 @@ def e12_benchmark_table(ctx: ExperimentContext) -> Table:
 # E13 — extension: LCS vs DynCTA-style continuous throttling
 # =========================================================================== #
 
-def design_e13(benchmarks: Sequence[str] = ("kmeans", "iindex", "streaming",
-                                            "spmv", "compute", "stencil"),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E13_BENCHMARKS = ("kmeans", "iindex", "streaming", "spmv", "compute",
+                  "stencil")
+
+
+def design_e13() -> Design:
     return Design("e13", factors=[
-        _bench_factor(benchmarks),
-        _policy_factor(("rr",), ("lcs", rule, param), ("dyncta",)),
+        _bench_factor(E13_BENCHMARKS),
+        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM), ("dyncta",)),
     ])
 
 
 def e13_lcs_vs_dyncta(ctx: ExperimentContext,
-                      benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                                   "streaming", "spmv",
-                                                   "compute", "stencil"),
+                      benchmarks: Sequence[str] = E13_BENCHMARKS,
                       rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Compare the paper's one-shot LCS against the prior continuous
     CTA-throttling approach (DynCTA-style, Kayiran et al. PACT'13)."""
-    ctx.prefetch_design(design_e13(benchmarks, rule, param))
     table = Table(
         "E13: LCS vs DynCTA-style throttling (speedup over baseline)",
         ["benchmark", "lcs", "dyncta", "lcs_n_star", "dyncta_final_quota"])
@@ -930,15 +816,18 @@ def e13_lcs_vs_dyncta(ctx: ExperimentContext,
 # E14 — extension: CKE fairness metrics (ANTT / STP)
 # =========================================================================== #
 
-def design_e14(pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS[:3],
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+#: The CKE pairs E14 measures.
+E14_PAIRS = CKE_PAIRS[:3]
+
+
+def design_e14() -> Design:
     return Design.chain(
         "e14",
         # Each kernel alone (the ANTT/STP normalization runs): the memory
         # kernel at its natural size, the compute kernel at the pair's
         # multiplier.
         Design("e14-alone", factors=[
-            Factor.crossed("pair", tuple(pairs)),
+            Factor.crossed("pair", E14_PAIRS),
             Factor.crossed("role", ("mem", "compute")),
             Factor.derived("bench", lambda cell, env: (
                 cell["pair"][0] if cell["role"] == "mem"
@@ -947,8 +836,8 @@ def design_e14(pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS[:3],
                 None if cell["role"] == "mem" else (cell["pair"][2],))),
         ]),
         Design("e14-shared", factors=[
-            Factor.crossed("pair", tuple(pairs)),
-            _policy_factor(("smk",), ("mixed", rule, param)),
+            Factor.crossed("pair", E14_PAIRS),
+            _policy_factor(("smk",), ("mixed", LCS_RULE, LCS_PARAM)),
             Factor.derived("bench",
                            lambda cell, env: tuple(cell["pair"][:2])),
             Factor.derived("scale_mults",
@@ -957,11 +846,10 @@ def design_e14(pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS[:3],
 
 
 def e14_cke_metrics(ctx: ExperimentContext,
-                    pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS[:3],
+                    pairs: Sequence[tuple[str, str, float]] = E14_PAIRS,
                     rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Multiprogram metrics for the CKE policies: beyond total runtime,
     how fairly and how productively do the kernels share the machine?"""
-    ctx.prefetch_design(design_e14(pairs, rule, param))
     table = Table(
         "E14: CKE multiprogram metrics (ANTT lower / STP higher is better)",
         ["pair", "policy", "antt", "stp", "fairness"])
@@ -985,16 +873,14 @@ def e14_cke_metrics(ctx: ExperimentContext,
 # E15 — extension: composing LCS with BCS
 # =========================================================================== #
 
-def design_e15(benchmarks: Sequence[str] = LOCALITY_SET,
-               block_size: int = BCS_BLOCK,
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+def design_e15() -> Design:
     return Design("e15", factors=[
-        _bench_factor(benchmarks),
+        _bench_factor(LOCALITY_SET),
         *_variant_factors(
             ("gto", ("rr",)),
-            ("gto", ("lcs", rule, param)),
-            ("baws", ("bcs", block_size, None)),
-            ("baws", ("lcs+bcs", block_size, rule, param))),
+            ("gto", ("lcs", LCS_RULE, LCS_PARAM)),
+            ("baws", ("bcs", BCS_BLOCK, None)),
+            ("baws", ("lcs+bcs", BCS_BLOCK, LCS_RULE, LCS_PARAM))),
     ])
 
 
@@ -1003,7 +889,6 @@ def e15_lcs_plus_bcs(ctx: ExperimentContext,
                      block_size: int = BCS_BLOCK,
                      rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """The paper's two mechanisms composed: block dispatch + lazy limit."""
-    ctx.prefetch_design(design_e15(benchmarks, block_size, rule, param))
     table = Table(
         "E15: LCS, BCS and LCS+BCS on the locality kernels "
         "(speedup over baseline)",
@@ -1029,22 +914,21 @@ def e15_lcs_plus_bcs(ctx: ExperimentContext,
 # E16 — analysis: warp-state breakdown under the baseline vs LCS
 # =========================================================================== #
 
-def design_e16(benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                            "streaming", "compute"),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E16_BENCHMARKS = ("kmeans", "iindex", "streaming", "compute")
+
+
+def design_e16() -> Design:
     return Design("e16", factors=[
-        _bench_factor(benchmarks),
-        _policy_factor(("rr",), ("lcs", rule, param)),
+        _bench_factor(E16_BENCHMARKS),
+        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
     ])
 
 
 def e16_stall_breakdown(ctx: ExperimentContext,
-                        benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                                     "streaming", "compute"),
+                        benchmarks: Sequence[str] = E16_BENCHMARKS,
                         rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Why LCS helps: warp-time spent memory-stalled shrinks after
     throttling (the paper's resource-utilization argument made visible)."""
-    ctx.prefetch_design(design_e16(benchmarks, rule, param))
     table = Table(
         "E16: warp-state time breakdown, baseline vs LCS "
         "(fractions of total warp wait time)",
@@ -1067,32 +951,34 @@ def e16_stall_breakdown(ctx: ExperimentContext,
 # E17 — extension: warp-granularity (SWL) vs CTA-granularity (LCS) throttling
 # =========================================================================== #
 
-def design_e17(benchmarks: Sequence[str] = ("kmeans", "iindex", "bfs"),
-               warp_limits: Sequence[int] = (4, 8, 12, 16, 24),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E17_BENCHMARKS = ("kmeans", "iindex", "bfs")
+#: The per-scheduler warp limits E17's SWL sweep tries.
+E17_WARP_LIMITS = (4, 8, 12, 16, 24)
+
+
+def design_e17() -> Design:
     return Design.chain(
         "e17",
-        baseline_design(benchmarks),
+        baseline_design(E17_BENCHMARKS),
         Design("e17-swl", factors=[
-            _bench_factor(benchmarks),
-            Factor.crossed("limit", tuple(warp_limits)),
+            _bench_factor(E17_BENCHMARKS),
+            Factor.crossed("limit", E17_WARP_LIMITS),
             Factor.derived("warp", lambda cell, env: ("swl", cell["limit"])),
             _policy_factor(("rr",)),
         ]),
         Design("e17-lcs", factors=[
-            _bench_factor(benchmarks),
-            _policy_factor(("lcs", rule, param)),
+            _bench_factor(E17_BENCHMARKS),
+            _policy_factor(("lcs", LCS_RULE, LCS_PARAM)),
         ]))
 
 
 def e17_swl_vs_lcs(ctx: ExperimentContext,
-                   benchmarks: Sequence[str] = ("kmeans", "iindex", "bfs"),
-                   warp_limits: Sequence[int] = (4, 8, 12, 16, 24),
+                   benchmarks: Sequence[str] = E17_BENCHMARKS,
+                   warp_limits: Sequence[int] = E17_WARP_LIMITS,
                    rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
     """Static warp limiting sweeps the throttle at warp granularity; LCS
     reaches comparable performance at CTA granularity with one online
     decision (the paper's granularity argument)."""
-    ctx.prefetch_design(design_e17(benchmarks, warp_limits, rule, param))
     columns = (["benchmark"] + [f"swl={k}" for k in warp_limits]
                + ["best_swl", "lcs"])
     table = Table("E17: SWL (per-scheduler warp limit) vs LCS "
@@ -1118,25 +1004,27 @@ def e17_swl_vs_lcs(ctx: ExperimentContext,
 # E18 — extension/limitation: phase-changing kernels
 # =========================================================================== #
 
-def design_e18(benchmark: str = "twophase",
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E18_BENCHMARK = "twophase"
+
+
+def design_e18() -> Design:
     return Design.chain(
         "e18",
         Design("e18-policies", factors=[
-            _bench_factor((benchmark,)),
-            _policy_factor(("rr",), ("lcs", rule, param), ("dyncta",)),
+            _bench_factor((E18_BENCHMARK,)),
+            _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM),
+                           ("dyncta",)),
         ]),
-        static_sweep_design((benchmark,)))
+        static_sweep_design((E18_BENCHMARK,)))
 
 
 def e18_phase_sensitivity(ctx: ExperimentContext,
-                          benchmark: str = "twophase",
+                          benchmark: str = E18_BENCHMARK,
                           rule: str = LCS_RULE, param: float = LCS_PARAM,
                           ) -> Table:
     """One-shot LCS decides during the first (cache-thrashing) phase and
     cannot revise when the kernel turns compute-bound; continuous schemes
     re-adapt.  An honest limitation study of the paper's mechanism."""
-    ctx.prefetch_design(design_e18(benchmark, rule, param))
     table = Table(
         "E18: phase-changing kernel — one-shot vs adaptive throttling",
         ["policy", "cycles", "speedup_vs_baseline", "final_limit"])
@@ -1160,34 +1048,33 @@ def e18_phase_sensitivity(ctx: ExperimentContext,
 # E19 — robustness: a Kepler-class machine
 # =========================================================================== #
 
-def design_e19(benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                            "stencil", "compute"),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E19_BENCHMARKS = ("kmeans", "iindex", "stencil", "compute")
+
+
+def design_e19() -> Design:
     return Design("e19", factors=[
         Factor.crossed("config", (GPUConfig.kepler_class(),)),
-        _bench_factor(benchmarks),
-        _policy_factor(("rr",), ("lcs", rule, param)),
+        _bench_factor(E19_BENCHMARKS),
+        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
     ])
 
 
 def e19_config_robustness(ctx: ExperimentContext,
-                          benchmarks: Sequence[str] = ("kmeans", "iindex",
-                                                       "stencil", "compute"),
+                          benchmarks: Sequence[str] = E19_BENCHMARKS,
                           rule: str = LCS_RULE, param: float = LCS_PARAM,
                           ) -> Table:
     """Repeat the LCS and BCS headline comparisons on a Kepler-class
     configuration (13 fat cores, 16 CTA slots, 64 warps): the conclusions
     must not be artefacts of the Fermi-class default."""
-    ctx.prefetch_design(design_e19(benchmarks, rule, param))
-    kctx = ctx.for_config(GPUConfig.kepler_class())
+    kepler = GPUConfig.kepler_class()
     table = Table(
         "E19: LCS on a Kepler-class GPU (speedup over baseline)",
         ["benchmark", "occupancy", "n_lcs", "lcs_speedup"])
     for name in benchmarks:
-        base = kctx.run(name)
-        lcs = kctx.run(name, policy=("lcs", rule, param))
+        base = ctx.run(name, config=kepler)
+        lcs = ctx.run(name, policy=("lcs", rule, param), config=kepler)
         decision = lcs.meta["lcs_decision"]
-        table.add_row(name, kctx.occupancy(name),
+        table.add_row(name, ctx.occupancy(name, kepler),
                       decision.n_star if decision else "-",
                       speedup(base.cycles, lcs.cycles))
     return table
@@ -1197,39 +1084,41 @@ def e19_config_robustness(ctx: ExperimentContext,
 # E20 — modelling ablation: L1 MSHR count
 # =========================================================================== #
 
-def design_e20(benchmarks: Sequence[str] = ("kmeans", "iindex"),
-               mshr_counts: Sequence[int] = (8, 16, 32, 64),
-               rule: str = LCS_RULE, param: float = LCS_PARAM) -> Design:
+E20_BENCHMARKS = ("kmeans", "iindex")
+#: The L1 MSHR entry counts E20 compares (the default config has 16).
+E20_MSHR_COUNTS = (8, 16, 32, 64)
+
+
+def design_e20() -> Design:
     return Design("e20", factors=[
-        Factor.crossed("mshr", tuple(mshr_counts)),
-        _bench_factor(benchmarks),
-        _policy_factor(("rr",), ("lcs", rule, param)),
+        Factor.crossed("mshr", E20_MSHR_COUNTS),
+        _bench_factor(E20_BENCHMARKS),
+        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
         Factor.derived("config", lambda cell, env: {
             "l1_mshr_entries": cell["mshr"]}),
     ])
 
 
 def e20_mshr_sensitivity(ctx: ExperimentContext,
-                         benchmarks: Sequence[str] = ("kmeans", "iindex"),
-                         mshr_counts: Sequence[int] = (8, 16, 32, 64),
+                         benchmarks: Sequence[str] = E20_BENCHMARKS,
+                         mshr_counts: Sequence[int] = E20_MSHR_COUNTS,
                          rule: str = LCS_RULE, param: float = LCS_PARAM,
                          ) -> Table:
     """How the L1 MSHR budget shapes the LCS opportunity: few MSHRs throttle
     over-subscription by themselves (small LCS win); many MSHRs let maximum
     occupancy flood the memory system (big LCS win).  Documents the key
     modelling choice of this reproduction (default 16)."""
-    ctx.prefetch_design(design_e20(benchmarks, mshr_counts, rule, param))
     table = Table(
         "E20: LCS speedup vs L1 MSHR entries",
         ["benchmark"] + [f"mshr={m}" for m in mshr_counts])
-    contexts = {m: ctx.for_config(ctx.config.with_overrides(l1_mshr_entries=m))
-                for m in mshr_counts}
+    configs = {m: ctx.config.with_overrides(l1_mshr_entries=m)
+               for m in mshr_counts}
     for name in benchmarks:
         cells: list[Any] = [name]
         for m in mshr_counts:
-            kctx = contexts[m]
-            base = kctx.run(name)
-            lcs = kctx.run(name, policy=("lcs", rule, param))
+            base = ctx.run(name, config=configs[m])
+            lcs = ctx.run(name, policy=("lcs", rule, param),
+                          config=configs[m])
             cells.append(speedup(base.cycles, lcs.cycles))
         table.add_row(*cells)
     return table
@@ -1239,9 +1128,9 @@ def e20_mshr_sensitivity(ctx: ExperimentContext,
 # E21 — ablation: dispatch order (breadth-first vs depth-first vs BCS)
 # =========================================================================== #
 
-def design_e21(benchmarks: Sequence[str] = LOCALITY_SET) -> Design:
+def design_e21() -> Design:
     return Design("e21", factors=[
-        _bench_factor(benchmarks),
+        _bench_factor(LOCALITY_SET),
         *_variant_factors(("gto", ("rr",)),
                           ("gto", ("depth-first",)),
                           ("baws", ("bcs", BCS_BLOCK, None))),
@@ -1253,7 +1142,6 @@ def e21_dispatch_order(ctx: ExperimentContext,
     """How much of BCS's win is initial placement?  Depth-first dispatch
     co-locates consecutive CTAs at fill time but lets the pairing decay as
     slots refill; BCS maintains it.  (Baseline round-robin never pairs.)"""
-    ctx.prefetch_design(design_e21(benchmarks))
     table = Table(
         "E21: CTA dispatch order on the locality kernels "
         "(speedup over round-robin)",
@@ -1284,10 +1172,12 @@ _E22_FEATURES: dict[str, dict] = {
 }
 
 
-def design_e22(benchmarks: Sequence[str] = ("streaming", "kmeans",
-                                            "stencil", "histogram")) -> Design:
+E22_BENCHMARKS = ("streaming", "kmeans", "stencil", "histogram")
+
+
+def design_e22() -> Design:
     return Design("e22", factors=[
-        _bench_factor(benchmarks),
+        _bench_factor(E22_BENCHMARKS),
         Factor.crossed("feature", tuple(_E22_FEATURES)),
         Factor.derived("config",
                        lambda cell, env: _E22_FEATURES[cell["feature"]]),
@@ -1295,24 +1185,22 @@ def design_e22(benchmarks: Sequence[str] = ("streaming", "kmeans",
 
 
 def e22_feature_ablation(ctx: ExperimentContext,
-                         benchmarks: Sequence[str] = ("streaming", "kmeans",
-                                                      "stencil", "histogram"),
+                         benchmarks: Sequence[str] = E22_BENCHMARKS,
                          ) -> Table:
     """Next-line prefetching and store write-combining, on vs off: neither
     feature is load-bearing for the paper's conclusions (they are off by
     default), but the ablation shows the model responds sensibly."""
-    ctx.prefetch_design(design_e22(benchmarks))
     table = Table(
         "E22: optional feature ablation (speedup over features-off)",
         ["benchmark", "prefetch", "store_coalescing", "prefetches",
          "stores_absorbed"])
-    pf_ctx = ctx.for_config(
-        ctx.config.with_overrides(l1_prefetch_next_line=True))
-    sc_ctx = ctx.for_config(ctx.config.with_overrides(store_coalescing=True))
+    prefetch_config = ctx.config.with_overrides(**_E22_FEATURES["prefetch"])
+    coalesce_config = ctx.config.with_overrides(
+        **_E22_FEATURES["store_coalescing"])
     for name in benchmarks:
         base = ctx.run(name)
-        prefetch = pf_ctx.run(name)
-        coalesce = sc_ctx.run(name)
+        prefetch = ctx.run(name, config=prefetch_config)
+        coalesce = ctx.run(name, config=coalesce_config)
         table.add_row(name,
                       speedup(base.cycles, prefetch.cycles),
                       speedup(base.cycles, coalesce.cycles),
@@ -1393,16 +1281,17 @@ def design_cell_counts(env: DesignEnv | None = None) -> dict[str, int]:
 
 def plan_experiments(ctx: ExperimentContext,
                      exp_ids: Sequence[str]) -> int:
-    """Prefetch the deduplicated union of several experiments' designs.
+    """Run the deduplicated union of several experiments' designs.
 
-    The cross-experiment dedup satellite: instead of one engine batch per
-    driver, compile every requested design up front, collapse cells with
-    identical jobs (the gto x rr baselines E3/E5/E9/... all share, the
-    E6/E7 matrix, the static sweeps E1/E3/E4/E11 revisit) and run the
-    whole invocation as one maximally parallel batch.  Duplicates drop by
-    job equality first, so only distinct jobs are fingerprinted; equal
-    fingerprints then collapse too.  The drivers' own ``prefetch_design``
-    calls then find every cell memoised.
+    The one place the drivers' designs are compiled and batched: every
+    requested design compiles under the context's environment, cells
+    with identical jobs collapse (the gto x rr baselines E3/E5/E9/... all
+    share, the E6/E7 matrix, the static sweeps E1/E3/E4/E11 revisit) and
+    the whole invocation runs as one maximally parallel batch.
+    Duplicates drop by job equality first, so only distinct jobs are
+    fingerprinted; :meth:`ExperimentContext.prefetch` collapses equal
+    fingerprints too.  The drivers then read every cell from the
+    context's memo.
 
     Returns the number of *unique* jobs planned (after dedup).
     """
@@ -1413,21 +1302,12 @@ def plan_experiments(ctx: ExperimentContext,
         if builder is not None:
             for cc in builder().compile(env):
                 unique.setdefault(cc.job)
-    pairs: list[tuple[ExperimentContext, SimJob]] = []
-    seen: set[str] = set()
-    for job in unique:
-        fingerprint = job.fingerprint()
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        pairs.append((ctx.for_config(job.config), job))
-    if pairs:
-        prefetch_contexts(pairs)
-    return len(pairs)
+    return ctx.prefetch(unique)
 
 
 def run_experiment(name: str, ctx: ExperimentContext | None = None) -> Table:
-    """Run one experiment by id ('e1'..'e22'); E12 has two table functions."""
+    """Plan and run one experiment by id ('e1'..'e22'); E12 has two table
+    functions."""
     ctx = ctx if ctx is not None else ExperimentContext()
     if name == "e12":
         raise ValueError("e12 has two tables: use e12_config_table and "
@@ -1437,4 +1317,5 @@ def run_experiment(name: str, ctx: ExperimentContext | None = None) -> Table:
     except KeyError:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"available: {sorted(EXPERIMENTS)} + e12") from None
+    plan_experiments(ctx, [name])
     return driver(ctx)

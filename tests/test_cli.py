@@ -86,6 +86,39 @@ def test_timeline_and_trace_export(tmp_path, monkeypatch, capsys):
     assert len({r["pid"] for r in doc["traceEvents"]}) >= 2
 
 
+def test_telemetry_exports_runs_on_other_hardware(tmp_path, monkeypatch,
+                                                  capsys):
+    # E22 runs each benchmark on three configs; two are not the context's.
+    # Their runs used to be missing, and the three kmeans.gto.rr runs
+    # need distinct file names.
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["e22", "--scale", "0.02", "--timeline", "2000",
+                 "--output", "out", "--trace", "e22.json"]) == 0
+    stems = {path.name.removesuffix(".timeline.csv")
+             for path in (tmp_path / "out").glob("*.timeline.csv")}
+    assert len(stems) == 12 and "kmeans.gto.rr" in stems
+    assert sum(stem.startswith("kmeans.gto.rr.") for stem in stems) == 2
+    doc = json.loads((tmp_path / "e22.json").read_text())
+    lanes = {record["args"]["name"] for record in doc["traceEvents"]
+             if record["name"] == "process_name"}
+    assert stems <= lanes and "12 run(s) merged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["fail:0", "flaky:0"])
+def test_a_job_that_failed_in_the_plan_is_not_dispatched_again(capsys,
+                                                               spec):
+    # The plan's job 0 is E19's first Kepler baseline, which E16 does not
+    # read.  Its failure is memoised: listed once, E19 fails, E16 renders,
+    # and with --retries 0 a flaky job gets no second attempt.
+    assert main(["e19", "e16", "--scale", "0.02", "--no-cache",
+                 "--retries", "0", "--faults", spec]) == 1
+    captured = capsys.readouterr()
+    assert "E16" in captured.out and "E19" not in captured.out
+    assert "1 job(s) without a result; FAILED: e19]" in captured.err
+
+
 def test_bad_fault_spec_is_usage_error(capsys):
     assert main(["e5", "--faults", "explode:0"]) == 2
     assert "bad fault spec" in capsys.readouterr().err

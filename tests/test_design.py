@@ -318,43 +318,34 @@ class TestCampaign:
 
 
 # --------------------------------------------------------------------------- #
-# context integration: replace-based subcontexts + cross-experiment dedup
+# context integration: one memo across hardware + cross-experiment dedup
 # --------------------------------------------------------------------------- #
 
 class TestContextIntegration:
-    def test_subcontext_forwards_every_field(self):
-        # The regression this guards: subcontext() used to copy fields by
-        # hand, so a newly added context field was silently dropped.  Via
-        # dataclasses.replace, everything except the per-config memos is
-        # forwarded automatically — including fields added later.
+    def test_job_on_other_hardware_carries_every_rider(self):
+        # A job on other hardware comes from the context's one environment,
+        # so it differs from the same cell on the context's hardware in
+        # its config alone: it carries every rider the context sets.
         ctx = ExperimentContext(scale=TINY, seed=3, jobs=2,
                                 timeline_window=500, trace=True, retries=5,
                                 timeout=12.5, fail_fast=True,
                                 sanitize=True, backend="vector")
-        sub = ctx.subcontext(GPUConfig.kepler_class())
-        reset = {"config", "_cache", "_failed"}
-        for f in dataclasses.fields(ExperimentContext):
-            if f.name in reset:
-                continue
-            assert getattr(sub, f.name) is getattr(ctx, f.name), f.name
-        assert sub.config == GPUConfig.kepler_class()
-        assert sub._cache == {} and sub._failed == {}
+        kepler = GPUConfig.kepler_class()
+        job = ctx.job("kmeans", config=kepler)
+        assert job.config == kepler
+        assert job == dataclasses.replace(ctx.job("kmeans"), config=kepler)
+        assert (job.scale, job.seed, job.timeline_window, job.trace,
+                job.backend) == (TINY, 3, 500, True, "vector")
 
-    def test_for_config_memoizes_subcontexts(self):
+    def test_run_on_other_hardware_is_one_batch(self):
         ctx = ExperimentContext(scale=TINY)
         kepler = GPUConfig.kepler_class()
-        assert ctx.for_config(ctx.config) is ctx
-        assert ctx.for_config(kepler) is ctx.for_config(kepler)
-        assert ctx.for_config(kepler).reports is ctx.reports
-
-    def test_shared_pool_dedups_across_contexts(self):
-        ctx = ExperimentContext(scale=TINY)
-        result = ctx.run("kmeans")
-        # A subcontext on identical hardware shares the fingerprint pool,
-        # so the same cell never simulates twice in one invocation.
-        sub = ctx.subcontext(ctx.config)
-        assert sub._cache == {}
-        assert sub.run("kmeans") is result
+        result = ctx.run("kmeans", config=kepler)
+        assert ctx.run("kmeans", config=kepler) is result
+        assert len(ctx.reports) == 1
+        # Naming the context's own hardware is the same cell.
+        assert ctx.run("kmeans", config=ctx.config) is ctx.run("kmeans")
+        assert len(ctx.reports) == 2
 
     def test_plan_experiments_dedups_shared_cells(self):
         ctx = ExperimentContext(scale=TINY)
@@ -364,7 +355,7 @@ class TestContextIntegration:
         planned = plan_experiments(ctx, ["e3", "e4", "e9"])
         # E4 shares E3's lcs runs + static sweeps; E9 shares the baseline.
         assert planned < separate
-        assert len(ctx._pool) == planned
+        assert len(ctx._results) == planned
         # Drivers now find everything memoised: no new engine batches.
         batches = len(ctx.reports)
         from repro.harness.experiments import EXPERIMENTS

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.design import Design
 from repro.harness.experiments import (EXPERIMENTS, ExperimentContext,
                                        e1_occupancy_sweep, e2_issue_signature,
                                        e3_lcs_speedup, e4_lcs_vs_oracle,
@@ -9,6 +10,7 @@ from repro.harness.experiments import (EXPERIMENTS, ExperimentContext,
                                        e8_cke, e12_benchmark_table,
                                        e12_config_table, plan_experiments,
                                        run_experiment)
+from repro.sim.config import GPUConfig
 from repro.verify.tables import TABLE_SCALE
 from repro.workloads.suite import SUITE
 
@@ -120,9 +122,28 @@ class TestJobWork:
         ctx = ExperimentContext(scale=TABLE_SCALE, jobs=1)
         planned = plan_experiments(ctx, ["e5"])
         table = e5_warp_schedulers(ctx)
-        assert table.rows[-1][0] == "GMEAN" and len(ctx._pool) == planned
+        assert table.rows[-1][0] == "GMEAN" and len(ctx._results) == planned
         assert counts["built"] == planned
         assert counts["hashed"] == planned
+
+    def test_drivers_on_other_hardware_reuse_the_plan(self, monkeypatch):
+        # E19 reads Kepler-class cells: planning it and E5 and then running
+        # both drivers compiles each design once and builds each job once.
+        counts = count_job_work(monkeypatch)
+        compile_design = Design.compile
+
+        def counted_compile(design, env=None):
+            counts["compiled"] += 1
+            return compile_design(design, env)
+
+        monkeypatch.setattr(Design, "compile", counted_compile)
+        ctx = ExperimentContext(scale=TABLE_SCALE, jobs=1)
+        planned = plan_experiments(ctx, ["e5", "e19"])
+        EXPERIMENTS["e5"](ctx)
+        EXPERIMENTS["e19"](ctx)
+        assert counts["compiled"] == 2
+        assert counts["built"] == counts["hashed"] == planned
+        assert len(ctx.reports) == 1
 
     def test_job_and_occupancy_come_from_one_env(self):
         ctx = ExperimentContext(scale=TINY)
@@ -131,6 +152,10 @@ class TestJobWork:
         assert ctx.design_env() is ctx.design_env()
         assert ctx.occupancy("kmeans") == ctx.kernel("kmeans").max_ctas_per_sm(
             ctx.config)
-        sub = ctx.for_config(ctx.config.with_overrides(l1_mshr_entries=64))
-        assert sub.design_env() is not ctx.design_env()
-        assert sub.job("kmeans").config == sub.config
+        mshr64 = ctx.config.with_overrides(l1_mshr_entries=64)
+        assert ctx.job("kmeans", config=mshr64) is ctx.design_env().job(
+            ("kmeans",), config=mshr64)
+        assert ctx.job("kmeans", config=mshr64).config == mshr64
+        kepler = GPUConfig.kepler_class()
+        assert ctx.occupancy("kmeans", kepler) == ctx.kernel(
+            "kmeans").max_ctas_per_sm(kepler)

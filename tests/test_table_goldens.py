@@ -14,12 +14,24 @@ sweep, not 22.
 import pytest
 
 from repro.verify.tables import (DEFAULT_TABLE_ROOT, build_tables,
-                                 verify_tables)
+                                 golden_context, verify_tables)
 
 
 @pytest.fixture(scope="module")
-def tables():
-    return build_tables()
+def context():
+    return golden_context()
+
+
+@pytest.fixture(scope="module")
+def tables(context):
+    return build_tables(context)
+
+
+def test_the_plan_runs_every_cell_the_drivers_read(context, tables):
+    # One engine batch: a driver that reads a cell its design does not
+    # declare would run it on demand in a batch of its own.
+    assert len(context.reports) == 1
+    assert len(context.reports[0].outcomes) == len(context._results)
 
 
 def test_goldens_are_committed():

@@ -27,6 +27,20 @@ def write_sets(path: Path, *sets: list[dict]) -> Path:
     return path
 
 
+def write_log(path: Path, runs: list[dict]) -> Path:
+    """The stdout of one ``run.py --workload exp-all`` call per run."""
+    lines = []
+    for run_ in runs:
+        printed = {key: value for key, value in run_.items()
+                   if key != "seed"}
+        lines += ["exp-all: 1 cold build of 330 jobs, 9 warm replays",
+                  "exp-all: latency_p50_s = 0.07 s",
+                  f"digest exp-all seed={run_['seed']} d{run_['seed']}",
+                  json.dumps(printed)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def trajectory(tmp_path: Path, parent: Path, change: Path):
     out = tmp_path / "BENCH_e2e.json"
     done = subprocess.run(
@@ -68,3 +82,22 @@ def test_pairs_must_share_a_seed(tmp_path):
     done, out = trajectory(tmp_path, parent, change)
     assert done.returncode != 0 and "seed" in done.stderr
     assert not out.exists()
+
+
+def test_a_log_of_single_workload_runs_reads_like_a_set_file(tmp_path):
+    parent_runs = [run(1, 0.13), run(2, 0.12), run(3, 0.07)]
+    change_runs = [run(1, 0.07), run(2, 0.075), run(3, 0.07, kips=9.0)]
+    entries = []
+    for write in (write_sets, write_log):
+        root = tmp_path / write.__name__
+        root.mkdir()
+        done, out = trajectory(root, write(root / "p", parent_runs),
+                               write(root / "c", change_runs))
+        assert done.returncode == 0, done.stderr
+        entries.append(json.loads(out.read_text())["entries"])
+    assert entries[0] == entries[1] and len(entries[0][0]["records"]) == 4
+    # A traced run has no end-to-end metrics and is refused by name.
+    traced = dict(run(1, 0.1), metrics={"sim.gpu.calls": {"value": 1}})
+    done, out = trajectory(tmp_path, write_log(tmp_path / "t.log", [traced]),
+                           write_log(tmp_path / "u.log", [run(1, 0.1)]))
+    assert done.returncode != 0 and "--trace 0" in done.stderr
