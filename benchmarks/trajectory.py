@@ -17,9 +17,10 @@ tier-1 suite's wall time with the change.
     python3 benchmarks/trajectory.py parent.json change.json \\
         --title "what the change did" --tier1-s 345 --out BENCH_e2e.json
 
-A change may claim a gain on a metric when it wins at least nine tenths
-of the pairs and its median beats the parent's by more than the parent's
-interquartile range; the printed rows say which records meet that rule.
+A change may claim a gain on a metric when it ran at least ten pairs,
+wins at least nine tenths of them and its median beats the parent's by
+more than the parent's interquartile range; the printed rows say which
+records meet that rule.
 """
 
 from __future__ import annotations
@@ -115,13 +116,20 @@ def records(parent: dict[str, list[dict]], change: dict[str, list[dict]],
     return out
 
 
+#: Pairs a record needs before it can show a gain: with fewer, nine tenths
+#: is met by every win (2 of 2 pairs).
+MIN_PAIRS = 10
+
+
 def meets_gain_rule(record: dict) -> bool:
-    """Wins in at least 9 of 10 pairs and a median gap wider than the
-    parent's interquartile range, in the better direction."""
+    """At least :data:`MIN_PAIRS` pairs, wins in at least 9 of 10 of them
+    and a median gap wider than the parent's interquartile range, in the
+    better direction."""
     gap = record["parent_median"] - record["change_median"]
     if record["better"] == "higher":
         gap = -gap
-    return 10 * record["wins"] >= 9 * record["pairs"] \
+    return record["pairs"] >= MIN_PAIRS \
+        and 10 * record["wins"] >= 9 * record["pairs"] \
         and gap > record["parent_iqr"]
 
 

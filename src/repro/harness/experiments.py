@@ -225,12 +225,16 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------ #
     def _run_label(self, job: SimJob) -> str:
-        """A filesystem-safe slug for one run's parameters; a run on other
-        hardware than the context's also carries its fingerprint."""
+        """A filesystem-safe slug for one run's parameters.  A kernel run
+        at a scale multiplier other than 1 carries it (``blackscholes-x3``),
+        and a run on other hardware than the context's also carries its
+        fingerprint."""
         warp_part = (f"{job.warp[0]}{job.warp[1]}"
                      if isinstance(job.warp, tuple) else str(job.warp))
         policy_part = "_".join(str(p) for p in job.policy if p is not None)
-        slug = "+".join(job.names) + f".{warp_part}.{policy_part}"
+        names = "+".join(name if mult == 1.0 else f"{name}-x{mult:g}"
+                         for name, mult in zip(job.names, job.scale_mults))
+        slug = f"{names}.{warp_part}.{policy_part}"
         if job.config != self.config:
             slug += f".{job.fingerprint()[:12]}"
         return slug.replace("/", "-").replace(" ", "")

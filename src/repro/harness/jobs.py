@@ -306,7 +306,9 @@ class SimJob:
 
     # ------------------------------------------------------------------ #
     def build_kernels(self) -> list[Kernel]:
-        """Fresh kernel instances (policies hold per-run state)."""
+        """Fresh kernel instances (policies hold per-run state).  Their
+        warp programs are shared: kernels of one (name, scale, seed) use
+        one program store per process (``make_kernel``)."""
         return [make_kernel(name, scale=self.scale * mult, seed=self.seed)
                 for name, mult in zip(self.names, self.scale_mults)]
 

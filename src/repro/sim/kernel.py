@@ -2,11 +2,18 @@
 
 A :class:`Kernel` is the static description of a launch: how many CTAs, how
 many warps per CTA, the per-thread/per-CTA resource appetite, and a builder
-that produces each warp's instruction trace on demand (traces are built
-lazily at CTA dispatch so large grids never materialise in memory at once).
+that produces each warp's instruction trace on demand, at CTA dispatch.
 A builder returns a ``TraceBuilder().build()`` column program or a list of
 :class:`~repro.sim.isa.Instruction`; :meth:`Kernel.build_warp_program`
 hands every core the checked column form either way.
+
+A kernel with a :class:`ProgramStore` keeps every program it builds there,
+so a grid's programs stay in memory once built and the next kernel of the
+same identity reuses them instead of building them again.  The suite's
+``make_kernel`` gives every kernel of one (factory, scale, seed) one store;
+a kernel built any other way (trace-file replays, the fuzzer's kernels,
+hand-written test kernels) has none and builds each program when asked,
+so its grid never materialises in memory at once.
 
 Occupancy — the maximum number of CTAs of this kernel resident on one SM —
 is the min over four hardware limits (CTA slots, warp contexts, registers,
@@ -27,11 +34,36 @@ class KernelResourceError(ValueError):
     """Raised when a kernel cannot fit even one CTA on an SM."""
 
 
+class ProgramStore:
+    """The checked warp programs of one kernel identity, keyed by
+    ``(cta_id, warp_idx)`` and shared by every :class:`Kernel` that holds
+    the store.  Equal ``ops`` and ``lat`` columns are interned: the warps
+    of a suite kernel differ only in their lines, so they share one of
+    each."""
+
+    __slots__ = ("programs", "_columns")
+
+    def __init__(self) -> None:
+        self.programs: dict[tuple[int, int], ColumnProgram] = {}
+        self._columns: dict = {}
+
+    def add(self, key: tuple[int, int],
+            program: ColumnProgram) -> ColumnProgram:
+        """Store ``program`` under ``key`` with interned columns and
+        return the stored program."""
+        intern = self._columns.setdefault
+        program = ColumnProgram(intern(program.ops, program.ops),
+                                intern(program.lat, program.lat),
+                                program.lines)
+        self.programs[key] = program
+        return program
+
+
 class Kernel:
     """Static description of one kernel launch."""
 
     __slots__ = ("name", "num_ctas", "warps_per_cta", "regs_per_thread",
-                 "shmem_per_cta", "_builder", "tags")
+                 "shmem_per_cta", "_builder", "tags", "program_store")
 
     def __init__(self, name: str, num_ctas: int, warps_per_cta: int,
                  program_builder: ProgramBuilder, *, regs_per_thread: int = 20,
@@ -49,6 +81,7 @@ class Kernel:
         self.shmem_per_cta = shmem_per_cta
         self._builder = program_builder
         self.tags = tags
+        self.program_store: ProgramStore | None = None
 
     def __repr__(self) -> str:
         return (f"Kernel({self.name!r}, ctas={self.num_ctas}, "
@@ -58,15 +91,24 @@ class Kernel:
     def build_warp_program(self, cta_id: int, warp_idx: int) -> ColumnProgram:
         """Build and check the trace of one warp: the one build entry point
         of every core.  A builder's ``Instruction`` list is converted to
-        columns here; either form gets the same structural check."""
+        columns here; either form gets the same structural check.  With a
+        :attr:`program_store`, a program built before is returned as it
+        was stored, and a new one is stored."""
         if not 0 <= cta_id < self.num_ctas:
             raise ValueError(f"cta_id {cta_id} out of range")
         if not 0 <= warp_idx < self.warps_per_cta:
             raise ValueError(f"warp_idx {warp_idx} out of range")
+        store = self.program_store
+        if store is not None:
+            program = store.programs.get((cta_id, warp_idx))
+            if program is not None:
+                return program
         program = self._builder(cta_id, warp_idx)
         if not isinstance(program, ColumnProgram):
             program = program_columns(program)
         program.check()
+        if store is not None:
+            program = store.add((cta_id, warp_idx), program)
         return program
 
     # ------------------------------------------------------------------ #

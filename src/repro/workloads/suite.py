@@ -26,11 +26,12 @@ versions of the exact same code paths) and ``seed``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from ..sim.isa import ColumnProgram
-from ..sim.kernel import Kernel
+from ..sim.kernel import Kernel, ProgramStore
 from .patterns import (DEFAULT_SEED, Region, gather_lines, hot_cold_lines,
                        private_footprint, region_base, rng_for, stream_lines,
                        tile_with_halo, warp_slice)
@@ -672,8 +673,26 @@ CKE_PAIRS = (
 )
 
 
+#: Kernel identities whose program stores a process keeps: a CKE job names
+#: two kernels, and a store holds its whole grid's programs once they are
+#: built, so a larger cap costs memory for little reuse.
+PROGRAM_STORES = 2
+
+
+@functools.lru_cache(maxsize=PROGRAM_STORES)
+def _program_store(factory: Callable[..., Kernel], scale: float,
+                   seed: int) -> ProgramStore:
+    """The one program store of a kernel identity, while it is among the
+    :data:`PROGRAM_STORES` most recently used."""
+    return ProgramStore()
+
+
 def make_kernel(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
-    """Instantiate a suite benchmark by name."""
+    """Instantiate a suite benchmark by name.
+
+    Every call returns a fresh :class:`Kernel`; kernels of one
+    (name, scale, seed) share one program store, so a warp's program is
+    built once per process while the identity stays in the store's LRU."""
     try:
         info = SUITE[name]
     except KeyError:
@@ -683,7 +702,9 @@ def make_kernel(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kern
     # when the first one is.
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return info.make(scale=scale, seed=seed)
+    kernel = info.make(scale=scale, seed=seed)
+    kernel.program_store = _program_store(info.factory, scale, seed)
+    return kernel
 
 
 def suite_names(category: str | None = None) -> tuple[str, ...]:

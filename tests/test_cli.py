@@ -106,6 +106,30 @@ def test_telemetry_exports_runs_on_other_hardware(tmp_path, monkeypatch,
     assert stems <= lanes and "12 run(s) merged" in capsys.readouterr().err
 
 
+def test_telemetry_names_runs_that_differ_only_in_scale_mults(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # E14 runs blackscholes alone at multipliers 1.0, 3.0 and 9.0; each
+    # run needs its own file and its own trace lane.
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["e14", "--scale", "0.02", "--timeline", "2000",
+                 "--output", "out", "--trace", "e14.json"]) == 0
+    assert "[timelines: 12 CSV(s)" in capsys.readouterr().err
+    stems = {path.name.removesuffix(".timeline.csv")
+             for path in (tmp_path / "out").glob("*.timeline.csv")}
+    assert len(stems) == 12
+    assert {"blackscholes.gto.rr", "blackscholes-x3.gto.rr",
+            "blackscholes-x9.gto.rr", "kmeans.gto.rr",
+            "spmv+blackscholes-x3.gto.smk"} <= stems
+    doc = json.loads((tmp_path / "e14.json").read_text())
+    lanes = [record["args"]["name"] for record in doc["traceEvents"]
+             if record["name"] == "process_name"
+             and record["args"]["name"] in stems]
+    assert sorted(lanes) == sorted(stems)
+
+
 @pytest.mark.parametrize("spec", ["fail:0", "flaky:0"])
 def test_a_job_that_failed_in_the_plan_is_not_dispatched_again(capsys,
                                                                spec):

@@ -101,3 +101,40 @@ def test_a_log_of_single_workload_runs_reads_like_a_set_file(tmp_path):
     done, out = trajectory(tmp_path, write_log(tmp_path / "t.log", [traced]),
                            write_log(tmp_path / "u.log", [run(1, 0.1)]))
     assert done.returncode != 0 and "--trace 0" in done.stderr
+
+
+def gain_lines(done) -> dict[str, bool]:
+    """Per metric, whether the printed row claims a gain."""
+    return {line.split()[1]: line.endswith("gain")
+            for line in done.stdout.splitlines()
+            if line.startswith("exp-all ")}
+
+
+def test_two_winning_pairs_are_not_a_gain(tmp_path):
+    parent = write_sets(tmp_path / "p.json", [run(1, 0.13), run(2, 0.12)])
+    change = write_sets(tmp_path / "c.json", [run(1, 0.07), run(2, 0.06)])
+    done, out = trajectory(tmp_path, parent, change)
+    assert done.returncode == 0, done.stderr
+    (record,) = [r for r in json.loads(out.read_text())["entries"][0]
+                 ["records"] if r["metric"] == "latency_p50_s"]
+    assert (record["pairs"], record["wins"]) == (2, 2)
+    assert gain_lines(done) == dict.fromkeys(METRICS, False)
+
+
+def test_nine_wins_in_ten_pairs_with_a_gap_over_the_iqr_are_a_gain(tmp_path):
+    # Parent latencies 0.10-0.19 (IQR 0.045); the change loses pair 0 and
+    # wins the other nine, its median 0.07 lower than the parent's.
+    parent_runs = [run(s, 0.10 + 0.01 * s) for s in range(10)]
+    change_runs = [run(0, 0.2)] + [run(s, 0.07 + 0.001 * s)
+                                   for s in range(1, 10)]
+    done, out = trajectory(tmp_path, write_sets(tmp_path / "p.json",
+                                                parent_runs),
+                           write_sets(tmp_path / "c.json", change_runs))
+    assert done.returncode == 0, done.stderr
+    (record,) = [r for r in json.loads(out.read_text())["entries"][0]
+                 ["records"] if r["metric"] == "latency_p50_s"]
+    assert (record["pairs"], record["wins"]) == (10, 9)
+    assert record["parent_median"] - record["change_median"] \
+        > record["parent_iqr"]
+    assert gain_lines(done) == {"setup_s": False, "sim_kips": False,
+                                "latency_p50_s": True, "peak_rss_mb": False}
