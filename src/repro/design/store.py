@@ -6,12 +6,18 @@ journal records become job state.  It has two owners: a campaign
 (:mod:`repro.design.campaign`) declares its design cells as jobs up
 front, with ids :func:`job_id`, and its ``--shard`` workers claim them
 by lease; the ``repro-serve`` daemon introduces its jobs with ``submit``
-records.  Appends and folds share one lock, because a campaign's
-heartbeat thread and its batch callbacks append concurrently.
+records and, when clustered, keeps its peers' announced jobs here too,
+as replicas (:attr:`Job.owner`).  Appends and folds share one lock,
+because a campaign's heartbeat thread and its batch callbacks append
+concurrently.
 
 **The fold.**  Records replay in file order, keyed by ``id``:
 
 * ``submit`` introduces a job; a replayed duplicate changes nothing.
+  A ``submit`` for a replica adopts it: the job becomes this store's
+  own (its owner cleared) at the submit's ordinal.
+* ``cluster-job`` introduces a replica: a job a cluster peer accepted,
+  owned by that peer.  It takes no submission ordinal.
 * ``claim`` / ``release`` / ``heartbeat`` are leases.  Every record
   refreshes its worker's liveness, a claim is live while its worker's
   newest record (or the claim itself) is younger than the claim's TTL
@@ -27,12 +33,13 @@ heartbeat thread and its batch callbacks append concurrently.
   final).  ``quarantined`` and ``exhausted`` are final.
 * ``crash`` counts one worker death against the job (the daemon's
   circuit-breaker memory).
-* ``peer-terminal`` is a cluster peer's terminal for the job, folded as
-  the state it names.
+* ``peer-terminal`` (a peer finished one of this store's jobs) and
+  ``cluster-terminal`` (a replica's owner finished it) fold as the state
+  they name.
 
 A terminal record whose fingerprint disagrees with its job's, and a
 record naming an unknown id, is counted in ``ignored_records``; other
-record kinds (the cluster's replicas, say) are skipped.
+record kinds are skipped.
 
 **The snapshot.**  ``snapshot.json`` holds every job's folded state, the
 workers' liveness and the journal prefix it covers: the record count and
@@ -73,8 +80,11 @@ EXHAUSTED = "exhausted"
 FINAL = (DONE, QUARANTINED, EXHAUSTED)
 
 #: Record kinds the fold reads (``heartbeat`` only refreshes liveness).
-_KINDS = ("submit", "claim", "release", "crash", DONE, FAILED, QUARANTINED,
-          EXHAUSTED)
+_KINDS = ("submit", "cluster-job", "claim", "release", "crash", DONE,
+          FAILED, QUARANTINED, EXHAUSTED)
+
+#: Records that carry another node's terminal in their ``state``.
+_RELAYED = ("peer-terminal", "cluster-terminal")
 
 #: Default lease time-to-live in seconds (heartbeats run at ttl/3).
 DEFAULT_LEASE_TTL = 30.0
@@ -124,9 +134,9 @@ def lease_alive(claim: dict, beats: dict[str, float], now: float) -> bool:
     itself) within the claim's TTL?
 
     The one liveness rule of the system: job claims in a store, and the
-    cluster's peer and job-ownership leases (:mod:`repro.service.cluster`),
-    which hold ``{"worker": node, "t": claim_time, "ttl": seconds}``
-    claims against node-level gossip heartbeats.
+    cluster's peer leases (:mod:`repro.service.cluster`), which hold
+    ``{"worker": node, "t": boot_time, "ttl": seconds}`` claims against
+    node-level gossip contacts.
     """
     seen = max(beats.get(claim.get("worker"), 0.0), float(claim.get("t", 0.0)))
     return seen + float(claim.get("ttl", DEFAULT_LEASE_TTL)) > now
@@ -136,8 +146,8 @@ class Job:
     """One job: its identity and its folded state."""
 
     __slots__ = ("id", "fingerprint", "job", "index", "tenant", "label",
-                 "state", "status", "attempts", "crashes", "cycles", "ipc",
-                 "error", "claims", "duplicate_done")
+                 "owner", "state", "status", "attempts", "crashes", "cycles",
+                 "ipc", "error", "claims", "duplicate_done")
 
     #: The folded half, as a snapshot stores it.
     FOLDED = ("state", "attempts", "crashes", "cycles", "ipc", "error",
@@ -145,7 +155,7 @@ class Job:
 
     def __init__(self, id: str, fingerprint: str, job: dict[str, Any],
                  index: int = 0, *, tenant: str = "-",
-                 label: str = "") -> None:
+                 label: str = "", owner: str = "") -> None:
         self.id = id
         self.fingerprint = fingerprint
         self.job = job            # SimJob.to_payload rendering
@@ -154,6 +164,9 @@ class Job:
         self.index = index
         self.tenant = tenant      # daemon jobs: the admitting tenant
         self.label = label        # campaign jobs: the design cell label
+        #: ``""`` for this store's own jobs; for a replica, the address
+        #: of the cluster peer that accepted it.
+        self.owner = owner
         self.reset()
 
     def reset(self) -> None:
@@ -174,7 +187,7 @@ class Job:
     def to_state(self) -> dict[str, Any]:
         return {"id": self.id, "fingerprint": self.fingerprint,
                 "job": self.job, "index": self.index, "tenant": self.tenant,
-                "label": self.label,
+                "label": self.label, "owner": self.owner,
                 **{name: getattr(self, name) for name in self.FOLDED}}
 
 
@@ -222,7 +235,8 @@ class JobStore:
     def _add(self, job: Job) -> None:
         self.jobs[job.id] = job
         self.order.append(job.id)
-        self.next_index = max(self.next_index, job.index + 1)
+        if not job.owner:
+            self.next_index = max(self.next_index, job.index + 1)
 
     def ordered(self) -> list[Job]:
         return [self.jobs[job_id] for job_id in self.order]
@@ -282,7 +296,7 @@ class JobStore:
             if job is None:
                 job = Job(data["id"], data["fingerprint"], data["job"],
                           data["index"], tenant=data["tenant"],
-                          label=data["label"])
+                          label=data["label"], owner=data.get("owner", ""))
                 self._add(job)
             for name in Job.FOLDED:
                 setattr(job, name, data[name])
@@ -296,7 +310,7 @@ class JobStore:
             if t > self.beats.get(worker, 0.0):
                 self.beats[worker] = t
         kind = record.get("type")
-        if kind == "peer-terminal":
+        if kind in _RELAYED:
             kind = record.get("state")
             if kind not in (DONE, FAILED, QUARANTINED):
                 return
@@ -304,12 +318,19 @@ class JobStore:
             return
         key = record.get("id")
         job = self.jobs.get(key)
-        if kind == "submit":
+        if kind in ("submit", "cluster-job"):
+            owner = (str(record.get("owner") or "?")
+                     if kind == "cluster-job" else "")
+            ordinal = 0 if owner else int(record.get("ordinal") or 0)
             if job is None and isinstance(key, str):
                 self._add(Job(key, record.get("fingerprint", ""),
-                              record.get("job") or {},
-                              int(record.get("ordinal") or 0),
-                              tenant=record.get("tenant", "-")))
+                              record.get("job") or {}, ordinal,
+                              tenant=record.get("tenant", "-"),
+                              owner=owner))
+            elif job is not None and job.owner and not owner:
+                # A submit for a replica: this store adopts it.
+                job.owner, job.index = "", ordinal
+                self.next_index = max(self.next_index, ordinal + 1)
             return
         if job is None:
             self.ignored_records += 1

@@ -100,10 +100,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         help="write the structured event trace ('.jsonl' = "
                              "JSON lines, else Chrome trace_event JSON for "
                              "chrome://tracing; forces a live run)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes for the batch engine "
-                             "(a single run never fans out; accepted for "
-                             "symmetry with repro-exp)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache "
                              f"({DEFAULT_CACHE_DIR}/)")
@@ -273,7 +269,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 2
             checkpoints = CheckpointPlan(interval=args.checkpoint_interval,
                                          root=args.checkpoint_dir)
-        report = run_batch([job], workers=max(args.jobs, 1), cache=cache,
+        report = run_batch([job], cache=cache,
                            retries=max(args.retries, 0),
                            timeout=args.timeout, faults=faults,
                            sanitize=args.sanitize, checkpoints=checkpoints)

@@ -17,17 +17,22 @@ never declare a peer dead in the same instant.  Transitions are
 journaled as ``peer.up`` / ``peer.suspect`` / ``peer.dead`` events.
 
 **Job ownership as cluster leases.**  A daemon's gossip frames announce
-its accepted-but-unfinished jobs (id, tenant, fingerprint, full payload)
-and its terminal states.  Receivers journal the announcements
-(``cluster-job`` / ``cluster-terminal`` records), so every journal in
-the fleet can answer "who owned what" offline.  The announcement *is*
-the lease claim: ``{"worker": owner, "t": first_seen, "ttl": ...}``
-heartbeated by the owner's node-level gossip.  When an owner is declared
-dead and a job's lease has expired, the rendezvous-hash winner among the
-surviving nodes adopts the job — journals a ``submit`` with
-``adopted_from`` and force-pushes it into its own queue.  Re-execution
-is bitwise-safe and cheap because results are keyed by job fingerprint
-in the shared result cache.
+its own accepted-but-unfinished jobs (id, tenant, fingerprint, full
+payload) and its own terminal states.  Receivers journal the
+announcements (``cluster-job`` / ``cluster-terminal`` records) into the
+daemon's :class:`~repro.design.store.JobStore`, which folds them into
+replicas: store jobs whose ``owner`` is the announcing peer.  So every
+journal in the fleet can answer "who owned what" offline, and a replica
+survives a restart exactly as the daemon's own jobs do (journal, or the
+store's snapshot when appends were lost).  A replica's lease is its
+owner's node lease, heartbeated by the owner's gossip: a replica is
+only ever learned during a contact with its owner, so it expires
+exactly when the owner is declared dead.  The rendezvous-hash winner
+among the surviving nodes then adopts the job — journals a ``submit``
+with ``adopted_from``, which makes the replica its own, and
+force-pushes it into its queue.  Re-execution is bitwise-safe and cheap
+because results are keyed by job fingerprint in the shared result
+cache.
 
 **Routing and split-brain.**  ``submit`` frames are routed to the
 fingerprint's rendezvous owner (one forwarding hop, marked ``route``),
@@ -54,7 +59,6 @@ import hashlib
 import time
 from typing import TYPE_CHECKING, Any
 
-from ..design.journal import replay_journal
 from ..design.store import TTL_JITTER_FRAC, lease_alive, worker_ttl_jitter
 from ..harness.faults import FaultPlan
 from .protocol import (MAX_FRAME_BYTES, TERMINAL, ProtocolError, decode_frame,
@@ -141,7 +145,6 @@ class ClusterManager:
         self.index = members.index(advertise)
         self.gossip_interval = gossip_interval
         self.peer_ttl = peer_ttl
-        self.job_lease_ttl = 2.0 * peer_ttl
         self.faults = faults
         self.peers: dict[str, PeerState] = {}
         for index, address in enumerate(members):
@@ -153,11 +156,8 @@ class ClusterManager:
             jitter = worker_ttl_jitter(f"{advertise}->{address}")
             self.peers[address] = PeerState(
                 address, index, peer_ttl * (1.0 + TTL_JITTER_FRAC * jitter))
-        #: Jobs owned by peers: id -> {owner, tenant, fingerprint, job,
-        #: state, cycles, ipc, error, t (local first-seen), ttl}.
-        self.remote_jobs: dict[str, dict[str, Any]] = {}
         #: Last successful contact per peer address (local monotonic) —
-        #: the beats table every job lease is checked against.
+        #: the beats table every peer lease is checked against.
         self.beats: dict[str, float] = {}
         self.rounds = 0
         self.degraded = False
@@ -277,13 +277,11 @@ class ClusterManager:
                 # live fleet member from where we stand.
                 peer.misses += 1
                 continue
-            now = time.monotonic()
-            self._contact(peer.address, now)
-            self._fold_payload(response, now)
+            self._contact(peer.address, time.monotonic())
+            self._fold_payload(response)
         self.rounds += 1
-        now = time.monotonic()
-        self._membership_check(now)
-        self._reclaim(now)
+        self._membership_check(time.monotonic())
+        self._reclaim()
 
     async def call(self, address: str, frame: dict[str, Any], *,
                    timeout: float = 5.0) -> dict[str, Any]:
@@ -311,17 +309,15 @@ class ClusterManager:
     # gossip payloads (both directions share the same shape)
     # ------------------------------------------------------------------ #
     def _payload(self) -> dict[str, Any]:
-        table = self.daemon.table
         jobs, terminals = [], []
-        order = table.order
+        own = [job for job in self.daemon.table.ordered() if not job.owner]
         # Rotate the announcement window so a backlog larger than one
         # frame's cap is still fully told across consecutive rounds.
-        if len(order) > MAX_GOSSIP_JOBS:
-            start = self._announce_rotor % len(order)
-            order = order[start:] + order[:start]
+        if len(own) > MAX_GOSSIP_JOBS:
+            start = self._announce_rotor % len(own)
+            own = own[start:] + own[:start]
             self._announce_rotor += MAX_GOSSIP_JOBS
-        for job_id in order:
-            job = table.jobs[job_id]
+        for job in own:
             if job.state in TERMINAL:
                 if len(terminals) < MAX_GOSSIP_JOBS:
                     terminals.append({
@@ -342,9 +338,9 @@ class ClusterManager:
         return {"members": members, "jobs": jobs, "terminals": terminals,
                 "quarantine": quarantine}
 
-    def _fold_payload(self, payload: dict[str, Any], now: float) -> None:
+    def _fold_payload(self, payload: dict[str, Any]) -> None:
         for announced in payload.get("jobs") or []:
-            self._fold_job(announced, now)
+            self._fold_job(announced)
         for terminal in payload.get("terminals") or []:
             self._fold_terminal(terminal)
         for entry in payload.get("quarantine") or []:
@@ -357,74 +353,53 @@ class ClusterManager:
                                   fingerprint=fingerprint[:12],
                                   crashes=entry.get("crashes"))
 
-    def _fold_job(self, announced: dict[str, Any], now: float) -> None:
+    def _fold_job(self, announced: dict[str, Any]) -> None:
         job_id = announced.get("id")
         owner = announced.get("owner")
-        if not job_id or not owner or owner == self.advertise:
+        # Only a string id can become a store job (and be hashed).
+        if not isinstance(job_id, str) or not job_id or not owner \
+                or owner == self.advertise:
             return
-        if job_id in self.daemon.table.jobs or job_id in self.remote_jobs:
+        if job_id in self.daemon.table.jobs:
             return
-        remote = {"id": job_id, "owner": owner,
-                  "tenant": announced.get("tenant", "-"),
-                  "fingerprint": announced.get("fingerprint", ""),
-                  "job": announced.get("job") or {},
-                  "state": None, "cycles": None, "ipc": None, "error": None,
-                  "t": now, "ttl": self.job_lease_ttl}
-        self.remote_jobs[job_id] = remote
-        # Journaled so the replica (and the offline audit) survives a
-        # local restart: this record *is* the lease claim we hold
-        # against the owner's heartbeats.
+        # Journaled, so the replica (and the offline audit) survives a
+        # local restart.
         self.daemon.table.append("cluster-job", id=job_id, owner=owner,
-                                 tenant=remote["tenant"],
-                                 fingerprint=remote["fingerprint"],
-                                 job=remote["job"], ttl=remote["ttl"])
+                                 tenant=announced.get("tenant", "-"),
+                                 fingerprint=announced.get("fingerprint", ""),
+                                 job=announced.get("job") or {})
 
     def _fold_terminal(self, terminal: dict[str, Any]) -> None:
         job_id = terminal.get("id")
         state = terminal.get("state")
-        if not job_id or state not in TERMINAL:
+        if not isinstance(job_id, str) or not job_id \
+                or state not in TERMINAL:
             return
-        own = self.daemon.table.jobs.get(job_id)
-        if own is not None:
-            if own.state in TERMINAL:
-                return
+        table = self.daemon.table
+        job = table.jobs.get(job_id)
+        if job is not None and job.state in TERMINAL:
+            return
+        via = terminal.get("owner")
+        if job is None:
+            # A terminal for a job never announced to us: replicate it
+            # first, so the terminal has a job to land on.
+            table.append("cluster-job", id=job_id, owner=via or "?",
+                         fingerprint=terminal.get("fingerprint", ""), job={})
+            job = table.jobs[job_id]
+        details = {"cycles": terminal.get("cycles"),
+                   "ipc": terminal.get("ipc"), "error": terminal.get("error")}
+        if job.owner:
+            table.append("cluster-terminal", id=job_id, owner=job.owner,
+                         state=state, fingerprint=job.fingerprint, **details)
+        else:
             # A job we own (or adopted) was finished elsewhere — a
             # handoff that raced our own execution, or a rejoin after a
             # partition.  Fold the peer's terminal; never execute again.
-            self.daemon.table.append("peer-terminal", id=job_id,
-                                     state=state,
-                                     cycles=terminal.get("cycles"),
-                                     ipc=terminal.get("ipc"),
-                                     error=terminal.get("error"),
-                                     via=terminal.get("owner"))
+            table.append("peer-terminal", id=job_id, state=state, via=via,
+                         **details)
             self.daemon.event("cluster.peer_terminal", id=job_id,
-                              state=state, via=terminal.get("owner"))
-            self.daemon.notify_watchers(job_id, state,
-                                        cycles=terminal.get("cycles"),
-                                        ipc=terminal.get("ipc"),
-                                        error=terminal.get("error"))
-            return
-        remote = self.remote_jobs.get(job_id)
-        if remote is None:
-            remote = {"id": job_id, "owner": terminal.get("owner", "?"),
-                      "tenant": "-", "fingerprint":
-                          terminal.get("fingerprint", ""),
-                      "job": {}, "state": None, "cycles": None, "ipc": None,
-                      "error": None, "t": time.monotonic(),
-                      "ttl": self.job_lease_ttl}
-            self.remote_jobs[job_id] = remote
-        if remote.get("state") in TERMINAL:
-            return
-        remote.update(state=state, cycles=terminal.get("cycles"),
-                      ipc=terminal.get("ipc"), error=terminal.get("error"))
-        self.daemon.table.append("cluster-terminal", id=job_id,
-                                 owner=remote["owner"], state=state,
-                                 cycles=remote["cycles"], ipc=remote["ipc"],
-                                 error=remote["error"],
-                                 fingerprint=remote["fingerprint"])
-        self.daemon.notify_watchers(job_id, state, cycles=remote["cycles"],
-                                    ipc=remote["ipc"],
-                                    error=remote["error"])
+                              state=state, via=via)
+        self.daemon.notify_watchers(job_id, state, **details)
 
     # ------------------------------------------------------------------ #
     # inbound gossip (the daemon's "gossip" op)
@@ -441,9 +416,8 @@ class ClusterManager:
                                                  self.rounds):
             # The injected partition: pretend the frame never arrived.
             return error_response("gossip", "unreachable (partitioned)")
-        now = time.monotonic()
-        self._contact(sender, now)
-        self._fold_payload(frame, now)
+        self._contact(sender, time.monotonic())
+        self._fold_payload(frame)
         return {"ok": True, "op": "gossip", "addr": self.advertise,
                 "index": self.index, "round": self.rounds,
                 **self._payload()}
@@ -492,73 +466,31 @@ class ClusterManager:
         response["routed"] = owner
         return response
 
-    def remote_lookup(self, job_id: str) -> dict[str, Any] | None:
-        """The replicated view of a job owned elsewhere, or None."""
-        return self.remote_jobs.get(job_id)
-
     # ------------------------------------------------------------------ #
     # reclaim (lease-based job handoff)
     # ------------------------------------------------------------------ #
-    def _reclaim(self, now: float) -> None:
-        """Adopt expired-lease jobs of dead owners that hash to us.
+    def _reclaim(self) -> None:
+        """Adopt the unfinished replicas of dead owners that hash to us.
 
         Never while degraded: a partition minority must not adopt the
         majority's jobs (it may be the one that is cut off).  Runs every
-        round; all conditions are idempotent, so a job skipped this
-        round (live lease, different winner) is re-examined next round.
+        round; all conditions are idempotent, so a replica skipped this
+        round (different winner) is re-examined next round, and an
+        adopted one is no longer a replica.
         """
         if not self._dead_owners or not self.has_quorum():
             return
         nodes = self.live_addresses()
-        for remote in list(self.remote_jobs.values()):
-            if remote["owner"] not in self._dead_owners:
-                continue
-            if remote.get("state") in TERMINAL:
-                continue
-            if remote["id"] in self.daemon.table.jobs:
-                continue
-            claim = {"worker": remote["owner"], "t": remote["t"],
-                     "ttl": remote["ttl"]}
-            if lease_alive(claim, self.beats, now):
-                continue
-            if rendezvous_owner(remote["fingerprint"],
-                                nodes) != self.advertise:
-                continue
-            self.daemon.adopt_job(remote, source=remote["owner"])
+        for job in list(self.daemon.table.jobs.values()):
+            if job.owner in self._dead_owners \
+                    and job.state not in TERMINAL \
+                    and rendezvous_owner(job.fingerprint,
+                                         nodes) == self.advertise:
+                self.daemon.adopt_job(job)
 
     # ------------------------------------------------------------------ #
-    # recovery / status
+    # status
     # ------------------------------------------------------------------ #
-    def recover(self) -> int:
-        """Rebuild the replicated-job table from the daemon's journal:
-        its ``cluster-job`` / ``cluster-terminal`` records, which the
-        job store's fold skips."""
-        now = time.monotonic()
-        restored = 0
-        for record in replay_journal(self.daemon.table.journal.path).records:
-            kind = record.get("type")
-            if kind == "cluster-job":
-                job_id = record.get("id")
-                if not job_id or job_id in self.remote_jobs \
-                        or job_id in self.daemon.table.jobs:
-                    continue
-                self.remote_jobs[job_id] = {
-                    "id": job_id, "owner": record.get("owner", "?"),
-                    "tenant": record.get("tenant", "-"),
-                    "fingerprint": record.get("fingerprint", ""),
-                    "job": record.get("job") or {}, "state": None,
-                    "cycles": None, "ipc": None, "error": None,
-                    "t": now, "ttl": record.get("ttl", self.job_lease_ttl)}
-                restored += 1
-            elif kind == "cluster-terminal":
-                remote = self.remote_jobs.get(record.get("id") or "")
-                if remote is not None and record.get("state") in TERMINAL:
-                    remote.update(state=record.get("state"),
-                                  cycles=record.get("cycles"),
-                                  ipc=record.get("ipc"),
-                                  error=record.get("error"))
-        return restored
-
     def view(self) -> dict[str, Any]:
         """The membership table, for ``status`` responses."""
         now = time.monotonic()
@@ -566,7 +498,8 @@ class ClusterManager:
             "advertise": self.advertise, "index": self.index,
             "size": len(self.members), "rounds": self.rounds,
             "quorum": self.has_quorum(), "degraded": self.degraded,
-            "remote_jobs": len(self.remote_jobs),
+            "remote_jobs": sum(1 for job in self.daemon.table.jobs.values()
+                               if job.owner),
             "peers": [{"addr": peer.address, "index": peer.index,
                        "state": peer.state, "misses": peer.misses,
                        "age": (round(now - self.beats[peer.address], 3)

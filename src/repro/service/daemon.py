@@ -108,6 +108,22 @@ class SchedulerDaemon:
                  peer_ttl: float = DEFAULT_PEER_TTL,
                  faults: FaultPlan | None = None,
                  log=None) -> None:
+        for name, value in (("workers", workers),
+                            ("queue_depth", queue_depth),
+                            ("breaker_threshold", breaker_threshold)):
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name, value in (("rate", rate), ("burst", burst),
+                            ("hb_timeout", hb_timeout),
+                            ("gossip_interval", gossip_interval),
+                            ("peer_ttl", peer_ttl)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        for name, value in (("retries", retries), ("timeout", timeout),
+                            ("drain_grace", drain_grace),
+                            ("breaker_cooldown", breaker_cooldown)):
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.state_dir = Path(state_dir)
         self.socket_path = (Path(socket_path) if socket_path is not None
                             else self.state_dir / SOCKET_NAME)
@@ -133,8 +149,9 @@ class SchedulerDaemon:
         self.queue = FairShareQueue(depth=queue_depth)
         self.buckets: dict[str, TokenBucket] = {}
         self.rate, self.burst = rate, burst
+        # A zero cooldown quarantines for good, as None does.
         self.breaker = CircuitBreaker(threshold=breaker_threshold,
-                                      cooldown=breaker_cooldown)
+                                      cooldown=breaker_cooldown or None)
         self._probes: dict[str, str] = {}   # fingerprint -> probe job id
         self.pool = WorkerPool(workers, hb_timeout=hb_timeout,
                                faults=self.faults, on_event=self.event)
@@ -213,16 +230,13 @@ class SchedulerDaemon:
                            fingerprint=job.fingerprint[:12], id=job.id)
             self.queue.push(job.tenant, job.id, force=True)
             requeued += 1
-        if self.cluster is not None:
-            restored = self.cluster.recover()
-            if restored:
-                self.event("cluster.recover", remote_jobs=restored)
         return requeued
 
     def _pending(self) -> list[Job]:
-        """Accepted jobs without a terminal state, in submission order."""
+        """Accepted jobs without a terminal state, in submission order
+        (a cluster peer's replicas are not ours to run)."""
         return [job for job in self.table.ordered()
-                if job.state not in TERMINAL]
+                if not job.owner and job.state not in TERMINAL]
 
     def _public_state(self, job: Job) -> str:
         if job.state == PENDING:
@@ -477,24 +491,22 @@ class SchedulerDaemon:
             if job_id in ids:
                 queue.put_nowait(frame)
 
-    def adopt_job(self, remote: dict[str, Any], source: str) -> None:
-        """Take over a dead peer's journaled-but-unfinished job.
+    def adopt_job(self, job: Job) -> None:
+        """Take over a dead peer's unfinished job, a replica in the store.
 
         Called by the cluster manager once this node wins the rendezvous
-        election for an expired lease: journal a fresh ``submit`` (with
-        ``adopted_from`` attribution for the offline audit) and
-        force-push it — adopted work was already admitted once, it is
-        never shed.  Re-execution is bitwise-safe: the result cache is
-        keyed by job fingerprint.
+        election for it: journal a fresh ``submit`` (with
+        ``adopted_from`` attribution for the offline audit), which makes
+        the replica ours at a new ordinal, and force-push it — adopted
+        work was already admitted once, it is never shed.  Re-execution
+        is bitwise-safe: the result cache is keyed by job fingerprint.
         """
-        tenant = remote.get("tenant", "-")
-        ordinal = self.table.next_index
-        self.table.append("submit", id=remote["id"], tenant=tenant,
-                          fingerprint=remote.get("fingerprint", ""),
-                          ordinal=ordinal, job=remote.get("job"),
-                          adopted_from=source)
-        self.queue.push(tenant, remote["id"], force=True)
-        self.event("cluster.reclaim", id=remote["id"], source=source,
+        source, ordinal = job.owner, self.table.next_index
+        self.table.append("submit", id=job.id, tenant=job.tenant,
+                          fingerprint=job.fingerprint, ordinal=ordinal,
+                          job=job.job, adopted_from=source)
+        self.queue.push(job.tenant, job.id, force=True)
+        self.event("cluster.reclaim", id=job.id, source=source,
                    ordinal=ordinal)
         self._kick.set()
 
@@ -583,47 +595,48 @@ class SchedulerDaemon:
         """Cluster-aware front door for ``submit``: route, then accept.
 
         Non-clustered daemons fall straight through to the synchronous
-        admission ladder.  Clustered ones first consult the replicated
-        job table (a peer may already own or have finished this id),
-        then forward the frame to its rendezvous owner — unless the
-        frame is pinned, already forwarded once, or quorum is lost.
+        admission ladder.  Clustered ones first consult their replicas
+        (a peer may already own or have finished this id), then forward
+        the frame to its rendezvous owner — unless the frame is pinned,
+        already forwarded once, or quorum is lost.
         """
         if self.cluster is None:
             return self._op_submit(frame)
         if self.cluster.blocked_inbound(frame):
             return error_response("submit", "unreachable (partitioned)")
         job_id = frame.get("id")
-        if isinstance(job_id, str) and job_id \
-                and job_id not in self.table.jobs:
-            remote = self.cluster.remote_lookup(job_id)
-            if remote is not None:
-                if remote.get("state") in TERMINAL:
-                    return {"ok": True, "op": "submit", "id": job_id,
-                            "state": remote["state"], "duplicate": True,
-                            "remote": remote["owner"],
-                            "cycles": remote["cycles"],
-                            "ipc": remote["ipc"], "error": remote["error"]}
-                owner = self.cluster.peers.get(remote["owner"])
-                if owner is not None and owner.state != PEER_DEAD:
-                    # The owner is up (or merely suspect — slowness must
-                    # not fork ownership): idempotent duplicate, answer
-                    # without re-accepting.  Only a DEAD owner falls
-                    # through — resubmission is then the client-side
-                    # takeover path, racing the lease reclaim at worst
-                    # into an agreeing duplicate the audit tolerates.
-                    return {"ok": True, "op": "submit", "id": job_id,
-                            "state": QUEUED, "duplicate": True,
-                            "remote": remote["owner"]}
-            if self.cluster.has_quorum() and not self.draining:
-                try:
-                    job = SimJob.from_payload(frame.get("job") or {})
-                except (JobError, KeyError, TypeError, ValueError):
-                    pass   # the local ladder produces the typed error
-                else:
-                    routed = await self.cluster.route_submit(
-                        frame, job.fingerprint())
-                    if routed is not None:
-                        return routed
+        if not isinstance(job_id, str) or not job_id:
+            return self._op_submit(frame)   # the ladder's typed error
+        known = self.table.jobs.get(job_id)
+        if known is not None:
+            if not known.owner:
+                return self._op_submit(frame)   # ours: a duplicate
+            if known.state in TERMINAL:
+                return {"ok": True, "op": "submit", "id": job_id,
+                        "state": known.state, "duplicate": True,
+                        "remote": known.owner, "cycles": known.cycles,
+                        "ipc": known.ipc, "error": known.error}
+            owner = self.cluster.peers.get(known.owner)
+            if owner is not None and owner.state != PEER_DEAD:
+                # The owner is up (or merely suspect — slowness must not
+                # fork ownership): idempotent duplicate, answer without
+                # re-accepting.  Only a DEAD owner falls through —
+                # resubmission is then the client-side takeover path,
+                # racing the reclaim at worst into an agreeing duplicate
+                # the audit tolerates.
+                return {"ok": True, "op": "submit", "id": job_id,
+                        "state": QUEUED, "duplicate": True,
+                        "remote": known.owner}
+        if self.cluster.has_quorum() and not self.draining:
+            try:
+                job = SimJob.from_payload(frame.get("job") or {})
+            except (JobError, KeyError, TypeError, ValueError):
+                pass   # the local ladder produces the typed error
+            else:
+                routed = await self.cluster.route_submit(frame,
+                                                         job.fingerprint())
+                if routed is not None:
+                    return routed
         return self._op_submit(frame)
 
     def _op_submit(self, frame: dict[str, Any]) -> dict[str, Any]:
@@ -632,9 +645,11 @@ class SchedulerDaemon:
         if not isinstance(job_id, str) or not job_id:
             return error_response("submit", "submit needs a string id")
         known = self.table.jobs.get(job_id)
-        if known is not None:
+        if known is not None and not known.owner:
             # Idempotent resubmission (reconnect, concurrent client):
-            # answer with the job's current state, enqueue nothing.
+            # answer with the job's current state, enqueue nothing.  A
+            # replica gets here only once its owner is dead: accepting
+            # it adopts it.
             return {"ok": True, "op": "submit", "id": job_id,
                     "state": self._public_state(known), "duplicate": True,
                     "cycles": known.cycles, "ipc": known.ipc,
@@ -727,8 +742,9 @@ class SchedulerDaemon:
     def _counts(self) -> dict[str, int]:
         out = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0, QUARANTINED: 0}
         for job in self.table.jobs.values():
-            state = self._public_state(job)
-            out[state] = out.get(state, 0) + 1
+            if not job.owner:
+                state = self._public_state(job)
+                out[state] = out.get(state, 0) + 1
         return out
 
     def _op_status(self) -> dict[str, Any]:
@@ -765,21 +781,14 @@ class SchedulerDaemon:
     def _op_result(self, frame: dict[str, Any]) -> dict[str, Any]:
         job = self.table.jobs.get(frame.get("id") or "")
         if job is None:
-            if self.cluster is not None:
-                remote = self.cluster.remote_lookup(frame.get("id") or "")
-                if remote is not None:
-                    return {"ok": True, "op": "result", "id": remote["id"],
-                            "state": remote.get("state") or QUEUED,
-                            "cycles": remote["cycles"],
-                            "ipc": remote["ipc"],
-                            "error": remote["error"],
-                            "remote": remote["owner"]}
             return error_response("result",
                                   f"unknown job id {frame.get('id')!r}")
         response = {"ok": True, "op": "result", "id": job.id,
                     "state": self._public_state(job), "cycles": job.cycles,
                     "ipc": job.ipc, "error": job.error}
-        if job.state == DONE:
+        if job.owner:
+            response["remote"] = job.owner
+        elif job.state == DONE:
             result = self.cache.get(job.fingerprint)
             if result is not None:
                 response["result"] = result.to_dict()
@@ -801,20 +810,8 @@ class SchedulerDaemon:
             job = self.table.jobs.get(job_id)
             if job is None:
                 if self.cluster is not None:
-                    # Clustered: the id may live on (or arrive at) a
-                    # peer.  Answer a known remote terminal now; keep
-                    # waiting otherwise — gossip folds remote terminals
-                    # through notify_watchers.
-                    remote = self.cluster.remote_lookup(job_id)
-                    if remote is not None \
-                            and remote.get("state") in TERMINAL:
-                        writer.write(encode_frame(
-                            {"event": "terminal", "id": job_id,
-                             "state": remote["state"],
-                             "cycles": remote["cycles"],
-                             "ipc": remote["ipc"],
-                             "error": remote["error"]}))
-                        waiting.discard(job_id)
+                    # Clustered: the id may arrive at a peer; gossip
+                    # folds its terminal through notify_watchers.
                     continue
                 writer.write(encode_frame(
                     {"event": "terminal", "id": job_id, "state": FAILED,
@@ -939,19 +936,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             faults = FaultPlan.from_env()
     except FaultSpecError as error:
         parser.error(str(error))
-    daemon = SchedulerDaemon(
-        state_dir=args.state_dir, socket_path=args.socket,
-        host=args.host, port=args.port or None,
-        cache_dir=args.cache_dir, workers=args.workers,
-        queue_depth=args.queue_depth, rate=args.rate, burst=args.burst,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown or None,
-        retries=args.retries,
-        timeout=args.timeout, hb_timeout=args.hb_timeout,
-        drain_grace=args.drain_grace, trace=args.trace,
-        cluster_members=members, advertise=args.advertise,
-        gossip_interval=args.gossip_interval, peer_ttl=args.peer_ttl,
-        faults=faults)
+    try:
+        daemon = SchedulerDaemon(
+            state_dir=args.state_dir, socket_path=args.socket,
+            host=args.host, port=args.port or None,
+            cache_dir=args.cache_dir, workers=args.workers,
+            queue_depth=args.queue_depth, rate=args.rate, burst=args.burst,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            retries=args.retries,
+            timeout=args.timeout, hb_timeout=args.hb_timeout,
+            drain_grace=args.drain_grace, trace=args.trace,
+            cluster_members=members, advertise=args.advertise,
+            gossip_interval=args.gossip_interval, peer_ttl=args.peer_ttl,
+            faults=faults)
+    except ValueError as error:
+        parser.error(str(error))
     try:
         return asyncio.run(daemon.serve())
     except KeyboardInterrupt:   # pragma: no cover - signal path preferred

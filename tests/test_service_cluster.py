@@ -4,6 +4,8 @@ The :class:`ClusterManager` unit tests drive membership and reclaim on
 a stub daemon with a hand-held clock — no sockets, no sleeping — so the
 lease arithmetic (suspect past TTL, dead past twice TTL, reclaim only
 with quorum and a won rendezvous election) is checked exactly.  The
+stub keeps its replicas where a daemon does, in a real
+:class:`~repro.design.store.JobStore` on a temporary directory.  The
 offline audit is tested against hand-forged journals.  One integration
 test boots a real three-daemon fleet over unix sockets and routes a
 design through it; the violent end of the story (partitions, SIGKILL,
@@ -16,12 +18,12 @@ import io
 import socket
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from repro.design.campaign import TTL_JITTER_FRAC
-from repro.design.journal import Journal
+from repro.design.journal import Journal, replay_journal
+from repro.design.store import PENDING, JobStore
 from repro.harness.engine import Backoff
 from repro.harness.exit_codes import EXIT_OK
 from repro.harness.faults import FaultPlan
@@ -33,7 +35,7 @@ from repro.service.cluster import (PEER_DEAD, PEER_SUSPECT, PEER_UNKNOWN,
                                    PEER_UP, ClusterManager, parse_address,
                                    rendezvous_owner)
 from repro.service.daemon import SchedulerDaemon
-from repro.service.protocol import DONE, TERMINAL, encode_frame
+from repro.service.protocol import DONE, QUEUED, TERMINAL, encode_frame
 from repro.sim.config import GPUConfig
 
 A, B, C = "a.sock", "b.sock", "c.sock"
@@ -92,19 +94,15 @@ class TestRendezvous:
 # membership + reclaim, on a stub daemon with a hand-held clock
 # --------------------------------------------------------------------------- #
 
-class _StubTable:
-    def __init__(self):
-        self.jobs = {}
-        self.order = []
-        self.records = []
-
-    def append(self, kind, **fields):
-        self.records.append({"type": kind, **fields})
-
-
 class _StubDaemon:
-    def __init__(self, threshold=2):
-        self.table = _StubTable()
+    """The daemon surface the cluster uses; ``state_dir`` holds its job
+    store (membership alone needs none)."""
+
+    def __init__(self, state_dir=None, threshold=2):
+        self.table = None
+        if state_dir is not None:
+            state_dir.mkdir(parents=True, exist_ok=True)
+            self.table = JobStore(state_dir, worker="stub")
         self.breaker = CircuitBreaker(threshold=threshold, cooldown=None)
         self.events = []
         self.adopted = []
@@ -119,11 +117,20 @@ class _StubDaemon:
     def notify_watchers(self, job_id, state, **details):
         self.notified.append((job_id, state))
 
-    def adopt_job(self, remote, source):
-        self.adopted.append((remote["id"], source))
-        # Mirror the real daemon: adoption puts the id in the local
-        # table, which is what makes _reclaim idempotent across rounds.
-        self.table.jobs[remote["id"]] = SimpleNamespace(state="queued")
+    def adopt_job(self, job):
+        self.adopted.append((job.id, job.owner))
+        # Mirror the real daemon: the adoption submit makes the replica
+        # ours, which is what makes _reclaim idempotent across rounds.
+        self.table.append("submit", id=job.id, tenant=job.tenant,
+                          fingerprint=job.fingerprint,
+                          ordinal=self.table.next_index, job=job.job,
+                          adopted_from=job.owner)
+
+
+def _kinds(table):
+    """The record kinds in a store's journal, in file order."""
+    return [record["type"]
+            for record in replay_journal(table.journal.path).records]
 
 
 def _manager(stub=None, *, peer_ttl=1.0, faults=None):
@@ -132,6 +139,12 @@ def _manager(stub=None, *, peer_ttl=1.0, faults=None):
                              faults=faults)
     manager.started = 0.0   # pin the boot instant: tests own the clock
     return stub, manager
+
+
+def _announce(manager, job_id, owner, fp):
+    """``owner``'s gossip announcing one of its unfinished jobs."""
+    manager._fold_job({"id": job_id, "owner": owner, "tenant": "t",
+                       "fingerprint": fp, "job": {"seed": 1}})
 
 
 def _fp_owned_by(node, nodes):
@@ -214,115 +227,121 @@ class TestClusterMembership:
 
 
 class TestJobReplicationAndReclaim:
-    def _announce(self, manager, job_id, owner, fp, now=1.0):
-        manager._fold_job({"id": job_id, "owner": owner, "tenant": "t",
-                           "fingerprint": fp, "job": {"seed": 1}}, now)
-
-    def test_announced_jobs_are_journaled_replicas(self):
-        stub, manager = _manager()
-        self._announce(manager, "j1", C, "fp-x")
-        assert "j1" in manager.remote_jobs
-        record = stub.table.records[-1]
-        assert record["type"] == "cluster-job"
-        assert record["owner"] == C
+    def test_announced_jobs_are_journaled_replicas(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path))
+        _announce(manager, "j1", C, "fp-x")
+        replica = stub.table.jobs["j1"]
+        assert (replica.owner, replica.fingerprint, replica.tenant,
+                replica.state) == (C, "fp-x", "t", PENDING)
+        assert _kinds(stub.table) == ["cluster-job"]
         # Idempotent: re-announcement next round journals nothing new.
-        self._announce(manager, "j1", C, "fp-x", now=2.0)
-        assert len(stub.table.records) == 1
+        _announce(manager, "j1", C, "fp-x")
+        assert _kinds(stub.table) == ["cluster-job"]
 
-    def test_own_and_self_announcements_ignored(self):
-        stub, manager = _manager()
-        stub.table.jobs["mine"] = SimpleNamespace(state="queued")
-        self._announce(manager, "mine", C, "fp")   # already local
-        self._announce(manager, "j2", A, "fp")     # echo of ourselves
-        assert not manager.remote_jobs and not stub.table.records
+    def test_own_and_self_announcements_ignored(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path))
+        stub.table.append("submit", id="mine", tenant="t", fingerprint="fp",
+                          ordinal=0, job={})
+        _announce(manager, "mine", C, "fp")   # already local
+        _announce(manager, "j2", A, "fp")     # echo of ourselves
+        _announce(manager, 7, C, "fp")        # ids are strings
+        manager._fold_terminal({"id": ["j3"], "state": DONE, "owner": C})
+        assert [(job.id, job.owner) for job in stub.table.ordered()] \
+            == [("mine", "")]
+        assert _kinds(stub.table) == ["submit"]
 
-    def test_reclaim_needs_death_expiry_quorum_and_the_election(self):
-        stub, manager = _manager(peer_ttl=1.0)
+    def test_reclaim_needs_death_expiry_quorum_and_the_election(
+            self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path), peer_ttl=1.0)
         manager._contact(B, 1.0)
         manager._contact(C, 1.0)
         fp = _fp_owned_by(A, [A, B])   # after C dies, this hashes to us
-        self._announce(manager, "j1", C, fp, now=1.0)
+        _announce(manager, "j1", C, fp)
 
-        # C alive: nothing to do, even though the job lease would be
-        # stale by now — liveness is the owner's node-level gossip.
+        # C alive: nothing to do — a replica's lease is its owner's
+        # node-level gossip, however old the announcement.
         manager._contact(B, 5.5)
         manager._contact(C, 5.5)
         manager._membership_check(5.6)
-        manager._reclaim(5.6)
+        manager._reclaim()
         assert stub.adopted == []
 
         # Now only B keeps answering; C falls silent and dies.
         manager._contact(B, 8.2)
         manager._membership_check(8.3)   # C last heard 5.5; 2.8s > 2xTTL
         assert manager.peers[C].state == PEER_DEAD
-        manager._reclaim(8.3)            # lease (t=1.0, ttl=2.0) expired
+        manager._reclaim()
         assert stub.adopted == [("j1", C)]
-        # Adoption is once: the id is local now, rounds re-examine no-op.
-        manager._reclaim(9.0)
+        # Adoption is once: the job is ours now, rounds re-examine no-op.
+        manager._reclaim()
         assert len(stub.adopted) == 1
 
-    def test_no_reclaim_without_quorum(self):
-        stub, manager = _manager(peer_ttl=1.0)
+    def test_no_reclaim_without_quorum(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path), peer_ttl=1.0)
         manager._contact(C, 1.0)
         fp = _fp_owned_by(A, [A])
-        self._announce(manager, "j1", C, fp, now=1.0)
+        _announce(manager, "j1", C, fp)
         manager._membership_check(9.0)   # B never seen, C silent: both dead
         assert not manager.has_quorum()
-        manager._reclaim(9.0)            # we may be the partitioned one
+        manager._reclaim()               # we may be the partitioned one
         assert stub.adopted == []
 
-    def test_lost_election_defers_to_the_winner(self):
-        stub, manager = _manager(peer_ttl=1.0)
+    def test_lost_election_defers_to_the_winner(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path), peer_ttl=1.0)
         manager._contact(B, 1.0)
         manager._contact(C, 1.0)
         fp = _fp_owned_by(B, [A, B])     # B's job once C is gone
-        self._announce(manager, "j1", C, fp, now=1.0)
+        _announce(manager, "j1", C, fp)
         manager._contact(B, 8.2)
         manager._membership_check(8.3)
-        manager._reclaim(8.3)
+        manager._reclaim()
         assert stub.adopted == []        # B adopts it, not us
 
-    def test_terminal_jobs_are_never_reclaimed(self):
-        stub, manager = _manager(peer_ttl=1.0)
+    def test_terminal_jobs_are_never_reclaimed(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path), peer_ttl=1.0)
         manager._contact(B, 1.0)
         manager._contact(C, 1.0)
         fp = _fp_owned_by(A, [A, B])
-        self._announce(manager, "j1", C, fp, now=1.0)
+        _announce(manager, "j1", C, fp)
         manager._fold_terminal({"id": "j1", "state": DONE, "owner": C,
                                 "cycles": 10, "ipc": 1.0})
         manager._contact(B, 8.2)
         manager._membership_check(8.3)
-        manager._reclaim(8.3)
+        manager._reclaim()
         assert stub.adopted == []
 
-    def test_peer_terminal_folds_replicas_and_own_jobs(self):
-        stub, manager = _manager()
+    def test_peer_terminal_folds_replicas_and_own_jobs(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path))
         # Terminal for a job we never even saw announced: a replica
-        # entry appears, journaled, and watchers are notified.
+        # appears, journaled, and watchers are notified.
         manager._fold_terminal({"id": "far", "state": DONE, "owner": C,
-                                "cycles": 7, "ipc": 0.5})
-        assert manager.remote_jobs["far"]["state"] == DONE
-        assert stub.table.records[-1]["type"] == "cluster-terminal"
+                                "fingerprint": "fp-far", "cycles": 7,
+                                "ipc": 0.5})
+        far = stub.table.jobs["far"]
+        assert (far.owner, far.state, far.cycles) == (C, DONE, 7)
+        assert _kinds(stub.table) == ["cluster-job", "cluster-terminal"]
         assert ("far", DONE) in stub.notified
         # Refolds are idempotent.
         manager._fold_terminal({"id": "far", "state": DONE, "owner": C})
-        assert len(stub.table.records) == 1
+        assert len(_kinds(stub.table)) == 2
 
         # A job *we* hold, finished elsewhere: journaled as
         # peer-terminal (knowledge, not execution) — never re-run here.
-        stub.table.jobs["own"] = SimpleNamespace(state="running")
+        stub.table.append("submit", id="own", tenant="t", fingerprint="fp",
+                          ordinal=0, job={})
         manager._fold_terminal({"id": "own", "state": DONE, "owner": B,
                                 "cycles": 3, "ipc": 0.2})
-        assert stub.table.records[-1]["type"] == "peer-terminal"
+        assert _kinds(stub.table)[-1] == "peer-terminal"
+        assert stub.table.jobs["own"].state == DONE
         assert "cluster.peer_terminal" in stub.kinds()
 
     def test_quarantine_gossip_opens_the_local_breaker(self):
         stub, manager = _manager()
         payload = {"quarantine": [{"fingerprint": "poison", "crashes": 7}]}
-        manager._fold_payload(payload, 1.0)
+        manager._fold_payload(payload)
         assert stub.breaker.is_open("poison")
         assert stub.kinds().count("breaker.sync") == 1
-        manager._fold_payload(payload, 2.0)   # already open: no re-event
+        manager._fold_payload(payload)   # already open: no re-event
         assert stub.kinds().count("breaker.sync") == 1
 
 
@@ -336,7 +355,7 @@ class TestInboundGossip:
     def test_partition_fault_blocks_then_heals(self, tmp_path):
         plan = FaultPlan.parse("partition:0|1:5",
                                state_dir=str(tmp_path / "faults"))
-        _, manager = _manager(faults=plan)
+        _, manager = _manager(_StubDaemon(tmp_path / "state"), faults=plan)
         frame = {"op": "gossip", "addr": B, "index": 1}
         blocked = manager.handle_gossip(frame)
         assert not blocked["ok"] and "partition" in blocked["error"]
@@ -349,17 +368,20 @@ class TestInboundGossip:
         assert {"members", "jobs", "terminals",
                 "quarantine"} <= set(healed)
 
-    def test_payload_separates_live_jobs_from_terminals(self):
-        stub, manager = _manager()
-        stub.table.jobs = {
-            "q1": SimpleNamespace(id="q1", state="queued", tenant="t",
-                                  fingerprint="fq", job={"s": 1},
-                                  cycles=None, ipc=None, error=None),
-            "d1": SimpleNamespace(id="d1", state=DONE, tenant="t",
-                                  fingerprint="fd", job={"s": 2},
-                                  cycles=9, ipc=1.5, error=None),
-        }
-        stub.table.order = ["q1", "d1"]
+    def test_payload_separates_live_jobs_from_terminals(self, tmp_path):
+        stub, manager = _manager(_StubDaemon(tmp_path))
+        for job_id, fp in (("q1", "fq"), ("d1", "fd")):
+            stub.table.append("submit", id=job_id, tenant="t",
+                              fingerprint=fp, ordinal=stub.table.next_index,
+                              job={"s": 1})
+        stub.table.append("done", id="d1", fingerprint="fd", cycles=9,
+                          ipc=1.5)
+        # Replicas are their owners' to announce, live or finished.
+        manager._fold_job({"id": "r1", "owner": C, "fingerprint": "fr",
+                           "job": {"s": 3}})
+        manager._fold_terminal({"id": "r2", "state": DONE, "owner": C,
+                                "fingerprint": "fs", "cycles": 1,
+                                "ipc": 1.0})
         stub.breaker.record_crash("bad-fp")
         stub.breaker.record_crash("bad-fp")
         payload = manager._payload()
@@ -370,12 +392,152 @@ class TestInboundGossip:
                                           "crashes": 2}]
         assert payload["members"][0] == {"addr": A, "state": PEER_UP}
 
-    def test_view_reports_the_membership_table(self):
-        _, manager = _manager()
+    def test_view_reports_the_membership_table(self, tmp_path):
+        _, manager = _manager(_StubDaemon(tmp_path))
+        manager._fold_job({"id": "r1", "owner": C, "fingerprint": "fr",
+                           "job": {}})
         view = manager.view()
         assert view["advertise"] == A and view["size"] == 3
         assert view["quorum"] and not view["degraded"]
+        assert view["remote_jobs"] == 1
         assert {peer["addr"] for peer in view["peers"]} == {B, C}
+
+
+class TestReplicasInTheStore:
+    """A clustered daemon keeps its peers' jobs in its one job store."""
+
+    def _daemon(self, tmp_path, **kwargs):
+        return SchedulerDaemon(state_dir=tmp_path / "state",
+                               cache_dir=tmp_path / "cache", workers=1,
+                               log=io.StringIO(), cluster_members=[A, B, C],
+                               advertise=A, **kwargs)
+
+    def test_a_replica_survives_the_snapshot_fallback(self, tmp_path):
+        # A journal path that is a directory: every append fails.
+        (tmp_path / "state" / "journal.jsonl").mkdir(parents=True)
+        first = self._daemon(tmp_path)
+        first.recover()
+        with pytest.warns(RuntimeWarning, match="not appendable"):
+            first.table.append("submit", id="own", tenant="t",
+                               fingerprint="fp-own", ordinal=0,
+                               job={"seed": 1})
+            _announce(first.cluster, "far", B, "fp-far")
+        assert first.table.close()   # the lost appends' snapshot landed
+
+        second = self._daemon(tmp_path)
+        assert second.recover() == 1
+        assert [(job.id, job.owner) for job in second.table.ordered()] \
+            == [("own", ""), ("far", B)]
+        assert second.queue.pop() == "own" and second.queue.pop() is None
+        status = second._op_status()
+        assert sum(status["jobs"].values()) == status["jobs"][QUEUED] == 1
+        assert status["cluster"]["remote_jobs"] == 1
+
+    def test_a_restart_refolds_replicas_from_the_journal(self, tmp_path):
+        first = self._daemon(tmp_path)
+        first.recover()
+        _announce(first.cluster, "far", B, "fp-far")
+        first.cluster._fold_terminal({"id": "gone", "state": DONE,
+                                      "owner": C, "fingerprint": "fp-g",
+                                      "cycles": 7, "ipc": 0.5})
+        assert first.table.close() is None   # nothing lost, no snapshot
+
+        second = self._daemon(tmp_path)
+        assert second.recover() == 0
+        far, gone = second.table.jobs["far"], second.table.jobs["gone"]
+        assert (far.owner, far.state, far.job) == (B, PENDING, {"seed": 1})
+        assert (gone.owner, gone.state, gone.cycles) == (C, DONE, 7)
+        assert second.table.next_index == 0   # replicas take no ordinal
+        result = second._op_result({"id": "gone"})
+        assert (result["state"], result["remote"]) == (DONE, C)
+        assert not (tmp_path / "state" / "snapshot.json").exists()
+
+    def test_an_older_journal_folds_to_the_same_replicas(self, tmp_path):
+        # Replica records as earlier versions wrote them: a lease ttl on
+        # each cluster-job, and a cluster-terminal for a job never
+        # announced, which those versions dropped on restart too.
+        state = tmp_path / "state"
+        state.mkdir()
+        journal = Journal(state / "journal.jsonl", worker="older")
+        journal.append("submit", id="own", tenant="t", fingerprint="fp-own",
+                       ordinal=0, job={"seed": 1})
+        journal.append("cluster-job", id="far", owner=B, tenant="t",
+                       fingerprint="fp-far", job={"seed": 2}, ttl=10.0)
+        journal.append("cluster-job", id="gone", owner=C, tenant="t",
+                       fingerprint="fp-g", job={"seed": 3}, ttl=10.0)
+        journal.append("cluster-terminal", id="gone", owner=C, state=DONE,
+                       cycles=7, ipc=0.5, error=None, fingerprint="fp-g")
+        journal.append("cluster-terminal", id="unseen", owner=C, state=DONE,
+                       cycles=8, ipc=0.5, error=None, fingerprint="fp-u")
+        daemon = self._daemon(tmp_path)
+        assert daemon.recover() == 1
+        assert {job.id: (job.owner, job.state)
+                for job in daemon.table.ordered()} == {
+            "own": ("", PENDING), "far": (B, PENDING), "gone": (C, DONE)}
+        assert daemon.table.next_index == 1
+
+    def _rounds(self, manager, stub, start, stop, step=0.05):
+        """Gossip rounds on the hand-held clock, B answering each one:
+        the instants C is declared dead and its replica is adopted."""
+        died = adopted = None
+        for tick in range(int((stop - start) / step)):
+            now = start + tick * step
+            manager._contact(B, now)
+            manager._membership_check(now)
+            manager._reclaim()
+            if died is None and manager.peers[C].state == PEER_DEAD:
+                died = now
+            if adopted is None and stub.adopted:
+                adopted = now
+        return died, adopted
+
+    def test_reclaim_follows_the_owners_death_in_the_same_round(
+            self, tmp_path):
+        fp = _fp_owned_by(A, [A, B])
+        # Learned by gossip, during a contact with its owner.
+        stub, manager = _manager(_StubDaemon(tmp_path / "gossip"))
+        manager._contact(C, 1.0)
+        manager._fold_payload({"jobs": [{"id": "j1", "owner": C,
+                                         "fingerprint": fp, "job": {}}]})
+        died, adopted = self._rounds(manager, stub, 1.0, 6.0)
+        assert died is not None and adopted == died
+        assert stub.adopted == [("j1", C)]
+
+        # Re-folded by a restarted daemon that never hears from C: its
+        # silence counts from this incarnation's boot.
+        (tmp_path / "restart").mkdir()
+        JobStore(tmp_path / "restart", worker="before").append(
+            "cluster-job", id="j2", owner=C, fingerprint=fp, job={})
+        refolded = _StubDaemon(tmp_path / "restart")
+        refolded.table.refresh()
+        _, manager = _manager(refolded)
+        died, adopted = self._rounds(manager, refolded, 0.0, 5.0)
+        assert died is not None and adopted == died
+        assert refolded.adopted == [("j2", C)]
+
+    def test_adoption_makes_the_replica_ours_once(self, tmp_path):
+        daemon = self._daemon(tmp_path, peer_ttl=1.0)
+        daemon.recover()
+        daemon.table.append("submit", id="own", tenant="t",
+                            fingerprint="fp-own", ordinal=0, job={})
+        _announce(daemon.cluster, "far", C, _fp_owned_by(A, [A, B]))
+        cluster = daemon.cluster
+        cluster.started = 0.0
+        cluster._contact(B, 10.0)
+        cluster._membership_check(10.0)   # C silent since boot: dead
+        assert cluster.peers[C].state == PEER_DEAD
+        cluster._reclaim()
+        far = daemon.table.jobs["far"]
+        assert (far.owner, far.index, daemon.table.next_index) == ("", 1, 2)
+        submits = [record for record
+                   in replay_journal(daemon.table.journal.path).records
+                   if record["type"] == "submit"]
+        assert [(r["id"], r["ordinal"], r.get("adopted_from"))
+                for r in submits] == [("own", 0, None), ("far", 1, C)]
+        assert daemon.queue.pop() == "far"
+        cluster._reclaim()                # ours now: never adopted again
+        assert len(_kinds(daemon.table)) == 3
+        assert daemon.queue.pop() is None
 
 
 # --------------------------------------------------------------------------- #

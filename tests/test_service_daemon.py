@@ -30,7 +30,7 @@ from repro.harness.faults import FaultPlan, child_env
 from repro.harness.jobs import JobError, SimJob
 from repro.harness.pool import WorkerPool
 from repro.service.client import ServiceClient, ServiceError, _exit_code
-from repro.service.daemon import QUEUE_JOURNAL, SchedulerDaemon
+from repro.service.daemon import QUEUE_JOURNAL, SchedulerDaemon, main
 from repro.service.protocol import (DONE, FAILED, QUARANTINED, QUEUED,
                                     SHED, TERMINAL)
 from repro.sim.config import GPUConfig
@@ -547,6 +547,47 @@ class TestJobTable:
             assert [job.id for job in reloaded.ordered()
                     if job.state not in TERMINAL] == ["b"]
             assert reloaded.next_index == 2
+
+
+class TestServeOptions:
+    """``repro-serve`` refuses an out-of-range option as a usage error
+    before it binds its socket or forks a worker."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        served = []
+
+        async def serve(daemon):
+            served.append(daemon)
+            return EXIT_OK
+
+        monkeypatch.setattr(SchedulerDaemon, "serve", serve)
+        return served
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--queue-depth", "0"),
+        ("--breaker-threshold", "0"), ("--rate", "0"), ("--burst", "0"),
+        ("--hb-timeout", "0"), ("--gossip-interval", "0"),
+        ("--peer-ttl", "0"), ("--retries", "-1"), ("--timeout", "-1"),
+        ("--drain-grace", "-1"), ("--breaker-cooldown", "-1"),
+    ])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, served,
+                                         flag, value):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--state-dir", str(state), flag, value])
+        assert exit_info.value.code == 2
+        name = flag.lstrip("-").replace("-", "_")
+        assert f"{name} must be" in capsys.readouterr().err
+        assert served == [] and not state.exists()
+
+    def test_boundary_values_are_accepted(self, tmp_path, served):
+        assert main(["--state-dir", str(tmp_path / "state"),
+                     "--retries", "0", "--timeout", "0",
+                     "--drain-grace", "0", "--breaker-cooldown", "0"]) \
+            == EXIT_OK
+        daemon, = served
+        assert daemon.breaker.cooldown is None   # 0 = quarantine forever
 
 
 class TestExitCodes:

@@ -2,8 +2,9 @@
 
 Seeded random journals mix both owners' vocabularies: a campaign's
 declared jobs claimed and released by two workers, the daemon's submits,
-crashes and peer terminals, every terminal kind, heartbeats, records of
-another owner and records naming an unknown id.  Snapshotting after any
+crashes and peer terminals, a cluster peer's replicas (``cluster-job``),
+their terminals and the submits that adopt them, every terminal kind,
+heartbeats and records naming an unknown id.  Snapshotting after any
 prefix and folding the rest, with the journal truncated or not, must
 equal the fold of the whole journal; so must a store that lost appends,
 snapshotted when it stopped and was reloaded.  No subprocess, no
@@ -26,7 +27,8 @@ DECLARED = {"c:0": "fp-c0", "c:1": "fp-c1"}
 SUBMITTED = {"s:0": "fp-s0", "s:1": "fp-s1"}
 KINDS = ("submit", "submit", "claim", "claim", "claim", "release",
          "release", "heartbeat", "done", "failed", "failed", "quarantined",
-         "exhausted", "crash", "crash", "peer-terminal", "cluster-job")
+         "exhausted", "crash", "crash", "peer-terminal", "cluster-job",
+         "cluster-job", "cluster-terminal")
 
 
 def _records(seed, count=60):
@@ -42,7 +44,7 @@ def _records(seed, count=60):
         fingerprint = fingerprints.get(key, "fp-ghost")
         kind = rng.choice(KINDS)
         if kind == "submit" and key == "ghost":
-            key = rng.choice(list(SUBMITTED))    # "ghost" stays unknown
+            key = rng.choice(list(SUBMITTED))    # only replicated, if ever
         record = {"type": kind, "worker": worker, "t": t, "id": key}
         if kind == "submit":
             record.update(tenant=rng.choice("ab"), fingerprint=fingerprint,
@@ -60,13 +62,19 @@ def _records(seed, count=60):
         elif kind == "crash":
             record.update(fingerprint=fingerprint, error="killed worker",
                           wedged=rng.random() < 0.5)
-        elif kind == "peer-terminal":
+        elif kind in ("peer-terminal", "cluster-terminal"):
             record.update(state=rng.choice(("done", "failed",
                                             "quarantined", "bogus")),
                           cycles=rng.randrange(100, 200), ipc=1.5,
-                          error=None, via="n1")
+                          error=None)
+            if kind == "peer-terminal":
+                record["via"] = "n1"
+            else:
+                record.update(owner="n1", fingerprint=rng.choice(
+                    (fingerprint, fingerprint, "fp-wrong")))
         elif kind == "cluster-job":
-            record.update(owner="n1", tenant="a", fingerprint=fingerprint)
+            record.update(owner="n1", tenant="a", fingerprint=fingerprint,
+                          job={"seed": ordinal})
         else:
             stamp = rng.choice((fingerprint, fingerprint, "fp-wrong", None))
             if stamp is not None:
@@ -97,29 +105,48 @@ def _store(directory, **kwargs):
 
 def _view(store):
     """Everything a fold decides, with leases judged at ``NOW``."""
-    jobs = {job.id: (job.state, job.attempts, job.crashes, job.cycles,
-                     job.ipc, job.error, job.duplicate_done,
+    jobs = {job.id: (job.owner, job.index, job.state, job.attempts,
+                     job.crashes, job.cycles, job.ipc, job.error,
+                     job.duplicate_done,
                      [(claim["worker"], claim["nonce"])
                       for claim in job.claims
                       if lease_alive(claim, store.beats, NOW)])
             for job in store.ordered()}
-    return jobs, store.duplicate_done, store.ignored_records
+    return (jobs, store.next_index, store.duplicate_done,
+            store.ignored_records)
 
 
 def _first_done(records):
-    """Per job: the first accepted done's cycles and the later ones."""
-    known, out = set(DECLARED), {}
-    fingerprints = {**DECLARED, **SUBMITTED}
+    """Per job: the first accepted done's cycles and the later ones.
+
+    A job is known from its declaration, its first ``submit`` or its
+    first ``cluster-job``, with that record's fingerprint."""
+    fingerprints, out = dict(DECLARED), {}
     for record in records:
         key = record.get("id")
-        if record["type"] == "submit":
-            known.add(key)
+        if record["type"] in ("submit", "cluster-job"):
+            fingerprints.setdefault(key, record["fingerprint"])
         done = record["type"] == "done" or (
-            record["type"] == "peer-terminal" and record["state"] == "done")
-        if done and key in known and record.get("fingerprint") in (
+            record["type"] in ("peer-terminal", "cluster-terminal")
+            and record["state"] == "done")
+        if done and key in fingerprints and record.get("fingerprint") in (
                 None, fingerprints[key]):
             cycles, later = out.get(key, (record["cycles"], -1))
             out[key] = (cycles, later + 1)
+    return out
+
+
+def _owners(records):
+    """Per job: ``(owner, index)``.  A ``cluster-job`` introduces a
+    replica of its owner; a ``submit`` introduces an own job at its
+    ordinal, or adopts a replica at it."""
+    out = {key: ("", index) for index, key in enumerate(DECLARED)}
+    for record in records:
+        key, kind = record.get("id"), record["type"]
+        if kind == "cluster-job":
+            out.setdefault(key, (record["owner"], 0))
+        elif kind == "submit" and (key not in out or out[key][0]):
+            out[key] = ("", record["ordinal"])
     return out
 
 
@@ -136,6 +163,13 @@ def test_snapshot_after_any_prefix_folds_like_the_whole_journal(tmp_path,
     for key, (cycles, later) in _first_done(records).items():
         assert (folded.jobs[key].cycles,
                 folded.jobs[key].duplicate_done) == (cycles, later)
+    # Replicas stay their owner's until a submit adopts them, and only
+    # this store's own jobs advance the next submission ordinal.
+    owners = _owners(records)
+    assert {job.id: (job.owner, job.index)
+            for job in folded.ordered()} == owners
+    assert folded.next_index == 1 + max(
+        index for owner, index in owners.values() if not owner)
 
     for k in range(len(records) + 1):
         directory = tmp_path / f"k{k}"
