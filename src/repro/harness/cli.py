@@ -64,25 +64,23 @@ from pathlib import Path
 from typing import Sequence
 
 from ..design import (DEFAULT_CAMPAIGN_ROOT, DEFAULT_LEASE_TTL, Campaign,
-                      CampaignError, DesignEnv, DesignError, load_design)
-from ..workloads.patterns import DEFAULT_SEED
+                      CampaignError, DesignEnv, DesignError)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .checkpoints import (DEFAULT_CHECKPOINT_DIR, CheckpointPlan,
-                          CheckpointStore)
-from .engine import (DEFAULT_RETRIES, JobExecutionError, default_workers)
+from .checkpoints import CheckpointPlan, CheckpointStore
+from .engine import JobExecutionError
 from .exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL)
 from .experiments import (EXPERIMENT_DESIGNS, EXPERIMENTS, ExperimentContext,
                           design_cell_counts, e12_benchmark_table,
                           e12_config_table, plan_experiments)
-from .faults import FaultPlan, FaultSpecError
 from .jobs import JobError
+from .options import (Positive, Workers, add_run_options, at_least,
+                      load_design_file, run_settings)
 from .reporting import Table
-from .validate import VALID_BACKENDS
 
 ALL_IDS = tuple(EXPERIMENTS) + ("e12",)
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-exp",
         description="Reproduce the paper's evaluation figures/tables.")
@@ -108,32 +106,29 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser.add_argument("--worker-id", metavar="ID", default=None,
                         help="worker id stamped on journal records "
                              "(default: hostname-pid)")
-    parser.add_argument("--lease-ttl", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--lease-ttl", type=float, action=Positive,
+                        default=None, metavar="SECONDS",
                         help="campaign cell lease time-to-live; a worker "
                              "silent this long loses its cells to other "
                              "shards (default 30)")
-    parser.add_argument("--max-retries", type=int, default=None, metavar="N",
+    parser.add_argument("--max-retries", type=int, action=at_least(0),
+                        default=None, metavar="N",
                         help="per-cell cap on campaign retries: a cell "
                              "failing on N+1 invocations is journaled "
                              "'exhausted' and never claimed again "
                              "(default: retry on every resume, forever)")
     parser.add_argument("--output", metavar="DIR",
                         help="also write each table as CSV into DIR")
-    parser.add_argument("--scale", type=float, default=0.4,
-                        help="grid-size scale factor (default 0.4; 1.0 = "
-                             "full size, slower)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="workload random seed")
     parser.add_argument("--csv", action="store_true",
                         help="emit CSV instead of aligned tables")
     parser.add_argument("--chart", metavar="COLUMN",
                         help="also render COLUMN as an ASCII bar chart")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", "-j", type=int, action=Workers, default=1,
+                        metavar="N",
                         help="worker processes for independent simulations "
                              "(default 1 = serial; 0 = one per CPU core)")
     parser.add_argument("--timeline", nargs="?", const=1000, type=int,
-                        metavar="WINDOW",
+                        action=at_least(1, " cycle"), metavar="WINDOW",
                         help="sample a windowed telemetry timeline per run "
                              "(WINDOW cycles, default 1000); CSVs are "
                              "written when --output is given")
@@ -141,9 +136,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         help="write all runs' structured event traces as "
                              "one merged Chrome trace_event document "
                              "(one pid lane per run)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent result cache "
-                             f"({DEFAULT_CACHE_DIR}/)")
     parser.add_argument("--clear-cache", action="store_true",
                         help="purge the persistent result cache, then run "
                              "any requested experiments (warns if "
@@ -154,17 +146,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                              "checkpoints (--checkpoint-dir) and "
                              "golden-store .tmp-* strays; then run any "
                              "requested experiments")
-    parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
-                        metavar="N",
-                        help="retries per job for transient failures "
-                             "(broken pool, killed worker, OSError; "
-                             f"default {DEFAULT_RETRIES}); deterministic "
-                             "simulation errors are never retried")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job wall-clock deadline; an overrunning "
-                             "job becomes a typed timeout outcome instead "
-                             "of hanging the batch (default: none)")
     parser.add_argument("--fail-fast", dest="fail_fast", action="store_true",
                         help="stop at the first failed experiment/job "
                              "(default: keep going, report all failures at "
@@ -173,37 +154,49 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         action="store_false",
                         help="run every experiment even after failures "
                              "(the default; negates --fail-fast)")
-    parser.add_argument("--faults", metavar="SPEC",
-                        help="inject deterministic faults for testing, "
-                             "e.g. 'fail:0,kill:2,delay:1:5' (also read "
-                             "from $REPRO_FAULTS; see docs/ROBUSTNESS.md)")
-    parser.add_argument("--sanitize", action="store_true", default=None,
-                        help="check live-state invariants (CTA/resource "
-                             "conservation, cache/MSHR balance, "
-                             "monotonicity) at window boundaries during "
-                             "every run; violations are deterministic "
-                             "failures (also read from $REPRO_SANITIZE)")
-    parser.add_argument("--checkpoint-interval", type=int, default=None,
-                        metavar="CYCLES",
-                        help="snapshot every simulation every CYCLES "
-                             "simulated cycles; crashed/timed-out jobs "
-                             "then resume from their newest checkpoint "
-                             "on retry and on the next invocation "
-                             "(default: off)")
-    parser.add_argument("--checkpoint-dir", default=DEFAULT_CHECKPOINT_DIR,
-                        metavar="DIR",
-                        help="checkpoint store directory (default "
-                             f"{DEFAULT_CHECKPOINT_DIR}/)")
-    parser.add_argument("--backend", default="object",
-                        choices=VALID_BACKENDS,
-                        help="simulator core for every job: 'object' "
-                             "(reference) or 'vector' (array-oriented, "
-                             "bitwise-identical, faster); jobs using warp "
-                             "schedulers the vector core lacks (two-level, "
-                             "swl) fall back to the object core "
-                             "(default object)")
+    add_run_options(parser)
     parser.set_defaults(fail_fast=False)
-    return parser.parse_args(argv)
+    return parser
+
+
+def _parse_args(argv: Sequence[str] | None):
+    """The checked command line, its run settings and its campaign.
+
+    Every usage error exits 2 here, before ``--list`` compiles or
+    ``--clean-state``/``--clear-cache`` deletes anything.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.design and args.experiments:
+        parser.error("--design runs a design file; pass either experiment "
+                     "ids or --design, not both")
+    if not (args.experiments or args.design or args.list
+            or args.clean_state or args.clear_cache):
+        parser.error("no experiments requested (try --list)")
+    if "all" in args.experiments:
+        args.experiments = list(ALL_IDS)
+    unknown = [e for e in args.experiments if e not in ALL_IDS]
+    if unknown:
+        parser.error(f"unknown experiment ids: {unknown}; "
+                     f"available: {', '.join(ALL_IDS)}")
+    if not args.design and (args.shard or args.worker_id
+                            or args.lease_ttl is not None
+                            or args.max_retries is not None):
+        parser.error("--shard/--worker-id/--lease-ttl/--max-retries apply "
+                     "to campaigns; pass --design FILE")
+    settings = run_settings(parser, args)
+    campaign = None
+    if args.design:
+        design, env_overrides = load_design_file(parser, args.design)
+        env = DesignEnv.merged(env_overrides, scale=args.scale,
+                               seed=args.seed, backend=args.backend,
+                               timeline_window=args.timeline,
+                               trace=bool(args.trace))
+        try:
+            campaign = Campaign.open(design, env, root=args.campaign_dir)
+        except (CampaignError, DesignError, JobError) as error:
+            parser.error(f"cannot open campaign for {args.design}: {error}")
+    return args, settings, campaign
 
 
 def _describe_progress(outcome) -> str:
@@ -275,9 +268,10 @@ def _write_telemetry(ctx: ExperimentContext,
               file=sys.stderr)
 
 
-def _run_design_campaign(args: argparse.Namespace, workers: int,
+def _run_design_campaign(args: argparse.Namespace, campaign: Campaign,
                          cache: ResultCache | None, faults,
-                         checkpoints: CheckpointPlan | None) -> int:
+                         checkpoints: CheckpointPlan | None,
+                         retries: int) -> int:
     """``repro-exp --design FILE``: run a design file as a campaign.
 
     The campaign store (``<campaign-dir>/<name>-<digest12>/`` — static
@@ -293,25 +287,6 @@ def _run_design_campaign(args: argparse.Namespace, workers: int,
     3 at least one cell exhausted its retry budget (terminal; re-running
     cannot finish the campaign).
     """
-    try:
-        design, env_overrides = load_design(args.design)
-    except OSError as error:
-        print(f"cannot read design file {args.design}: {error}",
-              file=sys.stderr)
-        return 2
-    except DesignError as error:
-        print(f"bad design file {args.design}: {error}", file=sys.stderr)
-        return 2
-    env = DesignEnv.merged(env_overrides, scale=args.scale, seed=args.seed,
-                           backend=args.backend,
-                           timeline_window=args.timeline,
-                           trace=bool(args.trace))
-    try:
-        campaign = Campaign.open(design, env, root=args.campaign_dir)
-    except (CampaignError, DesignError, JobError) as error:
-        print(f"cannot open campaign for {args.design}: {error}",
-              file=sys.stderr)
-        return 2
     counts = campaign.counts()
     extras = "".join(f", {counts[key]} {key}"
                      for key in ("claimed", "exhausted") if counts[key])
@@ -319,8 +294,8 @@ def _run_design_campaign(args: argparse.Namespace, workers: int,
           f"{counts['done']} done, {counts['pending']} pending, "
           f"{counts['failed']} failed{extras}]", file=sys.stderr)
     try:
-        report = campaign.run(workers=workers, cache=cache,
-                              retries=args.retries, timeout=args.timeout,
+        report = campaign.run(workers=args.jobs, cache=cache,
+                              retries=retries, timeout=args.timeout,
                               fail_fast=args.fail_fast, faults=faults,
                               sanitize=args.sanitize,
                               checkpoints=checkpoints,
@@ -379,7 +354,7 @@ def _run_design_campaign(args: argparse.Namespace, workers: int,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args, (cache, faults, checkpoints, retries), campaign = _parse_args(argv)
     if args.list:
         counts = design_cell_counts(DesignEnv(scale=args.scale,
                                               seed=args.seed))
@@ -402,8 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     strays += GoldenStore(tier_dir).clear_strays()
         print(f"[golden-store strays cleared: {strays} file(s)]",
               file=sys.stderr)
-        if not args.experiments:
-            return 0
     elif args.clear_cache:
         removed = ResultCache().clear()
         print(f"[cache cleared: {removed} entries]", file=sys.stderr)
@@ -414,86 +387,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"{args.checkpoint_dir}/ — cached results are gone but "
                   f"their checkpoints are not; use --clean-state or "
                   f"'make clean-state' to drop both]", file=sys.stderr)
-        if not args.experiments:
-            return 0
-    if args.design and args.experiments:
-        print("--design runs a design file; pass either experiment ids or "
-              "--design, not both", file=sys.stderr)
-        return 2
-    if not args.experiments and not args.design:
-        print("no experiments requested (try --list)", file=sys.stderr)
-        return 2
-    requested = list(args.experiments)
-    if "all" in requested:
-        requested = list(ALL_IDS)
-    unknown = [e for e in requested if e not in ALL_IDS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}; "
-              f"available: {', '.join(ALL_IDS)}", file=sys.stderr)
-        return 2
-    if args.jobs < 0:
-        print(f"--jobs must be >= 0, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"--retries must be >= 0, got {args.retries}", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout < 0:
-        print(f"--timeout must be >= 0, got {args.timeout}", file=sys.stderr)
-        return 2
-    if args.max_retries is not None and args.max_retries < 0:
-        print(f"--max-retries must be >= 0, got {args.max_retries}",
-              file=sys.stderr)
-        return 2
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        print(f"--lease-ttl must be > 0, got {args.lease_ttl}",
-              file=sys.stderr)
-        return 2
-    if args.scale <= 0:
-        print(f"--scale must be > 0, got {args.scale}", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    if args.timeline is not None and args.timeline < 1:
-        print(f"--timeline must be >= 1 cycle, got {args.timeline}",
-              file=sys.stderr)
-        return 2
-    if not args.design and (args.shard or args.worker_id
-                            or args.lease_ttl is not None
-                            or args.max_retries is not None):
-        print("--shard/--worker-id/--lease-ttl/--max-retries apply to "
-              "campaigns; pass --design FILE", file=sys.stderr)
-        return 2
-    try:
-        faults = (FaultPlan.parse(args.faults) if args.faults
-                  else FaultPlan.from_env())
-    except FaultSpecError as error:
-        print(f"bad fault spec: {error}", file=sys.stderr)
-        return 2
-    checkpoints = None
-    if args.checkpoint_interval is not None:
-        if args.checkpoint_interval < 1:
-            print(f"--checkpoint-interval must be >= 1 cycle, got "
-                  f"{args.checkpoint_interval}", file=sys.stderr)
-            return 2
-        checkpoints = CheckpointPlan(interval=args.checkpoint_interval,
-                                     root=args.checkpoint_dir)
-    workers = args.jobs if args.jobs else default_workers()
-    cache = None if args.no_cache else ResultCache()
-
-    if args.backend == "vector" and checkpoints is not None:
-        print("error: the vector backend does not support "
-              "checkpoint/resume; drop --checkpoint-interval or use "
-              "--backend object", file=sys.stderr)
-        return 2
-    if args.design:
-        return _run_design_campaign(args, workers, cache, faults,
-                                    checkpoints)
+    if campaign is not None:
+        return _run_design_campaign(args, campaign, cache, faults,
+                                    checkpoints, retries)
+    requested = args.experiments
+    if not requested:
+        return 0
     ctx = ExperimentContext(scale=args.scale, seed=args.seed,
-                            jobs=workers, cache=cache,
+                            jobs=args.jobs, cache=cache,
                             timeline_window=args.timeline,
                             trace=bool(args.trace),
-                            retries=args.retries, timeout=args.timeout,
+                            retries=retries, timeout=args.timeout,
                             fail_fast=args.fail_fast, faults=faults,
                             sanitize=args.sanitize, checkpoints=checkpoints,
                             backend=args.backend)
@@ -562,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print()
     total = time.perf_counter() - total_started
     summary = (f"[total: {total:.1f}s for {len(requested)} experiment(s), "
-               f"jobs={workers}")
+               f"jobs={args.jobs}")
     retried = sum(report.retried for report in ctx.reports)
     if retried:
         summary += f"; {retried} job(s) recovered by retry"

@@ -19,14 +19,14 @@ Examples::
     repro-sim kmeans --checkpoint-interval 5000        # crash-safe; rerun
                                                        # resumes after a kill
 
-Suite-benchmark runs without ``--timeline``/``--trace`` are described as
-declarative jobs and executed through the batch engine, so they share the
-persistent result cache with ``repro-exp`` (a repeated invocation replays
-the stored statistics instead of re-simulating; disable with
-``--no-cache``) and the engine's resilience features — retries, typed
-timeouts, checkpoint/resume (``docs/ROBUSTNESS.md``).  Kernel trace files
-and telemetry collection run in-process through ``simulate()`` and always
-simulate (``--sanitize`` still applies; checkpointing does not).
+Suite benchmarks run as declarative jobs through the batch engine,
+telemetry included (``--timeline``/``--trace`` ride on the job), so they
+share the persistent result cache with ``repro-exp`` (a repeated
+invocation replays the stored statistics; disable with ``--no-cache``)
+and the engine's retries, typed timeouts, fault injection and
+checkpoint/resume (``docs/ROBUSTNESS.md``).  Kernel trace files, which
+the engine cannot take, run in-process through ``simulate()`` and refuse
+``--faults``, ``--retries`` and ``--checkpoint-interval``.
 """
 
 from __future__ import annotations
@@ -39,41 +39,32 @@ from typing import Sequence
 from ..core.warp_schedulers import available_warp_schedulers
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationTimeout
-from ..sim.kernel import Kernel
-from ..sim.vector import (VECTOR_WARP_SCHEDULERS, VectorBackendError,
-                          vector_supported)
+from ..sim.vector import VECTOR_WARP_SCHEDULERS, vector_supported
 from ..sim.stats import RunResult
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.trace import write_trace
-from ..workloads.patterns import DEFAULT_SEED
-from ..workloads.suite import SUITE, make_kernel
+from ..workloads.suite import SUITE
 from ..workloads.tracefile import load_kernel_trace
-from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .checkpoints import DEFAULT_CHECKPOINT_DIR, CheckpointPlan
-from .engine import DEFAULT_RETRIES, run_batch
-from .faults import FaultPlan, FaultSpecError
+from .cache import DEFAULT_CACHE_DIR
+from .engine import run_batch
 from .jobs import SimJob, build_policy, build_warp_scheduler
+from .options import add_run_options, at_least, run_settings
 from .runner import simulate
-from .validate import VALID_BACKENDS
 
-CONFIGS = ("fermi", "kepler", "small")
+CONFIGS = {"fermi": GPUConfig, "kepler": GPUConfig.kepler_class,
+           "small": GPUConfig.small}
 POLICIES = ("rr", "static:N", "lcs", "bcs[:B]", "lcs+bcs[:B]", "dyncta")
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sim",
         description="Simulate one kernel under a chosen scheduling policy.")
     parser.add_argument("kernel",
                         help=f"benchmark name ({', '.join(sorted(SUITE))}) "
                              "or a .json trace file")
-    parser.add_argument("--scale", type=float, default=0.4,
-                        help="grid-size scale for suite benchmarks "
-                             "(default 0.4)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--config", default="fermi",
-                        help=f"hardware preset: {', '.join(CONFIGS)} "
-                             "(default fermi)")
+    parser.add_argument("--config", default="fermi", choices=CONFIGS,
+                        help="hardware preset (default fermi)")
     parser.add_argument("--warp", default="gto",
                         help="warp scheduler: "
                              f"{', '.join(available_warp_schedulers())} or "
@@ -81,74 +72,21 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser.add_argument("--policy", default="rr",
                         help=f"CTA policy: {', '.join(POLICIES)} "
                              "(default rr)")
-    parser.add_argument("--backend", default="object",
-                        choices=VALID_BACKENDS,
-                        help="simulator core: 'object' (per-object "
-                             "reference) or 'vector' (array-oriented, "
-                             "bitwise-identical results, faster; named "
-                             "lrr/gto/baws warp schedulers only; default "
-                             "object)")
     parser.add_argument("--timeline", metavar="CSV", nargs="?", const="-",
                         help="write the windowed telemetry timeline as CSV "
                              "to FILE ('-' or no value = stdout; an "
                              "all-digits value sets the window instead and "
-                             "prints to stdout; forces a live run)")
-    parser.add_argument("--timeline-period", type=int, default=1000,
+                             "prints to stdout)")
+    parser.add_argument("--timeline-period", type=int,
+                        action=at_least(1, " cycle"), default=1000,
                         metavar="CYCLES",
                         help="timeline sampling window (default 1000)")
     parser.add_argument("--trace", metavar="FILE",
                         help="write the structured event trace ('.jsonl' = "
                              "JSON lines, else Chrome trace_event JSON for "
-                             "chrome://tracing; forces a live run)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent result cache "
-                             f"({DEFAULT_CACHE_DIR}/)")
-    parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
-                        metavar="N",
-                        help="retries for transient failures on the engine "
-                             f"path (default {DEFAULT_RETRIES})")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline for the run; an overrun "
-                             "exits with a typed timeout error instead of "
-                             "hanging (default: none)")
-    parser.add_argument("--sanitize", action="store_true", default=None,
-                        help="check live-state invariants at window "
-                             "boundaries during the run; a violation is a "
-                             "typed InvariantViolation error (also read "
-                             "from $REPRO_SANITIZE)")
-    parser.add_argument("--checkpoint-interval", type=int, default=None,
-                        metavar="CYCLES",
-                        help="snapshot the simulation every CYCLES cycles "
-                             "(engine path only); an interrupted run "
-                             "resumes from its newest checkpoint on the "
-                             "next invocation (default: off)")
-    parser.add_argument("--checkpoint-dir", default=DEFAULT_CHECKPOINT_DIR,
-                        metavar="DIR",
-                        help="checkpoint store directory (default "
-                             f"{DEFAULT_CHECKPOINT_DIR}/)")
-    parser.add_argument("--faults", metavar="SPEC",
-                        help="inject deterministic faults for testing, "
-                             "e.g. 'kill-at:0:5000' or 'corrupt:0:5000' "
-                             "(also read from $REPRO_FAULTS; see "
-                             "docs/ROBUSTNESS.md)")
-    return parser.parse_args(argv)
-
-
-def _load_kernel(spec: str, scale: float, seed: int) -> Kernel:
-    if spec.endswith(".json"):
-        return load_kernel_trace(spec)
-    return make_kernel(spec, scale=scale, seed=seed)
-
-
-def _make_config(name: str) -> GPUConfig:
-    if name == "fermi":
-        return GPUConfig()
-    if name == "kepler":
-        return GPUConfig.kepler_class()
-    if name == "small":
-        return GPUConfig.small()
-    raise ValueError(f"unknown config preset {name!r}; choose from {CONFIGS}")
+                             "chrome://tracing)")
+    add_run_options(parser)
+    return parser
 
 
 def _policy_descriptor(spec: str) -> tuple:
@@ -180,7 +118,7 @@ def _warp_descriptor(spec: str) -> str | tuple:
 
 def _print_result(result: RunResult, kernel_name: str,
                   policy_kind: str) -> None:
-    """The shared summary block (engine path and live path alike)."""
+    """The summary block of a suite job and a trace file alike."""
     print(result.summary())
 
     stats = result.kernel(kernel_name)
@@ -200,52 +138,54 @@ def _print_result(result: RunResult, kernel_name: str,
               f"max={max(quotas.values())}")
 
 
+def _timeline(parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> tuple[int | None, str | None]:
+    """The timeline window and destination ('-' = stdout): an all-digits
+    ``--timeline`` is the window, any other value the destination."""
+    if args.timeline is None:
+        return None, None
+    if not args.timeline.isdigit():
+        return args.timeline_period, args.timeline
+    if int(args.timeline) < 1:
+        parser.error(f"--timeline window must be >= 1 cycle, "
+                     f"got {args.timeline}")
+    return int(args.timeline), "-"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
-    if args.timeline is not None and args.timeline.isdigit() \
-            and int(args.timeline) < 1:
-        print(f"--timeline window must be >= 1 cycle, got {args.timeline}",
-              file=sys.stderr)
-        return 2
-    if args.timeline_period < 1:
-        print(f"--timeline-period must be >= 1 cycle, got "
-              f"{args.timeline_period}", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout < 0:
-        print(f"--timeout must be >= 0, got {args.timeout}", file=sys.stderr)
-        return 2
-    use_engine = (not args.kernel.endswith(".json")
-                  and args.timeline is None
-                  and not args.trace)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    window, timeline_dest = _timeline(parser, args)
+    trace_file = args.kernel.endswith(".json")
+    if trace_file and (args.faults or args.retries is not None
+                       or args.checkpoint_interval is not None):
+        parser.error("a trace-file run takes no --faults, --retries or "
+                     "--checkpoint-interval")
+    config = CONFIGS[args.config]()
     try:
-        config = _make_config(args.config)
-        if args.backend == "vector" and args.checkpoint_interval is not None:
-            print("error: the vector backend does not support "
-                  "checkpoint/resume; drop --checkpoint-interval or use "
-                  "--backend object", file=sys.stderr)
-            return 2
-        if args.backend == "vector" \
-                and not vector_supported(_warp_descriptor(args.warp)):
-            print(f"error: warp scheduler {args.warp!r} is not supported "
-                  "by the vector backend (supported: "
-                  f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}); use "
-                  "--backend object", file=sys.stderr)
-            return 2
-        if use_engine:
+        policy = _policy_descriptor(args.policy)
+        warp = _warp_descriptor(args.warp)
+        if args.backend == "vector" and not vector_supported(warp):
+            raise ValueError(
+                f"warp scheduler {args.warp!r} is not supported by the "
+                f"vector backend (supported: "
+                f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}); use "
+                "--backend object")
+        if trace_file:
+            kernel = load_kernel_trace(args.kernel)
+            policy = build_policy(policy, [kernel])
+            warp = build_warp_scheduler(warp)
+        else:
             job = SimJob(names=(args.kernel,), scale=args.scale,
-                         seed=args.seed,
-                         warp=_warp_descriptor(args.warp),
-                         policy=_policy_descriptor(args.policy),
-                         config=config, backend=args.backend)
+                         seed=args.seed, warp=warp, policy=policy,
+                         config=config, backend=args.backend,
+                         timeline_window=window, trace=bool(args.trace))
             job.check()
             kernel = job.build_kernels()[0]
-        else:
-            kernel = _load_kernel(args.kernel, args.scale, args.seed)
-            policy = build_policy(_policy_descriptor(args.policy), [kernel])
-            warp = build_warp_scheduler(_warp_descriptor(args.warp))
-    except (ValueError, FileNotFoundError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as error:
+        parser.error(str(error))
+    if not trace_file:
+        cache, faults, checkpoints, retries = run_settings(parser, args)
 
     occupancy = kernel.max_ctas_per_sm(config)
     print(f"kernel {kernel.name}: {kernel.num_ctas} CTAs x "
@@ -253,24 +193,19 @@ def main(argv: Sequence[str] | None = None) -> int:
           f"config {args.config}, warp {args.warp}, policy {args.policy}, "
           f"backend {args.backend}\n")
 
-    if use_engine:
-        cache = None if args.no_cache else ResultCache()
+    if trace_file:
         try:
-            faults = (FaultPlan.parse(args.faults) if args.faults
-                      else FaultPlan.from_env())
-        except FaultSpecError as error:
-            print(f"bad fault spec: {error}", file=sys.stderr)
-            return 2
-        checkpoints = None
-        if args.checkpoint_interval is not None:
-            if args.checkpoint_interval < 1:
-                print(f"--checkpoint-interval must be >= 1 cycle, got "
-                      f"{args.checkpoint_interval}", file=sys.stderr)
-                return 2
-            checkpoints = CheckpointPlan(interval=args.checkpoint_interval,
-                                         root=args.checkpoint_dir)
-        report = run_batch([job], cache=cache,
-                           retries=max(args.retries, 0),
+            result = simulate(kernel, config=config, warp_scheduler=warp,
+                              cta_scheduler=policy,
+                              telemetry=TelemetryHub(window=window,
+                                                     trace=bool(args.trace)),
+                              wall_timeout=args.timeout,
+                              sanitize=args.sanitize, backend=args.backend)
+        except SimulationTimeout as error:
+            print(f"error: simulation timed out ({error})", file=sys.stderr)
+            return 1
+    else:
+        report = run_batch([job], cache=cache, retries=retries,
                            timeout=args.timeout, faults=faults,
                            sanitize=args.sanitize, checkpoints=checkpoints)
         outcome = report.outcomes[0]
@@ -294,33 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             state = "hit" if cache.hits else "miss"
             print(f"[cache {state}: {job.fingerprint()[:12]} in "
                   f"{DEFAULT_CACHE_DIR}/]", file=sys.stderr)
-        _print_result(outcome.result, kernel.name, job.policy[0])
-        return 0
-
-    # Telemetry configuration for the live path: `--timeline 500` (all
-    # digits) means "window 500 cycles, CSV to stdout"; anything else is
-    # the destination file ('-' = stdout) sampled at --timeline-period.
-    window = None
-    timeline_dest = None
-    if args.timeline is not None:
-        if args.timeline.isdigit():
-            window = int(args.timeline)
-            timeline_dest = "-"
-        else:
-            window = args.timeline_period
-            timeline_dest = args.timeline
-    hub = TelemetryHub(window=window, trace=bool(args.trace))
-    try:
-        result = simulate(kernel, config=config, warp_scheduler=warp,
-                          cta_scheduler=policy, telemetry=hub,
-                          wall_timeout=args.timeout, sanitize=args.sanitize,
-                          backend=args.backend)
-    except VectorBackendError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except SimulationTimeout as error:
-        print(f"error: simulation timed out ({error})", file=sys.stderr)
-        return 1
+        result = outcome.result
     _print_result(result, kernel.name, args.policy.partition(":")[0])
 
     timeline = result.meta.get("timeline")
@@ -335,8 +244,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"timeline: {len(timeline)} windows of "
                   f"{timeline.window} cycles -> {timeline_dest}")
     if args.trace:
-        write_trace(args.trace, hub.events, timeline=timeline)
-        print(f"trace: {len(hub.events)} events -> {args.trace}")
+        events = result.meta.get("trace", [])
+        write_trace(args.trace, events, timeline=timeline)
+        print(f"trace: {len(events)} events -> {args.trace}")
     return 0
 
 

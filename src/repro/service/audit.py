@@ -218,7 +218,7 @@ def audit_state_dirs(dirs: Sequence[str | Path]) -> AuditReport:
     return report
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-audit",
         description="Offline exactly-once audit over repro-serve state "
@@ -231,7 +231,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "(single-daemon exactly-once bar)")
     parser.add_argument("--verbose", action="store_true",
                         help="print one line per audited job")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     report = audit_state_dirs(args.dirs)
     print(report.summary_line(strict=args.strict))

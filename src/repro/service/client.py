@@ -40,13 +40,18 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from ..design.design import DesignError
 from ..design.env import DesignEnv
-from ..design.files import load_design
 from ..design.store import worker_ttl_jitter
 from ..harness.engine import Backoff
 from ..harness.exit_codes import (EXIT_EXHAUSTED, EXIT_OK, EXIT_PARTIAL,
                                   EXIT_SHED)
-from ..harness.faults import FaultPlan, FaultSpecError
+from ..harness.faults import FaultPlan
+from ..harness.jobs import JobError
+from ..harness.options import (Positive, at_least, fault_plan, fault_spec,
+                               load_design_file)
+from ..harness.validate import VALID_BACKENDS
+from .cluster import parse_address
 from .daemon import DEFAULT_STATE_DIR, SOCKET_NAME
 from .protocol import (DONE, FAILED, QUARANTINED, SHED, ProtocolError,
                        decode_frame, encode_frame, job_id)
@@ -117,12 +122,9 @@ class ServiceClient:
     def _target(self) -> tuple[str | None, int | None, str | None]:
         """Current (host, port, socket_path) to dial."""
         if self.peers:
-            address = self.peers[self._peer_index % len(self.peers)]
-            if "/" not in address and address.count(":") == 1:
-                node, _, port = address.partition(":")
-                if port.isdigit():
-                    return node, int(port), None
-            return None, None, address
+            kind, where = parse_address(
+                self.peers[self._peer_index % len(self.peers)])
+            return (*where, None) if kind == "tcp" else (None, None, where)
         return self.host, self.port, (str(self.socket_path)
                                       if self.socket_path else None)
 
@@ -320,7 +322,7 @@ def _exit_code(states: dict[str, str]) -> int:
     return EXIT_PARTIAL
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-submit",
         description="Submit a design to a running repro-serve daemon "
@@ -342,11 +344,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "of rendezvous routing")
     parser.add_argument("--tenant", default=None,
                         help="fair-share tenant name (default: user name)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=float, action=Positive, default=1.0,
                         help="design environment scale (default 1.0)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, action=at_least(0), default=None,
                         help="design environment seed override")
-    parser.add_argument("--backend", default=None,
+    parser.add_argument("--backend", default=None, choices=VALID_BACKENDS,
                         help="design environment backend override")
     parser.add_argument("--no-wait", action="store_true",
                         help="submit and exit without watching for results")
@@ -354,21 +356,35 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="print daemon health and exit")
     parser.add_argument("--drain", action="store_true",
                         help="ask the daemon to drain and exit")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
+    parser.add_argument("--faults", type=fault_spec, default=None,
+                        metavar="SPEC",
                         help="client-side fault injection (tests/CI)")
-    args = parser.parse_args(argv)
+    return parser
 
-    try:
-        faults = (FaultPlan.parse(args.faults) if args.faults
-                  else FaultPlan.from_env())
-    except FaultSpecError as error:
-        parser.error(str(error))
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    faults = fault_plan(parser, args.faults)
     if args.host is not None and not args.port:
         parser.error("--host needs --port")
     peers = ([p.strip() for p in args.peers.split(",") if p.strip()]
              if args.peers else None)
     if args.peers and not peers:
         parser.error("--peers needs at least one address")
+    if not (args.status or args.drain):
+        if args.design is None:
+            parser.error("a design file is required "
+                         "(or --status / --drain)")
+        design, overrides = load_design_file(parser, args.design)
+        env = DesignEnv.merged(overrides, scale=args.scale, seed=args.seed,
+                               backend=args.backend)
+        try:
+            digest = design.digest(env)
+            cells = design.compile(env)
+        except (DesignError, JobError) as error:
+            parser.error(f"cannot compile design file {args.design}: "
+                         f"{error}")
     client = ServiceClient(args.socket, host=args.host,
                            port=args.port or None, peers=peers,
                            faults=faults)
@@ -408,15 +424,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             client.drain()
             print("drain requested")
             return EXIT_OK
-        if args.design is None:
-            parser.error("a design file is required "
-                         "(or --status / --drain)")
-
-        design, overrides = load_design(args.design)
-        env = DesignEnv.merged(overrides, scale=args.scale, seed=args.seed,
-                               backend=args.backend)
-        digest = design.digest(env)
-        cells = design.compile(env)
         tenant = args.tenant or os_user()
         print(f"{design.name}: submitting {len(cells)} cell(s) "
               f"as tenant {tenant!r} (digest {digest[:12]})")

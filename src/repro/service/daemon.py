@@ -56,8 +56,9 @@ from ..design.store import PENDING, Job, JobStore
 from ..harness.cache import ResultCache
 from ..harness.engine import DEFAULT_RETRIES, Attempt
 from ..harness.exit_codes import EXIT_OK, EXIT_PARTIAL
-from ..harness.faults import FaultPlan, FaultSpecError
+from ..harness.faults import FaultPlan
 from ..harness.jobs import JobError, SimJob
+from ..harness.options import fault_plan, fault_spec
 from ..harness.pool import DEFAULT_HB_TIMEOUT, WorkerPool
 from ..sim.stats import RunResult
 from .admission import (ADMIT_PROBE, ADMIT_REFUSE, DEFAULT_BREAKER_COOLDOWN,
@@ -779,10 +780,12 @@ class SchedulerDaemon:
         }
 
     def _op_result(self, frame: dict[str, Any]) -> dict[str, Any]:
-        job = self.table.jobs.get(frame.get("id") or "")
+        rid = frame.get("id")
+        if not isinstance(rid, str):
+            return error_response("result", "result needs a string id")
+        job = self.table.jobs.get(rid)
         if job is None:
-            return error_response("result",
-                                  f"unknown job id {frame.get('id')!r}")
+            return error_response("result", f"unknown job id {rid!r}")
         response = {"ok": True, "op": "result", "id": job.id,
                     "state": self._public_state(job), "cycles": job.cycles,
                     "ipc": job.ipc, "error": job.error}
@@ -846,7 +849,7 @@ class SchedulerDaemon:
 # CLI entry point: repro-serve
 # --------------------------------------------------------------------------- #
 
-def main(argv: Sequence[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Always-on simulation scheduler daemon (NDJSON over "
@@ -914,8 +917,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write the incarnation's scheduling events "
                              "as a Chrome trace on exit")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
+    parser.add_argument("--faults", type=fault_spec, default=None,
+                        metavar="SPEC",
                         help="service fault injection spec (tests/CI)")
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.host is not None and not args.port:
         parser.error("--host needs --port")
@@ -928,14 +937,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.advertise not in members:
             parser.error(f"--advertise {args.advertise!r} is not in "
                          f"--cluster")
-    faults = None
-    try:
-        if args.faults:
-            faults = FaultPlan.parse(args.faults)
-        else:
-            faults = FaultPlan.from_env()
-    except FaultSpecError as error:
-        parser.error(str(error))
+    faults = fault_plan(parser, args.faults)
     try:
         daemon = SchedulerDaemon(
             state_dir=args.state_dir, socket_path=args.socket,

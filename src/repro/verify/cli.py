@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..harness.options import Workers, at_least
 from .artifacts import DEFAULT_REPORT_DIR, write_failure_artifact
 from .backends import ParityReport, parity_matrix, verify_backends
 from .fuzzer import FuzzReport, run_fuzz
@@ -46,83 +47,66 @@ DEFAULT_FUZZ_SEED = 20140219
 DEFAULT_FUZZ_CASES = 100
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
+    # Parent parsers: each option is declared once, for its layer and
+    # for ``all``.
+    tier, store, jobs, window, fuzz, report = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    tier.add_argument("--tier", choices=("smoke", "full"), default="smoke",
+                      help="which pinned matrix to run (default: smoke)")
+    store.add_argument("--store", metavar="DIR", default=None,
+                       help="golden store root (default: "
+                            "<repo>/goldens/<tier>)")
+    jobs.add_argument("--jobs", "-j", type=int, action=Workers, default=1,
+                      metavar="N",
+                      help="worker processes for the matrix (default 1; "
+                           "0 = one per CPU core)")
+    window.add_argument("--window", type=int, action=at_least(1, " cycle"),
+                        default=DEFAULT_WINDOW, metavar="CYCLES",
+                        help="refmodel comparison window size (default: "
+                             f"{DEFAULT_WINDOW})")
+    fuzz.add_argument("--seed", type=int, action=at_least(0),
+                      default=DEFAULT_FUZZ_SEED,
+                      help=f"fuzz campaign master seed (default: "
+                           f"{DEFAULT_FUZZ_SEED})")
+    fuzz.add_argument("--cases", type=int, action=at_least(1),
+                      default=DEFAULT_FUZZ_CASES, metavar="N",
+                      help=f"number of generated fuzz cases (default: "
+                           f"{DEFAULT_FUZZ_CASES})")
+    report.add_argument("--report", metavar="FILE", default=None,
+                        help="write the failures as a JSONL artifact")
+
     parser = argparse.ArgumentParser(
         prog="repro-verify",
         description="Correctness gate: golden-result regression store, "
                     "differential reference model, metamorphic fuzzing.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     golden = sub.add_parser(
-        "golden", help="re-run the golden matrix and diff bitwise")
-    golden.add_argument("--tier", choices=("smoke", "full"),
-                        default="smoke",
-                        help="which pinned matrix to verify "
-                             "(default: smoke)")
-    golden.add_argument("--store", metavar="DIR", default=None,
-                        help="golden store root (default: "
-                             "<repo>/goldens/<tier>)")
+        "golden", parents=[tier, store, jobs, report],
+        help="re-run the golden matrix and diff bitwise")
     golden.add_argument("--update", action="store_true",
                         help="re-baseline: overwrite every golden with "
                              "the fresh result instead of diffing")
-    golden.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes for the matrix re-run")
-    golden.add_argument("--report", metavar="FILE", default=None,
-                        help="write failing cells as a JSONL artifact")
-
-    backend = sub.add_parser(
-        "backend", help="run vector-capable cells on both simulator "
+    sub.add_parser("backend", parents=[tier, jobs, report],
+                   help="run vector-capable cells on both simulator "
                         "backends and diff bitwise")
-    backend.add_argument("--tier", choices=("smoke", "full"),
-                         default="smoke",
-                         help="which pinned matrix to sweep "
-                              "(default: smoke)")
-    backend.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                         help="worker processes for the sweep")
-    backend.add_argument("--report", metavar="FILE", default=None,
-                         help="write disagreeing cells as a JSONL artifact")
-
-    refmodel = sub.add_parser(
-        "refmodel", help="cross-check the tuned simulator against the "
-                         "reference model")
-    refmodel.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                          metavar="CYCLES",
-                          help="comparison window size (default: "
-                               f"{DEFAULT_WINDOW})")
-    refmodel.add_argument("--report", metavar="FILE", default=None,
-                          help="write divergences as a JSONL artifact")
-
-    fuzz = sub.add_parser(
-        "fuzz", help="run seeded metamorphic/property fuzz cases")
-    fuzz.add_argument("--seed", type=int, default=DEFAULT_FUZZ_SEED,
-                      help=f"campaign master seed (default: "
-                           f"{DEFAULT_FUZZ_SEED})")
-    fuzz.add_argument("--cases", type=int, default=DEFAULT_FUZZ_CASES,
-                      metavar="N",
-                      help=f"number of generated cases (default: "
-                           f"{DEFAULT_FUZZ_CASES})")
-    fuzz.add_argument("--no-shrink", dest="shrink", action="store_false",
-                      help="report failing cases unshrunk (faster triage "
-                           "turnaround)")
-    fuzz.add_argument("--report", metavar="FILE", default=None,
-                      help="write shrunk failures as a JSONL artifact")
-
+    sub.add_parser("refmodel", parents=[window, report],
+                   help="cross-check the tuned simulator against the "
+                        "reference model")
+    fuzz_cmd = sub.add_parser("fuzz", parents=[fuzz, report],
+                              help="run seeded metamorphic/property fuzz "
+                                   "cases")
+    fuzz_cmd.add_argument("--no-shrink", dest="shrink", action="store_false",
+                          help="report failing cases unshrunk (faster "
+                               "triage turnaround)")
     combined = sub.add_parser(
-        "all", help="run every layer; exit non-zero if any fails")
-    combined.add_argument("--tier", choices=("smoke", "full"),
-                          default="smoke")
-    combined.add_argument("--store", metavar="DIR", default=None)
-    combined.add_argument("--jobs", "-j", type=int, default=1, metavar="N")
-    combined.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                          metavar="CYCLES")
-    combined.add_argument("--seed", type=int, default=DEFAULT_FUZZ_SEED)
-    combined.add_argument("--cases", type=int, default=DEFAULT_FUZZ_CASES,
-                          metavar="N")
+        "all", parents=[tier, store, jobs, window, fuzz],
+        help="run every layer; exit non-zero if any fails")
     combined.add_argument("--report-dir", metavar="DIR",
                           default=str(DEFAULT_REPORT_DIR),
                           help="directory for per-layer JSONL artifacts "
                                f"(default: {DEFAULT_REPORT_DIR})")
-    return parser.parse_args(argv)
+    return parser
 
 
 # --------------------------------------------------------------------------- #
@@ -244,7 +228,7 @@ def _run_fuzz(seed: int, cases: int, *, shrink: bool,
 # --------------------------------------------------------------------------- #
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "golden":
         report, _ = _run_golden(args.tier, args.store, update=args.update,
                                 jobs=args.jobs, report_path=args.report)
@@ -254,24 +238,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                                  report_path=args.report)
         return 0 if report.ok else 1
     if args.command == "refmodel":
-        if args.window < 1:
-            print("error: --window must be >= 1", file=sys.stderr)
-            return 2
         results, _ = _run_refmodel(args.window, args.report)
         return 0 if not any(r.diverged for r in results) else 1
     if args.command == "fuzz":
-        if args.cases < 1:
-            print("error: --cases must be >= 1", file=sys.stderr)
-            return 2
         report, _ = _run_fuzz(args.seed, args.cases, shrink=args.shrink,
                               report_path=args.report)
         return 0 if report.ok else 1
 
     # all: run every layer even after a failure — one invocation, full
     # triage picture, artifacts for each failing layer.
-    if args.cases < 1 or args.window < 1:
-        print("error: --cases and --window must be >= 1", file=sys.stderr)
-        return 2
     report_dir = Path(args.report_dir)
     golden_report, golden_records = _run_golden(
         args.tier, args.store, update=False, jobs=args.jobs,

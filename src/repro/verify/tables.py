@@ -17,7 +17,7 @@ and commit the diff — the review of that diff is the drift gate.
 
 from __future__ import annotations
 
-import sys
+import argparse
 from pathlib import Path
 
 from ..harness.experiments import (EXPERIMENT_DESIGNS, EXPERIMENTS,
@@ -92,15 +92,17 @@ def update_tables(root: str | Path = DEFAULT_TABLE_ROOT) -> int:
 
 
 def main(argv=None) -> int:   # pragma: no cover - thin CLI shim
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv == ["--update"]:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.verify.tables",
+        description="Compare every experiment table with its golden, or "
+                    "rewrite the goldens.")
+    parser.add_argument("--update", action="store_true",
+                        help=f"rewrite {DEFAULT_TABLE_ROOT}/ instead of "
+                             "comparing")
+    if parser.parse_args(argv).update:
         written = update_tables()
         print(f"[table goldens: {written} file(s) -> {DEFAULT_TABLE_ROOT}/]")
         return 0
-    if argv:
-        print("usage: python -m repro.verify.tables [--update]",
-              file=sys.stderr)
-        return 2
     problems = verify_tables()
     for problem in problems:
         print(f"MISMATCH {problem}")

@@ -7,6 +7,8 @@ import json
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
+
 from repro.harness import jobs
 from repro.sim.isa import Instruction, Op
 from repro.sim.kernel import Kernel
@@ -26,6 +28,17 @@ def load_program(lines: list[int], alu_between: int = 0) -> list[Instruction]:
                        for _ in range(alu_between))
     program.append(Instruction(Op.EXIT))
     return program
+
+
+def usage_error(main, argv: list[str], capsys) -> str:
+    """Run a CLI ``main`` that must refuse ``argv`` with exit 2 before
+    it does anything; returns the refusal on stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def make_test_kernel(name: str = "test", num_ctas: int = 4,

@@ -2,12 +2,12 @@
 
 import pytest
 
+from helpers import usage_error
 from repro.harness.cli import main
 
 
 def test_unknown_experiment_returns_error(capsys):
-    assert main(["e99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    assert "unknown experiment" in usage_error(main, ["e99"], capsys)
 
 
 def test_single_experiment_prints_table(capsys):
@@ -47,8 +47,7 @@ def test_list_flag(capsys):
 
 
 def test_no_experiments_errors(capsys):
-    assert main([]) == 2
-    assert "no experiments" in capsys.readouterr().err
+    assert "no experiments" in usage_error(main, [], capsys)
 
 
 def test_output_writes_csv_files(tmp_path, capsys):
@@ -144,13 +143,13 @@ def test_a_job_that_failed_in_the_plan_is_not_dispatched_again(capsys,
 
 
 def test_bad_fault_spec_is_usage_error(capsys):
-    assert main(["e5", "--faults", "explode:0"]) == 2
-    assert "bad fault spec" in capsys.readouterr().err
+    assert "bad fault spec" in usage_error(
+        main, ["e5", "--faults", "explode:0"], capsys)
 
 
 def test_negative_retries_and_timeout_rejected(capsys):
-    assert main(["e5", "--retries", "-1"]) == 2
-    assert main(["e5", "--timeout", "-3"]) == 2
+    usage_error(main, ["e5", "--retries", "-1"], capsys)
+    usage_error(main, ["e5", "--timeout", "-3"], capsys)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -160,8 +159,65 @@ def test_negative_retries_and_timeout_rejected(capsys):
 ])
 def test_out_of_range_run_flags_rejected(capsys, argv, message):
     # Each used to dispatch a batch of jobs doomed to fail in a worker.
-    assert main(["e5", "--scale", "0.02", "--no-cache", *argv]) == 2
-    assert message in capsys.readouterr().err
+    assert message in usage_error(
+        main, ["e5", "--scale", "0.02", "--no-cache", *argv], capsys)
+
+
+@pytest.fixture
+def cache_entry(tmp_path, monkeypatch):
+    """A result-cache entry in a fresh working directory."""
+    monkeypatch.chdir(tmp_path)
+    entry = tmp_path / ".repro-cache" / "abcdef.json"
+    entry.parent.mkdir()
+    entry.write_text("{}")
+    return entry
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--jobs", "-1"], "--jobs must be >= 0, got -1"),
+    (["-j", "-1"], "-j must be >= 0, got -1"),
+    (["--retries", "-1"], "--retries must be >= 0, got -1"),
+    (["--timeout", "-3"], "--timeout must be >= 0, got -3.0"),
+    (["--max-retries", "-1"], "--max-retries must be >= 0, got -1"),
+    (["--lease-ttl", "0"], "--lease-ttl must be > 0, got 0.0"),
+    (["--scale", "0"], "--scale must be > 0, got 0.0"),
+    (["--scale", "-1"], "--scale must be > 0, got -1.0"),
+    (["--scale", "nan"], "--scale must be > 0, got nan"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--timeline", "0"], "--timeline must be >= 1 cycle, got 0"),
+    (["--checkpoint-interval", "0"],
+     "--checkpoint-interval must be >= 1 cycle, got 0"),
+    (["--jobs", "two"], "argument --jobs/-j: invalid int value: 'two'"),
+])
+def test_every_ranged_option_is_refused_before_anything_runs(
+        cache_entry, capsys, argv, message):
+    # --clean-state used to purge the cache before the checks ran, and
+    # --list used to compile every design first.
+    for extra in (["e5"], ["--clean-state", "e3"], ["--clear-cache"],
+                  ["--list"]):
+        assert message in usage_error(main, [*extra, *argv], capsys)
+    assert cache_entry.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["e5", "--design", "x.toml"], "pass either experiment ids or --design"),
+    (["--clean-state", "e99"], "unknown experiment ids: ['e99']"),
+    (["--clear-cache", "--shard"], "apply to campaigns; pass --design"),
+    (["--list", "--worker-id", "w"], "apply to campaigns; pass --design"),
+    (["--clean-state", "e3", "--backend", "vector",
+      "--checkpoint-interval", "5"],
+     "the vector backend does not support checkpoint/resume"),
+])
+def test_cross_option_refusals_come_before_any_state_is_touched(
+        cache_entry, capsys, argv, message):
+    assert message in usage_error(main, argv, capsys)
+    assert cache_entry.exists()
+
+
+def test_bad_env_fault_spec_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_FAULTS", "explode:0")
+    assert "bad fault spec in $REPRO_FAULTS" in usage_error(
+        main, ["e5"], capsys)
 
 
 def test_injected_failure_reports_and_exits_nonzero(capsys):
@@ -274,9 +330,13 @@ def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
 def test_design_campaign_usage_error_exits_two(tmp_path, monkeypatch,
                                                capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["--design", str(tmp_path / "missing.toml")]) == 2
-    assert "cannot read design file" in capsys.readouterr().err
-    assert main(["--shard"]) == 2     # campaign flag without --design
+    assert "cannot read design file" in usage_error(
+        main, ["--design", str(tmp_path / "missing.toml")], capsys)
+    usage_error(main, ["--shard"], capsys)  # campaign flag without --design
+    bad = tmp_path / "bad.toml"
+    bad.write_text("[design\n")
+    assert f"bad design file {bad}" in usage_error(
+        main, ["--clean-state", "--design", str(bad)], capsys)
 
 
 def test_design_campaign_with_an_unrunnable_cell_exits_two(
@@ -292,9 +352,8 @@ def test_design_campaign_with_an_unrunnable_cell_exits_two(
                       'levels = ["kmeans"]\n\n'
                       '[[design.factor]]\nname = "policy"\n'
                       'levels = [["rr"], ["static", 0]]\n')
-    assert main(["--design", str(design), "--scale", "0.02",
-                 "--no-cache"]) == 2
-    err = capsys.readouterr().err
+    err = usage_error(main, ["--design", str(design), "--scale", "0.02",
+                             "--no-cache"], capsys)
     assert "cannot open campaign" in err
     assert "CTA limit for 'kmeans' must be >= 1" in err
     assert "dispatched" not in err

@@ -1,7 +1,9 @@
 """Keep the documentation honest: every experiment documented, benched and
 registered consistently across DESIGN.md, the registry and benchmarks/."""
 
+import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,44 @@ def test_public_items_have_docstrings():
             if not (obj.__doc__ or "").strip():
                 missing.append(name)
     assert not missing, f"public items without docstrings: {missing}"
+
+
+def _documented_command_lines():
+    """``(where, argv)`` of every ``repro-*`` line in a fenced code
+    block of README.md and docs/*.md, continuation lines joined."""
+    found = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        fenced, pending = False, ""
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            text = (pending + " " + line.strip().removeprefix("$ ")).strip()
+            if not fenced or not text.startswith("repro-"):
+                continue
+            if text.endswith("\\"):
+                pending = text[:-1]
+                continue
+            pending = ""
+            argv = shlex.split(text, comments=True)
+            found.append((f"{path.name}:{number}",
+                          argv[:-1] if argv[-1] == "&" else argv))
+    return found
+
+
+def test_documented_command_lines_parse(capsys):
+    # Parse only: each line goes through its CLI's parser, nothing runs.
+    scripts = dict(re.findall(r'^(repro-[a-z]+) = "([\w.]+):main"$',
+                              (ROOT / "pyproject.toml").read_text(),
+                              re.MULTILINE))
+    lines = _documented_command_lines()
+    assert len(lines) > 30 and {argv[0] for _, argv in lines} <= set(scripts)
+    refused = []
+    for where, argv in lines:
+        module = importlib.import_module(scripts[argv[0]])
+        try:
+            module.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            refused.append(f"{where}: {' '.join(argv)}: "
+                           f"{capsys.readouterr().err.splitlines()[-1]}")
+    assert not refused, "\n".join(refused)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import usage_error
 from repro.design.journal import Journal, replay_journal
 from repro.design.store import JobStore
 from repro.harness.cache import ResultCache
@@ -549,6 +550,33 @@ class TestJobTable:
             assert reloaded.next_index == 2
 
 
+class TestResultFrames:
+    @pytest.mark.parametrize("rid", [[1], {}, 7, None])
+    def test_a_non_string_id_is_a_bad_request(self, tmp_path, rid):
+        # A list or object id used to raise TypeError in the table lookup
+        # and close the client's connection.
+        daemon = SchedulerDaemon(state_dir=tmp_path / "state",
+                                 cache_dir=tmp_path / "cache",
+                                 log=io.StringIO())
+        assert daemon._respond("result", {"op": "result", "id": rid}) == {
+            "ok": False, "op": "result", "error": "result needs a string id"}
+        assert daemon._respond("result", {"op": "result", "id": "z:9"}) == {
+            "ok": False, "op": "result", "error": "unknown job id 'z:9'"}
+
+
+@pytest.mark.parametrize("module", ["repro.service.daemon",
+                                    "repro.service.audit",
+                                    "repro.service.client"])
+def test_service_modules_run_once_under_python_m(module):
+    # The package used to import every module eagerly, so runpy warned
+    # and ran the requested module a second time as __main__.
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", module,
+                           "--help"], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: ")
+
+
 class TestServeOptions:
     """``repro-serve`` refuses an out-of-range option as a usage error
     before it binds its socket or forks a worker."""
@@ -581,6 +609,19 @@ class TestServeOptions:
         assert f"{name} must be" in capsys.readouterr().err
         assert served == [] and not state.exists()
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--faults", "explode:0"], None, "argument --faults: bad fault spec"),
+        ([], "explode:0", "bad fault spec in $REPRO_FAULTS"),
+    ])
+    def test_bad_fault_spec_exits_2(self, tmp_path, monkeypatch, capsys,
+                                    served, argv, env, message):
+        if env:
+            monkeypatch.setenv("REPRO_FAULTS", env)
+        state = tmp_path / "state"
+        assert message in usage_error(
+            main, ["--state-dir", str(state), *argv], capsys)
+        assert served == [] and not state.exists()
+
     def test_boundary_values_are_accepted(self, tmp_path, served):
         assert main(["--state-dir", str(tmp_path / "state"),
                      "--retries", "0", "--timeout", "0",
@@ -588,6 +629,50 @@ class TestServeOptions:
             == EXIT_OK
         daemon, = served
         assert daemon.breaker.cooldown is None   # 0 = quarantine forever
+
+
+class TestSubmitOptions:
+    """``repro-submit`` refuses a usage error before it connects."""
+
+    DESIGN = str(Path(__file__).resolve().parents[1] / "examples"
+                 / "lcs_threshold.toml")
+
+    @pytest.fixture
+    def submit(self, monkeypatch):
+        from repro.service import client as submit_cli
+
+        def connect(*args, **kwargs):
+            raise AssertionError("repro-submit connected on a usage error")
+
+        monkeypatch.setattr(submit_cli, "ServiceClient", connect)
+        return submit_cli.main
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scale", "0"], "--scale must be > 0, got 0.0"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--backend", "bogus"], "argument --backend: invalid choice"),
+        (["--faults", "explode:0"], "argument --faults: bad fault spec"),
+    ])
+    def test_out_of_range_option_exits_2(self, capsys, submit, argv,
+                                         message):
+        assert message in usage_error(submit, [self.DESIGN, *argv], capsys)
+
+    def test_a_design_it_cannot_compile_exits_2(self, tmp_path, capsys,
+                                                submit):
+        # A missing file used to end in a FileNotFoundError traceback.
+        missing = tmp_path / "missing.toml"
+        assert f"cannot read design file {missing}" in usage_error(
+            submit, [str(missing)], capsys)
+        bad = tmp_path / "bad.toml"
+        bad.write_text("[design\n")
+        assert f"bad design file {bad}" in usage_error(
+            submit, [str(bad)], capsys)
+        unknown = tmp_path / "unknown.toml"
+        unknown.write_text('[design]\nname = "u"\n\n[[design.factor]]\n'
+                           'name = "bench"\nlevels = ["nonesuch"]\n')
+        err = usage_error(submit, [str(unknown)], capsys)
+        assert f"cannot compile design file {unknown}" in err
+        assert "unknown benchmark 'nonesuch'" in err
 
 
 class TestExitCodes:

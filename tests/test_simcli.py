@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import usage_error
+from repro.harness import simcli
 from repro.harness.simcli import main
 from repro.workloads.suite import make_kernel
 from repro.workloads.tracefile import save_kernel_trace
@@ -26,8 +28,8 @@ def test_static_policy(capsys):
 
 
 def test_static_without_limit_errors(capsys):
-    assert main(["kmeans", "--policy", "static"]) == 2
-    assert "static:N" in capsys.readouterr().err
+    assert "static:N" in usage_error(main, ["kmeans", "--policy", "static"],
+                                     capsys)
 
 
 def test_bcs_policy_with_baws(capsys):
@@ -49,15 +51,15 @@ def test_kepler_config(capsys):
 
 
 def test_unknown_config_errors(capsys):
-    assert main(["kmeans", "--config", "pascal"]) == 2
+    usage_error(main, ["kmeans", "--config", "pascal"], capsys)
 
 
 def test_unknown_policy_errors(capsys):
-    assert main(["kmeans", "--policy", "magic"]) == 2
+    usage_error(main, ["kmeans", "--policy", "magic"], capsys)
 
 
 def test_unknown_kernel_errors(capsys):
-    assert main(["nonesuch"]) == 2
+    usage_error(main, ["nonesuch"], capsys)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -70,9 +72,9 @@ def test_unknown_kernel_errors(capsys):
 def test_unrunnable_job_is_a_usage_error(capsys, argv, message):
     # Each has a valid shape and used to fail only inside the worker,
     # printing its traceback.
-    assert main(["kmeans", "--scale", "0.05", "--no-cache", *argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    err = usage_error(main, ["kmeans", "--scale", "0.05", "--no-cache",
+                             *argv], capsys)
+    assert "repro-sim: error: " in err and message in err
     assert "Traceback" not in err
 
 
@@ -83,8 +85,46 @@ def test_unrunnable_job_is_a_usage_error(capsys, argv, message):
     (["--timeout", "-1"], "--timeout must be >= 0, got -1.0"),
 ])
 def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
-    assert main(["kmeans", "--scale", "0.05", "--no-cache", *argv]) == 2
-    assert message in capsys.readouterr().err
+    assert message in usage_error(
+        main, ["kmeans", "--scale", "0.05", "--no-cache", *argv], capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scale", "0"], "--scale must be > 0, got 0.0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--retries", "-3"], "--retries must be >= 0, got -3"),
+    (["--timeout", "-1"], "--timeout must be >= 0, got -1.0"),
+    (["--checkpoint-interval", "0"],
+     "--checkpoint-interval must be >= 1 cycle, got 0"),
+    (["--timeline-period", "0"], "--timeline-period must be >= 1 cycle"),
+    (["--timeline", "0"], "--timeline window must be >= 1 cycle, got 0"),
+    (["--faults", "garbage"], "argument --faults: bad fault spec"),
+    (["--trace", "t.json", "--faults", "garbage",
+      "--checkpoint-interval", "0"], "bad fault spec"),
+    (["--backend", "vector", "--checkpoint-interval", "5"],
+     "the vector backend does not support checkpoint/resume"),
+    (["--backend", "vector", "--warp", "two-level"],
+     "'two-level' is not supported by the vector backend"),
+])
+def test_every_ranged_option_is_refused_before_the_header(capsys, argv,
+                                                          message):
+    # --retries -3 used to be clamped to 0, and --faults garbage to be
+    # refused only after the kernel header was printed (or, with
+    # --trace, not at all).
+    assert message in usage_error(main, ["kmeans", "--scale", "0.05",
+                                         *argv], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--faults", "fail:0"], ["--retries", "2"],
+    ["--checkpoint-interval", "500"],
+])
+def test_trace_file_refuses_engine_options(tmp_path, capsys, argv):
+    path = tmp_path / "k.json"
+    save_kernel_trace(make_kernel("kmeans", scale=0.02), path)
+    assert "a trace-file run takes no --faults, --retries or " \
+        "--checkpoint-interval" in usage_error(main, [str(path), *argv],
+                                               capsys)
 
 
 def test_timeline_output(tmp_path, capsys):
@@ -135,9 +175,8 @@ def test_malformed_trace_file_is_a_usage_error(tmp_path, capsys):
     document = json.loads(path.read_text())
     document["warps"]["0/0"][0] = ["alu"]
     path.write_text(json.dumps(document))
-    assert main([str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    err = usage_error(main, [str(path)], capsys)
+    assert "repro-sim: error: " in err
     assert f"{path}: warp 0/0:" in err
 
 
@@ -147,9 +186,15 @@ def test_engine_timeout_is_typed_error(capsys):
     assert "SimulationTimeout" in capsys.readouterr().err
 
 
-def test_live_path_timeout_is_typed_error(capsys):
-    assert main(["kmeans", "--scale", "0.05", "--timeline", "500",
-                 "--timeout", "0"]) == 1
+def test_live_path_timeout_is_typed_error(tmp_path, capsys):
+    # A telemetry run of a suite kernel is an engine job like any other;
+    # only a trace file still runs in-process.
+    assert main(["kmeans", "--scale", "0.05", "--no-cache", "--timeline",
+                 "500", "--timeout", "0"]) == 1
+    assert "SimulationTimeout" in capsys.readouterr().err
+    path = tmp_path / "k.json"
+    save_kernel_trace(make_kernel("kmeans", scale=0.02), path)
+    assert main([str(path), "--timeline", "500", "--timeout", "0"]) == 1
     assert "timed out" in capsys.readouterr().err
 
 
@@ -162,12 +207,44 @@ def test_env_fault_injection_fails_run(monkeypatch, capsys):
 
 def test_env_fault_bad_spec_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_FAULTS", "explode:0")
-    assert main(["kmeans", "--scale", "0.05", "--no-cache"]) == 2
-    assert "bad fault spec" in capsys.readouterr().err
+    assert "bad fault spec" in usage_error(
+        main, ["kmeans", "--scale", "0.05", "--no-cache"], capsys)
+
+
+def test_injected_fault_fails_a_traced_run_too(tmp_path, capsys):
+    assert main(["kmeans", "--scale", "0.05", "--no-cache", "--faults",
+                 "fail:0", "--trace", str(tmp_path / "t.json")]) == 1
+    assert "InjectedFault" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["--timeline", "F.csv", "--timeline-period", "200"], ["F.csv"]),
+    (["--timeline", "500"], []),
+    (["--trace", "F.json"], ["F.json"]),
+    (["--trace", "F.jsonl"], ["F.jsonl"]),
+])
+def test_telemetry_runs_go_through_the_engine_and_replay_from_cache(
+        tmp_path, monkeypatch, capsys, argv, files):
+    def no_live_run(*args, **kwargs):
+        raise AssertionError("a suite kernel ran outside the engine")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(simcli, "simulate", no_live_run)
+    argv = ["kmeans", "--scale", "0.05", "--policy", "lcs", *argv]
+    outputs = []
+    for extra, state in ((["--no-cache"], None), ([], "miss"), ([], "hit")):
+        assert main(argv + extra) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out,
+                        [(tmp_path / name).read_bytes() for name in files]))
+        if state:
+            assert f"[cache {state}: " in captured.err
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # --------------------------------------------------------------------------- #
-# live path vs engine path
+# a telemetry run (--trace) prints what a plain run prints
 # --------------------------------------------------------------------------- #
 
 POLICY_SPECS = ["rr", "static:2", "lcs", "bcs:2", "lcs+bcs:2", "dyncta"]
@@ -177,8 +254,8 @@ WARP_SPECS = ["lrr", "two-level", "swl:4"]
 
 
 def _engine_and_live(tmp_path, capsys, argv):
-    """Stdout of the engine path and of the live path (forced by
-    ``--trace``) for the same arguments."""
+    """Stdout of a plain run and of a run with ``--trace`` for the same
+    arguments."""
     assert main(argv + ["--no-cache"]) == 0
     engine = capsys.readouterr().out
     trace = tmp_path / "trace.jsonl"

@@ -10,6 +10,7 @@ import copy
 
 import pytest
 
+from helpers import usage_error
 from repro.harness.cli import main as exp_main
 from repro.harness.jobs import (JobError, SimJob, build_warp_scheduler,
                                 validate_policy, validate_warp)
@@ -158,10 +159,10 @@ class TestConfigRanges:
 
 class TestCliFlagConflicts:
     def test_negative_jobs_rejected(self, capsys):
-        assert exp_main(["e5", "--jobs", "-1"]) == 2
+        usage_error(exp_main, ["e5", "--jobs", "-1"], capsys)
 
     def test_zero_checkpoint_interval_rejected(self, capsys):
-        assert exp_main(["e5", "--checkpoint-interval", "0"]) == 2
+        usage_error(exp_main, ["e5", "--checkpoint-interval", "0"], capsys)
 
     def test_fail_fast_keep_going_last_wins(self, capsys):
         # Not an error: the flags negate each other, last one wins.
@@ -186,10 +187,34 @@ class TestCliFlagConflicts:
         assert "checkpoint file(s) remain" in capsys.readouterr().err
 
     def test_verify_zero_cases_rejected(self, capsys):
-        assert verify_main(["fuzz", "--cases", "0"]) == 2
+        usage_error(verify_main, ["fuzz", "--cases", "0"], capsys)
 
     def test_verify_zero_window_rejected(self, capsys):
-        assert verify_main(["refmodel", "--window", "0"]) == 2
+        usage_error(verify_main, ["refmodel", "--window", "0"], capsys)
 
     def test_verify_all_zero_cases_rejected(self, capsys):
-        assert verify_main(["all", "--cases", "0"]) == 2
+        usage_error(verify_main, ["all", "--cases", "0"], capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["golden", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
+        (["backend", "-j", "-1"], "-j must be >= 0, got -1"),
+        (["all", "--jobs", "-1"], "--jobs must be >= 0, got -1"),
+        (["fuzz", "--seed", "-5"], "--seed must be >= 0, got -5"),
+        (["all", "--seed", "-5"], "--seed must be >= 0, got -5"),
+        (["fuzz", "--cases", "0"], "--cases must be >= 1, got 0"),
+        (["all", "--cases", "0"], "--cases must be >= 1, got 0"),
+        (["refmodel", "--window", "0"], "--window must be >= 1 cycle, got 0"),
+        (["all", "--window", "0"], "--window must be >= 1 cycle, got 0"),
+    ])
+    def test_verify_ranged_options_refused(self, capsys, argv, message):
+        # --jobs 0/-1 used to end in a run_batch traceback, and a
+        # negative --seed in a numpy one.
+        assert message in usage_error(verify_main, argv, capsys)
+
+    @pytest.mark.parametrize("command", ["golden", "backend", "all"])
+    def test_verify_jobs_zero_is_one_worker_per_core(self, command):
+        from repro.harness.engine import default_workers
+        from repro.verify.cli import build_parser
+
+        args = build_parser().parse_args([command, "--jobs", "0"])
+        assert args.jobs == default_workers() >= 1
