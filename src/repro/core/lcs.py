@@ -305,7 +305,6 @@ class LCSScheduler(CTAScheduler):
 
     def __init__(self, kernel: Kernel | Sequence[Kernel], *,
                  rule: str = "tail", param: float | None = None,
-                 threshold: float | None = None,
                  util_guard: float = DEFAULT_UTIL_GUARD,
                  monitor_sm: int | None = None) -> None:
         super().__init__(kernel)
@@ -313,10 +312,6 @@ class LCSScheduler(CTAScheduler):
             raise ValueError(
                 "LCSScheduler schedules a single kernel; use MixedCKE for "
                 "multi-kernel execution")
-        if threshold is not None:
-            if param is not None:
-                raise ValueError("pass either threshold= or param=, not both")
-            rule, param = "threshold", threshold
         self.monitor = LCSMonitor(rule=rule, param=param,
                                   util_guard=util_guard,
                                   monitor_sm=monitor_sm)

@@ -43,7 +43,8 @@ from typing import Any
 
 from ..harness.cache import ResultCache
 from ..harness.checkpoints import CheckpointPlan
-from ..harness.engine import DEFAULT_RETRIES, BatchReport, run_batch
+from ..harness.engine import (DEFAULT_RETRIES, BatchReport, rebased_events,
+                              run_batch)
 from ..harness.faults import FaultPlan
 from ..harness.files import quarantine, sweep, write_atomic
 from ..harness.jobs import JobError, SimJob
@@ -92,11 +93,11 @@ class CampaignReport:
     journal_appends: int = 0
     journal_append_errors: int = 0
     batches: list[BatchReport] = field(default_factory=list)
-    #: Wall-clock offset of each batch's start (for the trace lane).
-    batch_offsets: list[float] = field(default_factory=list)
     #: Campaign-level trace events ({"kind", "t", "payload"}) — journal,
-    #: lease and compaction activity in the engine's wall-clock lane.
+    #: lease and compaction activity in the engine's wall-clock lane,
+    #: ``t`` in seconds since ``started`` (a ``time.monotonic()`` reading).
     events: list[dict[str, Any]] = field(default_factory=list)
+    started: float = field(default_factory=time.monotonic)
 
     @property
     def ok(self) -> bool:
@@ -109,10 +110,7 @@ class CampaignReport:
 
     def engine_events(self) -> list[dict[str, Any]]:
         """Campaign + batch events merged on one wall-clock time base."""
-        merged = list(self.events)
-        for offset, batch in zip(self.batch_offsets, self.batches):
-            merged.extend({**event, "t": event["t"] + offset}
-                          for event in batch.events)
+        merged = self.events + rebased_events(self.batches, self.started)
         merged.sort(key=lambda event: event["t"])
         return merged
 
@@ -281,34 +279,34 @@ class Campaign:
             checkpoints: CheckpointPlan | None = None,
             progress=None, worker_id: str | None = None,
             lease_ttl: float = DEFAULT_LEASE_TTL,
-            max_retries: int | None = None, shard: bool = False,
-            claim_chunk: int | None = None,
-            compact_every: int = DEFAULT_COMPACT_EVERY) -> CampaignReport:
+            max_retries: int | None = None,
+            shard: bool = False) -> CampaignReport:
         """Drain every claimable cell; return what this worker did.
 
         Claim/execute/journal in a loop: each iteration leases a set of
-        cells (everything claimable, or a chunk of ``claim_chunk`` in
-        ``shard`` mode so concurrent workers interleave), runs them as
-        one engine batch with heartbeats keeping the leases alive, and
-        journals each outcome the moment the engine records it.  A crash
-        at any point loses nothing: completed results are in the result
-        cache, journaled outcomes replay on the next invocation, and the
-        crashed worker's leases expire after ``lease_ttl`` seconds so
-        surviving (or restarted) workers reclaim its cells.
+        cells (everything claimable, or one per worker in ``shard`` mode
+        so concurrent processes interleave), runs them as one engine
+        batch with heartbeats keeping the leases alive, and journals each
+        outcome the moment the engine records it.  A crash at any point
+        loses nothing: completed results are in the result cache,
+        journaled outcomes replay on the next invocation, and the crashed
+        worker's leases expire after ``lease_ttl`` seconds so surviving
+        (or restarted) workers reclaim its cells.
 
         ``max_retries`` caps per-cell failures across invocations: a
         cell failing ``max_retries + 1`` times is journaled
         ``exhausted`` and never claimed again.  Within one invocation a
-        failed cell is not re-claimed (retry happens on resume).
+        failed cell is not re-claimed (retry happens on resume).  The
+        journal is compacted once it holds :data:`DEFAULT_COMPACT_EVERY`
+        records.
         """
         worker_id = worker_id or default_worker_id()
         store = self._bind(worker_id, faults)
-        started = time.monotonic()
         report = CampaignReport()
 
         def event(kind: str, **payload: Any) -> None:
             report.events.append({"kind": kind,
-                                  "t": time.monotonic() - started,
+                                  "t": time.monotonic() - report.started,
                                   "payload": payload})
 
         if store.replay_corrupt or store.replay_torn:
@@ -344,7 +342,7 @@ class Campaign:
                 if not todo:
                     break
                 if shard:
-                    todo = todo[:max(claim_chunk or workers, 1)]
+                    todo = todo[:max(workers, 1)]
                 for cell in todo:
                     if cell.claims:
                         report.leases_reclaimed += 1
@@ -381,7 +379,6 @@ class Campaign:
                         event("cell.failed", cell=cell.index,
                               status=outcome.status)
 
-                offset = time.monotonic() - started
                 batch = run_batch([SimJob.from_payload(cell.job)
                                    for cell in claimed],
                                   workers=workers, cache=cache,
@@ -390,7 +387,6 @@ class Campaign:
                                   sanitize=sanitize, checkpoints=checkpoints,
                                   progress=progress, on_outcome=on_outcome)
                 report.batches.append(batch)
-                report.batch_offsets.append(offset)
                 report.executed += len(claimed)
                 for outcome in batch.outcomes:
                     if outcome.result is None \
@@ -398,7 +394,7 @@ class Campaign:
                         failed_this_run.add(claimed[outcome.index].id)
                 store.refresh()
                 records = store.journal_records
-                if records >= compact_every and store.compact():
+                if records >= DEFAULT_COMPACT_EVERY and store.compact():
                     event("journal.compact", records=records)
                 if fail_fast and failed_this_run:
                     break

@@ -2,22 +2,21 @@
 
 A :class:`DesignEnv` carries everything about *how* a campaign runs that is
 not part of the experimental design itself — grid scale, workload seed, the
-baseline hardware configuration, telemetry riders and the simulator
-backend.  Separating it from :class:`~repro.design.design.Design` is what
-makes designs reusable: the same factorial declaration compiles to the
-quick smoke matrix at ``scale=0.02`` and to the full evaluation at
-``scale=1.0`` without being rewritten.
+baseline hardware configuration and telemetry riders.  Separating it from
+:class:`~repro.design.design.Design` is what makes designs reusable: the
+same factorial declaration compiles to the quick smoke matrix at
+``scale=0.02`` and to the full evaluation at ``scale=1.0`` without being
+rewritten.
 
 :meth:`DesignEnv.job` is the single job-construction path shared by the
 design layer and :class:`~repro.harness.experiments.ExperimentContext`,
 which owns one environment and builds every job through it.  Both produce
-byte-identical :class:`~repro.harness.jobs.SimJob` descriptions (including
-the vector-backend fallback for warp schedulers the vector core does not
-implement), which is what keeps design-compiled campaigns and hand-driven
-experiments in the same result-cache universe.  The environment hands out
-one job object per distinct cell, on its own hardware or any other
-(``config=``), so a cell that a plan and a driver's ``ctx.run`` both name is
-built and fingerprinted once.
+byte-identical :class:`~repro.harness.jobs.SimJob` descriptions, which is
+what keeps design-compiled campaigns and hand-driven experiments in the
+same result-cache universe.  The environment hands out one job object per
+distinct cell, on its own hardware or any other (``config=``), so a cell
+that a plan and a driver's ``ctx.run`` both name is built and
+fingerprinted once.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Sequence
 
 from ..harness.jobs import SimJob
 from ..sim.config import GPUConfig
-from ..sim.vector import vector_supported
 from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import make_kernel
 
@@ -36,25 +34,16 @@ def build_job(*, names: str | Sequence[str], scale: float, seed: int,
               config: GPUConfig, warp: str | tuple = "gto",
               policy: tuple = ("rr",),
               scale_mults: Sequence[float] | None = None,
-              timeline_window: int | None = None, trace: bool = False,
-              backend: str = "object") -> SimJob:
-    """The one true :class:`SimJob` constructor for declarative layers.
-
-    Applies the vector-backend fallback: warp schedulers the vector core
-    does not implement (two-level, swl) run on the object core.  Results
-    are bitwise-identical either way, so tables and fingerprints are
-    unaffected.
-    """
+              timeline_window: int | None = None,
+              trace: bool = False) -> SimJob:
+    """The one true :class:`SimJob` constructor for declarative layers."""
     if isinstance(names, str):
         names = (names,)
-    if backend == "vector" and not vector_supported(warp):
-        backend = "object"
     return SimJob(names=tuple(names), scale=scale, seed=seed,
                   scale_mults=(tuple(scale_mults)
                                if scale_mults is not None else None),
                   warp=warp, policy=policy, config=config,
-                  timeline_window=timeline_window, trace=trace,
-                  backend=backend)
+                  timeline_window=timeline_window, trace=trace)
 
 
 @dataclass
@@ -66,7 +55,6 @@ class DesignEnv:
     config: GPUConfig = field(default_factory=GPUConfig)
     timeline_window: int | None = None
     trace: bool = False
-    backend: str = "object"
     # Memos of this environment's lifetime; neither takes part in ==.
     _occupancy: dict[tuple, int] = field(default_factory=dict, repr=False,
                                          compare=False)
@@ -112,7 +100,7 @@ class DesignEnv:
                             config=config, warp=warp, policy=policy,
                             scale_mults=scale_mults,
                             timeline_window=self.timeline_window,
-                            trace=self.trace, backend=self.backend)
+                            trace=self.trace)
             self._jobs[key] = job
         return job
 
@@ -131,7 +119,6 @@ class DesignEnv:
                        for f in dc_fields(self.config)},
             "timeline_window": self.timeline_window,
             "trace": self.trace,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -147,8 +134,9 @@ class DesignEnv:
 
     @classmethod
     def from_payload(cls, data: dict) -> "DesignEnv":
+        """The environment a campaign manifest recorded; a key this
+        version no longer reads (an older manifest's) is ignored."""
         return cls(scale=data["scale"], seed=data["seed"],
                    config=GPUConfig(**data["config"]),
                    timeline_window=data.get("timeline_window"),
-                   trace=bool(data.get("trace", False)),
-                   backend=data.get("backend", "object"))
+                   trace=bool(data.get("trace", False)))

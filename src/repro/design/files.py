@@ -50,7 +50,7 @@ from typing import Any, Mapping
 from .design import Block, Design, DesignError, Factor, Override
 
 #: [design.env] keys a file may pin (merged over the CLI environment).
-ENV_KEYS = ("scale", "seed", "backend", "timeline_window", "trace")
+ENV_KEYS = ("scale", "seed", "timeline_window", "trace")
 
 #: The string that encodes None in TOML files (TOML has no null).
 NONE_SENTINEL = "none"

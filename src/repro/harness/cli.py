@@ -189,8 +189,7 @@ def _parse_args(argv: Sequence[str] | None):
     if args.design:
         design, env_overrides = load_design_file(parser, args.design)
         env = DesignEnv.merged(env_overrides, scale=args.scale,
-                               seed=args.seed, backend=args.backend,
-                               timeline_window=args.timeline,
+                               seed=args.seed, timeline_window=args.timeline,
                                trace=bool(args.trace))
         try:
             campaign = Campaign.open(design, env, root=args.campaign_dir)
@@ -399,8 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                             trace=bool(args.trace),
                             retries=retries, timeout=args.timeout,
                             fail_fast=args.fail_fast, faults=faults,
-                            sanitize=args.sanitize, checkpoints=checkpoints,
-                            backend=args.backend)
+                            sanitize=args.sanitize, checkpoints=checkpoints)
     total_started = time.perf_counter()
     # Plan phase: the requested experiments run as a single deduplicated
     # engine batch (their designs share baselines and whole sweeps), so

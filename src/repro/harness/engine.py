@@ -183,12 +183,15 @@ class BatchReport:
     ``outcomes`` is in input order, one entry per job.  ``events`` is the
     engine's own trace (retries, timeouts, worker respawns, cache write
     errors) as plain dicts ``{"kind", "t", "payload"}`` with ``t`` in
-    seconds since the batch started — exportable next to the simulators'
-    cycle-domain traces (see ``repro.telemetry.trace``).
+    seconds since the batch started (``started``, a ``time.monotonic()``
+    reading) — exportable next to the simulators' cycle-domain traces
+    (see ``repro.telemetry.trace``); :func:`rebased_events` puts several
+    batches on one time base.
     """
 
     outcomes: list[JobOutcome] = field(default_factory=list)
     events: list[dict[str, Any]] = field(default_factory=list)
+    started: float = 0.0
     elapsed: float = 0.0
     #: Corrupt checkpoint files quarantined by workers during this batch
     #: (worker-process counts, threaded back via the attempts).
@@ -234,6 +237,14 @@ class BatchReport:
             parts.append(f"{self.checkpoint_corrupt} corrupt checkpoint(s) "
                          f"quarantined")
         return ", ".join(parts)
+
+
+def rebased_events(reports: Iterable[BatchReport],
+                   origin: float) -> list[dict[str, Any]]:
+    """Every report's events, with ``t`` in seconds since ``origin`` (a
+    ``time.monotonic()`` reading) instead of since its own batch's start."""
+    return [{**event, "t": event["t"] + report.started - origin}
+            for report in reports for event in report.events]
 
 
 # --------------------------------------------------------------------------- #
@@ -650,6 +661,7 @@ def run_batch(jobs: Iterable[SimJob], *, workers: int = 1,
             raise errors[0]
 
     report = BatchReport(outcomes=state.outcomes, events=state.events,
+                         started=state.started,
                          elapsed=time.monotonic() - state.started,
                          checkpoint_corrupt=state.checkpoint_corrupt)
     state.event("batch.end", summary=report.summary_line())

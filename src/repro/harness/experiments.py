@@ -42,7 +42,7 @@ from ..workloads.suite import (CKE_PAIRS, LCS_SET, LOCALITY_SET,
 from .cache import ResultCache
 from .checkpoints import CheckpointPlan
 from .engine import (DEFAULT_RETRIES, BatchReport, JobExecutionError,
-                     JobOutcome, run_batch)
+                     JobOutcome, rebased_events, run_batch)
 from .faults import FaultPlan
 from .jobs import SimJob
 from .metrics import cke_metrics
@@ -99,10 +99,6 @@ class ExperimentContext:
     # checkpoint/resume plan.  Neither changes results or fingerprints.
     sanitize: bool | None = None
     checkpoints: CheckpointPlan | None = None
-    # Simulator core for every job this context builds ('object' or
-    # 'vector').  Not fingerprint-relevant: the backends are
-    # bitwise-identical by contract, so tables are too.
-    backend: str = "object"
     # Engine reports accumulate here, one per batch, so a CLI failure
     # summary sees everything.
     reports: list[BatchReport] = field(default_factory=list, repr=False)
@@ -119,7 +115,7 @@ class ExperimentContext:
         self._env = DesignEnv(scale=self.scale, seed=self.seed,
                               config=self.config,
                               timeline_window=self.timeline_window,
-                              trace=self.trace, backend=self.backend)
+                              trace=self.trace)
 
     # ------------------------------------------------------------------ #
     def kernel(self, name: str, scale_mult: float = 1.0) -> Kernel:
@@ -141,10 +137,9 @@ class ExperimentContext:
 
         Delegates to this context's :class:`~repro.design.DesignEnv` — the
         single job construction path shared with the design compiler — so
-        a design cell and a hand-built run can never drift apart
-        (vector-backend fallback included), and both get the same job
-        object.  ``config`` names other hardware; every other setting
-        (scale, seed, telemetry riders, backend) is the context's.
+        a design cell and a hand-built run can never drift apart, and both
+        get the same job object.  ``config`` names other hardware; every
+        other setting (scale, seed, telemetry riders) is the context's.
         """
         return self._env.job(names, warp=warp, policy=policy,
                              scale_mults=scale_mults, config=config)
@@ -263,8 +258,10 @@ class ExperimentContext:
 
     def engine_events(self) -> list[dict]:
         """The engine's own trace events (retries, timeouts, respawns)
-        across all batches, in batch order."""
-        return [event for report in self.reports for event in report.events]
+        across all batches, timed from the first batch's start."""
+        if not self.reports:
+            return []
+        return rebased_events(self.reports, self.reports[0].started)
 
 
 def _execution_error(outcome: JobOutcome) -> JobExecutionError:

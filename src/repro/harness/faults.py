@@ -104,8 +104,10 @@ accept ``--faults SPEC``, and :meth:`FaultPlan.from_env` reads the
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,12 +227,21 @@ def _parse_partition_groups(spec: str) -> tuple[frozenset, frozenset]:
     return groups[0], groups[1]
 
 
+def _remove_state_dir(path: str, owner: int) -> None:
+    """Remove a plan's temporary state directory, in its maker only."""
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 class FaultPlan:
     """A picklable schedule of injected faults, shared with workers.
 
     Forked pool workers inherit the plan; the *fired-once* state lives in
     ``state_dir`` marker files so it is shared across processes and
-    across worker respawns.
+    across worker respawns.  A plan built without a ``state_dir`` makes
+    a temporary one, which the process that made it removes when the
+    plan is dropped or the process exits; forked workers and unpickled
+    copies share it and never remove it, nor is a given one removed.
     """
 
     def __init__(self, faults: list[Fault] | tuple[Fault, ...],
@@ -238,6 +249,8 @@ class FaultPlan:
         self.faults = tuple(faults)
         if state_dir is None:
             state_dir = tempfile.mkdtemp(prefix="repro-faults-")
+            weakref.finalize(self, _remove_state_dir, state_dir,
+                             os.getpid())
         self.state_dir = state_dir
 
     def __repr__(self) -> str:

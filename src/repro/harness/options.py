@@ -17,7 +17,6 @@ from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .checkpoints import DEFAULT_CHECKPOINT_DIR, CheckpointPlan
 from .engine import DEFAULT_RETRIES, default_workers
 from .faults import ENV_SPEC, FaultPlan, FaultSpecError
-from .validate import VALID_BACKENDS
 
 
 def _range(holds, rule: str) -> type[argparse.Action]:
@@ -73,12 +72,6 @@ def add_run_options(parser: argparse.ArgumentParser) -> None:
                              "full size, slower)")
     parser.add_argument("--seed", type=int, action=at_least(0),
                         default=DEFAULT_SEED, help="workload random seed")
-    parser.add_argument("--backend", default="object",
-                        choices=VALID_BACKENDS,
-                        help="simulator core: 'object' (reference) or "
-                             "'vector' (bitwise-identical, faster; lrr, gto "
-                             "and baws warp schedulers only) "
-                             "(default object)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache "
                              f"({DEFAULT_CACHE_DIR}/)")
@@ -120,10 +113,6 @@ def run_settings(parser: argparse.ArgumentParser, args: argparse.Namespace
                             CheckpointPlan | None, int]:
     """The cache, fault plan, checkpoint plan and retry count that the
     :func:`add_run_options` options ask for."""
-    if args.backend == "vector" and args.checkpoint_interval is not None:
-        parser.error("the vector backend does not support checkpoint/"
-                     "resume; drop --checkpoint-interval or use "
-                     "--backend object")
     checkpoints = (CheckpointPlan(interval=args.checkpoint_interval,
                                   root=args.checkpoint_dir)
                    if args.checkpoint_interval is not None else None)

@@ -14,8 +14,7 @@ from ..core.cta_schedulers import CTAScheduler, RoundRobinCTAScheduler
 from ..sim.checkpoint import CheckpointRecorder, Snapshot
 from ..sim.config import GPUConfig
 from ..sim.gpu import GPU
-from ..sim.invariants import (DEFAULT_SANITIZE_INTERVAL, ENV_SANITIZE,
-                              InvariantSanitizer)
+from ..sim.invariants import ENV_SANITIZE, InvariantSanitizer
 from ..sim.kernel import Kernel
 from ..sim.stats import CacheStats, RunResult
 from ..telemetry.hub import TelemetryHub
@@ -29,7 +28,6 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
              telemetry: TelemetryHub | None = None,
              wall_timeout: float | None = None,
              sanitize: bool | None = None,
-             sanitize_interval: int | None = None,
              checkpoint: CheckpointRecorder | None = None,
              resume_from: Snapshot | None = None,
              saboteur=None,
@@ -67,8 +65,7 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
     sanitize:
         Arm the in-flight invariant sanitizer
         (:mod:`repro.sim.invariants`): conservation laws are checked every
-        ``sanitize_interval`` cycles (default
-        :data:`~repro.sim.invariants.DEFAULT_SANITIZE_INTERVAL`) and a
+        :data:`~repro.sim.invariants.DEFAULT_SANITIZE_INTERVAL` cycles and a
         violation raises a typed ``InvariantViolation``.  ``None`` (the
         default) defers to the ``REPRO_SANITIZE`` environment variable so
         CI can sanitize whole suites.  A clean sanitized run is
@@ -140,10 +137,7 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
 
     if sanitize is None:
         sanitize = bool(os.environ.get(ENV_SANITIZE, "").strip())
-    sanitizer = None
-    if sanitize:
-        sanitizer = InvariantSanitizer(
-            interval=sanitize_interval or DEFAULT_SANITIZE_INTERVAL)
+    sanitizer = InvariantSanitizer() if sanitize else None
     gpu.run(None if resume_from is not None else cta_scheduler,
             wall_timeout=wall_timeout, sanitizer=sanitizer,
             checkpoint=checkpoint, saboteur=saboteur,

@@ -39,7 +39,6 @@ from typing import Sequence
 from ..core.warp_schedulers import available_warp_schedulers
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationTimeout
-from ..sim.vector import VECTOR_WARP_SCHEDULERS, vector_supported
 from ..sim.stats import RunResult
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.trace import write_trace
@@ -165,12 +164,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         policy = _policy_descriptor(args.policy)
         warp = _warp_descriptor(args.warp)
-        if args.backend == "vector" and not vector_supported(warp):
-            raise ValueError(
-                f"warp scheduler {args.warp!r} is not supported by the "
-                f"vector backend (supported: "
-                f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}); use "
-                "--backend object")
         if trace_file:
             kernel = load_kernel_trace(args.kernel)
             policy = build_policy(policy, [kernel])
@@ -178,8 +171,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             job = SimJob(names=(args.kernel,), scale=args.scale,
                          seed=args.seed, warp=warp, policy=policy,
-                         config=config, backend=args.backend,
-                         timeline_window=window, trace=bool(args.trace))
+                         config=config, timeline_window=window,
+                         trace=bool(args.trace))
             job.check()
             kernel = job.build_kernels()[0]
     except (ValueError, OSError) as error:
@@ -190,8 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     occupancy = kernel.max_ctas_per_sm(config)
     print(f"kernel {kernel.name}: {kernel.num_ctas} CTAs x "
           f"{kernel.warps_per_cta} warps, occupancy {occupancy} CTAs/SM, "
-          f"config {args.config}, warp {args.warp}, policy {args.policy}, "
-          f"backend {args.backend}\n")
+          f"config {args.config}, warp {args.warp}, policy {args.policy}\n")
 
     if trace_file:
         try:
@@ -200,7 +192,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                               telemetry=TelemetryHub(window=window,
                                                      trace=bool(args.trace)),
                               wall_timeout=args.timeout,
-                              sanitize=args.sanitize, backend=args.backend)
+                              sanitize=args.sanitize)
         except SimulationTimeout as error:
             print(f"error: simulation timed out ({error})", file=sys.stderr)
             return 1

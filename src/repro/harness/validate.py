@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..sim.stats import RunResult
 
-#: Simulator cores selectable via ``--backend`` / ``SimJob.backend``.
+#: Simulator cores selectable via ``SimJob.backend`` / ``simulate(backend=)``.
 #: ``object`` is the per-object reference core; ``vector`` the
 #: array-oriented core (see :mod:`repro.sim.vector`).
 VALID_BACKENDS = ("object", "vector")

@@ -50,7 +50,6 @@ from ..harness.faults import FaultPlan
 from ..harness.jobs import JobError
 from ..harness.options import (Positive, at_least, fault_plan, fault_spec,
                                load_design_file)
-from ..harness.validate import VALID_BACKENDS
 from .cluster import parse_address
 from .daemon import DEFAULT_STATE_DIR, SOCKET_NAME
 from .protocol import (DONE, FAILED, QUARANTINED, SHED, ProtocolError,
@@ -348,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="design environment scale (default 1.0)")
     parser.add_argument("--seed", type=int, action=at_least(0), default=None,
                         help="design environment seed override")
-    parser.add_argument("--backend", default=None, choices=VALID_BACKENDS,
-                        help="design environment backend override")
     parser.add_argument("--no-wait", action="store_true",
                         help="submit and exit without watching for results")
     parser.add_argument("--status", action="store_true",
@@ -377,8 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("a design file is required "
                          "(or --status / --drain)")
         design, overrides = load_design_file(parser, args.design)
-        env = DesignEnv.merged(overrides, scale=args.scale, seed=args.seed,
-                               backend=args.backend)
+        env = DesignEnv.merged(overrides, scale=args.scale, seed=args.seed)
         try:
             digest = design.digest(env)
             cells = design.compile(env)

@@ -143,7 +143,8 @@ class SchedulerDaemon:
 
         self.worker_id = f"serve-{int(time.time())}"
         #: The durable queue.  The in-flight set and the in-band retry
-        #: counts are this incarnation's own, never journaled.
+        #: counts (of jobs not yet settled) are this incarnation's own,
+        #: never journaled.
         self.table = JobStore(self.state_dir, worker=self.worker_id)
         self._running: set[str] = set()
         self._retries: dict[str, int] = {}
@@ -165,7 +166,10 @@ class SchedulerDaemon:
         self.shed_count = 0
         self.frames_received = 0
         self.dispatched = 0
-        self.events: list[dict[str, Any]] = []
+        #: This incarnation's events, kept in memory only for --trace;
+        #: events.jsonl is their durable record.
+        self.events: list[dict[str, Any]] | None = (
+            [] if self.trace_path is not None else None)
         self._events_journal = Journal(self.state_dir / EVENTS_JOURNAL,
                                        worker=self.worker_id)
         self._kick = asyncio.Event()
@@ -194,9 +198,10 @@ class SchedulerDaemon:
 
     def event(self, kind: str, **payload: Any) -> None:
         """One scheduling event: trace lane + durable events journal."""
-        self.events.append({"kind": kind,
-                            "t": time.monotonic() - self.started,
-                            "payload": payload})
+        if self.events is not None:
+            self.events.append({"kind": kind,
+                                "t": time.monotonic() - self.started,
+                                "payload": payload})
         self._events_journal.append("event", kind=kind, **payload)
 
     # ------------------------------------------------------------------ #
@@ -363,6 +368,7 @@ class SchedulerDaemon:
                 continue
             job = self.table.jobs[job_id]
             if job.state in TERMINAL:
+                self._retries.pop(job_id, None)   # settled by a peer
                 continue
             if self.breaker.is_open(job.fingerprint) \
                     and self._probes.get(job.fingerprint) != job.id:
@@ -469,6 +475,7 @@ class SchedulerDaemon:
         else:
             payload["error"] = (error or "")[:500] or None
         self.table.append(kind, **payload)
+        self._retries.pop(job.id, None)
         self.event(f"job.{kind}", id=job.id, cached=cached)
         if state == DONE and self.breaker.record_success(job.fingerprint):
             self._probes.pop(job.fingerprint, None)

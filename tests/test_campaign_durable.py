@@ -16,6 +16,7 @@ import pytest
 
 from repro.design import (Campaign, CampaignError, Design, DesignEnv,
                           Factor, Job, JobStore, Journal, replay_journal)
+from repro.design import campaign as campaign_module
 from repro.design.campaign import _META
 from repro.design.journal import JOURNAL_NAME, SNAPSHOT_NAME
 from repro.harness.cache import ResultCache
@@ -120,17 +121,19 @@ class TestLeaseProtocol:
 class TestShardedRuns:
     def test_two_workers_split_one_campaign_in_process(self, tmp_path):
         # Interleave two shard-mode run() calls by hand: worker A claims
-        # chunk-by-chunk, so worker B always finds work until the
-        # campaign drains; every cell ends done exactly once.
+        # one cell per pool worker at a time, so worker B always finds
+        # work until the campaign drains; every cell ends done exactly
+        # once.
         env = DesignEnv(scale=TINY)
         cache = ResultCache(tmp_path / "cache")
         design = _design(("kmeans", "streaming", "compute"))
         a = Campaign.open(design, env, root=tmp_path / "c")
-        ra = a.run(cache=cache, worker_id="A", shard=True, claim_chunk=1)
+        ra = a.run(cache=cache, worker_id="A", shard=True)
         b = Campaign.open(design, env, root=tmp_path / "c")
-        rb = b.run(cache=cache, worker_id="B", shard=True, claim_chunk=1)
+        rb = b.run(cache=cache, worker_id="B", shard=True)
         assert ra.ok and rb.ok
-        assert ra.executed == 3 and rb.executed == 0 and rb.resumed == 3
+        assert ra.executed == 3 and len(ra.batches) == 3
+        assert rb.executed == 0 and rb.resumed == 3
         assert b.store.refresh().duplicate_done == 0
 
 
@@ -263,11 +266,12 @@ class TestCompaction:
         assert campaign.store.compact() is False
         assert campaign.store.compact(force=True) is True
 
-    def test_auto_compaction_during_run(self, tmp_path):
+    def test_auto_compaction_during_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaign_module, "DEFAULT_COMPACT_EVERY", 1)
         env = DesignEnv(scale=TINY)
         cache = ResultCache(tmp_path / "cache")
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        report = campaign.run(cache=cache, compact_every=1)
+        report = campaign.run(cache=cache)
         assert report.ok
         assert any(e["kind"] == "journal.compact" for e in report.events)
         resumed = Campaign.open(_design(), env, root=tmp_path / "c")

@@ -1,5 +1,7 @@
 """Tests for the repro-exp command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from helpers import usage_error
@@ -204,14 +206,43 @@ def test_every_ranged_option_is_refused_before_anything_runs(
     (["--clean-state", "e99"], "unknown experiment ids: ['e99']"),
     (["--clear-cache", "--shard"], "apply to campaigns; pass --design"),
     (["--list", "--worker-id", "w"], "apply to campaigns; pass --design"),
-    (["--clean-state", "e3", "--backend", "vector",
-      "--checkpoint-interval", "5"],
-     "the vector backend does not support checkpoint/resume"),
 ])
 def test_cross_option_refusals_come_before_any_state_is_touched(
         cache_entry, capsys, argv, message):
     assert message in usage_error(main, argv, capsys)
     assert cache_entry.exists()
+
+
+def test_no_cli_or_design_file_selects_a_simulator_core(
+        tmp_path, cache_entry, monkeypatch, capsys):
+    # The vector core is reachable only through SimJob.backend (the
+    # parity gates and the benchmarks); no flag and no [design.env] key
+    # of repro-exp, repro-sim or repro-submit selects it.
+    from repro.harness import simcli
+    from repro.service import client as submit_cli
+
+    def connect(*args, **kwargs):
+        raise AssertionError("repro-submit connected on a usage error")
+
+    monkeypatch.setattr(submit_cli, "ServiceClient", connect)
+    design = tmp_path / "pinned.toml"
+    design.write_text('[design]\nname = "pinned"\n\n'
+                      '[[design.factor]]\nname = "bench"\n'
+                      'levels = ["kmeans"]\n\n'
+                      '[design.env]\nscale = 0.02\nbackend = "vector"\n')
+    for cli, argv in ((main, ["--design", str(design)]),
+                      (submit_cli.main, [str(design)])):
+        assert "unknown [design.env] keys ['backend']" in usage_error(
+            cli, argv, capsys)
+    example = str(Path(__file__).resolve().parents[1] / "examples"
+                  / "lcs_threshold.toml")
+    for cli, argv in ((submit_cli.main, [example]), (main, ["e3"]),
+                      (simcli.main, ["kmeans"])):
+        assert "unrecognized arguments: --backend vector" in usage_error(
+            cli, [*argv, "--backend", "vector"], capsys)
+    assert cache_entry.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) \
+        == [".repro-cache", "pinned.toml"]
 
 
 def test_bad_env_fault_spec_is_a_usage_error(monkeypatch, capsys):
@@ -300,9 +331,8 @@ def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
     design.write_text('[design]\nname = "pinned"\n\n'
                       '[[design.factor]]\nname = "bench"\n'
                       'levels = ["kmeans"]\n\n'
-                      '[design.env]\nscale = 0.02\nseed = 5\n'
-                      'backend = "object"\n')
-    flags = ["--seed", "9", "--backend", "vector"]
+                      '[design.env]\nscale = 0.02\nseed = 5\n')
+    flags = ["--seed", "9", "--scale", "0.5"]
     assert main(["--design", str(design), "--no-cache", *flags]) == 0
     store, = (tmp_path / DEFAULT_CAMPAIGN_ROOT).iterdir()
     campaign = Campaign.load(store)
@@ -322,7 +352,7 @@ def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
 
     monkeypatch.setattr(submit_cli, "ServiceClient", Recorder)
     submit_cli.main([str(design), "--no-wait", *flags])
-    assert [job.seed for job in submitted] == [5]
+    assert [(job.scale, job.seed) for job in submitted] == [(0.02, 5)]
     assert [job.fingerprint() for job in submitted] \
         == [cell.fingerprint for cell in campaign.cells]
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.design import (Campaign, Design, DesignEnv, DesignError, Factor,
-                          Override, build_job, load_design, parse_design,
+                          Override, load_design, parse_design,
                           serialize_design)
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import (EXPERIMENT_DESIGNS, ExperimentContext,
@@ -158,15 +158,6 @@ class TestDesignCompile:
             assert len(set(labels)) == len(labels), f"{exp_id}: dup labels"
         assert counts["e12"] == 0
 
-    def test_vector_fallback_single_construction_path(self):
-        job = build_job(names="kmeans", scale=TINY, seed=1,
-                        config=GPUConfig(), warp="two-level",
-                        backend="vector")
-        assert job.backend == "object"
-        job = build_job(names="kmeans", scale=TINY, seed=1,
-                        config=GPUConfig(), warp="gto", backend="vector")
-        assert job.backend == "vector"
-
 
 # --------------------------------------------------------------------------- #
 # design files: round trip
@@ -316,6 +307,24 @@ class TestCampaign:
             assert SimJob.from_payload(cell.job).fingerprint() \
                 == cell.fingerprint
 
+    def test_a_store_whose_env_names_a_core_resumes(self, tmp_path):
+        # Manifests written while the environment still chose a simulator
+        # core carry "backend" in their env: they load, the key is
+        # ignored, and the campaign resumes in the same directory.
+        env = DesignEnv(scale=TINY)
+        cache = ResultCache(tmp_path / "cache")
+        campaign = Campaign.open(_tiny_design(), env, root=tmp_path / "c")
+        campaign.run(cache=cache)
+        meta = campaign.path / "meta.json"
+        data = json.loads(meta.read_text())
+        data["env"]["backend"] = "object"
+        meta.write_text(json.dumps(data))
+        assert DesignEnv.from_payload(data["env"]) == env
+        again = Campaign.open(_tiny_design(), env, root=tmp_path / "c")
+        assert again.path == campaign.path
+        report = again.run(cache=cache)
+        assert report.executed == 0 and report.resumed == 2
+
 
 # --------------------------------------------------------------------------- #
 # context integration: one memo across hardware + cross-experiment dedup
@@ -329,13 +338,13 @@ class TestContextIntegration:
         ctx = ExperimentContext(scale=TINY, seed=3, jobs=2,
                                 timeline_window=500, trace=True, retries=5,
                                 timeout=12.5, fail_fast=True,
-                                sanitize=True, backend="vector")
+                                sanitize=True)
         kepler = GPUConfig.kepler_class()
         job = ctx.job("kmeans", config=kepler)
         assert job.config == kepler
         assert job == dataclasses.replace(ctx.job("kmeans"), config=kepler)
-        assert (job.scale, job.seed, job.timeline_window, job.trace,
-                job.backend) == (TINY, 3, 500, True, "vector")
+        assert (job.scale, job.seed, job.timeline_window, job.trace) \
+            == (TINY, 3, 500, True)
 
     def test_run_on_other_hardware_is_one_batch(self):
         ctx = ExperimentContext(scale=TINY)

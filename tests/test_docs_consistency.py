@@ -131,3 +131,10 @@ def test_documented_command_lines_parse(capsys):
             refused.append(f"{where}: {' '.join(argv)}: "
                            f"{capsys.readouterr().err.splitlines()[-1]}")
     assert not refused, "\n".join(refused)
+
+
+def test_documented_design_env_keys_are_the_accepted_ones():
+    from repro.design import ENV_KEYS
+    text = " ".join((ROOT / "docs" / "DESIGNS.md").read_text().split())
+    pinned = re.search(r"`\[design\.env\]` may pin (.*?);", text).group(1)
+    assert re.findall(r"`(\w+)`", pinned) == list(ENV_KEYS)

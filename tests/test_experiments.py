@@ -1,5 +1,7 @@
 """Tests for the experiment drivers (tiny scale: mechanics, not shapes)."""
 
+import time
+
 import pytest
 
 from repro.design import Design
@@ -43,6 +45,18 @@ class TestContext:
         best, run = ctx.oracle_best("kmeans")
         assert 1 <= best <= ctx.occupancy("kmeans")
         assert run.cycles > 0
+
+    def test_engine_lane_runs_batches_one_after_another(self):
+        # Each batch times its events from its own start; the lane puts
+        # them all on the first batch's clock.
+        ctx = ExperimentContext(scale=TINY, config=GPUConfig.small())
+        ctx.prefetch([ctx.job("kmeans")])
+        time.sleep(0.5)
+        ctx.prefetch([ctx.job("streaming")])
+        lane = ctx.engine_events()
+        assert [event["kind"] for event in lane] \
+            == ["batch.start", "batch.end"] * 2
+        assert lane[2]["t"] >= lane[1]["t"] + 0.5
 
 
 class TestDrivers:

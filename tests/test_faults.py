@@ -6,10 +6,13 @@ exercised here by injecting the corresponding failure at a known point
 with :class:`repro.harness.faults.FaultPlan`.
 """
 
+import gc
 import multiprocessing
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,45 @@ class TestFaultPlanParsing:
         assert plan.journal_post_append(1) == ["torn-tail",
                                                "corrupt-journal"]
         assert plan.journal_post_append(1) == []   # marker files: once
+
+
+class TestStateDirectory:
+    """A plan that makes its own state directory removes it."""
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_a_faults_cli_run_leaves_no_state_directory(
+            self, tempdir, monkeypatch, capsys):
+        from repro.harness.simcli import main
+        monkeypatch.chdir(tempdir)
+        assert main(["kmeans", "--scale", "0.05", "--config", "small",
+                     "--no-cache", "--faults", "fail:0"]) == 1
+        assert "InjectedFault" in capsys.readouterr().err
+        gc.collect()
+        assert not list(tempdir.glob("repro-faults-*"))
+
+    def test_a_pool_batch_recovers_then_its_directory_goes(self, tempdir):
+        plan = FaultPlan.parse("flaky:0")
+        state = Path(plan.state_dir)
+        assert state.parent == tempdir
+        report = run_batch(_jobs(2), workers=2, faults=plan)
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]
+        assert report.outcomes[0].attempts == 2
+        # The forked workers dropped their copies without removing it.
+        assert (state / "fired-flaky-0").exists()
+        del plan
+        gc.collect()
+        assert not list(tempdir.glob("repro-faults-*"))
+
+    def test_a_given_state_directory_survives(self, tmp_path):
+        plan = _plan("flaky:0", tmp_path)
+        assert run_batch(_jobs(1), faults=plan).outcomes[0].attempts == 2
+        del plan
+        gc.collect()
+        assert (tmp_path / "fault-state" / "fired-flaky-0").exists()
 
 
 # --------------------------------------------------------------------------- #

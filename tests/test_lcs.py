@@ -184,15 +184,6 @@ class TestLCSEndToEnd:
             LCSScheduler([make_test_kernel(name="a"),
                           make_test_kernel(name="b")])
 
-    def test_threshold_alias_parameter(self):
-        scheduler = LCSScheduler(make_test_kernel(), threshold=0.3)
-        assert scheduler.monitor.rule == "threshold"
-        assert scheduler.monitor.param == 0.3
-
-    def test_threshold_and_param_conflict(self):
-        with pytest.raises(ValueError):
-            LCSScheduler(make_test_kernel(), threshold=0.3, param=0.5)
-
     def test_lcs_beats_baseline_on_cache_sensitive_suite_kernel(self):
         # The headline behaviour at reduced scale on the real config.
         config = GPUConfig()

@@ -31,7 +31,8 @@ from repro.harness.faults import FaultPlan, child_env
 from repro.harness.jobs import JobError, SimJob
 from repro.harness.pool import WorkerPool
 from repro.service.client import ServiceClient, ServiceError, _exit_code
-from repro.service.daemon import QUEUE_JOURNAL, SchedulerDaemon, main
+from repro.service.daemon import (EVENTS_JOURNAL, QUEUE_JOURNAL,
+                                  SchedulerDaemon, main)
 from repro.service.protocol import (DONE, FAILED, QUARANTINED, QUEUED,
                                     SHED, TERMINAL)
 from repro.sim.config import GPUConfig
@@ -124,6 +125,30 @@ class TestDaemonLifecycle:
         assert kinds.count(("done", "t:0")) == 1
         assert kinds.count(("done", "t:1")) == 1
         assert not (tmp_path / "state" / "snapshot.json").exists()
+
+    def test_a_settled_job_leaves_no_event_or_retry_count_behind(
+            self, tmp_path):
+        # Without --trace the events live only in events.jsonl, and the
+        # in-band retry count of a job goes when the job settles.
+        plan = FaultPlan.parse("flaky:0", state_dir=str(tmp_path / "faults"))
+        daemon, thread, outcome = _start(tmp_path, faults=plan)
+        try:
+            with ServiceClient(daemon.socket_path) as client:
+                client.submit("r:0", _job(seed=53).to_payload())
+                assert client.watch(["r:0"])["r:0"]["state"] == DONE
+                assert not daemon.events
+                assert daemon._retries == {}
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        kinds = [record.get("kind") for record in replay_journal(
+            tmp_path / "state" / EVENTS_JOURNAL).records]
+        assert kinds.count("job.requeue") == 1 and "job.done" in kinds
+        (tmp_path / "traced").mkdir()
+        traced = SchedulerDaemon(state_dir=tmp_path / "traced",
+                                 trace=tmp_path / "trace.json",
+                                 log=io.StringIO())
+        traced.event("probe")
+        assert [event["kind"] for event in traced.events] == ["probe"]
 
     def test_out_of_range_job_is_refused_at_admission(self, tmp_path):
         # ("static", 0) has a valid shape but no worker could run it: it
@@ -650,7 +675,7 @@ class TestSubmitOptions:
     @pytest.mark.parametrize("argv, message", [
         (["--scale", "0"], "--scale must be > 0, got 0.0"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
-        (["--backend", "bogus"], "argument --backend: invalid choice"),
+        (["--backend", "vector"], "unrecognized arguments: --backend"),
         (["--faults", "explode:0"], "argument --faults: bad fault spec"),
     ])
     def test_out_of_range_option_exits_2(self, capsys, submit, argv,

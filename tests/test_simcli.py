@@ -101,10 +101,6 @@ def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
     (["--faults", "garbage"], "argument --faults: bad fault spec"),
     (["--trace", "t.json", "--faults", "garbage",
       "--checkpoint-interval", "0"], "bad fault spec"),
-    (["--backend", "vector", "--checkpoint-interval", "5"],
-     "the vector backend does not support checkpoint/resume"),
-    (["--backend", "vector", "--warp", "two-level"],
-     "'two-level' is not supported by the vector backend"),
 ])
 def test_every_ranged_option_is_refused_before_the_header(capsys, argv,
                                                           message):
@@ -253,31 +249,15 @@ POLICY_SPECS = ["rr", "static:2", "lcs", "bcs:2", "lcs+bcs:2", "dyncta"]
 WARP_SPECS = ["lrr", "two-level", "swl:4"]
 
 
-def _engine_and_live(tmp_path, capsys, argv):
-    """Stdout of a plain run and of a run with ``--trace`` for the same
-    arguments."""
+@pytest.mark.parametrize("warp", WARP_SPECS)
+@pytest.mark.parametrize("policy", POLICY_SPECS)
+def test_live_path_prints_engine_summary(tmp_path, capsys, policy, warp):
+    argv = ["kmeans", "--scale", "0.03", "--config", "small",
+            "--policy", policy, "--warp", warp]
     assert main(argv + ["--no-cache"]) == 0
     engine = capsys.readouterr().out
     trace = tmp_path / "trace.jsonl"
     assert main(argv + ["--trace", str(trace)]) == 0
-    live = capsys.readouterr().out
-    return engine, live, trace
-
-
-@pytest.mark.parametrize("warp", WARP_SPECS)
-@pytest.mark.parametrize("policy", POLICY_SPECS)
-def test_live_path_prints_engine_summary(tmp_path, capsys, policy, warp):
-    engine, live, trace = _engine_and_live(
-        tmp_path, capsys, ["kmeans", "--scale", "0.03", "--config", "small",
-                           "--policy", policy, "--warp", warp])
-    summary, _, tail = live.rpartition("trace: ")
+    summary, _, tail = capsys.readouterr().out.rpartition("trace: ")
     assert summary == engine
     assert tail.endswith(f"-> {trace}\n")
-
-
-@pytest.mark.parametrize("policy", ["rr", "lcs"])
-def test_live_path_prints_engine_summary_vector(tmp_path, capsys, policy):
-    engine, live, _ = _engine_and_live(
-        tmp_path, capsys, ["kmeans", "--scale", "0.03", "--config", "small",
-                           "--policy", policy, "--backend", "vector"])
-    assert live.rpartition("trace: ")[0] == engine
