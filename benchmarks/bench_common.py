@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 
-def run_and_print(benchmark, driver, ctx, **kwargs):
+def run_and_print(benchmark, driver, ctx):
     """Run one experiment driver under pytest-benchmark and print its table."""
-    table = benchmark.pedantic(lambda: driver(ctx, **kwargs),
-                               rounds=1, iterations=1)
+    table = benchmark.pedantic(lambda: driver(ctx), rounds=1, iterations=1)
     print()
     print(table.render())
     return table

@@ -10,8 +10,7 @@ from repro.harness.experiments import e20_mshr_sensitivity
 
 
 def test_e20_mshr_sensitivity(benchmark, ctx):
-    table = run_and_print(benchmark, e20_mshr_sensitivity, ctx,
-                          benchmarks=("kmeans",), mshr_counts=(8, 16, 32))
+    table = run_and_print(benchmark, e20_mshr_sensitivity, ctx)
     row = table.row_for("kmeans")
     # LCS wins clearly while MSHRs are scarce (8, 16 entries) and must not
     # hurt when they are plentiful.

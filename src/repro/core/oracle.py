@@ -9,12 +9,18 @@ LCS decision matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..sim.config import GPUConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.stats import RunResult
+
+
+def best_static_limit(results: Mapping[int, "RunResult"]) -> int:
+    """The static limit whose run took the fewest cycles (the smaller
+    limit on a tie)."""
+    return min(results, key=lambda limit: (results[limit].cycles, limit))
 
 
 @dataclass(frozen=True)
@@ -46,30 +52,20 @@ class OracleResult:
 
 def sweep_static_limits(kernel, *, config: GPUConfig | None = None,
                         warp_scheduler: str = "gto",
-                        limits: Sequence[int] | None = None,
-                        jobs: int = 1, cache=None) -> OracleResult:
-    """Simulate the kernel once per static CTA limit and rank the results.
+                        limits: Sequence[int] | None = None) -> OracleResult:
+    """Simulate a live :class:`~repro.sim.kernel.Kernel` once per static
+    CTA limit, serially in-process, and rank the results.
 
-    ``kernel`` is either a live :class:`~repro.sim.kernel.Kernel` or a
-    declarative :class:`~repro.harness.jobs.KernelSpec`.  The spec form
-    routes every per-limit run through the batch engine, so the sweep —
-    the single hottest serial loop in the harness — fans out across
-    ``jobs`` worker processes and memoises into ``cache`` (a
-    :class:`~repro.harness.cache.ResultCache`).  A live kernel cannot be
-    shipped to workers (its trace builder is a closure), so that form
-    always runs serially in-process.
-
-    ``limits`` defaults to every feasible value ``1..occupancy``.
+    ``limits`` defaults to every feasible value ``1..occupancy``.  Suite
+    kernels go through the batch engine instead:
+    :meth:`~repro.harness.experiments.ExperimentContext.oracle_best` or
+    :func:`~repro.harness.sweeps.occupancy_position`.
     """
     # Imported lazily: the harness imports this package.
-    from ..harness.jobs import KernelSpec, SimJob
     from ..harness.runner import simulate
     from .cta_schedulers import StaticLimitCTAScheduler
 
     config = config if config is not None else GPUConfig()
-    spec = kernel if isinstance(kernel, KernelSpec) else None
-    if spec is not None:
-        kernel = spec.build()
     occupancy = kernel.max_ctas_per_sm(config)
     if limits is None:
         limits = range(1, occupancy + 1)
@@ -80,22 +76,11 @@ def sweep_static_limits(kernel, *, config: GPUConfig | None = None,
         candidate_limits.append(occupancy)
 
     results: dict[int, "RunResult"] = {}
-    if spec is not None:
-        from ..harness.engine import run_jobs
-        sweep_jobs = [SimJob(names=(spec.name,), scale=spec.scale,
-                             seed=spec.seed, warp=warp_scheduler,
-                             policy=("static", limit), config=config)
-                      for limit in candidate_limits]
-        for limit, result in zip(candidate_limits,
-                                 run_jobs(sweep_jobs, workers=jobs,
-                                          cache=cache)):
-            results[limit] = result
-    else:
-        for limit in candidate_limits:
-            scheduler = StaticLimitCTAScheduler(kernel, limit_per_sm=limit)
-            results[limit] = simulate(kernel, config=config,
-                                      warp_scheduler=warp_scheduler,
-                                      cta_scheduler=scheduler)
-    best_limit = min(results, key=lambda limit: (results[limit].cycles, limit))
+    for limit in candidate_limits:
+        scheduler = StaticLimitCTAScheduler(kernel, limit_per_sm=limit)
+        results[limit] = simulate(kernel, config=config,
+                                  warp_scheduler=warp_scheduler,
+                                  cta_scheduler=scheduler)
     return OracleResult(kernel_name=kernel.name, occupancy=occupancy,
-                        best_limit=best_limit, results=results)
+                        best_limit=best_static_limit(results),
+                        results=results)

@@ -19,7 +19,7 @@ from .campaign import (DEFAULT_CAMPAIGN_ROOT, DEFAULT_COMPACT_EVERY, Campaign,
                        CampaignError, CampaignReport)
 from .design import (RESERVED, Block, CompiledCell, Design, DesignError,
                      Factor, Override)
-from .env import DesignEnv, build_job
+from .env import DesignEnv
 from .files import (ENV_KEYS, NONE_SENTINEL, design_payload, load_design,
                     parse_design, serialize_design)
 from .journal import (JOURNAL_NAME, SNAPSHOT_NAME, Journal, JournalReplay,
@@ -35,7 +35,7 @@ __all__ = [
     "TTL_JITTER_FRAC", "worker_ttl_jitter",
     "Block", "Campaign", "CampaignError", "CampaignReport", "CompiledCell",
     "Design", "DesignEnv", "DesignError", "Factor", "Job", "JobStore",
-    "Journal", "JournalReplay", "Override", "build_job", "default_worker_id",
+    "Journal", "JournalReplay", "Override", "default_worker_id",
     "design_payload", "job_id", "lease_alive", "load_design",
     "load_snapshot", "parse_design", "record_crc", "replay_journal",
     "serialize_design", "write_snapshot",

@@ -30,22 +30,6 @@ from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import make_kernel
 
 
-def build_job(*, names: str | Sequence[str], scale: float, seed: int,
-              config: GPUConfig, warp: str | tuple = "gto",
-              policy: tuple = ("rr",),
-              scale_mults: Sequence[float] | None = None,
-              timeline_window: int | None = None,
-              trace: bool = False) -> SimJob:
-    """The one true :class:`SimJob` constructor for declarative layers."""
-    if isinstance(names, str):
-        names = (names,)
-    return SimJob(names=tuple(names), scale=scale, seed=seed,
-                  scale_mults=(tuple(scale_mults)
-                               if scale_mults is not None else None),
-                  warp=warp, policy=policy, config=config,
-                  timeline_window=timeline_window, trace=trace)
-
-
 @dataclass
 class DesignEnv:
     """Scale/seed/hardware/rider bindings for one design compilation."""
@@ -96,11 +80,10 @@ class DesignEnv:
                config)
         job = self._jobs.get(key)
         if job is None:
-            job = build_job(names=names, scale=self.scale, seed=self.seed,
-                            config=config, warp=warp, policy=policy,
-                            scale_mults=scale_mults,
-                            timeline_window=self.timeline_window,
-                            trace=self.trace)
+            job = SimJob(names=names, scale=self.scale, seed=self.seed,
+                         scale_mults=scale_mults, warp=warp, policy=policy,
+                         config=config, timeline_window=self.timeline_window,
+                         trace=self.trace)
             self._jobs[key] = job
         return job
 

@@ -4,8 +4,8 @@
 descriptions and returns a :class:`BatchReport` with one
 :class:`JobOutcome` per job, in input order.  Results are memoised on disk
 through an optional :class:`~repro.harness.cache.ResultCache`; only cache
-misses are executed.  :func:`run_jobs` is the historical list-of-results
-wrapper on top of it.
+misses are executed.  :func:`run_jobs` is the one wrapper that returns
+plain results and raises for a failed job.
 
 Execution strategy: every pending job goes through one per-job retry
 loop, and each of its attempts runs either
@@ -48,7 +48,8 @@ Resilience model (see ``docs/ROBUSTNESS.md``):
   predecessor — guaranteed forward progress, still bounded by
   ``retries``.  Resumed attempts produce bitwise-identical statistics to
   uninterrupted ones (property-tested in ``tests/test_checkpoint.py``);
-  checkpoints are discarded once their job completes.
+  checkpoints are discarded once the last copy of their job in the batch
+  completes.
 * **Sanitizing** — ``sanitize=True`` arms the in-flight invariant checker
   (:mod:`repro.sim.invariants`) in every attempt; violations are
   deterministic failures (retrying would re-corrupt identically).
@@ -60,7 +61,7 @@ import os
 import threading
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable
@@ -117,19 +118,6 @@ class JobExecutionError(RuntimeError):
         super().__init__(f"job {fingerprint[:12]} failed: {message}")
         self.fingerprint = fingerprint
         self.worker_traceback = worker_traceback
-
-
-class BatchError(RuntimeError):
-    """Asked for a complete result list, but some jobs did not finish."""
-
-    def __init__(self, report: "BatchReport") -> None:
-        failures = report.failures()
-        first = failures[0]
-        super().__init__(
-            f"{len(failures)} of {len(report.outcomes)} job(s) did not "
-            f"produce a result (first: job {first.index} "
-            f"[{first.fingerprint[:12]}] {first.status}: {first.error})")
-        self.report = report
 
 
 def default_workers() -> int:
@@ -217,13 +205,6 @@ class BatchReport:
     def first_failure(self) -> JobOutcome | None:
         failures = self.failures()
         return failures[0] if failures else None
-
-    def results(self) -> list[RunResult]:
-        """All results in input order; raises :class:`BatchError` if any
-        job failed (every completed result is already cached by then)."""
-        if self.failures():
-            raise BatchError(self)
-        return [outcome.result for outcome in self.outcomes]
 
     def summary_line(self) -> str:
         """One-line digest for CLI footers."""
@@ -400,6 +381,9 @@ class _BatchState:
         self.started = time.monotonic()
         self.outcomes = [JobOutcome(index=i, fingerprint=fp)
                          for i, fp in enumerate(fingerprints)]
+        #: Jobs not yet terminal, per fingerprint: a batch may hold one
+        #: job twice, and the copies share their checkpoints.
+        self.unfinished = Counter(fingerprints)
         self.events: list[dict[str, Any]] = []
         self.done = 0
         self.checkpoint_corrupt = 0
@@ -420,6 +404,7 @@ class _BatchState:
 
     def _advance(self, index: int) -> None:
         self.done += 1
+        self.unfinished[self.outcomes[index].fingerprint] -= 1
         if self.progress is not None:
             self.progress(self.done, len(self.jobs))
         if self.on_outcome is not None:
@@ -449,9 +434,10 @@ class _BatchState:
                 self.event("job.resumed", job=index,
                            cycle=attempt.resumed_from)
             self.note_checkpoint_corrupt(index, attempt.checkpoint_corrupt)
-            if self.checkpoint_store is not None:
-                # The job is done (and cached): its checkpoints have
-                # served their purpose.
+            if (self.checkpoint_store is not None
+                    and self.unfinished[outcome.fingerprint] == 1):
+                # The job is done (and cached) and no other copy of it is
+                # pending: its checkpoints have served their purpose.
                 self.checkpoint_store.discard(outcome.fingerprint)
             if self.cache is not None and not attempt.cached:
                 self.event("cache.write_error", job=index,

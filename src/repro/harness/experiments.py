@@ -14,8 +14,11 @@ Every driver is two declarative halves:
   plot.  Byte-identical to the pre-design-layer tables (asserted by
   ``tests/test_table_goldens.py``).
 
-Each ``eNN_*`` function takes an :class:`ExperimentContext` and returns a
-:class:`~repro.harness.reporting.Table`.  The context memoises simulation
+Each ``eNN_*`` function takes only an :class:`ExperimentContext` and
+returns a :class:`~repro.harness.reporting.Table`; it reads the module
+constants its design reads (benchmark sets, swept levels and the shared
+policy descriptors ``LCS``, ``BCS``, ``LCS_BCS`` and ``MIXED``), so the
+design is the one statement of what the experiment simulates.  The context memoises simulation
 runs by job fingerprint, so experiments that share configurations (e.g.
 E3's baseline and E4's oracle sweep) pay for each simulation once per
 invocation, on the context's own hardware or on any other.
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from ..core.oracle import best_static_limit
 from ..design import Design, DesignEnv, Factor
 from ..sim.config import GPUConfig
 from ..sim.kernel import Kernel
@@ -55,6 +59,13 @@ LCS_PARAM = 0.50
 
 #: Default BCS block size (the paper's consecutive pair).
 BCS_BLOCK = 2
+
+#: The policy descriptors the designs and drivers share: the paper's two
+#: mechanisms at their defaults, composed, and LCS-guided mixed CKE.
+LCS = ("lcs", LCS_RULE, LCS_PARAM)
+BCS = ("bcs", BCS_BLOCK, None)
+LCS_BCS = ("lcs+bcs", BCS_BLOCK, LCS_RULE, LCS_PARAM)
+MIXED = ("mixed", LCS_RULE, LCS_PARAM)
 
 
 @dataclass
@@ -118,9 +129,9 @@ class ExperimentContext:
                               trace=self.trace)
 
     # ------------------------------------------------------------------ #
-    def kernel(self, name: str, scale_mult: float = 1.0) -> Kernel:
+    def kernel(self, name: str) -> Kernel:
         """A fresh kernel instance (policies hold per-run state)."""
-        return make_kernel(name, scale=self.scale * scale_mult, seed=self.seed)
+        return make_kernel(name, scale=self.scale, seed=self.seed)
 
     def occupancy(self, name: str, config: GPUConfig | None = None) -> int:
         """Resident-CTA limit of one suite kernel on this context's
@@ -206,16 +217,15 @@ class ExperimentContext:
         return result
 
     # ------------------------------------------------------------------ #
-    def static_sweep(self, name: str, *,
-                     warp: str | tuple = "gto") -> dict[int, RunResult]:
-        """One run per static CTA limit 1..occupancy."""
-        return {limit: self.run(name, warp=warp, policy=("static", limit))
+    def static_sweep(self, name: str) -> dict[int, RunResult]:
+        """One GTO run per static CTA limit 1..occupancy."""
+        return {limit: self.run(name, policy=("static", limit))
                 for limit in range(1, self.occupancy(name) + 1)}
 
-    def oracle_best(self, name: str, *, warp: str = "gto") -> tuple[int, RunResult]:
+    def oracle_best(self, name: str) -> tuple[int, RunResult]:
         """(best static limit, its run) by cycles."""
-        sweep = self.static_sweep(name, warp=warp)
-        best = min(sweep, key=lambda limit: (sweep[limit].cycles, limit))
+        sweep = self.static_sweep(name)
+        best = best_static_limit(sweep)
         return best, sweep[best]
 
     # ------------------------------------------------------------------ #
@@ -327,24 +337,22 @@ def design_e1() -> Design:
     return Design.chain("e1", static_sweep_design(MOTIVATION_SET))
 
 
-def e1_occupancy_sweep(ctx: ExperimentContext,
-                       benchmarks: Sequence[str] = MOTIVATION_SET) -> Table:
+def e1_occupancy_sweep(ctx: ExperimentContext) -> Table:
     """Normalized IPC against the per-core CTA limit (paper's motivation
     figure): memory-sensitive kernels peak *below* maximum occupancy."""
-    max_occ = max(ctx.occupancy(name) for name in benchmarks)
+    max_occ = max(ctx.occupancy(name) for name in MOTIVATION_SET)
     columns = ["benchmark"] + [f"n={n}" for n in range(1, max_occ + 1)] \
         + ["best_n", "max_n"]
     table = Table("E1: normalized IPC vs CTAs per core (1.0 = max occupancy)",
                   columns)
-    for name in benchmarks:
+    for name in MOTIVATION_SET:
         sweep = ctx.static_sweep(name)
         occupancy = max(sweep)
         base_ipc = sweep[occupancy].ipc
         cells: list[Any] = [name]
         for n in range(1, max_occ + 1):
             cells.append(sweep[n].ipc / base_ipc if n in sweep else "-")
-        best = min(sweep, key=lambda limit: (sweep[limit].cycles, limit))
-        cells.extend([best, occupancy])
+        cells.extend([best_static_limit(sweep), occupancy])
         table.add_row(*cells)
     table.add_note("values are IPC normalized to the maximum-occupancy run")
     return table
@@ -357,23 +365,20 @@ def e1_occupancy_sweep(ctx: ExperimentContext,
 def design_e2() -> Design:
     return Design("e2", factors=[
         _bench_factor(MOTIVATION_SET),
-        _policy_factor(("lcs", LCS_RULE, LCS_PARAM)),
+        _policy_factor(LCS),
     ])
 
 
-def e2_issue_signature(ctx: ExperimentContext,
-                       benchmarks: Sequence[str] = MOTIVATION_SET,
-                       rule: str = LCS_RULE,
-                       param: float = LCS_PARAM) -> Table:
+def e2_issue_signature(ctx: ExperimentContext) -> Table:
     """The monitored core's per-CTA issued-instruction distribution at the
     end of the LCS monitoring period, normalized to the busiest CTA."""
-    max_occ = max(ctx.occupancy(name) for name in benchmarks)
+    max_occ = max(ctx.occupancy(name) for name in MOTIVATION_SET)
     columns = ["benchmark"] + [f"cta{r}" for r in range(1, max_occ + 1)] \
         + ["n_star"]
     table = Table("E2: per-CTA issue share under GTO (monitoring period)",
                   columns)
-    for name in benchmarks:
-        result = ctx.run(name, policy=("lcs", rule, param))
+    for name in MOTIVATION_SET:
+        result = ctx.run(name, policy=LCS)
         decision = result.meta["lcs_decision"]
         counts = decision.issue_counts
         busiest = max(counts) if counts else 1
@@ -382,7 +387,7 @@ def e2_issue_signature(ctx: ExperimentContext,
             cells.append(counts[rank] / busiest if rank < len(counts) else "-")
         cells.append(decision.n_star)
         table.add_row(*cells)
-    table.add_note(f"n_star computed by the {rule} rule at {param}")
+    table.add_note(f"n_star computed by the {LCS_RULE} rule at {LCS_PARAM}")
     return table
 
 
@@ -395,14 +400,11 @@ def design_e3() -> Design:
         "e3",
         baseline_design(LCS_SET),
         Design("e3-lcs", factors=[
-            _bench_factor(LCS_SET),
-            _policy_factor(("lcs", LCS_RULE, LCS_PARAM))]),
+            _bench_factor(LCS_SET), _policy_factor(LCS)]),
         static_sweep_design(LCS_SET))
 
 
-def e3_lcs_speedup(ctx: ExperimentContext,
-                   benchmarks: Sequence[str] = LCS_SET,
-                   rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e3_lcs_speedup(ctx: ExperimentContext) -> Table:
     """The headline figure: LCS speedup over the max-occupancy baseline,
     with the exhaustive static oracle alongside."""
     table = Table(
@@ -411,9 +413,9 @@ def e3_lcs_speedup(ctx: ExperimentContext,
          "lcs_speedup", "oracle_speedup", "n_lcs", "n_oracle"])
     lcs_speedups = []
     oracle_speedups = []
-    for name in benchmarks:
+    for name in LCS_SET:
         base = ctx.run(name)
-        lcs = ctx.run(name, policy=("lcs", rule, param))
+        lcs = ctx.run(name, policy=LCS)
         best_limit, oracle = ctx.oracle_best(name)
         decision = lcs.meta["lcs_decision"]
         s_lcs = speedup(base.cycles, lcs.cycles)
@@ -435,21 +437,18 @@ def design_e4() -> Design:
     return Design.chain(
         "e4",
         Design("e4-lcs", factors=[
-            _bench_factor(LCS_SET),
-            _policy_factor(("lcs", LCS_RULE, LCS_PARAM))]),
+            _bench_factor(LCS_SET), _policy_factor(LCS)]),
         static_sweep_design(LCS_SET))
 
 
-def e4_lcs_vs_oracle(ctx: ExperimentContext,
-                     benchmarks: Sequence[str] = LCS_SET,
-                     rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e4_lcs_vs_oracle(ctx: ExperimentContext) -> Table:
     """Decision quality: the online N* against the oracle's static best."""
     table = Table(
         "E4: LCS-chosen CTA count vs oracle static best",
         ["benchmark", "occupancy", "n_lcs", "n_oracle",
          "lcs_vs_oracle_cycles", "within_one"])
-    for name in benchmarks:
-        lcs = ctx.run(name, policy=("lcs", rule, param))
+    for name in LCS_SET:
+        lcs = ctx.run(name, policy=LCS)
         decision = lcs.meta["lcs_decision"]
         best_limit, oracle = ctx.oracle_best(name)
         n_lcs = decision.n_star if decision else ctx.occupancy(name)
@@ -471,15 +470,14 @@ def design_e5() -> Design:
     ])
 
 
-def e5_warp_schedulers(ctx: ExperimentContext,
-                       benchmarks: Sequence[str] = LCS_SET) -> Table:
+def e5_warp_schedulers(ctx: ExperimentContext) -> Table:
     """Warp-scheduler baselines: LRR vs GTO vs two-level round robin."""
     table = Table(
         "E5: warp schedulers at max occupancy (speedup over LRR)",
         ["benchmark", "lrr_ipc", "gto_ipc", "twolevel_ipc",
          "gto_over_lrr", "twolevel_over_lrr"])
     gto_ratios, two_ratios = [], []
-    for name in benchmarks:
+    for name in LCS_SET:
         lrr = ctx.run(name, warp="lrr")
         gto = ctx.run(name, warp="gto")
         two = ctx.run(name, warp="two-level")
@@ -501,25 +499,21 @@ def design_e6() -> Design:
     """The (baseline, BCS, BCS+BAWS) cells E6 and E7 both consume."""
     return Design("e6", factors=[
         _bench_factor(LOCALITY_SET),
-        *_variant_factors(("gto", ("rr",)),
-                          ("gto", ("bcs", BCS_BLOCK, None)),
-                          ("baws", ("bcs", BCS_BLOCK, None))),
+        *_variant_factors(("gto", ("rr",)), ("gto", BCS), ("baws", BCS)),
     ])
 
 
-def e6_bcs(ctx: ExperimentContext,
-           benchmarks: Sequence[str] = LOCALITY_SET,
-           block_size: int = BCS_BLOCK) -> Table:
+def e6_bcs(ctx: ExperimentContext) -> Table:
     """BCS and BCS+BAWS speedups on the inter-CTA-locality kernels."""
     table = Table(
         "E6: BCS speedup over baseline (block = consecutive pair)",
         ["benchmark", "base_ipc", "bcs_gto", "bcs_baws"])
     gto_speedups = []
     baws_speedups = []
-    for name in benchmarks:
+    for name in LOCALITY_SET:
         base = ctx.run(name)
-        bcs = ctx.run(name, policy=("bcs", block_size, None))
-        baws = ctx.run(name, warp="baws", policy=("bcs", block_size, None))
+        bcs = ctx.run(name, policy=BCS)
+        baws = ctx.run(name, warp="baws", policy=BCS)
         s_gto = speedup(base.cycles, bcs.cycles)
         s_baws = speedup(base.cycles, baws.cycles)
         gto_speedups.append(s_gto)
@@ -533,18 +527,16 @@ def e6_bcs(ctx: ExperimentContext,
 # E7 — L1 behaviour under BCS
 # =========================================================================== #
 
-def e7_bcs_l1(ctx: ExperimentContext,
-              benchmarks: Sequence[str] = LOCALITY_SET,
-              block_size: int = BCS_BLOCK) -> Table:
+def e7_bcs_l1(ctx: ExperimentContext) -> Table:
     """L1 miss rates and MSHR merges under BCS (where the speedup is from)."""
     table = Table(
         "E7: L1 miss rate and MSHR merges under BCS",
         ["benchmark", "miss_base", "miss_bcs", "miss_baws",
          "merges_base", "merges_bcs", "merges_baws"])
-    for name in benchmarks:
+    for name in LOCALITY_SET:
         base = ctx.run(name)
-        bcs = ctx.run(name, policy=("bcs", block_size, None))
-        baws = ctx.run(name, warp="baws", policy=("bcs", block_size, None))
+        bcs = ctx.run(name, policy=BCS)
+        baws = ctx.run(name, warp="baws", policy=BCS)
         table.add_row(name, base.l1.miss_rate, bcs.l1.miss_rate,
                       baws.l1.miss_rate, base.l1.merges, bcs.l1.merges,
                       baws.l1.merges)
@@ -558,8 +550,7 @@ def e7_bcs_l1(ctx: ExperimentContext,
 def design_e8() -> Design:
     return Design("e8", factors=[
         Factor.crossed("pair", CKE_PAIRS),
-        _policy_factor(("sequential",), ("spatial",), ("smk",),
-                       ("mixed", LCS_RULE, LCS_PARAM)),
+        _policy_factor(("sequential",), ("spatial",), ("smk",), MIXED),
         Factor.derived("bench",
                        lambda cell, env: tuple(cell["pair"][:2])),
         Factor.derived("scale_mults",
@@ -567,22 +558,20 @@ def design_e8() -> Design:
     ])
 
 
-def e8_cke(ctx: ExperimentContext,
-           pairs: Sequence[tuple[str, str, float]] = CKE_PAIRS,
-           rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e8_cke(ctx: ExperimentContext) -> Table:
     """Concurrent kernel execution: sequential vs spatial vs SMK-even vs
     the paper's LCS-guided mixed allocation."""
     table = Table(
         "E8: concurrent kernel execution (speedup over sequential)",
         ["pair", "seq_cycles", "spatial", "smk_even", "mixed", "n_star"])
     spatial_s, smk_s, mixed_s = [], [], []
-    for mem_name, compute_name, mult in pairs:
+    for mem_name, compute_name, mult in CKE_PAIRS:
         names = (mem_name, compute_name)
         mults = (1.0, mult)
         seq = ctx.run(names, policy=("sequential",), scale_mults=mults)
         spa = ctx.run(names, policy=("spatial",), scale_mults=mults)
         smk = ctx.run(names, policy=("smk",), scale_mults=mults)
-        mix = ctx.run(names, policy=("mixed", rule, param), scale_mults=mults)
+        mix = ctx.run(names, policy=MIXED, scale_mults=mults)
         decision = mix.meta["lcs_decision"]
         s_spa = speedup(seq.cycles, spa.cycles)
         s_smk = speedup(seq.cycles, smk.cycles)
@@ -618,24 +607,23 @@ def design_e9() -> Design:
         ]))
 
 
-def e9_lcs_threshold(ctx: ExperimentContext,
-                     benchmarks: Sequence[str] = LCS_SET,
-                     variants: Sequence[tuple[str, float]] = E9_VARIANTS,
-                     ) -> Table:
+def e9_lcs_threshold(ctx: ExperimentContext) -> Table:
     """Sensitivity of LCS to its decision rule and parameter."""
-    columns = ["benchmark"] + [f"{rule[:3]}={param}" for rule, param in variants]
+    columns = ["benchmark"] + [f"{rule[:3]}={param}"
+                               for rule, param in E9_VARIANTS]
     table = Table("E9: LCS speedup vs decision rule/parameter", columns)
-    per_variant: dict[tuple[str, float], list[float]] = {v: [] for v in variants}
-    for name in benchmarks:
+    per_variant: dict[tuple[str, float], list[float]] = {
+        v: [] for v in E9_VARIANTS}
+    for name in LCS_SET:
         base = ctx.run(name)
         cells: list[Any] = [name]
-        for rule, param in variants:
+        for rule, param in E9_VARIANTS:
             lcs = ctx.run(name, policy=("lcs", rule, param))
             value = speedup(base.cycles, lcs.cycles)
             per_variant[(rule, param)].append(value)
             cells.append(value)
         table.add_row(*cells)
-    table.add_row("GMEAN", *[geomean(per_variant[v]) for v in variants])
+    table.add_row("GMEAN", *[geomean(per_variant[v]) for v in E9_VARIANTS])
     return table
 
 
@@ -660,23 +648,21 @@ def design_e10() -> Design:
         ]))
 
 
-def e10_block_size(ctx: ExperimentContext,
-                   benchmarks: Sequence[str] = LOCALITY_SET,
-                   sizes: Sequence[int] = E10_BLOCKS) -> Table:
+def e10_block_size(ctx: ExperimentContext) -> Table:
     """Sensitivity of BCS+BAWS to the block size (pairs are the sweet spot)."""
-    columns = ["benchmark"] + [f"block={b}" for b in sizes]
+    columns = ["benchmark"] + [f"block={b}" for b in E10_BLOCKS]
     table = Table("E10: BCS+BAWS speedup vs block size", columns)
-    per_size: dict[int, list[float]] = {b: [] for b in sizes}
-    for name in benchmarks:
+    per_size: dict[int, list[float]] = {b: [] for b in E10_BLOCKS}
+    for name in LOCALITY_SET:
         base = ctx.run(name)
         cells: list[Any] = [name]
-        for b in sizes:
+        for b in E10_BLOCKS:
             run = ctx.run(name, warp="baws", policy=("bcs", b, None))
             value = speedup(base.cycles, run.cycles)
             per_size[b].append(value)
             cells.append(value)
         table.add_row(*cells)
-    table.add_row("GMEAN", *[geomean(per_size[b]) for b in sizes])
+    table.add_row("GMEAN", *[geomean(per_size[b]) for b in E10_BLOCKS])
     return table
 
 
@@ -694,25 +680,23 @@ def design_e11() -> Design:
         Design("e11-matrix", factors=[
             _bench_factor(E11_BENCHMARKS),
             Factor.crossed("warp", ("gto", "lrr")),
-            _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
+            _policy_factor(("rr",), LCS),
         ]))
 
 
-def e11_lcs_needs_gto(ctx: ExperimentContext,
-                      benchmarks: Sequence[str] = E11_BENCHMARKS,
-                      rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e11_lcs_needs_gto(ctx: ExperimentContext) -> Table:
     """Run the LCS monitor under LRR: without greedy age priority the
     per-CTA issue counts flatten out and the decision degrades."""
     table = Table(
         "E11: LCS decision under GTO vs LRR monitoring",
         ["benchmark", "n_oracle", "n_gto", "n_lrr",
          "speedup_gto", "speedup_lrr"])
-    for name in benchmarks:
+    for name in E11_BENCHMARKS:
         best_limit, _ = ctx.oracle_best(name)
         base_gto = ctx.run(name)
         base_lrr = ctx.run(name, warp="lrr")
-        lcs_gto = ctx.run(name, policy=("lcs", rule, param))
-        lcs_lrr = ctx.run(name, warp="lrr", policy=("lcs", rule, param))
+        lcs_gto = ctx.run(name, policy=LCS)
+        lcs_lrr = ctx.run(name, warp="lrr", policy=LCS)
         d_gto = lcs_gto.meta["lcs_decision"]
         d_lrr = lcs_lrr.meta["lcs_decision"]
         table.add_row(name, best_limit,
@@ -782,22 +766,20 @@ E13_BENCHMARKS = ("kmeans", "iindex", "streaming", "spmv", "compute",
 def design_e13() -> Design:
     return Design("e13", factors=[
         _bench_factor(E13_BENCHMARKS),
-        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM), ("dyncta",)),
+        _policy_factor(("rr",), LCS, ("dyncta",)),
     ])
 
 
-def e13_lcs_vs_dyncta(ctx: ExperimentContext,
-                      benchmarks: Sequence[str] = E13_BENCHMARKS,
-                      rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e13_lcs_vs_dyncta(ctx: ExperimentContext) -> Table:
     """Compare the paper's one-shot LCS against the prior continuous
     CTA-throttling approach (DynCTA-style, Kayiran et al. PACT'13)."""
     table = Table(
         "E13: LCS vs DynCTA-style throttling (speedup over baseline)",
         ["benchmark", "lcs", "dyncta", "lcs_n_star", "dyncta_final_quota"])
     lcs_speedups, dyn_speedups = [], []
-    for name in benchmarks:
+    for name in E13_BENCHMARKS:
         base = ctx.run(name)
-        lcs = ctx.run(name, policy=("lcs", rule, param))
+        lcs = ctx.run(name, policy=LCS)
         dyn = ctx.run(name, policy=("dyncta",))
         decision = lcs.meta["lcs_decision"]
         quotas = [q for q in dyn.cta_limits.values() if q is not None]
@@ -838,7 +820,7 @@ def design_e14() -> Design:
         ]),
         Design("e14-shared", factors=[
             Factor.crossed("pair", E14_PAIRS),
-            _policy_factor(("smk",), ("mixed", LCS_RULE, LCS_PARAM)),
+            _policy_factor(("smk",), MIXED),
             Factor.derived("bench",
                            lambda cell, env: tuple(cell["pair"][:2])),
             Factor.derived("scale_mults",
@@ -846,16 +828,14 @@ def design_e14() -> Design:
         ]))
 
 
-def e14_cke_metrics(ctx: ExperimentContext,
-                    pairs: Sequence[tuple[str, str, float]] = E14_PAIRS,
-                    rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e14_cke_metrics(ctx: ExperimentContext) -> Table:
     """Multiprogram metrics for the CKE policies: beyond total runtime,
     how fairly and how productively do the kernels share the machine?"""
     table = Table(
         "E14: CKE multiprogram metrics (ANTT lower / STP higher is better)",
         ["pair", "policy", "antt", "stp", "fairness"])
-    policies = [("smk", ("smk",)), ("mixed", ("mixed", rule, param))]
-    for mem_name, compute_name, mult in pairs:
+    policies = [("smk", ("smk",)), ("mixed", MIXED)]
+    for mem_name, compute_name, mult in E14_PAIRS:
         names = (mem_name, compute_name)
         mults = (1.0, mult)
         alone = {
@@ -877,30 +857,23 @@ def e14_cke_metrics(ctx: ExperimentContext,
 def design_e15() -> Design:
     return Design("e15", factors=[
         _bench_factor(LOCALITY_SET),
-        *_variant_factors(
-            ("gto", ("rr",)),
-            ("gto", ("lcs", LCS_RULE, LCS_PARAM)),
-            ("baws", ("bcs", BCS_BLOCK, None)),
-            ("baws", ("lcs+bcs", BCS_BLOCK, LCS_RULE, LCS_PARAM))),
+        *_variant_factors(("gto", ("rr",)), ("gto", LCS), ("baws", BCS),
+                          ("baws", LCS_BCS)),
     ])
 
 
-def e15_lcs_plus_bcs(ctx: ExperimentContext,
-                     benchmarks: Sequence[str] = LOCALITY_SET,
-                     block_size: int = BCS_BLOCK,
-                     rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e15_lcs_plus_bcs(ctx: ExperimentContext) -> Table:
     """The paper's two mechanisms composed: block dispatch + lazy limit."""
     table = Table(
         "E15: LCS, BCS and LCS+BCS on the locality kernels "
         "(speedup over baseline)",
         ["benchmark", "lcs", "bcs_baws", "lcs_bcs_baws"])
     col = {"lcs": [], "bcs": [], "both": []}
-    for name in benchmarks:
+    for name in LOCALITY_SET:
         base = ctx.run(name)
-        lcs = ctx.run(name, policy=("lcs", rule, param))
-        bcs = ctx.run(name, warp="baws", policy=("bcs", block_size, None))
-        both = ctx.run(name, warp="baws",
-                       policy=("lcs+bcs", block_size, rule, param))
+        lcs = ctx.run(name, policy=LCS)
+        bcs = ctx.run(name, warp="baws", policy=BCS)
+        both = ctx.run(name, warp="baws", policy=LCS_BCS)
         s = [speedup(base.cycles, r.cycles) for r in (lcs, bcs, both)]
         col["lcs"].append(s[0])
         col["bcs"].append(s[1])
@@ -921,13 +894,11 @@ E16_BENCHMARKS = ("kmeans", "iindex", "streaming", "compute")
 def design_e16() -> Design:
     return Design("e16", factors=[
         _bench_factor(E16_BENCHMARKS),
-        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
+        _policy_factor(("rr",), LCS),
     ])
 
 
-def e16_stall_breakdown(ctx: ExperimentContext,
-                        benchmarks: Sequence[str] = E16_BENCHMARKS,
-                        rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e16_stall_breakdown(ctx: ExperimentContext) -> Table:
     """Why LCS helps: warp-time spent memory-stalled shrinks after
     throttling (the paper's resource-utilization argument made visible)."""
     table = Table(
@@ -935,9 +906,8 @@ def e16_stall_breakdown(ctx: ExperimentContext,
         "(fractions of total warp wait time)",
         ["benchmark", "policy", "mem", "ready", "alu", "barrier",
          "mem_wait_per_instr"])
-    for name in benchmarks:
-        for label, policy in (("base", ("rr",)),
-                              ("lcs", ("lcs", rule, param))):
+    for name in E16_BENCHMARKS:
+        for label, policy in (("base", ("rr",)), ("lcs", LCS)):
             result = ctx.run(name, policy=policy)
             stats = result.kernel(name)
             breakdown = stats.stall_breakdown()
@@ -968,32 +938,27 @@ def design_e17() -> Design:
             _policy_factor(("rr",)),
         ]),
         Design("e17-lcs", factors=[
-            _bench_factor(E17_BENCHMARKS),
-            _policy_factor(("lcs", LCS_RULE, LCS_PARAM)),
-        ]))
+            _bench_factor(E17_BENCHMARKS), _policy_factor(LCS)]))
 
 
-def e17_swl_vs_lcs(ctx: ExperimentContext,
-                   benchmarks: Sequence[str] = E17_BENCHMARKS,
-                   warp_limits: Sequence[int] = E17_WARP_LIMITS,
-                   rule: str = LCS_RULE, param: float = LCS_PARAM) -> Table:
+def e17_swl_vs_lcs(ctx: ExperimentContext) -> Table:
     """Static warp limiting sweeps the throttle at warp granularity; LCS
     reaches comparable performance at CTA granularity with one online
     decision (the paper's granularity argument)."""
-    columns = (["benchmark"] + [f"swl={k}" for k in warp_limits]
+    columns = (["benchmark"] + [f"swl={k}" for k in E17_WARP_LIMITS]
                + ["best_swl", "lcs"])
     table = Table("E17: SWL (per-scheduler warp limit) vs LCS "
                   "(speedup over baseline)", columns)
-    for name in benchmarks:
+    for name in E17_BENCHMARKS:
         base = ctx.run(name)
         cells: list[Any] = [name]
         best = 0.0
-        for k in warp_limits:
+        for k in E17_WARP_LIMITS:
             run = ctx.run(name, warp=("swl", k))
             value = speedup(base.cycles, run.cycles)
             best = max(best, value)
             cells.append(value)
-        lcs = ctx.run(name, policy=("lcs", rule, param))
+        lcs = ctx.run(name, policy=LCS)
         cells.append(best)
         cells.append(speedup(base.cycles, lcs.cycles))
         table.add_row(*cells)
@@ -1013,33 +978,29 @@ def design_e18() -> Design:
         "e18",
         Design("e18-policies", factors=[
             _bench_factor((E18_BENCHMARK,)),
-            _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM),
-                           ("dyncta",)),
+            _policy_factor(("rr",), LCS, ("dyncta",)),
         ]),
         static_sweep_design((E18_BENCHMARK,)))
 
 
-def e18_phase_sensitivity(ctx: ExperimentContext,
-                          benchmark: str = E18_BENCHMARK,
-                          rule: str = LCS_RULE, param: float = LCS_PARAM,
-                          ) -> Table:
+def e18_phase_sensitivity(ctx: ExperimentContext) -> Table:
     """One-shot LCS decides during the first (cache-thrashing) phase and
     cannot revise when the kernel turns compute-bound; continuous schemes
     re-adapt.  An honest limitation study of the paper's mechanism."""
     table = Table(
         "E18: phase-changing kernel — one-shot vs adaptive throttling",
         ["policy", "cycles", "speedup_vs_baseline", "final_limit"])
-    base = ctx.run(benchmark)
+    base = ctx.run(E18_BENCHMARK)
     table.add_row("baseline", base.cycles, 1.0, "-")
-    lcs = ctx.run(benchmark, policy=("lcs", rule, param))
+    lcs = ctx.run(E18_BENCHMARK, policy=LCS)
     decision = lcs.meta["lcs_decision"]
     table.add_row("lcs", lcs.cycles, speedup(base.cycles, lcs.cycles),
                   decision.n_star if decision else "-")
-    dyn = ctx.run(benchmark, policy=("dyncta",))
+    dyn = ctx.run(E18_BENCHMARK, policy=("dyncta",))
     quotas = [q for q in dyn.cta_limits.values() if q is not None]
     table.add_row("dyncta", dyn.cycles, speedup(base.cycles, dyn.cycles),
                   sum(quotas) / len(quotas) if quotas else "-")
-    best_limit, oracle = ctx.oracle_best(benchmark)
+    best_limit, oracle = ctx.oracle_best(E18_BENCHMARK)
     table.add_row("static_oracle", oracle.cycles,
                   speedup(base.cycles, oracle.cycles), best_limit)
     return table
@@ -1056,14 +1017,11 @@ def design_e19() -> Design:
     return Design("e19", factors=[
         Factor.crossed("config", (GPUConfig.kepler_class(),)),
         _bench_factor(E19_BENCHMARKS),
-        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
+        _policy_factor(("rr",), LCS),
     ])
 
 
-def e19_config_robustness(ctx: ExperimentContext,
-                          benchmarks: Sequence[str] = E19_BENCHMARKS,
-                          rule: str = LCS_RULE, param: float = LCS_PARAM,
-                          ) -> Table:
+def e19_config_robustness(ctx: ExperimentContext) -> Table:
     """Repeat the LCS and BCS headline comparisons on a Kepler-class
     configuration (13 fat cores, 16 CTA slots, 64 warps): the conclusions
     must not be artefacts of the Fermi-class default."""
@@ -1071,9 +1029,9 @@ def e19_config_robustness(ctx: ExperimentContext,
     table = Table(
         "E19: LCS on a Kepler-class GPU (speedup over baseline)",
         ["benchmark", "occupancy", "n_lcs", "lcs_speedup"])
-    for name in benchmarks:
+    for name in E19_BENCHMARKS:
         base = ctx.run(name, config=kepler)
-        lcs = ctx.run(name, policy=("lcs", rule, param), config=kepler)
+        lcs = ctx.run(name, policy=LCS, config=kepler)
         decision = lcs.meta["lcs_decision"]
         table.add_row(name, ctx.occupancy(name, kepler),
                       decision.n_star if decision else "-",
@@ -1094,32 +1052,27 @@ def design_e20() -> Design:
     return Design("e20", factors=[
         Factor.crossed("mshr", E20_MSHR_COUNTS),
         _bench_factor(E20_BENCHMARKS),
-        _policy_factor(("rr",), ("lcs", LCS_RULE, LCS_PARAM)),
+        _policy_factor(("rr",), LCS),
         Factor.derived("config", lambda cell, env: {
             "l1_mshr_entries": cell["mshr"]}),
     ])
 
 
-def e20_mshr_sensitivity(ctx: ExperimentContext,
-                         benchmarks: Sequence[str] = E20_BENCHMARKS,
-                         mshr_counts: Sequence[int] = E20_MSHR_COUNTS,
-                         rule: str = LCS_RULE, param: float = LCS_PARAM,
-                         ) -> Table:
+def e20_mshr_sensitivity(ctx: ExperimentContext) -> Table:
     """How the L1 MSHR budget shapes the LCS opportunity: few MSHRs throttle
     over-subscription by themselves (small LCS win); many MSHRs let maximum
     occupancy flood the memory system (big LCS win).  Documents the key
     modelling choice of this reproduction (default 16)."""
     table = Table(
         "E20: LCS speedup vs L1 MSHR entries",
-        ["benchmark"] + [f"mshr={m}" for m in mshr_counts])
+        ["benchmark"] + [f"mshr={m}" for m in E20_MSHR_COUNTS])
     configs = {m: ctx.config.with_overrides(l1_mshr_entries=m)
-               for m in mshr_counts}
-    for name in benchmarks:
+               for m in E20_MSHR_COUNTS}
+    for name in E20_BENCHMARKS:
         cells: list[Any] = [name]
-        for m in mshr_counts:
+        for m in E20_MSHR_COUNTS:
             base = ctx.run(name, config=configs[m])
-            lcs = ctx.run(name, policy=("lcs", rule, param),
-                          config=configs[m])
+            lcs = ctx.run(name, policy=LCS, config=configs[m])
             cells.append(speedup(base.cycles, lcs.cycles))
         table.add_row(*cells)
     return table
@@ -1132,14 +1085,12 @@ def e20_mshr_sensitivity(ctx: ExperimentContext,
 def design_e21() -> Design:
     return Design("e21", factors=[
         _bench_factor(LOCALITY_SET),
-        *_variant_factors(("gto", ("rr",)),
-                          ("gto", ("depth-first",)),
-                          ("baws", ("bcs", BCS_BLOCK, None))),
+        *_variant_factors(("gto", ("rr",)), ("gto", ("depth-first",)),
+                          ("baws", BCS)),
     ])
 
 
-def e21_dispatch_order(ctx: ExperimentContext,
-                       benchmarks: Sequence[str] = LOCALITY_SET) -> Table:
+def e21_dispatch_order(ctx: ExperimentContext) -> Table:
     """How much of BCS's win is initial placement?  Depth-first dispatch
     co-locates consecutive CTAs at fill time but lets the pairing decay as
     slots refill; BCS maintains it.  (Baseline round-robin never pairs.)"""
@@ -1148,10 +1099,10 @@ def e21_dispatch_order(ctx: ExperimentContext,
         "(speedup over round-robin)",
         ["benchmark", "depth_first", "bcs_baws"])
     df_speedups, bcs_speedups = [], []
-    for name in benchmarks:
+    for name in LOCALITY_SET:
         base = ctx.run(name)
         depth = ctx.run(name, policy=("depth-first",))
-        bcs = ctx.run(name, warp="baws", policy=("bcs", BCS_BLOCK, None))
+        bcs = ctx.run(name, warp="baws", policy=BCS)
         s_df = speedup(base.cycles, depth.cycles)
         s_bcs = speedup(base.cycles, bcs.cycles)
         df_speedups.append(s_df)
@@ -1185,9 +1136,7 @@ def design_e22() -> Design:
     ])
 
 
-def e22_feature_ablation(ctx: ExperimentContext,
-                         benchmarks: Sequence[str] = E22_BENCHMARKS,
-                         ) -> Table:
+def e22_feature_ablation(ctx: ExperimentContext) -> Table:
     """Next-line prefetching and store write-combining, on vs off: neither
     feature is load-bearing for the paper's conclusions (they are off by
     default), but the ablation shows the model responds sensibly."""
@@ -1198,7 +1147,7 @@ def e22_feature_ablation(ctx: ExperimentContext,
     prefetch_config = ctx.config.with_overrides(**_E22_FEATURES["prefetch"])
     coalesce_config = ctx.config.with_overrides(
         **_E22_FEATURES["store_coalescing"])
-    for name in benchmarks:
+    for name in E22_BENCHMARKS:
         base = ctx.run(name)
         prefetch = ctx.run(name, config=prefetch_config)
         coalesce = ctx.run(name, config=coalesce_config)

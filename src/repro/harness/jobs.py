@@ -156,27 +156,6 @@ def build_warp_scheduler(warp: str | tuple):
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """A declarative suite-kernel reference (name + scale + seed).
-
-    The oracle sweep accepts this in place of a live :class:`Kernel` so the
-    per-limit simulations can be described as jobs and fanned out / cached.
-    """
-
-    name: str
-    scale: float = 1.0
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.name not in SUITE:
-            raise JobError(f"unknown benchmark {self.name!r}; "
-                           f"available: {sorted(SUITE)}")
-
-    def build(self) -> Kernel:
-        return make_kernel(self.name, scale=self.scale, seed=self.seed)
-
-
-@dataclass(frozen=True)
 class SimJob:
     """A picklable description of one simulation run."""
 

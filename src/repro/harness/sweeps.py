@@ -24,13 +24,13 @@ from typing import Mapping, Sequence
 
 # Submodule imports (not the package) keep this importable from either
 # direction of the repro.design <-> repro.harness package boundary.
+from ..core.oracle import OracleResult, best_static_limit
 from ..design.design import Design, Factor
 from ..design.env import DesignEnv
 from ..sim.config import GPUConfig
 from ..workloads.patterns import DEFAULT_SEED
 from .cache import ResultCache
 from .engine import run_jobs
-from .jobs import KernelSpec
 from .reporting import Table
 
 
@@ -79,19 +79,23 @@ def config_sweep(benchmark: str, field: str, values: Sequence,
     design = sweep_design(benchmark, field, values, policies=policies,
                           warp_scheduler=warp_scheduler)
     env = DesignEnv(scale=scale, seed=seed, config=base_config)
-    compiled = design.compile(env)
-    results = iter(run_jobs([cc.job for cc in compiled],
-                            workers=jobs, cache=cache))
+    compiled = [cc.job for cc in design.compile(env)]
+    # The design drops repeated cells; a repeated value or policy reads
+    # its cell's one result (the environment hands out one job per cell).
+    results = dict(zip(compiled, run_jobs(compiled, workers=jobs,
+                                          cache=cache)))
 
     columns = [field] + [f"{label}_ipc" for label in policies]
     if len(policies) > 1:
         columns.append("best_policy")
     table = Table(f"{benchmark}: sweep of {field}", columns)
     for value in values:
+        config = base_config.with_overrides(**{field: value})
         cells: list = [value]
         best_label, best_ipc = None, -1.0
-        for label in policies:
-            result = next(results)
+        for label, policy in policies.items():
+            result = results[env.job(benchmark, warp=warp_scheduler,
+                                     policy=policy, config=config)]
             cells.append(result.ipc)
             if result.ipc > best_ipc:
                 best_label, best_ipc = label, result.ipc
@@ -107,13 +111,20 @@ def occupancy_position(benchmark: str, *, config: GPUConfig | None = None,
                        cache: ResultCache | None = None) -> dict:
     """Convenience: where does this kernel's best static limit sit?
 
-    Returns ``{"occupancy": o, "best": n, "best_over_max": s}`` — the raw
-    material of the motivation figure for one kernel.
+    Runs one ``("static", n)`` job per limit ``1..occupancy`` through the
+    batch engine and returns ``{"occupancy": o, "best": n,
+    "best_over_max": s}`` — the raw material of the motivation figure for
+    one kernel.
     """
-    from ..core.oracle import sweep_static_limits
-    config = config if config is not None else GPUConfig()
-    spec = KernelSpec(benchmark, scale=scale, seed=seed)
-    oracle = sweep_static_limits(spec, config=config, jobs=jobs, cache=cache)
+    env = DesignEnv(scale=scale, seed=seed,
+                    config=config if config is not None else GPUConfig())
+    occupancy = env.occupancy(benchmark)
+    limits = range(1, occupancy + 1)
+    results = dict(zip(limits, run_jobs(
+        [env.job(benchmark, policy=("static", limit)) for limit in limits],
+        workers=jobs, cache=cache)))
+    oracle = OracleResult(benchmark, occupancy, best_static_limit(results),
+                          results)
     return {
         "occupancy": oracle.occupancy,
         "best": oracle.best_limit,

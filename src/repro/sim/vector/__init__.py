@@ -67,7 +67,8 @@ def ensure_numpy():
     except ImportError as exc:  # pragma: no cover - depends on environment
         raise VectorBackendError(
             "the vector backend requires numpy, which is not installed; "
-            "install numpy or re-run with --backend object"
+            "install numpy or run on the object core (backend=\"object\", "
+            "the default of SimJob and simulate)"
         ) from exc
     return numpy
 

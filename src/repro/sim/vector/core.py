@@ -112,16 +112,19 @@ class VectorSM(SM):
         if seq >= MAX_CTA_SEQ:
             raise VectorBackendError(
                 f"CTA seq {seq} exceeds the vector backend's packed-key "
-                f"capacity ({MAX_CTA_SEQ}); use --backend object")
+                f"capacity ({MAX_CTA_SEQ}); use backend=\"object\" (the "
+                f"default of SimJob and simulate)")
         if kernel.warps_per_cta > MAX_WARP_IDX:
             raise VectorBackendError(
                 f"{kernel.warps_per_cta} warps/CTA exceeds the vector "
                 f"backend's packed-key capacity ({MAX_WARP_IDX}); "
-                f"use --backend object")
+                f"use backend=\"object\" (the default of SimJob and "
+                f"simulate)")
         if len(self._state) + kernel.warps_per_cta > MAX_SLOTS:
             raise VectorBackendError(
                 f"SM {self.sm_id} exceeds {MAX_SLOTS} lifetime warp slots; "
-                f"use --backend object")
+                f"use backend=\"object\" (the default of SimJob and "
+                f"simulate)")
         cta = CTA(run, cta_id, seq, block_seq, self, now)
         cols = self.cols
         vsched = self._vsched

@@ -29,7 +29,7 @@ boundaries whose machine state is identical under event fast-forward and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 from .timeline import TimelineResult
 
@@ -42,7 +42,9 @@ class TelemetryError(RuntimeError):
 
 
 class Probe(Protocol):
-    """A declarative metric source sampled at every window boundary.
+    """The contract of the built-in metric sources
+    (:func:`repro.telemetry.probes.default_probes`), each sampled at every
+    window boundary.
 
     ``sample`` returns a flat mapping of column name to value for the
     window that just closed; it must return the same key set every call
@@ -69,11 +71,6 @@ class TraceEvent:
         return {"kind": self.kind, "cycle": self.cycle,
                 "payload": dict(self.payload)}
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceEvent":
-        return cls(kind=data["kind"], cycle=data["cycle"],
-                   payload=dict(data["payload"]))
-
 
 class TelemetryHub:
     """Collects one run's windowed samples and structured trace events.
@@ -89,19 +86,16 @@ class TelemetryHub:
         Sampling period in cycles (None disables windowed sampling).
     trace:
         Record :class:`TraceEvent`\\ s pushed through :meth:`emit`.
-    probes:
-        Extra probes sampled in addition to the defaults installed at
-        attach time (see :func:`repro.telemetry.probes.default_probes`).
     """
 
-    def __init__(self, *, window: int | None = None, trace: bool = True,
-                 probes: Iterable[Probe] = ()) -> None:
+    def __init__(self, *, window: int | None = None,
+                 trace: bool = True) -> None:
         if window is not None and window < 1:
             raise TelemetryError("window must be >= 1 (or None to disable)")
         self.window = window
         self.trace_enabled = trace
         self.events: list[TraceEvent] = []
-        self.probes: list[Probe] = list(probes)
+        self.probes: list[Probe] = []
         self.gpu: "GPU | None" = None
         self._cycles: list[int] = []
         self._columns: dict[str, list[float]] = {}
@@ -124,10 +118,7 @@ class TelemetryHub:
         self.gpu = gpu
         if self.window is not None:
             from .probes import default_probes
-            self.probes = default_probes(gpu) + self.probes
-
-    def add_probe(self, probe: Probe) -> None:
-        self.probes.append(probe)
+            self.probes = default_probes(gpu)
 
     # ------------------------------------------------------------------ #
     # event trace

@@ -555,6 +555,23 @@ def test_engine_resumes_from_preexisting_checkpoint(tmp_path):
     assert fingerprint_result(outcome.result) == reference
 
 
+def test_a_finished_copy_keeps_its_twins_checkpoints(tmp_path):
+    """A batch holding one job twice: the first copy to finish leaves the
+    shared checkpoints to the copy still pending, which resumes from them;
+    the last copy to finish discards them."""
+    job = _job(("kmeans",), ("lcs",))
+    reference = fingerprint_result(job.execute())
+    plan = CheckpointPlan(interval=500, root=tmp_path / "ckpt")
+    plan.store().put(job.fingerprint(), _snapshot_for(job)[0])
+
+    report = run_batch([job, job], workers=1, checkpoints=plan)
+    first, second = report.outcomes
+    assert first.status == second.status == "ok"
+    assert second.resumed_from is not None
+    assert fingerprint_result(second.result) == reference
+    assert len(plan.store()) == 0
+
+
 def test_engine_sets_aside_an_older_version_checkpoint(tmp_path):
     """A snapshot of an older machine shape (say, before the event queue
     became a calendar) is quarantined and the job restarts from cycle 0."""

@@ -356,20 +356,23 @@ class TestContextIntegration:
         assert ctx.run("kmeans", config=ctx.config) is ctx.run("kmeans")
         assert len(ctx.reports) == 2
 
-    def test_plan_experiments_dedups_shared_cells(self):
-        ctx = ExperimentContext(scale=TINY)
-        env = ctx.design_env()
-        separate = sum(len(EXPERIMENT_DESIGNS[e]().compile(env))
-                       for e in ("e3", "e4", "e9"))
-        planned = plan_experiments(ctx, ["e3", "e4", "e9"])
+    def test_plan_experiments_dedups_shared_cells(self, table_context):
+        # On the session's planned table context: nothing simulates here.
+        ids = ("e3", "e4", "e9")
+        env = table_context.design_env()
+        compiled = [cc.job for e in ids
+                    for cc in EXPERIMENT_DESIGNS[e]().compile(env)]
+        batches = len(table_context.reports)
+        planned = plan_experiments(table_context, list(ids))
         # E4 shares E3's lcs runs + static sweeps; E9 shares the baseline.
-        assert planned < separate
-        assert len(ctx._results) == planned
-        # Drivers now find everything memoised: no new engine batches.
-        batches = len(ctx.reports)
+        assert planned == len({job.fingerprint() for job in compiled}) \
+            < len(compiled)
+        assert all(job.fingerprint() in table_context._results
+                   for job in compiled)
+        # Drivers find everything memoised: no new engine batches.
         from repro.harness.experiments import EXPERIMENTS
-        EXPERIMENTS["e4"](ctx)
-        assert len(ctx.reports) == batches
+        EXPERIMENTS["e4"](table_context)
+        assert len(table_context.reports) == batches
 
     def test_cell_counts_are_json_safe(self):
         counts = design_cell_counts(DesignEnv(scale=TINY))

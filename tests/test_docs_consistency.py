@@ -2,6 +2,8 @@
 registered consistently across DESIGN.md, the registry and benchmarks/."""
 
 import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -79,6 +81,59 @@ def test_subpackage_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     for name in module.__all__:
         assert hasattr(module, name), f"{module_name}.{name} missing"
+
+
+def _api_table_names():
+    """``(row, dotted name, keyword names, modules)`` for every backticked
+    name in the first cell of a docs/API.md table row; ``modules`` are
+    the modules the row names in parentheses."""
+    found = []
+    for line in (ROOT / "docs" / "API.md").read_text().splitlines():
+        cells = line.split("|")
+        if not line.startswith("|") or set(cells[1]) <= set("- "):
+            continue
+        first = cells[1].strip()
+        if first in ("name", "class"):
+            continue
+        named = re.findall(r"\(`(repro[\w.]*)`", first)
+        for token in re.findall(r"`([^`]+)`", first):
+            if token.startswith(".") or re.fullmatch(r"repro(\.\w+)+", token):
+                continue
+            dotted = re.match(r"\w+(?:\.\w+)*", token).group(0)
+            call = re.search(r"\((.*)\)", token)
+            keywords = re.findall(r"(\w+)=", call.group(1)) if call else []
+            found.append((first, dotted, keywords, named))
+    return found
+
+
+def test_every_api_table_name_resolves():
+    # A row's name resolves in the module it names, in repro, or in any
+    # module of the package; each documented keyword is a parameter.
+    import repro
+    modules = [repro] + [importlib.import_module(info.name)
+                         for info in pkgutil.walk_packages(repro.__path__,
+                                                           "repro.")]
+    rows = _api_table_names()
+    assert len(rows) > 60
+    stale = []
+    for row, dotted, keywords, named in rows:
+        for module in [*map(importlib.import_module, named), *modules]:
+            obj = module
+            try:
+                for part in dotted.split("."):
+                    obj = getattr(obj, part)
+            except AttributeError:
+                continue
+            break
+        else:
+            stale.append(f"{dotted}: not found ({row})")
+            continue
+        if keywords:
+            params = inspect.signature(obj).parameters
+            if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                stale += [f"{dotted}: no parameter {kw!r} ({row})"
+                          for kw in keywords if kw not in params]
+    assert not stale, "\n".join(stale)
 
 
 def test_public_items_have_docstrings():

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers (tiny scale: mechanics, not shapes)."""
 
+import inspect
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from repro.harness.experiments import (EXPERIMENTS, ExperimentContext,
                                        run_experiment)
 from repro.sim.config import GPUConfig
 from repro.verify.tables import TABLE_SCALE
-from repro.workloads.suite import SUITE
+from repro.workloads.suite import LCS_SET, MOTIVATION_SET, SUITE
 
 from helpers import count_job_work
 
@@ -60,59 +61,74 @@ class TestContext:
 
 
 class TestDrivers:
-    def test_e1_rows_and_normalisation(self, ctx):
-        table = e1_occupancy_sweep(ctx, benchmarks=("kmeans", "compute"))
-        assert len(table.rows) == 2
+    """The drivers on the session's planned table context: each reads
+    only the cells its design declares, so none adds an engine batch."""
+
+    @pytest.fixture
+    def planned(self, table_context):
+        batches = len(table_context.reports)
+        yield table_context
+        assert len(table_context.reports) == batches
+
+    def test_every_driver_takes_only_the_context(self):
+        for driver in [*EXPERIMENTS.values(), e12_config_table,
+                       e12_benchmark_table]:
+            assert list(inspect.signature(driver).parameters) == ["ctx"], \
+                driver.__name__
+
+    def test_e1_rows_and_normalisation(self, planned):
+        table = e1_occupancy_sweep(planned)
+        assert [row[0] for row in table.rows] == list(MOTIVATION_SET)
         for row in table.rows:
             max_n = row[-1]
             # The max-occupancy column is 1.0 by construction.
             assert row[max_n] == pytest.approx(1.0)
 
-    def test_e2_shares_normalised(self, ctx):
-        table = e2_issue_signature(ctx, benchmarks=("kmeans",))
-        shares = [v for v in table.rows[0][1:-1] if v != "-"]
+    def test_e2_shares_normalised(self, planned):
+        table = e2_issue_signature(planned)
+        shares = [v for v in table.row_for("kmeans")[1:-1] if v != "-"]
         assert max(shares) == pytest.approx(1.0)
         assert all(0 <= s <= 1 for s in shares)
 
-    def test_e3_has_gmean_row(self, ctx):
-        table = e3_lcs_speedup(ctx, benchmarks=("kmeans", "compute"))
+    def test_e3_has_gmean_row(self, planned):
+        table = e3_lcs_speedup(planned)
         assert table.rows[-1][0] == "GMEAN"
-        assert len(table.rows) == 3
+        assert len(table.rows) == len(LCS_SET) + 1
 
-    def test_e4_reports_both_choices(self, ctx):
-        table = e4_lcs_vs_oracle(ctx, benchmarks=("kmeans",))
+    def test_e4_reports_both_choices(self, planned):
+        table = e4_lcs_vs_oracle(planned)
         row = table.row_for("kmeans")
         occupancy = row[1]
         assert 1 <= row[2] <= occupancy
         assert 1 <= row[3] <= occupancy
+        assert row[3] == planned.oracle_best("kmeans")[0]
 
-    def test_e5_ratio_consistency(self, ctx):
-        table = e5_warp_schedulers(ctx, benchmarks=("compute",))
+    def test_e5_ratio_consistency(self, planned):
+        table = e5_warp_schedulers(planned)
         row = table.row_for("compute")
         assert row[3] > 0
 
-    def test_e6_and_e7_cover_locality_set(self, ctx):
-        speedups = e6_bcs(ctx, benchmarks=("stencil",))
-        misses = e7_bcs_l1(ctx, benchmarks=("stencil",))
+    def test_e6_and_e7_cover_locality_set(self, planned):
+        speedups = e6_bcs(planned)
+        misses = e7_bcs_l1(planned)
         assert speedups.row_for("stencil")
         assert 0 <= misses.row_for("stencil")[1] <= 1
 
-    def test_e8_runs_one_pair(self, ctx):
-        table = e8_cke(ctx, pairs=(("kmeans", "compute", 1.0),))
-        row = table.row_for("kmeans+compute")
+    def test_e8_runs_one_pair(self, planned):
+        table = e8_cke(planned)
+        row = table.row_for("kmeans+blackscholes")
         assert row[1] > 0          # sequential cycles
         for value in row[2:5]:
             assert value > 0       # speedups
 
-    def test_e12_tables(self, ctx):
-        config_table = e12_config_table(ctx)
+    def test_e12_tables(self, planned):
+        config_table = e12_config_table(planned)
         assert config_table.row_for("SIMT cores")[1] == 15
-        bench_table = e12_benchmark_table(ctx)
+        bench_table = e12_benchmark_table(planned)
         assert len(bench_table.rows) == len(SUITE)
 
-    def test_run_experiment_by_id(self):
-        ctx = ExperimentContext(scale=TINY)
-        table = run_experiment("e5", ctx)
+    def test_run_experiment_by_id(self, planned):
+        table = run_experiment("e5", planned)
         assert table.rows
 
     def test_run_experiment_unknown_id(self):

@@ -18,8 +18,7 @@ import pytest
 
 from repro.harness import pool
 from repro.harness.cache import ResultCache
-from repro.harness.engine import (BatchError, JobExecutionError, run_batch,
-                                  run_jobs)
+from repro.harness.engine import JobExecutionError, run_batch, run_jobs
 from repro.harness.faults import (Fault, FaultPlan, FaultSpecError,
                                   InjectedFault, InjectedTransientFault)
 from repro.harness.jobs import SimJob
@@ -40,6 +39,13 @@ def _jobs(n):
 
 def _plan(spec, tmp_path):
     return FaultPlan.parse(spec, state_dir=str(tmp_path / "fault-state"))
+
+
+def _results(report):
+    """Every job's result in input order; each job must have one."""
+    assert all(o.result is not None for o in report.outcomes), \
+        [o.status for o in report.outcomes]
+    return [o.result for o in report.outcomes]
 
 
 # --------------------------------------------------------------------------- #
@@ -209,17 +215,15 @@ class TestIsolationAndRetry:
         assert cache.get(jobs[2].fingerprint()) is not None
 
     def test_faulty_results_match_clean_run(self, tmp_path):
-        clean = run_batch(_jobs(2)).results()
+        clean = _results(run_batch(_jobs(2)))
         shaky = run_batch(_jobs(2), faults=_plan("flaky:0", tmp_path))
-        assert shaky.results() == clean   # recovery never perturbs results
+        assert _results(shaky) == clean   # recovery never perturbs results
 
     def test_fail_fast_skips_the_rest(self, tmp_path):
         report = run_batch(_jobs(3), fail_fast=True,
                            faults=_plan("fail:0", tmp_path))
         assert [o.status for o in report.outcomes] == \
             ["failed", "skipped", "skipped"]
-        with pytest.raises(BatchError):
-            report.results()
 
     def test_batch_report_counts_and_summary(self, tmp_path):
         report = run_batch(_jobs(3), faults=_plan("fail:1,flaky:2", tmp_path))
@@ -248,7 +252,7 @@ class TestPoolCrashRecovery:
         assert "worker.respawn" in kinds and "job.recovered" in kinds
         for job in jobs:
             assert cache.get(job.fingerprint()) is not None
-        assert report.results() == run_batch(jobs).results()
+        assert _results(report) == _results(run_batch(jobs))
 
     def test_killed_worker_without_retries_fails_cleanly(self, tmp_path):
         report = run_batch(_jobs(3), workers=2, retries=0,
@@ -331,7 +335,7 @@ class TestWorkerPool:
         monkeypatch.setattr(WorkerPool, "_start_process", refuse)
         jobs = _jobs(2)
         report = run_batch(jobs, workers=2)
-        assert report.results() == run_batch(jobs).results()
+        assert _results(report) == _results(run_batch(jobs))
         inline = [e["payload"]["slot"] for e in report.events
                   if e["kind"] == "worker.inline"]
         assert sorted(inline) == [0, 1]
@@ -424,7 +428,7 @@ class TestCacheCorruption:
         # ...and a faultless re-run recomputes the identical result.
         again = run_batch(jobs, cache=cache)
         assert again.outcomes[0].status == "ok"
-        assert again.results() == first.results()
+        assert _results(again) == _results(first)
 
 
 # --------------------------------------------------------------------------- #

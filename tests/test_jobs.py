@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.bcs import BCSScheduler
 from repro.core.lcs import LCSScheduler
-from repro.harness.jobs import (JobError, KernelSpec, SimJob, build_policy,
+from repro.harness.jobs import (JobError, SimJob, build_policy,
                                 build_warp_scheduler, validate_policy,
                                 validate_warp)
 from repro.sim.config import GPUConfig
@@ -76,10 +76,6 @@ class TestValidation:
             validate_policy(("warp_drive",))
         with pytest.raises(ValueError):
             validate_warp("warp_drive")
-
-    def test_kernel_spec_unknown_benchmark(self):
-        with pytest.raises(JobError):
-            KernelSpec("warp_drive")
 
     def test_bare_lcs_descriptor_builds(self):
         kernel = make_kernel("kmeans", scale=0.05)
@@ -167,13 +163,6 @@ class TestExecute:
                           cta_scheduler=StaticLimitCTAScheduler(
                               kernel, limit_per_sm=2))
         assert via_job == direct
-
-    def test_kernel_spec_build_matches_make_kernel(self):
-        spec = KernelSpec("kmeans", scale=0.05, seed=3)
-        built = spec.build()
-        reference = make_kernel("kmeans", scale=0.05, seed=3)
-        assert built.num_ctas == reference.num_ctas
-        assert built.warps_per_cta == reference.warps_per_cta
 
     def test_scale_mults_scale_individual_kernels(self):
         job = SimJob(names=("kmeans", "kmeans"), scale=0.1,

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.oracle import sweep_static_limits
 from repro.harness.sweeps import config_sweep, occupancy_position
 from repro.sim.config import GPUConfig
+from repro.workloads.suite import make_kernel
 
 
 SMALL = GPUConfig.small()
@@ -29,6 +31,21 @@ class TestConfigSweep:
                                        "limit1": ("static", 1)})
         assert "best_policy" in table.columns
         assert table.rows[0][-1] in ("base", "limit1")
+
+    def test_repeated_value_reads_its_one_cell(self):
+        # The design keeps one cell per distinct (value, policy); a
+        # repeated value reads that cell's result in every row.
+        table = config_sweep("kmeans", "l1_mshr_entries", [8, 8],
+                             base_config=SMALL, scale=0.05)
+        assert table.column("l1_mshr_entries") == [8, 8]
+        assert table.rows[0] == table.rows[1]
+
+    def test_repeated_policy_reads_its_one_cell(self):
+        table = config_sweep("kmeans", "l1_mshr_entries", [8, 16],
+                             base_config=SMALL, scale=0.05,
+                             policies={"a": ("rr",), "b": ("rr",)})
+        assert len(table.rows) == 2
+        assert table.column("a_ipc") == table.column("b_ipc")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -63,3 +80,11 @@ class TestOccupancyPosition:
         info = occupancy_position("kmeans", config=SMALL, scale=0.05)
         assert 1 <= info["best"] <= info["occupancy"]
         assert info["best_over_max"] >= 1.0
+
+    def test_engine_sweep_agrees_with_the_in_process_oracle(self):
+        info = occupancy_position("kmeans", config=SMALL, scale=0.05, jobs=2)
+        oracle = sweep_static_limits(make_kernel("kmeans", scale=0.05),
+                                     config=SMALL)
+        assert info == {"occupancy": oracle.occupancy,
+                        "best": oracle.best_limit,
+                        "best_over_max": oracle.best_speedup}

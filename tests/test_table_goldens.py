@@ -6,32 +6,21 @@ scale matches the committed golden byte for byte.  Regenerate after an
 intentional change with ``python -m repro.verify.tables --update`` and
 commit the diff.
 
-The full matrix is built once per module through one shared context (all
-designs planned as a single deduplicated batch), so this costs one tiny
-sweep, not 22.
+The full matrix is built once per test session through one shared
+context (``table_context`` and ``tables`` in ``conftest.py``: all designs
+planned as a single deduplicated batch), so this costs one tiny sweep,
+not 22.
 """
 
-import pytest
-
-from repro.verify.tables import (DEFAULT_TABLE_ROOT, build_tables,
-                                 golden_context, verify_tables)
+from repro.verify.tables import DEFAULT_TABLE_ROOT, verify_tables
 
 
-@pytest.fixture(scope="module")
-def context():
-    return golden_context()
-
-
-@pytest.fixture(scope="module")
-def tables(context):
-    return build_tables(context)
-
-
-def test_the_plan_runs_every_cell_the_drivers_read(context, tables):
+def test_the_plan_runs_every_cell_the_drivers_read(table_context, tables):
     # One engine batch: a driver that reads a cell its design does not
     # declare would run it on demand in a batch of its own.
-    assert len(context.reports) == 1
-    assert len(context.reports[0].outcomes) == len(context._results)
+    assert len(table_context.reports) == 1
+    assert len(table_context.reports[0].outcomes) \
+        == len(table_context._results)
 
 
 def test_goldens_are_committed():

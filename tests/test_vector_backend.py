@@ -125,6 +125,21 @@ class TestCapability:
         with pytest.raises(VectorBackendError):
             VectorGPU(config=SMALL, warp_scheduler="two-level")
 
+    def test_capacity_refusal_names_what_selects_the_object_core(
+            self, monkeypatch):
+        # No CLI has a --backend flag; the refusal names the argument that
+        # still picks the core.
+        from repro.harness.runner import simulate
+        from repro.sim.vector import core
+        from repro.workloads.suite import make_kernel
+        monkeypatch.setattr(core, "MAX_CTA_SEQ", 1)
+        with pytest.raises(VectorBackendError) as excinfo:
+            simulate(make_kernel("kmeans", scale=0.02), config=SMALL,
+                     backend="vector")
+        message = str(excinfo.value)
+        assert 'backend="object"' in message
+        assert "--backend" not in message
+
 
 # --------------------------------------------------------------------------- #
 # the repro-verify parity layer
