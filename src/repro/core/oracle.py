@@ -58,8 +58,7 @@ def sweep_static_limits(kernel, *, config: GPUConfig | None = None,
 
     ``limits`` defaults to every feasible value ``1..occupancy``.  Suite
     kernels go through the batch engine instead:
-    :meth:`~repro.harness.experiments.ExperimentContext.oracle_best` or
-    :func:`~repro.harness.sweeps.occupancy_position`.
+    :meth:`~repro.harness.experiments.ExperimentContext.oracle_best`.
     """
     # Imported lazily: the harness imports this package.
     from ..harness.runner import simulate

@@ -11,7 +11,7 @@ from .faults import FaultPlan, FaultSpecError, RunSaboteur
 from .jobs import JobError, SimJob
 from .metrics import CKEMetrics, cke_metrics
 from .runner import simulate
-from .sweeps import config_sweep, occupancy_position, sweep_design
+from .sweeps import config_sweep, sweep_design
 from .validate import RunValidationError, validate_run
 
 __all__ = ["Backoff", "BatchReport", "CheckpointPlan",
@@ -20,6 +20,6 @@ __all__ = ["Backoff", "BatchReport", "CheckpointPlan",
            "EXIT_USAGE", "execute_tagged",
            "compare_runs", "stall_shift", "config_sweep", "FaultPlan",
            "FaultSpecError", "JobError", "JobExecutionError", "JobOutcome",
-           "occupancy_position", "ResultCache", "run_batch", "run_jobs",
+           "ResultCache", "run_batch", "run_jobs",
            "RunSaboteur", "RunValidationError", "simulate", "SimJob",
            "validate_run"]

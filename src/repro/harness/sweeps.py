@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 
 # Submodule imports (not the package) keep this importable from either
 # direction of the repro.design <-> repro.harness package boundary.
-from ..core.oracle import OracleResult, best_static_limit
 from ..design.design import Design, Factor
 from ..design.env import DesignEnv
 from ..sim.config import GPUConfig
@@ -104,29 +103,3 @@ def config_sweep(benchmark: str, field: str, values: Sequence,
         table.add_row(*cells)
     return table
 
-
-def occupancy_position(benchmark: str, *, config: GPUConfig | None = None,
-                       scale: float = 0.4, seed: int = DEFAULT_SEED,
-                       jobs: int = 1,
-                       cache: ResultCache | None = None) -> dict:
-    """Convenience: where does this kernel's best static limit sit?
-
-    Runs one ``("static", n)`` job per limit ``1..occupancy`` through the
-    batch engine and returns ``{"occupancy": o, "best": n,
-    "best_over_max": s}`` — the raw material of the motivation figure for
-    one kernel.
-    """
-    env = DesignEnv(scale=scale, seed=seed,
-                    config=config if config is not None else GPUConfig())
-    occupancy = env.occupancy(benchmark)
-    limits = range(1, occupancy + 1)
-    results = dict(zip(limits, run_jobs(
-        [env.job(benchmark, policy=("static", limit)) for limit in limits],
-        workers=jobs, cache=cache)))
-    oracle = OracleResult(benchmark, occupancy, best_static_limit(results),
-                          results)
-    return {
-        "occupancy": oracle.occupancy,
-        "best": oracle.best_limit,
-        "best_over_max": oracle.best_speedup,
-    }

@@ -10,7 +10,7 @@ SIGTERM.
 ``repro-submit`` (:mod:`repro.service.client`) compiles a design
 client-side and talks newline-delimited JSON
 (:mod:`repro.service.protocol`) over a unix socket or TCP, failing over
-across a ``--peers`` list.
+across a fleet's ``--socket`` address list.
 
 Daemons federate (:mod:`repro.service.cluster`): gossip-based
 membership with lease-rule failure detection, replicated job ownership

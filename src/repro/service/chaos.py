@@ -569,7 +569,7 @@ def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
     carries the wedged poison job (pinned, dispatch ordinal 0); the
     victim's first jobs are slowed by ``delay`` faults so they are still
     in flight when it is SIGKILLed mid-partition, never to return.  Two
-    clients poll-submit the design across the full ``--peers`` list,
+    clients poll-submit the design across the fleet's full address list,
     riding sheds (the quorum-less minority must refuse) and the outage
     between the kill and the heal.
 
@@ -616,7 +616,7 @@ def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
         return drill.spawn(
             "repro.service.daemon", "--state-dir", str(state_dirs[node]),
             "--cache-dir", str(cache_dir), "--socket", addrs[node],
-            "--cluster", ",".join(addrs), "--advertise", addrs[node],
+            "--cluster", ",".join(addrs),
             "--gossip-interval", str(_GOSSIP_INTERVAL),
             "--peer-ttl", str(_PEER_TTL), "--workers", "2",
             "--breaker-threshold", "2", "--hb-timeout", "1.0",
@@ -630,7 +630,7 @@ def run_cluster_chaos(design_path: str | Path, *, seed: int = 7,
         re-submitting a dead daemon's job to a survivor is the
         client-side failover the fleet promises to absorb."""
         pending = drill.payloads()
-        client = ServiceClient(peers=addrs, timeout=10.0,
+        client = ServiceClient(*addrs, timeout=10.0,
                                connect_attempts=25,
                                jitter_key=f"cluster-chaos-{tenant}")
         try:

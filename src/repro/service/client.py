@@ -18,12 +18,14 @@ states, prints the familiar label/cycles/ipc table and exits with the
 uniform codes (:mod:`repro.harness.exit_codes`): 0 all done, 1 partial
 (failed or still pending), 2 usage, 3 exhausted/quarantined, 4 shed.
 
-Against a federated fleet (``--peers A,B,C``) the client holds the full
-address list and rotates through it: a connection failure or drop moves
-on to the next peer instead of hammering the dead one, and the backoff
-sleep only happens after a full fruitless rotation.  Job ids being
-idempotency keys makes this failover transparent — whichever daemon
-answers either owns the job, forwards it, or reports the known state.
+``--socket`` names the daemon: a unix socket path or ``host:port``
+(:func:`repro.service.protocol.parse_address`).  Against a federated
+fleet (``--socket A,B,C``) the client holds the full address list and
+rotates through it: a connection failure or drop moves on to the next
+address instead of hammering the dead one, and the backoff sleep only
+happens after a full fruitless rotation.  Job ids being idempotency
+keys makes this failover transparent — whichever daemon answers either
+owns the job, forwards it, or reports the known state.
 Reconnect backoff carries a deterministic per-client jitter
 (:func:`repro.design.store.worker_ttl_jitter` over a host+pid key,
 mirroring the campaign lease-TTL jitter) so a fleet of clients stampeding
@@ -50,10 +52,9 @@ from ..harness.faults import FaultPlan
 from ..harness.jobs import JobError
 from ..harness.options import (Positive, at_least, fault_plan, fault_spec,
                                load_design_file)
-from .cluster import parse_address
 from .daemon import DEFAULT_STATE_DIR, SOCKET_NAME
 from .protocol import (DONE, FAILED, QUARANTINED, SHED, ProtocolError,
-                       decode_frame, encode_frame, job_id)
+                       decode_frame, encode_frame, job_id, parse_address)
 
 #: Connection attempts before giving up on a dead daemon.
 DEFAULT_CONNECT_ATTEMPTS = 6
@@ -78,25 +79,21 @@ def default_jitter_key() -> str:
 class ServiceClient:
     """Synchronous NDJSON client over a unix socket or TCP.
 
-    ``peers`` (a list of ``host:port`` or unix-socket-path addresses)
-    turns the client into a fleet client: every connection attempt
-    targets the current peer, and any failure rotates to the next one
-    before the jittered backoff sleep.
+    ``addresses`` are daemon addresses (unix socket paths or
+    ``host:port``), the default daemon's socket when none is given.
+    Several make a fleet client: every connection attempt targets the
+    current address, and any failure rotates to the next one before the
+    jittered backoff sleep.
     """
 
-    def __init__(self, socket_path: str | Path | None = None, *,
-                 host: str | None = None, port: int | None = None,
-                 peers: Sequence[str] | None = None,
+    def __init__(self, *addresses: str | Path,
                  timeout: float = 120.0,
                  connect_attempts: int = DEFAULT_CONNECT_ATTEMPTS,
                  backoff: Backoff | None = None,
                  jitter_key: str | None = None,
                  faults: FaultPlan | None = None) -> None:
-        self.peers = [str(p) for p in peers] if peers else []
-        if not self.peers and host is None and socket_path is None:
-            socket_path = Path(DEFAULT_STATE_DIR) / SOCKET_NAME
-        self.socket_path = Path(socket_path) if socket_path else None
-        self.host, self.port = host, port
+        self.addresses = [str(address) for address in addresses] or [
+            str(Path(DEFAULT_STATE_DIR) / SOCKET_NAME)]
         self.timeout = timeout
         self.connect_attempts = connect_attempts
         self.backoff = backoff or Backoff(base=0.25, cap=5.0)
@@ -118,38 +115,28 @@ class ServiceClient:
         """Backoff delay with the client's deterministic jitter applied."""
         return self.backoff.delay(attempt) * self.jitter
 
-    def _target(self) -> tuple[str | None, int | None, str | None]:
-        """Current (host, port, socket_path) to dial."""
-        if self.peers:
-            kind, where = parse_address(
-                self.peers[self._peer_index % len(self.peers)])
-            return (*where, None) if kind == "tcp" else (None, None, where)
-        return self.host, self.port, (str(self.socket_path)
-                                      if self.socket_path else None)
-
     def _rotate(self) -> None:
-        """Next peer, if there is more than one to rotate to."""
-        if len(self.peers) > 1:
-            self._peer_index = (self._peer_index + 1) % len(self.peers)
+        """Next address, if there is more than one to rotate to."""
+        if len(self.addresses) > 1:
+            self._peer_index = (self._peer_index + 1) % len(self.addresses)
             self.failovers += 1
 
     def connect(self) -> None:
         if self._sock is not None:
             return
         last: Exception | None = None
-        rotation = max(len(self.peers), 1)
         for attempt in range(1, self.connect_attempts + 1):
-            for _ in range(rotation):
-                host, port, path = self._target()
+            for _ in self.addresses:
+                kind, where = parse_address(self.addresses[self._peer_index])
                 try:
-                    if host is not None:
+                    if kind == "tcp":
                         sock = socket.create_connection(
-                            (host, port), timeout=self.timeout)
+                            where, timeout=self.timeout)
                     else:
                         sock = socket.socket(socket.AF_UNIX,
                                              socket.SOCK_STREAM)
                         sock.settimeout(self.timeout)
-                        sock.connect(str(path))
+                        sock.connect(where)
                 except OSError as error:
                     last = error
                     self._rotate()
@@ -157,16 +144,11 @@ class ServiceClient:
                 self._sock = sock
                 self._file = sock.makefile("rb")
                 return
-            # Every peer refused this round: sleep, then rotate again.
+            # Every address refused this round: sleep, then rotate again.
             if attempt < self.connect_attempts:
                 time.sleep(self._delay(attempt))
-        if self.peers:
-            where = ",".join(self.peers)
-        elif self.host:
-            where = f"{self.host}:{self.port}"
-        else:
-            where = str(self.socket_path)
-        raise ServiceError(f"cannot reach repro-serve at {where} after "
+        raise ServiceError(f"cannot reach repro-serve at "
+                           f"{','.join(self.addresses)} after "
                            f"{self.connect_attempts} attempt(s): {last}")
 
     def close(self) -> None:
@@ -246,8 +228,8 @@ class ServiceClient:
 
         Returns the final submit response; its ``state`` is ``shed``
         only after ``shed_retries`` polite retries all bounced.  With
-        multiple peers a shed (overloaded or quorum-less daemon) also
-        rotates: the retry lands on the next peer, which may accept.
+        several addresses a shed (overloaded or quorum-less daemon) also
+        rotates: the retry lands on the next daemon, which may accept.
         ``pin`` asks the contacted daemon to own the job itself instead
         of routing it to its rendezvous owner.
         """
@@ -259,7 +241,7 @@ class ServiceClient:
         attempt = 0
         while response.get("state") == SHED and attempt < shed_retries:
             attempt += 1
-            if not pin and len(self.peers) > 1:
+            if not pin and len(self.addresses) > 1:
                 # Not a drop — the daemon is alive but refusing — so
                 # rotate without counting a reconnect.
                 self.close()
@@ -328,16 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and wait for results.")
     parser.add_argument("design", nargs="?", default=None,
                         help="design file (TOML/JSON) to compile + submit")
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="daemon unix socket (default "
+    parser.add_argument("--socket", default=None, metavar="ADDRS",
+                        help="daemon address: a unix socket path or "
+                             "host:port, or a fleet's comma-separated "
+                             "list to fail over across (default "
                              f"{DEFAULT_STATE_DIR}/{SOCKET_NAME})")
-    parser.add_argument("--host", default=None,
-                        help="daemon TCP host (with --port)")
-    parser.add_argument("--port", type=int, default=0, help="daemon TCP port")
-    parser.add_argument("--peers", default=None, metavar="ADDRS",
-                        help="comma-separated fleet addresses "
-                             "(host:port or unix socket paths); the "
-                             "client fails over across them")
     parser.add_argument("--pin", action="store_true",
                         help="pin jobs to the contacted daemon instead "
                              "of rendezvous routing")
@@ -363,12 +340,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     faults = fault_plan(parser, args.faults)
-    if args.host is not None and not args.port:
-        parser.error("--host needs --port")
-    peers = ([p.strip() for p in args.peers.split(",") if p.strip()]
-             if args.peers else None)
-    if args.peers and not peers:
-        parser.error("--peers needs at least one address")
+    addresses = ([a.strip() for a in args.socket.split(",") if a.strip()]
+                 if args.socket is not None else [])
+    if args.socket is not None and not addresses:
+        parser.error("--socket needs at least one address")
     if not (args.status or args.drain):
         if args.design is None:
             parser.error("a design file is required "
@@ -381,9 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (DesignError, JobError) as error:
             parser.error(f"cannot compile design file {args.design}: "
                          f"{error}")
-    client = ServiceClient(args.socket, host=args.host,
-                           port=args.port or None, peers=peers,
-                           faults=faults)
+    client = ServiceClient(*addresses, faults=faults)
 
     try:
         if args.status:

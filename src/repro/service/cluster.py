@@ -36,8 +36,8 @@ cache.
 
 **Routing and split-brain.**  ``submit`` frames are routed to the
 fingerprint's rendezvous owner (one forwarding hop, marked ``route``),
-so any daemon can front the fleet; clients fail over across a
-``--peers`` list.  A daemon that cannot see a strict majority of the
+so any daemon can front the fleet; clients fail over across the
+fleet's address list.  A daemon that cannot see a strict majority of the
 configured fleet stops accepting (sheds with reason ``no-quorum``) and
 pauses dispatch/settlement, so a partition minority can never race the
 majority to a conflicting terminal state — the split-brain stance
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Any
 from ..design.store import TTL_JITTER_FRAC, lease_alive, worker_ttl_jitter
 from ..harness.faults import FaultPlan
 from .protocol import (MAX_FRAME_BYTES, TERMINAL, ProtocolError, decode_frame,
-                       encode_frame, error_response)
+                       encode_frame, error_response, parse_address)
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
     from .daemon import SchedulerDaemon
@@ -84,15 +84,6 @@ DEFAULT_PEER_TTL = 5.0
 #: million-cell backlog cannot balloon one frame past the protocol's
 #: size bound.  Announcements rotate, so everything is eventually told.
 MAX_GOSSIP_JOBS = 256
-
-
-def parse_address(address: str) -> tuple[str, Any]:
-    """``"host:port"`` -> ``("tcp", (host, port))``; else a unix path."""
-    if "/" not in address and address.count(":") == 1:
-        host, _, port = address.rpartition(":")
-        if port.isdigit():
-            return "tcp", (host, int(port))
-    return "unix", address
 
 
 def rendezvous_owner(fingerprint: str, nodes: list[str]) -> str:
@@ -129,31 +120,31 @@ class ClusterManager:
     except short-lived outbound gossip/forward connections.
     """
 
-    def __init__(self, daemon: "SchedulerDaemon", members: list[str],
-                 advertise: str, *,
+    def __init__(self, daemon: "SchedulerDaemon", members: list[str], *,
                  gossip_interval: float = DEFAULT_GOSSIP_INTERVAL,
                  peer_ttl: float = DEFAULT_PEER_TTL,
                  faults: FaultPlan | None = None) -> None:
-        if advertise not in members:
-            raise ValueError(f"advertise address {advertise!r} is not in "
+        #: This node's own entry in the member list: the daemon's address.
+        self.address = daemon.address
+        if self.address not in members:
+            raise ValueError(f"daemon address {self.address!r} is not in "
                              f"the cluster member list")
         if len(set(members)) != len(members):
             raise ValueError("duplicate addresses in cluster member list")
         self.daemon = daemon
         self.members = list(members)
-        self.advertise = advertise
-        self.index = members.index(advertise)
+        self.index = members.index(self.address)
         self.gossip_interval = gossip_interval
         self.peer_ttl = peer_ttl
         self.faults = faults
         self.peers: dict[str, PeerState] = {}
         for index, address in enumerate(members):
-            if address == advertise:
+            if address == self.address:
                 continue
             # Deterministic per-(observer, peer) jitter, exactly the
             # campaign worker-lease trick: observers desynchronise their
             # suspicion/death declarations instead of stampeding.
-            jitter = worker_ttl_jitter(f"{advertise}->{address}")
+            jitter = worker_ttl_jitter(f"{self.address}->{address}")
             self.peers[address] = PeerState(
                 address, index, peer_ttl * (1.0 + TTL_JITTER_FRAC * jitter))
         #: Last successful contact per peer address (local monotonic) —
@@ -170,9 +161,9 @@ class ClusterManager:
     # ------------------------------------------------------------------ #
     def live_addresses(self) -> list[str]:
         """Nodes eligible for routing/reclaim: self + peers seen UP."""
-        return [self.advertise] + [peer.address
-                                   for peer in self.peers.values()
-                                   if peer.state == PEER_UP]
+        return [self.address] + [peer.address
+                                 for peer in self.peers.values()
+                                 if peer.state == PEER_UP]
 
     def has_quorum(self) -> bool:
         """Can this node see a strict majority of the configured fleet?
@@ -256,7 +247,7 @@ class ClusterManager:
             await asyncio.sleep(self.gossip_interval)
 
     async def _gossip_round(self) -> None:
-        frame = {"op": "gossip", "addr": self.advertise,
+        frame = {"op": "gossip", "addr": self.address,
                  "index": self.index, "round": self.rounds,
                  **self._payload()}
         for peer in self.peers.values():
@@ -324,15 +315,15 @@ class ClusterManager:
                         "id": job.id, "state": job.state,
                         "fingerprint": job.fingerprint,
                         "cycles": job.cycles, "ipc": job.ipc,
-                        "error": job.error, "owner": self.advertise})
+                        "error": job.error, "owner": self.address})
             elif len(jobs) < MAX_GOSSIP_JOBS:
                 jobs.append({"id": job.id, "tenant": job.tenant,
                              "fingerprint": job.fingerprint, "job": job.job,
-                             "owner": self.advertise})
+                             "owner": self.address})
         quarantine = [{"fingerprint": fp,
                        "crashes": self.daemon.breaker.crashes.get(fp, 0)}
                       for fp in self.daemon.breaker.open_fingerprints()]
-        members = [{"addr": self.advertise, "state": PEER_UP}]
+        members = [{"addr": self.address, "state": PEER_UP}]
         members += [{"addr": peer.address, "state": peer.state}
                     for peer in self.peers.values()]
         return {"members": members, "jobs": jobs, "terminals": terminals,
@@ -358,7 +349,7 @@ class ClusterManager:
         owner = announced.get("owner")
         # Only a string id can become a store job (and be hashed).
         if not isinstance(job_id, str) or not job_id or not owner \
-                or owner == self.advertise:
+                or owner == self.address:
             return
         if job_id in self.daemon.table.jobs:
             return
@@ -418,7 +409,7 @@ class ClusterManager:
             return error_response("gossip", "unreachable (partitioned)")
         self._contact(sender, time.monotonic())
         self._fold_payload(frame)
-        return {"ok": True, "op": "gossip", "addr": self.advertise,
+        return {"ok": True, "op": "gossip", "addr": self.address,
                 "index": self.index, "round": self.rounds,
                 **self._payload()}
 
@@ -445,7 +436,7 @@ class ClusterManager:
         if frame.get("route") or frame.get("pin"):
             return None
         owner = rendezvous_owner(fingerprint, self.live_addresses())
-        if owner == self.advertise:
+        if owner == self.address:
             return None
         peer = self.peers[owner]
         if self.faults is not None and self.faults.partition_blocks(
@@ -453,7 +444,7 @@ class ClusterManager:
             peer.misses += 1
             return None
         forwarded = dict(frame)
-        forwarded["route"] = {"via": self.advertise, "index": self.index}
+        forwarded["route"] = {"via": self.address, "index": self.index}
         try:
             response = await self.call(owner, forwarded,
                                        timeout=self.gossip_interval * 4)
@@ -485,7 +476,7 @@ class ClusterManager:
             if job.owner in self._dead_owners \
                     and job.state not in TERMINAL \
                     and rendezvous_owner(job.fingerprint,
-                                         nodes) == self.advertise:
+                                         nodes) == self.address:
                 self.daemon.adopt_job(job)
 
     # ------------------------------------------------------------------ #
@@ -495,7 +486,7 @@ class ClusterManager:
         """The membership table, for ``status`` responses."""
         now = time.monotonic()
         return {
-            "advertise": self.advertise, "index": self.index,
+            "advertise": self.address, "index": self.index,
             "size": len(self.members), "rounds": self.rounds,
             "quorum": self.has_quorum(), "degraded": self.degraded,
             "remote_jobs": sum(1 for job in self.daemon.table.jobs.values()

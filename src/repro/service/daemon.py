@@ -1,8 +1,9 @@
 """The always-on scheduler daemon behind ``repro-serve``.
 
 An asyncio server speaking the NDJSON protocol
-(:mod:`repro.service.protocol`) over a unix socket (default) or TCP.
-The daemon owns:
+(:mod:`repro.service.protocol`) on one address (``--socket``): a unix
+socket path (default ``STATE_DIR/serve.sock``) or ``host:port`` for
+TCP.  The daemon owns:
 
 * a **durable submission queue** — a :class:`~repro.design.store.JobStore`
   on the state directory: every accepted job is a ``submit`` record in
@@ -26,7 +27,8 @@ The daemon owns:
   and exits 0.  Queued jobs stay journaled for the next incarnation;
   a snapshot is written only if journal appends were lost;
 * optionally a **cluster membership** (:mod:`repro.service.cluster`,
-  ``--cluster``/``--advertise``) — gossip heartbeats to every peer,
+  ``--cluster``: the fleet's addresses, this daemon's own among them)
+  — gossip heartbeats to every peer,
   lease-based handoff of a dead peer's jobs, rendezvous-hash submit
   routing, and a no-quorum stance that stops acceptance and settlement
   on the minority side of a partition.
@@ -70,7 +72,7 @@ from .cluster import (DEFAULT_GOSSIP_INTERVAL, DEFAULT_PEER_TTL, PEER_DEAD,
 from .protocol import (DONE, FAILED, MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        QUARANTINED, QUEUED, RUNNING, SHED, TERMINAL,
                        ProtocolError, decode_frame, encode_frame,
-                       error_response)
+                       error_response, parse_address)
 
 #: Default service state directory (journal, events, snapshot, socket).
 DEFAULT_STATE_DIR = ".repro-serve"
@@ -90,8 +92,7 @@ class SchedulerDaemon:
     """The asyncio server tying queue, admission and pool together."""
 
     def __init__(self, *, state_dir: str | Path = DEFAULT_STATE_DIR,
-                 socket_path: str | Path | None = None,
-                 host: str | None = None, port: int | None = None,
+                 address: str | Path | None = None,
                  cache_dir: str | Path | None = None,
                  workers: int = 2,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -104,7 +105,6 @@ class SchedulerDaemon:
                  drain_grace: float = DEFAULT_DRAIN_GRACE,
                  trace: str | Path | None = None,
                  cluster_members: Sequence[str] | None = None,
-                 advertise: str | None = None,
                  gossip_interval: float = DEFAULT_GOSSIP_INTERVAL,
                  peer_ttl: float = DEFAULT_PEER_TTL,
                  faults: FaultPlan | None = None,
@@ -126,10 +126,10 @@ class SchedulerDaemon:
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         self.state_dir = Path(state_dir)
-        self.socket_path = (Path(socket_path) if socket_path is not None
-                            else self.state_dir / SOCKET_NAME)
-        self.host = host
-        self.port = port
+        #: Where the daemon listens (:func:`parse_address`) and, when
+        #: clustered, its own entry in the member list.
+        self.address = str(address if address is not None
+                           else self.state_dir / SOCKET_NAME)
         self.cache = ResultCache(cache_dir) if cache_dir else ResultCache()
         self.workers = workers
         self.retries = retries
@@ -180,12 +180,8 @@ class SchedulerDaemon:
 
         self.cluster: ClusterManager | None = None
         if cluster_members:
-            if advertise is None:
-                raise ValueError("clustered daemons need an advertise "
-                                 "address (their own entry in the member "
-                                 "list)")
             self.cluster = ClusterManager(
-                self, list(cluster_members), advertise,
+                self, list(cluster_members),
                 gossip_interval=gossip_interval, peer_ttl=peer_ttl,
                 faults=self.faults)
 
@@ -273,22 +269,20 @@ class SchedulerDaemon:
         # while the workers fork.  The stream limit sits just past the
         # protocol frame bound so an oversized line is a typed refusal,
         # never an unhandled LimitOverrunError.
-        if self.host is not None:
+        kind, where = parse_address(self.address)
+        if kind == "tcp":
+            host, port = where
             self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port,
+                self._handle_connection, host=host, port=port,
                 limit=MAX_FRAME_BYTES + 1024)
-            where = f"{self.host}:{self.port}"
         else:
-            try:
-                self.socket_path.unlink()
-            except OSError:
-                pass
-            self.socket_path.parent.mkdir(parents=True, exist_ok=True)
+            path = Path(where)
+            path.unlink(missing_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(self.socket_path),
+                self._handle_connection, path=where,
                 limit=MAX_FRAME_BYTES + 1024)
-            where = str(self.socket_path)
-        self._log(f"listening on {where} "
+        self._log(f"listening on {self.address} "
                   f"({self.workers} worker(s), pid {os.getpid()})")
         self.pool.start()
 
@@ -296,8 +290,7 @@ class SchedulerDaemon:
         if self.cluster is not None:
             gossip = asyncio.ensure_future(self.cluster.run())
             self._log(f"clustered: node {self.cluster.index} of "
-                      f"{len(self.cluster.members)} "
-                      f"(advertise {self.cluster.advertise})")
+                      f"{len(self.cluster.members)}")
         dispatchers = [asyncio.ensure_future(self._dispatch_loop())
                        for _ in range(self.workers)]
         await self._drained.wait()
@@ -309,6 +302,14 @@ class SchedulerDaemon:
         await asyncio.gather(*dispatchers, return_exceptions=True)
         self._server.close()
         await self._server.wait_closed()
+        if kind == "unix":
+            # asyncio leaves the socket file behind (Python < 3.13); a
+            # restart that waits for the file must wait for its own.
+            # Best effort: the pool and the journal still close below.
+            try:
+                path.unlink()
+            except OSError:
+                pass
         self.pool.close()
         self._executor.shutdown(wait=False)
         snapshot = self.table.close()
@@ -864,13 +865,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state-dir", default=DEFAULT_STATE_DIR,
                         help="durable queue state: journal, events, "
                              f"snapshot, socket (default {DEFAULT_STATE_DIR})")
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="unix socket path (default "
-                             f"STATE_DIR/{SOCKET_NAME})")
-    parser.add_argument("--host", default=None,
-                        help="serve TCP on this host instead of the socket")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (with --host)")
+    parser.add_argument("--socket", default=None, metavar="ADDR",
+                        help="where to listen: a unix socket path or "
+                             "host:port for TCP; with --cluster, this "
+                             "daemon's entry in the member list "
+                             f"(default STATE_DIR/{SOCKET_NAME})")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default .repro-cache)")
     parser.add_argument("--workers", type=int, default=2,
@@ -897,9 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cluster", default=None, metavar="ADDRS",
                         help="comma-separated addresses of the whole "
                              "fleet (unix socket paths or host:port), "
-                             "the same ordered list on every member")
-    parser.add_argument("--advertise", default=None, metavar="ADDR",
-                        help="this daemon's own address within --cluster")
+                             "the same ordered list on every member, "
+                             "--socket among them")
     parser.add_argument("--gossip-interval", type=float,
                         default=DEFAULT_GOSSIP_INTERVAL,
                         help="seconds between peer heartbeat rounds "
@@ -933,22 +931,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.host is not None and not args.port:
-        parser.error("--host needs --port")
     members = None
     if args.cluster:
         members = [addr.strip() for addr in args.cluster.split(",")
                    if addr.strip()]
-        if args.advertise is None:
-            parser.error("--cluster needs --advertise")
-        if args.advertise not in members:
-            parser.error(f"--advertise {args.advertise!r} is not in "
-                         f"--cluster")
     faults = fault_plan(parser, args.faults)
     try:
         daemon = SchedulerDaemon(
-            state_dir=args.state_dir, socket_path=args.socket,
-            host=args.host, port=args.port or None,
+            state_dir=args.state_dir, address=args.socket,
             cache_dir=args.cache_dir, workers=args.workers,
             queue_depth=args.queue_depth, rate=args.rate, burst=args.burst,
             breaker_threshold=args.breaker_threshold,
@@ -956,7 +946,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             retries=args.retries,
             timeout=args.timeout, hb_timeout=args.hb_timeout,
             drain_grace=args.drain_grace, trace=args.trace,
-            cluster_members=members, advertise=args.advertise,
+            cluster_members=members,
             gossip_interval=args.gossip_interval, peer_ttl=args.peer_ttl,
             faults=faults)
     except ValueError as error:

@@ -105,6 +105,17 @@ def decode_frame(line: bytes) -> dict[str, Any]:
     return frame
 
 
+def parse_address(address: str) -> tuple[str, Any]:
+    """A daemon address, where one listens and the others dial:
+    ``"host:port"`` -> ``("tcp", (host, port))``; anything else is a
+    unix socket path, ``("unix", path)``."""
+    if "/" not in address and address.count(":") == 1:
+        host, _, port = address.rpartition(":")
+        if port.isdigit():
+            return "tcp", (host, int(port))
+    return "unix", address
+
+
 def error_response(op: str | None, message: str) -> dict[str, Any]:
     """The daemon's uniform bad-request answer (connection stays up)."""
     return {"ok": False, "op": op or "?", "error": message}

@@ -147,43 +147,56 @@ def test_public_items_have_docstrings():
     assert not missing, f"public items without docstrings: {missing}"
 
 
+#: ``[VAR=value ...] python -m repro.<module>``, naming the module.
+PYTHON_M = re.compile(r"(?:\w+=\S*\s+)*python -m (repro[\w.]*)")
+
+
 def _documented_command_lines():
-    """``(where, argv)`` of every ``repro-*`` line in a fenced code
-    block of README.md and docs/*.md, continuation lines joined."""
+    """``(where, module, args)`` of every command line in a fenced code
+    block of README.md, docs/*.md and the verify notes, continuation
+    lines joined: a ``repro-*`` console script (``module`` is the one
+    pyproject.toml names for it) or a ``python -m repro.<module>``."""
+    scripts = dict(re.findall(r'^(repro-[a-z]+) = "([\w.]+):main"$',
+                              (ROOT / "pyproject.toml").read_text(),
+                              re.MULTILINE))
     found = []
-    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                 ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]:
         fenced, pending = False, ""
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if line.lstrip().startswith("```"):
                 fenced, pending = not fenced, ""
                 continue
             text = (pending + " " + line.strip().removeprefix("$ ")).strip()
-            if not fenced or not text.startswith("repro-"):
+            python_m = PYTHON_M.match(text)
+            if not fenced or not (text.startswith("repro-") or python_m):
                 continue
             if text.endswith("\\"):
                 pending = text[:-1]
                 continue
             pending = ""
             argv = shlex.split(text, comments=True)
-            found.append((f"{path.name}:{number}",
-                          argv[:-1] if argv[-1] == "&" else argv))
+            argv = argv[:-1] if argv[-1] == "&" else argv
+            if python_m:
+                module = python_m.group(1)
+                args = argv[argv.index(module) + 1:]
+            else:
+                module, args = scripts[argv[0]], argv[1:]
+            found.append((f"{path.name}:{number}", module, args))
     return found
 
 
 def test_documented_command_lines_parse(capsys):
     # Parse only: each line goes through its CLI's parser, nothing runs.
-    scripts = dict(re.findall(r'^(repro-[a-z]+) = "([\w.]+):main"$',
-                              (ROOT / "pyproject.toml").read_text(),
-                              re.MULTILINE))
     lines = _documented_command_lines()
-    assert len(lines) > 30 and {argv[0] for _, argv in lines} <= set(scripts)
+    assert len(lines) > 40
+    assert sum(where.startswith("SKILL.md:") for where, _, _ in lines) >= 9
     refused = []
-    for where, argv in lines:
-        module = importlib.import_module(scripts[argv[0]])
+    for where, module, args in lines:
         try:
-            module.build_parser().parse_args(argv[1:])
+            importlib.import_module(module).build_parser().parse_args(args)
         except SystemExit:
-            refused.append(f"{where}: {' '.join(argv)}: "
+            refused.append(f"{where}: {module} {' '.join(args)}: "
                            f"{capsys.readouterr().err.splitlines()[-1]}")
     assert not refused, "\n".join(refused)
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.oracle import sweep_static_limits
+from repro.harness.experiments import ExperimentContext
 from repro.sim.config import GPUConfig
+from repro.workloads.suite import make_kernel
 
 from helpers import make_test_kernel
 
@@ -59,3 +61,22 @@ class TestSweep:
                                   regs_per_thread=0)
         oracle = sweep_static_limits(kernel, config=config)
         assert oracle.best.cycles <= oracle.results[1].cycles
+
+
+class TestEngineSweep:
+    def test_engine_sweep_agrees_with_the_in_process_oracle(self, config):
+        # A suite kernel's static sweep runs as engine jobs, here one
+        # batch on two workers; it must rank the limits exactly as the
+        # serial in-process oracle does.
+        ctx = ExperimentContext(scale=0.05, config=config, jobs=2)
+        ctx.prefetch(ctx.job("kmeans", policy=("static", limit))
+                     for limit in range(1, ctx.occupancy("kmeans") + 1))
+        oracle = sweep_static_limits(make_kernel("kmeans", scale=0.05),
+                                     config=config)
+        best, run = ctx.oracle_best("kmeans")
+        assert (best, run.cycles) == (oracle.best_limit, oracle.best.cycles)
+        assert {limit: result.cycles for limit, result
+                in ctx.static_sweep("kmeans").items()} \
+            == {limit: result.cycles for limit, result
+                in oracle.results.items()}
+        assert len(ctx.reports) == 1     # the reads ran nothing more

@@ -18,6 +18,7 @@ import io
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +33,10 @@ from repro.service.admission import CircuitBreaker
 from repro.service.audit import audit_state_dirs
 from repro.service.client import ServiceClient
 from repro.service.cluster import (PEER_DEAD, PEER_SUSPECT, PEER_UNKNOWN,
-                                   PEER_UP, ClusterManager, parse_address,
-                                   rendezvous_owner)
+                                   PEER_UP, ClusterManager, rendezvous_owner)
 from repro.service.daemon import SchedulerDaemon
-from repro.service.protocol import DONE, QUEUED, TERMINAL, encode_frame
+from repro.service.protocol import (DONE, QUEUED, TERMINAL, encode_frame,
+                                    parse_address)
 from repro.sim.config import GPUConfig
 
 A, B, C = "a.sock", "b.sock", "c.sock"
@@ -98,6 +99,8 @@ class _StubDaemon:
     """The daemon surface the cluster uses; ``state_dir`` holds its job
     store (membership alone needs none)."""
 
+    address = A
+
     def __init__(self, state_dir=None, threshold=2):
         self.table = None
         if state_dir is not None:
@@ -135,7 +138,7 @@ def _kinds(table):
 
 def _manager(stub=None, *, peer_ttl=1.0, faults=None):
     stub = stub or _StubDaemon()
-    manager = ClusterManager(stub, [A, B, C], A, peer_ttl=peer_ttl,
+    manager = ClusterManager(stub, [A, B, C], peer_ttl=peer_ttl,
                              faults=faults)
     manager.started = 0.0   # pin the boot instant: tests own the clock
     return stub, manager
@@ -159,11 +162,11 @@ def _fp_owned_by(node, nodes):
 class TestClusterMembership:
     def test_advertise_must_be_a_member(self):
         with pytest.raises(ValueError, match="not in"):
-            ClusterManager(_StubDaemon(), [B, C], A)
+            ClusterManager(_StubDaemon(), [B, C])
 
     def test_duplicate_members_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ClusterManager(_StubDaemon(), [A, B, B], A)
+            ClusterManager(_StubDaemon(), [A, B, B])
 
     def test_peer_ttls_are_jittered_per_pair(self):
         _, manager = _manager(peer_ttl=2.0)
@@ -410,7 +413,7 @@ class TestReplicasInTheStore:
         return SchedulerDaemon(state_dir=tmp_path / "state",
                                cache_dir=tmp_path / "cache", workers=1,
                                log=io.StringIO(), cluster_members=[A, B, C],
-                               advertise=A, **kwargs)
+                               address=A, **kwargs)
 
     def test_a_replica_survives_the_snapshot_fallback(self, tmp_path):
         # A journal path that is a directory: every append fails.
@@ -582,18 +585,18 @@ class TestClientFailover:
             * one.jitter
 
     def test_target_parsing_and_rotation(self):
-        client = ServiceClient(peers=["h:7070", "b.sock", "c.sock"],
+        client = ServiceClient(*["h:7070", "b.sock", "c.sock"],
                                jitter_key="k")
-        assert client._target() == ("h", 7070, None)
+        assert client.addresses[client._peer_index] == "h:7070"
         client._rotate()
-        assert client._target() == (None, None, "b.sock")
+        assert client.addresses[client._peer_index] == "b.sock"
         assert client.failovers == 1
         client._rotate()
         client._rotate()                       # wraps around
-        assert client._target() == ("h", 7070, None)
+        assert client.addresses[client._peer_index] == "h:7070"
 
     def test_single_target_never_rotates(self):
-        client = ServiceClient(peers=["only.sock"], jitter_key="k")
+        client = ServiceClient(*["only.sock"], jitter_key="k")
         client._rotate()
         assert client.failovers == 0 and client._peer_index == 0
 
@@ -603,7 +606,7 @@ class TestClientFailover:
             live, {"ok": True, "op": "status", "fake": True})
         try:
             client = ServiceClient(
-                peers=[str(tmp_path / "dead.sock"), str(live)],
+                *[str(tmp_path / "dead.sock"), str(live)],
                 connect_attempts=3, jitter_key="k")
             response = client.request({"op": "status"})
             assert response["fake"]
@@ -750,7 +753,7 @@ class TestDrainEndsGossip:
         daemon = SchedulerDaemon(
             state_dir=tmp_path / "state", cache_dir=tmp_path / "cache",
             workers=1, drain_grace=1.0, log=io.StringIO(),
-            cluster_members=members, advertise=members[0],
+            cluster_members=members, address=members[0],
             gossip_interval=0.05, peer_ttl=1.0)
         absorbed = []
 
@@ -792,7 +795,7 @@ class TestLiveFleet:
             daemon = SchedulerDaemon(
                 state_dir=tmp_path / f"s{i}", cache_dir=tmp_path / "cache",
                 workers=1, drain_grace=15.0, log=io.StringIO(),
-                cluster_members=members, advertise=members[i],
+                cluster_members=members, address=members[i],
                 gossip_interval=0.2, peer_ttl=1.0)
             outcome = {}
 
@@ -807,11 +810,11 @@ class TestLiveFleet:
             outcomes.append(outcome)
         try:
             deadline = time.monotonic() + 15.0
-            while not all(d.socket_path.exists() for d in daemons):
+            while not all(Path(d.address).exists() for d in daemons):
                 assert time.monotonic() < deadline, "fleet never bound"
                 time.sleep(0.02)
 
-            client = ServiceClient(peers=members, timeout=30.0,
+            client = ServiceClient(*members, timeout=30.0,
                                    jitter_key="fleet-test")
             ids = []
             for seed in (1, 2, 3):

@@ -12,6 +12,7 @@ import asyncio
 import io
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -45,7 +46,8 @@ def _job(seed=1):
 
 
 def _start(tmp_path, **kwargs):
-    """A live daemon on a tmp unix socket, plus its eventual exit code."""
+    """A live daemon (on a tmp unix socket unless ``address`` says
+    otherwise), plus its eventual exit code."""
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("drain_grace", 10.0)
     daemon = SchedulerDaemon(state_dir=tmp_path / "state",
@@ -60,14 +62,14 @@ def _start(tmp_path, **kwargs):
                               name="test-repro-serve")
     thread.start()
     deadline = time.monotonic() + 15.0
-    while not daemon.socket_path.exists():
+    while daemon._server is None:
         assert time.monotonic() < deadline, "daemon never bound its socket"
         time.sleep(0.02)
     return daemon, thread, outcome
 
 
 def _stop(daemon, thread, outcome):
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.address) as client:
         client.drain()
     thread.join(timeout=30.0)
     assert not thread.is_alive(), "daemon did not drain"
@@ -78,7 +80,7 @@ class TestDaemonLifecycle:
     def test_submit_watch_dedup_result_status_drain(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 response = client.submit("t:0", _job().to_payload(),
                                          tenant="alice")
                 assert response["state"] == QUEUED
@@ -125,6 +127,23 @@ class TestDaemonLifecycle:
         assert kinds.count(("done", "t:0")) == 1
         assert kinds.count(("done", "t:1")) == 1
         assert not (tmp_path / "state" / "snapshot.json").exists()
+        # Nor a socket file: a restart that waits for one waits for its
+        # own (asyncio before Python 3.13 leaves it behind).
+        assert not Path(daemon.address).exists()
+
+    def test_a_tcp_address_serves_submit_and_watch(self, tmp_path):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            address = f"127.0.0.1:{probe.getsockname()[1]}"
+        daemon, thread, outcome = _start(tmp_path, address=address)
+        try:
+            with ServiceClient(address) as client:
+                assert client._sock.family == socket.AF_INET
+                response = client.submit("tcp:0", _job(seed=71).to_payload())
+                assert response["state"] == QUEUED
+                assert client.watch(["tcp:0"])["tcp:0"]["state"] == DONE
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
 
     def test_a_settled_job_leaves_no_event_or_retry_count_behind(
             self, tmp_path):
@@ -133,7 +152,7 @@ class TestDaemonLifecycle:
         plan = FaultPlan.parse("flaky:0", state_dir=str(tmp_path / "faults"))
         daemon, thread, outcome = _start(tmp_path, faults=plan)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 client.submit("r:0", _job(seed=53).to_payload())
                 assert client.watch(["r:0"])["r:0"]["state"] == DONE
                 assert not daemon.events
@@ -156,7 +175,7 @@ class TestDaemonLifecycle:
         daemon, thread, outcome = _start(tmp_path)
         try:
             payload = {**_job().to_payload(), "policy": ["static", 0]}
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 response = client.submit("bad:0", payload)
                 assert not response["ok"]
                 assert "bad job payload" in response["error"]
@@ -182,7 +201,7 @@ class TestDaemonLifecycle:
     def test_non_int_static_limit_is_refused_at_admission(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 for index, limit in enumerate(["x", 2.5, True]):
                     payload = {**_job().to_payload(),
                                "policy": ["static", limit]}
@@ -198,7 +217,7 @@ class TestDaemonLifecycle:
     def test_rate_limit_sheds_with_retry_after(self, tmp_path):
         daemon, thread, outcome = _start(tmp_path, rate=0.001, burst=1)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 first = client.submit("r:0", _job(seed=11).to_payload(),
                                       tenant="hog", shed_retries=0)
                 assert first["state"] == QUEUED
@@ -227,7 +246,7 @@ class TestDaemonLifecycle:
         daemon, thread, outcome = _start(tmp_path, faults=plan,
                                          queue_depth=1)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 client.submit("q:0", _job(seed=41).to_payload())
                 deadline = time.monotonic() + 10.0
                 while client.status()["inflight"] < 1:
@@ -256,7 +275,7 @@ class TestDaemonLifecycle:
                                state_dir=str(tmp_path / "faults"))
         daemon, thread, outcome = _start(tmp_path, faults=plan)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 client.submit("d:0", _job(seed=21).to_payload())
                 deadline = time.monotonic() + 10.0
                 while client.status()["inflight"] < 1:
@@ -277,7 +296,7 @@ class TestDaemonLifecycle:
                                state_dir=str(tmp_path / "faults"))
         daemon, thread, outcome = _start(tmp_path, faults=plan)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 assert client.status()["healthy"]        # frame 0
                 assert client.status()["healthy"]        # frame 1: dropped
                 assert client.reconnects >= 1
@@ -295,7 +314,7 @@ class TestDaemonLifecycle:
         daemon, thread, outcome = _start(tmp_path, breaker_threshold=1,
                                          hb_timeout=1.0)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 response = client.submit("p:0", _job(seed=31).to_payload())
                 assert response["state"] == QUEUED
                 frames = client.watch(["p:0"])
@@ -327,7 +346,7 @@ class TestDaemonLifecycle:
                                          breaker_threshold=1,
                                          hb_timeout=1.0)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 client.submit("f:0", _job(seed=33).to_payload())
                 frame = client.watch(["f:0"])["f:0"]
                 status = client.status()
@@ -353,7 +372,7 @@ class TestInlineFallback:
         job = _job(seed=51)
         daemon, thread, outcome = _start(tmp_path)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 slots = client.status()["workers_detail"]
                 assert slots and all(slot["inline"] for slot in slots)
                 assert client.submit("i:0", job.to_payload())["state"] \
@@ -381,7 +400,7 @@ class TestInlineFallback:
         daemon, thread, outcome = _start(tmp_path, faults=plan,
                                          breaker_threshold=1)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 client.submit("w:0", _job(seed=52).to_payload())
                 frame = client.watch(["w:0"])["w:0"]
                 assert client.status()["wedges"] == 1
@@ -476,7 +495,7 @@ class TestRecovery:
                      job=job.to_payload())
         daemon, thread, outcome = _start(tmp_path)
         try:
-            with ServiceClient(daemon.socket_path) as client:
+            with ServiceClient(daemon.address) as client:
                 frames = client.watch(["z:0"])
                 assert frames["z:0"]["state"] == DONE
         finally:
@@ -647,6 +666,19 @@ class TestServeOptions:
             main, ["--state-dir", str(state), *argv], capsys)
         assert served == [] and not state.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--cluster", "a.sock,b.sock"], "/state/serve.sock'"),  # default
+        (["--socket", "c.sock", "--cluster", "a.sock,b.sock"], "'c.sock'"),
+    ])
+    def test_an_address_outside_the_cluster_exits_2(self, tmp_path, capsys,
+                                                    served, argv, named):
+        # The daemon's one address is its own entry in the member list;
+        # a fleet whose peers would dial somewhere else is refused.
+        state = tmp_path / "state"
+        err = usage_error(main, ["--state-dir", str(state), *argv], capsys)
+        assert f"{named} is not in the cluster member list" in err
+        assert served == [] and not state.exists()
+
     def test_boundary_values_are_accepted(self, tmp_path, served):
         assert main(["--state-dir", str(tmp_path / "state"),
                      "--retries", "0", "--timeout", "0",
@@ -677,10 +709,31 @@ class TestSubmitOptions:
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
         (["--backend", "vector"], "unrecognized arguments: --backend"),
         (["--faults", "explode:0"], "argument --faults: bad fault spec"),
+        (["--socket", " , "], "--socket needs at least one address"),
+        (["--peers", "a.sock"], "unrecognized arguments: --peers"),
     ])
     def test_out_of_range_option_exits_2(self, capsys, submit, argv,
                                          message):
         assert message in usage_error(submit, [self.DESIGN, *argv], capsys)
+
+    def test_a_socket_list_is_one_fleet_client(self, monkeypatch):
+        from repro.service import client as submit_cli
+        made = []
+
+        class Recorder:
+            def __init__(self, *addresses, **kwargs):
+                made.append(addresses)
+
+            def drain(self):
+                return {"ok": True}
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(submit_cli, "ServiceClient", Recorder)
+        assert submit_cli.main(["--socket", "a.sock, b.sock",
+                                "--drain"]) == EXIT_OK
+        assert made == [("a.sock", "b.sock")]
 
     def test_a_design_it_cannot_compile_exits_2(self, tmp_path, capsys,
                                                 submit):

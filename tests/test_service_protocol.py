@@ -14,6 +14,7 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -96,11 +97,11 @@ def live_daemon(tmp_path_factory):
                               name="fuzz-repro-serve")
     thread.start()
     deadline = time.monotonic() + 15.0
-    while not daemon.socket_path.exists():
+    while not Path(daemon.address).exists():
         assert time.monotonic() < deadline, "daemon never bound its socket"
         time.sleep(0.02)
     yield daemon
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.address) as client:
         client.drain()
     thread.join(timeout=30.0)
     assert not thread.is_alive(), "daemon did not drain after the fuzzing"
@@ -110,7 +111,7 @@ def live_daemon(tmp_path_factory):
 def _raw(daemon):
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.settimeout(15.0)
-    sock.connect(str(daemon.socket_path))
+    sock.connect(daemon.address)
     return sock
 
 
@@ -122,7 +123,7 @@ def _exchange(sock, payload: bytes) -> dict:
 
 
 def _alive(daemon) -> bool:
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.address) as client:
         return bool(client.status().get("ok"))
 
 
@@ -215,8 +216,8 @@ class TestDaemonWireRobustness:
             self, live_daemon):
         job = SimJob(names=("kmeans",), scale=0.02, seed=99,
                      config=GPUConfig.small())
-        with ServiceClient(live_daemon.socket_path) as one, \
-                ServiceClient(live_daemon.socket_path) as two:
+        with ServiceClient(live_daemon.address) as one, \
+                ServiceClient(live_daemon.address) as two:
             first = one.submit("fuzz:dup", job.to_payload(), tenant="a")
             assert first["ok"]
             # The same id from another connection is answered from the

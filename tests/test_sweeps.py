@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.oracle import sweep_static_limits
-from repro.harness.sweeps import config_sweep, occupancy_position
+from repro.harness.sweeps import config_sweep
 from repro.sim.config import GPUConfig
-from repro.workloads.suite import make_kernel
 
 
 SMALL = GPUConfig.small()
@@ -73,18 +71,3 @@ class TestConfigSweep:
         with pytest.raises(ValueError):
             config_sweep("warp_drive", "l1_size", [4096], base_config=SMALL,
                          scale=0.03)
-
-
-class TestOccupancyPosition:
-    def test_reports_consistent_fields(self):
-        info = occupancy_position("kmeans", config=SMALL, scale=0.05)
-        assert 1 <= info["best"] <= info["occupancy"]
-        assert info["best_over_max"] >= 1.0
-
-    def test_engine_sweep_agrees_with_the_in_process_oracle(self):
-        info = occupancy_position("kmeans", config=SMALL, scale=0.05, jobs=2)
-        oracle = sweep_static_limits(make_kernel("kmeans", scale=0.05),
-                                     config=SMALL)
-        assert info == {"occupancy": oracle.occupancy,
-                        "best": oracle.best_limit,
-                        "best_over_max": oracle.best_speedup}
