@@ -5,10 +5,10 @@ Experiments are *data*: a :class:`Design` declares a factorial space
 per-cell :class:`Override`\\ s), :meth:`Design.compile` lowers it
 deterministically to :class:`~repro.harness.jobs.SimJob`\\ s under a
 :class:`DesignEnv`, and a :class:`Campaign` gives the sweep a durable,
-resumable, shardable on-disk store: a static ``meta.json`` plus a
-:class:`JobStore` (:mod:`repro.design.store`), whose append-only
-checksummed journal (:mod:`repro.design.journal`) and lease rule let
-concurrent workers drain one campaign safely.  The ``repro-serve``
+resumable, shardable on-disk store: a :class:`JobStore`
+(:mod:`repro.design.store`) the compiled cells are declared to, whose
+append-only checksummed journal (:mod:`repro.design.journal`) and lease
+rule let concurrent workers drain one campaign safely.  The ``repro-serve``
 daemon keeps its queue in a :class:`JobStore` too.  Design files
 (TOML/JSON) round-trip through :func:`parse_design`/:func:`serialize_design`
 with identical compiled fingerprints.  See docs/DESIGNS.md and
@@ -16,7 +16,7 @@ docs/ROBUSTNESS.md.
 """
 
 from .campaign import (DEFAULT_CAMPAIGN_ROOT, DEFAULT_COMPACT_EVERY, Campaign,
-                       CampaignError, CampaignReport)
+                       CampaignReport)
 from .design import (RESERVED, Block, CompiledCell, Design, DesignError,
                      Factor, Override)
 from .env import DesignEnv
@@ -33,7 +33,7 @@ __all__ = [
     "DEFAULT_CAMPAIGN_ROOT", "DEFAULT_COMPACT_EVERY", "DEFAULT_LEASE_TTL",
     "ENV_KEYS", "JOURNAL_NAME", "NONE_SENTINEL", "RESERVED", "SNAPSHOT_NAME",
     "TTL_JITTER_FRAC", "worker_ttl_jitter",
-    "Block", "Campaign", "CampaignError", "CampaignReport", "CompiledCell",
+    "Block", "Campaign", "CampaignReport", "CompiledCell",
     "Design", "DesignEnv", "DesignError", "Factor", "Job", "JobStore",
     "Journal", "JournalReplay", "Override", "default_worker_id",
     "design_payload", "job_id", "lease_alive", "load_design",

@@ -1,16 +1,13 @@
 """Durable, shardable campaigns: a design sweep that survives anything.
 
 A :class:`Campaign` is one compiled design bound to a store directory
-(``.repro-campaigns/<name>-<digest12>/``):
-
-* ``meta.json`` — what the campaign *is*: design digest, compile
-  environment, one static record per cell (label, job payload,
-  fingerprint).  Written exactly once, through
-  :func:`repro.harness.files.write_atomic`.
-* ``journal.jsonl`` and ``snapshot.json`` — what *happened*, kept by a
-  :class:`~repro.design.store.JobStore`: ``claim`` / ``heartbeat`` /
-  ``release`` / ``done`` / ``failed`` / ``exhausted`` records keyed by
-  ``id``, and the snapshot compaction leaves behind.
+(``.repro-campaigns/<name>-<digest12>/``).  The design, compiled on
+every open, is the only statement of what the campaign *is*; the store
+keeps only what *happened*, through a
+:class:`~repro.design.store.JobStore`: ``journal.jsonl`` (``claim`` /
+``heartbeat`` / ``release`` / ``done`` / ``failed`` / ``exhausted``
+records keyed by ``id``) and the ``snapshot.json`` compaction leaves
+behind.
 
 Each cell is a job declared to the store with id ``job_id(digest,
 index)``, the id ``repro-submit`` gives the same cell.  Workers claim
@@ -23,18 +20,13 @@ bitwise-identical results either way.
 The digest is part of the directory name, so re-running the same design
 file against the same environment lands on the same store and resumes,
 while *any* change to factors, filters, overrides, ordering or
-environment starts a fresh campaign next door.  A store this code cannot
-read (a corrupt meta, or an older format: format-2 ``meta.json`` with
-cell-keyed records, format-1 ``manifest.json``) is set aside as
-``.corrupt`` and rebuilt from the design; its done cells replay from the
-result cache.  Opening or loading a store sweeps the ``.tmp-*`` strays a
-killed writer left; the write, quarantine and sweep mechanics are
-:mod:`repro.harness.files`.
+environment starts a fresh campaign next door.  Opening a store sweeps
+the ``.tmp-*`` strays a killed writer left
+(:func:`repro.harness.files.sweep`).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,11 +38,10 @@ from ..harness.checkpoints import CheckpointPlan
 from ..harness.engine import (DEFAULT_RETRIES, BatchReport, rebased_events,
                               run_batch)
 from ..harness.faults import FaultPlan
-from ..harness.files import quarantine, sweep, write_atomic
+from ..harness.files import sweep
 from ..harness.jobs import JobError, SimJob
 from .design import Design, DesignError
 from .env import DesignEnv
-from .journal import JOURNAL_NAME, SNAPSHOT_NAME
 from .store import (CLAIMED, DEFAULT_LEASE_TTL, DONE, EXHAUSTED, FAILED,
                     PENDING, TTL_JITTER_FRAC, Job, JobStore,
                     default_worker_id, job_id, worker_ttl_jitter)
@@ -59,21 +50,8 @@ from .store import (CLAIMED, DEFAULT_LEASE_TTL, DONE, EXHAUSTED, FAILED,
 #: result cache and checkpoint store).
 DEFAULT_CAMPAIGN_ROOT = ".repro-campaigns"
 
-#: On-disk meta format version (2 keyed journal records by cell index,
-#: 1 was the rewrite-the-world ``manifest.json``).
-_META_FORMAT = 3
-
-_META = "meta.json"
-
-#: A format-1 store's only file.
-_MANIFEST = "manifest.json"
-
 #: Auto-compact once the journal accumulates this many records.
 DEFAULT_COMPACT_EVERY = 512
-
-
-class CampaignError(RuntimeError):
-    """A campaign store is unusable (corrupt, wrong format, no meta)."""
 
 
 @dataclass
@@ -153,7 +131,6 @@ class Campaign:
     name: str
     digest: str
     path: Path
-    env: DesignEnv
     #: One declared store job per design cell, in cell-index order.
     cells: list[Job] = field(default_factory=list)
 
@@ -168,7 +145,7 @@ class Campaign:
         return self.store.refresh()
 
     # ------------------------------------------------------------------ #
-    # opening / loading
+    # opening
     # ------------------------------------------------------------------ #
     @classmethod
     def open(cls, design: Design, env: DesignEnv | None = None, *,
@@ -177,12 +154,10 @@ class Campaign:
 
         A store from a previous (possibly interrupted, possibly still
         *running* elsewhere) campaign of the same design+environment is
-        loaded, journal state and all; any other design lands in its
-        own directory.  A store with a corrupt or older-format meta is
-        set aside as ``.corrupt`` and rebuilt from the design.  A cell
-        whose job no worker could run (:meth:`SimJob.check
-        <repro.harness.jobs.SimJob.check>`) raises :class:`JobError`
-        before anything is written.
+        resumed, journal state and all; any other design lands in its
+        own directory.  A cell whose job no worker could run
+        (:meth:`SimJob.check <repro.harness.jobs.SimJob.check>`) raises
+        :class:`JobError` before anything is written.
         """
         env = env if env is not None else DesignEnv()
         compiled = design.compile(env)
@@ -196,69 +171,12 @@ class Campaign:
                 raise JobError(f"cell {cc.label!r}: {error}") from None
         digest = design.digest(env)
         path = Path(root) / f"{design.name}-{digest[:12]}"
+        path.mkdir(parents=True, exist_ok=True)
         sweep(path, ".tmp-*")
-        unusable = (path / _MANIFEST).is_file()
-        if (path / _META).is_file():
-            try:
-                campaign = cls.load(path)
-            except CampaignError:
-                # Set the journal aside only with a meta load() has
-                # quarantined, not one it merely could not read.
-                unusable = not (path / _META).exists()
-            else:
-                if campaign.digest != digest:   # pragma: no cover
-                    raise CampaignError(
-                        f"store at {path} records digest "
-                        f"{campaign.digest[:12]}, expected {digest[:12]}")
-                return campaign
-        if unusable:
-            for name in (_MANIFEST, JOURNAL_NAME, SNAPSHOT_NAME):
-                quarantine(path / name)
-        cells = [Job(job_id(digest, cc.index), cc.job.fingerprint(),
-                     cc.job.to_payload(), cc.index, label=cc.label)
-                 for cc in compiled]
-        campaign = cls(name=design.name, digest=digest, path=path,
-                       env=env, cells=cells)
-        campaign._write_meta()
-        return campaign
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Campaign":
-        """Bind an existing store (meta + journal replay).
-
-        Stray ``.tmp-*`` files (a process killed between write and
-        rename) are swept; an unparseable or older-format meta is
-        quarantined as ``.corrupt`` before :class:`CampaignError` is
-        raised, so the bad file can never wedge the store (``open()``
-        then rebuilds it from the design).
-        """
-        path = Path(path)
-        sweep(path, ".tmp-*")
-        meta = path / _META
-        if not meta.is_file():
-            raise CampaignError(f"no campaign store under {path}")
-        data = _read_meta(meta)
-        digest = data["digest"]
-        return cls(name=data["name"], digest=digest, path=path,
-                   env=DesignEnv.from_payload(data["env"]),
-                   cells=[Job(job_id(digest, cell["index"]),
-                              cell["fingerprint"], cell["job"],
-                              cell["index"], label=cell["label"])
-                          for cell in data["cells"]])
-
-    def _write_meta(self) -> None:
-        """Atomic one-time meta write; raises on failure."""
-        payload = {
-            "format": _META_FORMAT,
-            "name": self.name,
-            "digest": self.digest,
-            "env": self.env.to_payload(),
-            "written": time.time(),
-            "cells": [{"index": cell.index, "label": cell.label,
-                       "fingerprint": cell.fingerprint, "job": cell.job}
-                      for cell in self.cells],
-        }
-        write_atomic(self.path / _META, json.dumps(payload, indent=1))
+        return cls(name=design.name, digest=digest, path=path,
+                   cells=[Job(job_id(digest, cc.index), cc.job.fingerprint(),
+                              cc.job.to_payload(), cc.index, label=cc.label)
+                          for cc in compiled])
 
     # ------------------------------------------------------------------ #
     # state
@@ -277,7 +195,7 @@ class Campaign:
             fail_fast: bool = False, faults: FaultPlan | None = None,
             sanitize: bool | None = None,
             checkpoints: CheckpointPlan | None = None,
-            progress=None, worker_id: str | None = None,
+            worker_id: str | None = None,
             lease_ttl: float = DEFAULT_LEASE_TTL,
             max_retries: int | None = None,
             shard: bool = False) -> CampaignReport:
@@ -385,7 +303,7 @@ class Campaign:
                                   retries=retries, timeout=timeout,
                                   fail_fast=fail_fast, faults=faults,
                                   sanitize=sanitize, checkpoints=checkpoints,
-                                  progress=progress, on_outcome=on_outcome)
+                                  on_outcome=on_outcome)
                 report.batches.append(batch)
                 report.executed += len(claimed)
                 for outcome in batch.outcomes:
@@ -431,26 +349,3 @@ class Campaign:
                                   attempts=cell.attempts)
                 event("cell.exhausted", cell=cell.index,
                       attempts=cell.attempts)
-
-
-# --------------------------------------------------------------------------- #
-# store-file helpers
-# --------------------------------------------------------------------------- #
-
-def _read_meta(path: Path) -> dict:
-    """Parse the meta file; quarantine-and-raise when unusable."""
-    try:
-        data = json.loads(path.read_text())
-        if data.get("format") != _META_FORMAT:
-            raise ValueError(f"format {data.get('format')!r}, "
-                             f"expected {_META_FORMAT}")
-        if not isinstance(data.get("cells"), list):
-            raise ValueError("no cell list")
-        return data
-    except OSError as error:
-        raise CampaignError(f"unreadable campaign store file {path}: "
-                            f"{error}") from None
-    except (ValueError, KeyError, TypeError, AttributeError) as error:
-        quarantine(path)
-        raise CampaignError(f"corrupt campaign store file {path} "
-                            f"(quarantined as .corrupt): {error}") from None

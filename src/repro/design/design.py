@@ -312,7 +312,7 @@ class Design:
 
         Identity by *meaning*, not by declaration: two different
         declarations compiling to the same jobs share a digest (and a
-        campaign manifest), while any change to a factor level, filter,
+        campaign store), while any change to a factor level, filter,
         override, ordering or environment produces a new digest.
         """
         compiled = self.compile(env)

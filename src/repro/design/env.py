@@ -92,18 +92,6 @@ class DesignEnv:
         order."""
         return list(self._jobs.values())
 
-    def to_payload(self) -> dict:
-        """JSON-compatible rendering (campaign manifests)."""
-        from dataclasses import fields as dc_fields
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "config": {f.name: getattr(self.config, f.name)
-                       for f in dc_fields(self.config)},
-            "timeline_window": self.timeline_window,
-            "trace": self.trace,
-        }
-
     @classmethod
     def merged(cls, pinned: dict, **flags) -> "DesignEnv":
         """The environment a design file compiles under: the CLI
@@ -114,12 +102,3 @@ class DesignEnv:
                   if value is not None}
         kwargs.update(pinned)
         return cls(**kwargs)
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "DesignEnv":
-        """The environment a campaign manifest recorded; a key this
-        version no longer reads (an older manifest's) is ignored."""
-        return cls(scale=data["scale"], seed=data["seed"],
-                   config=GPUConfig(**data["config"]),
-                   timeline_window=data.get("timeline_window"),
-                   trace=bool(data.get("trace", False)))

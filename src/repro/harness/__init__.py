@@ -11,14 +11,13 @@ from .faults import FaultPlan, FaultSpecError, RunSaboteur
 from .jobs import JobError, SimJob
 from .metrics import CKEMetrics, cke_metrics
 from .runner import simulate
-from .sweeps import config_sweep, sweep_design
 from .validate import RunValidationError, validate_run
 
 __all__ = ["Backoff", "BatchReport", "CheckpointPlan",
            "CheckpointStore", "CKEMetrics", "cke_metrics",
            "EXIT_EXHAUSTED", "EXIT_OK", "EXIT_PARTIAL", "EXIT_SHED",
            "EXIT_USAGE", "execute_tagged",
-           "compare_runs", "stall_shift", "config_sweep", "FaultPlan",
+           "compare_runs", "stall_shift", "FaultPlan",
            "FaultSpecError", "JobError", "JobExecutionError", "JobOutcome",
            "ResultCache", "run_batch", "run_jobs",
            "RunSaboteur", "RunValidationError", "simulate", "SimJob",

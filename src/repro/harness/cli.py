@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..design import (DEFAULT_CAMPAIGN_ROOT, DEFAULT_LEASE_TTL, Campaign,
-                      CampaignError, DesignEnv, DesignError)
+                      DesignEnv, DesignError)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .checkpoints import CheckpointPlan, CheckpointStore
 from .engine import JobExecutionError
@@ -193,7 +193,7 @@ def _parse_args(argv: Sequence[str] | None):
                                trace=bool(args.trace))
         try:
             campaign = Campaign.open(design, env, root=args.campaign_dir)
-        except (CampaignError, DesignError, JobError) as error:
+        except (DesignError, JobError) as error:
             parser.error(f"cannot open campaign for {args.design}: {error}")
     return args, settings, campaign
 

@@ -1,7 +1,7 @@
 """How every on-disk store writes a file, sets a bad one aside and sweeps.
 
 The stores (result cache, checkpoints, goldens, failure artifacts,
-job-store snapshots and journals, campaign meta, table goldens) differ
+job-store snapshots and journals, table goldens) differ
 in what a failure means — one warns and runs on, another raises — but
 share the mechanism, which lives here:
 

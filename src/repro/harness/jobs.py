@@ -14,7 +14,7 @@ sha256 over a canonical JSON rendering of all inputs plus the
 (:mod:`repro.harness.cache`).  Bump :data:`SIM_VERSION` whenever a change
 alters simulation *results*; old cache entries then miss and are recomputed.
 
-Descriptor grammar (shared by :class:`ExperimentContext`, the sweeps and
+Descriptor grammar (shared by :class:`ExperimentContext`, the designs and
 the CLIs):
 
 * warp: ``"lrr" | "gto" | "baws" | "two-level" | "swl"`` or ``("swl", K)``
@@ -249,9 +249,9 @@ class SimJob:
     def to_payload(self) -> dict:
         """A JSON-compatible rendering; inverse of :meth:`from_payload`.
 
-        Campaign manifests (:mod:`repro.design.campaign`) persist jobs in
-        this form so an interrupted sweep resumes without re-declaring —
-        or even re-parsing — its design.
+        Daemon journals (``submit`` records) and job-store snapshots
+        persist jobs in this form, and the wire protocol carries it; a
+        campaign cell holds it until a worker rebuilds the job.
         """
         return {
             "names": list(self.names),

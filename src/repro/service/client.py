@@ -128,6 +128,7 @@ class ServiceClient:
         for attempt in range(1, self.connect_attempts + 1):
             for _ in self.addresses:
                 kind, where = parse_address(self.addresses[self._peer_index])
+                sock = None
                 try:
                     if kind == "tcp":
                         sock = socket.create_connection(
@@ -138,6 +139,8 @@ class ServiceClient:
                         sock.settimeout(self.timeout)
                         sock.connect(where)
                 except OSError as error:
+                    if sock is not None:
+                        sock.close()
                     last = error
                     self._rotate()
                     continue

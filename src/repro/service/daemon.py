@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import fcntl
 import json
 import os
 import signal
@@ -74,11 +75,15 @@ from .protocol import (DONE, FAILED, MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        ProtocolError, decode_frame, encode_frame,
                        error_response, parse_address)
 
-#: Default service state directory (journal, events, snapshot, socket).
+#: Default service state directory (journal, events, snapshot, socket,
+#: lock).
 DEFAULT_STATE_DIR = ".repro-serve"
 
 #: Socket file name inside the state directory.
 SOCKET_NAME = "serve.sock"
+
+#: The state directory's lock file: one live daemon holds it.
+LOCK_NAME = "serve.lock"
 
 #: Journal and event-stream file names inside the state directory.
 QUEUE_JOURNAL = JOURNAL_NAME
@@ -248,7 +253,37 @@ class SchedulerDaemon:
     # ------------------------------------------------------------------ #
     # the server
     # ------------------------------------------------------------------ #
+    def _hold_state_dir(self) -> int:
+        """Take ``serve.lock``: an exclusive ``flock`` holding our pid.
+
+        A second daemon on a held state dir raises :class:`OSError`
+        before it folds, binds or appends.  The kernel drops the lock
+        when its holder dies, so a SIGKILLed daemon never blocks its
+        restart, and forked workers close the descriptor at start.
+        """
+        self.state_dir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.state_dir / LOCK_NAME, os.O_RDWR | os.O_CREAT,
+                     0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 32).decode(errors="replace").strip()
+            os.close(fd)
+            raise OSError(f"state dir {self.state_dir} is held by another "
+                          f"repro-serve (pid {holder or '?'})") from None
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        return fd
+
     async def serve(self) -> int:
+        """Hold the state dir, recover, and serve until drained."""
+        lock = self._hold_state_dir()
+        try:
+            return await self._serve()
+        finally:
+            os.close(lock)
+
+    async def _serve(self) -> int:
         requeued = self.recover()
         self._log(f"recovered {len(self.table.jobs)} job(s), "
                   f"re-queued {requeued}")
@@ -864,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "a unix socket or TCP; see docs/ROBUSTNESS.md).")
     parser.add_argument("--state-dir", default=DEFAULT_STATE_DIR,
                         help="durable queue state: journal, events, "
-                             f"snapshot, socket (default {DEFAULT_STATE_DIR})")
+                             "snapshot, socket, lock; one daemon per dir "
+                             f"(default {DEFAULT_STATE_DIR})")
     parser.add_argument("--socket", default=None, metavar="ADDR",
                         help="where to listen: a unix socket path or "
                              "host:port for TCP; with --cluster, this "

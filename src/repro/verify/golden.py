@@ -59,7 +59,7 @@ DRIFT_LANES = ("stats", "timeline", "telemetry")
 
 #: Meta keys that belong to the ``telemetry`` lane (everything else in the
 #: result rendering outside ``meta.timeline`` is the ``stats`` lane).
-_TELEMETRY_META_KEYS = ("trace",)
+_TELEMETRY_KEYS = ("trace",)
 
 
 class GoldenError(RuntimeError):
@@ -320,7 +320,7 @@ def split_lanes(result_dict: dict[str, Any]) -> dict[str, Any]:
     """Split a RunResult rendering into its drift-lane projections."""
     meta = dict(result_dict.get("meta", {}))
     timeline = meta.pop("timeline", None)
-    telemetry = {key: meta.pop(key) for key in _TELEMETRY_META_KEYS
+    telemetry = {key: meta.pop(key) for key in _TELEMETRY_KEYS
                  if key in meta}
     stats = {key: value for key, value in result_dict.items()
              if key != "meta"}

@@ -1,6 +1,6 @@
 """Durable-campaign tests: lease protocol, retry budgets, compaction
-equivalence, append-failure degradation, and older-format stores set
-aside and rebuilt.
+equivalence, append-failure degradation, and older-format stores that
+re-run from the result cache.
 
 The subprocess-level kill/restart drill lives in
 ``tests/test_campaign_chaos.py``; everything here runs in-process (so no
@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.design import (Campaign, CampaignError, Design, DesignEnv,
-                          Factor, Job, JobStore, Journal, replay_journal)
+from repro.design import (Campaign, Design, DesignEnv, Factor, Job,
+                          JobStore, Journal, replay_journal)
 from repro.design import campaign as campaign_module
-from repro.design.campaign import _META
 from repro.design.journal import JOURNAL_NAME, SNAPSHOT_NAME
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
@@ -302,32 +301,31 @@ class TestAppendFailureDegradation:
 
 
 class TestStoreHygiene:
-    def test_older_format_stores_are_set_aside_and_rebuilt(self, tmp_path):
+    def test_older_format_stores_rerun_from_the_cache(self, tmp_path):
         # A format-1 store (one manifest.json) and a format-2 store
-        # (meta.json + a journal keyed by cell index) cannot be read:
-        # each is set aside as .corrupt and rebuilt from the design, and
-        # its done cells replay from the warm result cache.
+        # (meta.json + a journal keyed by cell index) name no job by id:
+        # the design's cells run again and replay from the warm result
+        # cache.
         env = DesignEnv(scale=TINY)
         cache = ResultCache(tmp_path / "cache")
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
         assert campaign.run(cache=cache).ok
-        meta = json.loads((campaign.path / _META).read_text())
         cells = [{"index": cell.index, "label": cell.label,
                   "fingerprint": cell.fingerprint, "job": cell.job}
                  for cell in campaign.cells]
+        meta = {"name": campaign.name, "digest": campaign.digest,
+                "cells": cells}
         manifest = {**meta, "format": 1,
                     "cells": [{**cell, "status": "done", "cycles": 42,
                                "ipc": 1.5, "error": None}
                               for cell in cells]}
-        format2 = {**meta, "format": 2}
-        for stale, files in (
-                ("manifest.json", {"manifest.json": json.dumps(manifest)}),
-                (_META, {_META: json.dumps(format2)})):
-            for name in (_META, JOURNAL_NAME, SNAPSHOT_NAME):
-                (campaign.path / name).unlink(missing_ok=True)
-            for name, text in files.items():
-                (campaign.path / name).write_text(text)
-            if stale == _META:
+        for name, old in (("manifest.json", manifest),
+                          ("meta.json", {**meta, "format": 2})):
+            for stale in ("manifest.json", "meta.json", JOURNAL_NAME,
+                          SNAPSHOT_NAME):
+                (campaign.path / stale).unlink(missing_ok=True)
+            (campaign.path / name).write_text(json.dumps(old))
+            if name == "meta.json":
                 journal = Journal(campaign.path / JOURNAL_NAME, worker="old")
                 for cell in cells:
                     journal.append("done", cell=cell["index"],
@@ -335,10 +333,6 @@ class TestStoreHygiene:
                                    cycles=42, ipc=1.5)
 
             rebuilt = Campaign.open(_design(), env, root=tmp_path / "c")
-            assert (campaign.path / (stale + ".corrupt")).exists()
-            assert not (campaign.path / "manifest.json").exists()
-            assert json.loads((campaign.path / _META).read_text())[
-                "format"] == 3
             assert rebuilt.counts()["pending"] == 2
             hits, misses = cache.hits, cache.misses
             report = rebuilt.run(cache=cache)
@@ -350,28 +344,11 @@ class TestStoreHygiene:
     def test_stray_tmp_files_are_swept_on_open(self, tmp_path):
         env = DesignEnv(scale=TINY)
         campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        stray = campaign.path / ".tmp-meta-abandoned"
-        stray.write_text("half a manifest")
+        stray = campaign.path / ".tmp-snapshot.json-abandoned"
+        stray.write_text("half a snapshot")
         reopened = Campaign.open(_design(), env, root=tmp_path / "c")
         assert reopened.path == campaign.path
         assert not stray.exists()
-
-    def test_corrupt_meta_is_quarantined_and_rebuilt(self, tmp_path):
-        env = DesignEnv(scale=TINY)
-        campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        (campaign.path / _META).write_text("{truncated")
-        reopened = Campaign.open(_design(), env, root=tmp_path / "c")
-        assert len(reopened.cells) == 2
-        assert (campaign.path / (_META + ".corrupt")).exists()
-        assert json.loads((campaign.path / _META).read_text())["format"] == 3
-
-    def test_corrupt_meta_load_quarantines_then_raises(self, tmp_path):
-        env = DesignEnv(scale=TINY)
-        campaign = Campaign.open(_design(), env, root=tmp_path / "c")
-        (campaign.path / _META).write_text('{"format": 99}')
-        with pytest.raises(CampaignError, match="quarantined"):
-            Campaign.load(campaign.path)
-        assert (campaign.path / (_META + ".corrupt")).exists()
 
     def test_journal_damage_is_surfaced_as_an_event(self, tmp_path):
         env = DesignEnv(scale=TINY)

@@ -322,7 +322,8 @@ def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
     # docs/DESIGNS.md: anything the file pins wins over the CLI flags,
     # in repro-exp --design and repro-submit alike — one design file
     # plus the same flags compiles to the same jobs through both.
-    from repro.design import DEFAULT_CAMPAIGN_ROOT, Campaign
+    from repro.design import (DEFAULT_CAMPAIGN_ROOT, Campaign, DesignEnv,
+                              load_design)
     from repro.harness.jobs import SimJob
     from repro.service import client as submit_cli
 
@@ -335,7 +336,10 @@ def test_design_pins_win_over_flags_in_both_clis(tmp_path, monkeypatch,
     flags = ["--seed", "9", "--scale", "0.5"]
     assert main(["--design", str(design), "--no-cache", *flags]) == 0
     store, = (tmp_path / DEFAULT_CAMPAIGN_ROOT).iterdir()
-    campaign = Campaign.load(store)
+    loaded, pins = load_design(design)
+    campaign = Campaign.open(loaded, DesignEnv.merged(pins),
+                             root=tmp_path / DEFAULT_CAMPAIGN_ROOT)
+    assert campaign.path == store
 
     submitted = []
 

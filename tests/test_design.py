@@ -298,32 +298,31 @@ class TestCampaign:
         b = Campaign.open(changed, env, root=tmp_path / "c")
         assert a.path != b.path
 
-    def test_manifest_round_trips_jobs_exactly(self, tmp_path):
-        env = DesignEnv(scale=TINY)
-        campaign = Campaign.open(_tiny_design(), env, root=tmp_path / "c")
-        loaded = Campaign.load(campaign.path)
-        from repro.harness.jobs import SimJob
-        for cell in loaded.cells:
-            assert SimJob.from_payload(cell.job).fingerprint() \
-                == cell.fingerprint
-
     def test_a_store_whose_env_names_a_core_resumes(self, tmp_path):
-        # Manifests written while the environment still chose a simulator
-        # core carry "backend" in their env: they load, the key is
-        # ignored, and the campaign resumes in the same directory.
+        # A store written while campaigns kept a meta.json (format 3,
+        # its env still naming a simulator core) holds a journal keyed by
+        # the same job ids: it resumes in the same directory, and its
+        # meta is never read.
         env = DesignEnv(scale=TINY)
         cache = ResultCache(tmp_path / "cache")
         campaign = Campaign.open(_tiny_design(), env, root=tmp_path / "c")
         campaign.run(cache=cache)
-        meta = campaign.path / "meta.json"
-        data = json.loads(meta.read_text())
-        data["env"]["backend"] = "object"
-        meta.write_text(json.dumps(data))
-        assert DesignEnv.from_payload(data["env"]) == env
+        meta = {"format": 3, "name": campaign.name,
+                "digest": campaign.digest,
+                "env": {"scale": TINY, "seed": env.seed,
+                        "config": dataclasses.asdict(env.config),
+                        "timeline_window": None, "trace": False,
+                        "backend": "object"},
+                "written": 0.0,
+                "cells": [{"index": cell.index, "label": cell.label,
+                           "fingerprint": cell.fingerprint, "job": cell.job}
+                          for cell in campaign.cells]}
+        (campaign.path / "meta.json").write_text(json.dumps(meta))
         again = Campaign.open(_tiny_design(), env, root=tmp_path / "c")
         assert again.path == campaign.path
         report = again.run(cache=cache)
         assert report.executed == 0 and report.resumed == 2
+        assert json.loads((campaign.path / "meta.json").read_text()) == meta
 
 
 # --------------------------------------------------------------------------- #

@@ -206,3 +206,27 @@ def test_documented_design_env_keys_are_the_accepted_ones():
     text = " ".join((ROOT / "docs" / "DESIGNS.md").read_text().split())
     pinned = re.search(r"`\[design\.env\]` may pin (.*?);", text).group(1)
     assert re.findall(r"`(\w+)`", pinned) == list(ENV_KEYS)
+
+
+def _documented_store_layouts(doc: Path) -> list[set[str]]:
+    """The file names of each fenced ``.repro-campaigns/<name>-<digest12>/``
+    block in ``doc``."""
+    blocks = re.findall(r"```\n\.repro-campaigns/<name>-<digest12>/\n(.*?)```",
+                        doc.read_text(), re.S)
+    return [{line.split()[0] for line in block.splitlines() if line.strip()}
+            for block in blocks]
+
+
+def test_documented_campaign_store_layout_is_a_real_store(tmp_path):
+    # compact.lock exists only while a compaction runs.
+    from repro.design import Campaign, Design, DesignEnv, Factor
+    design = Design("layout", factors=[Factor.crossed("bench", ("kmeans",))])
+    campaign = Campaign.open(design, DesignEnv(scale=0.02), root=tmp_path)
+    assert campaign.run().ok
+    assert campaign.store.compact(force=True)
+    present = {path.name for path in campaign.path.iterdir()}
+    for doc in ("DESIGNS.md", "ROBUSTNESS.md"):
+        layouts = _documented_store_layouts(ROOT / "docs" / doc)
+        assert layouts, f"docs/{doc} shows no campaign store layout"
+        for names in layouts:
+            assert names - {"compact.lock"} == present, f"docs/{doc}"

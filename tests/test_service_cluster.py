@@ -14,10 +14,12 @@ lease handoff under fire) lives in the cluster chaos drill
 """
 
 import asyncio
+import gc
 import io
 import socket
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from repro.harness.faults import FaultPlan
 from repro.harness.jobs import SimJob
 from repro.service.admission import CircuitBreaker
 from repro.service.audit import audit_state_dirs
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.cluster import (PEER_DEAD, PEER_SUSPECT, PEER_UNKNOWN,
                                    PEER_UP, ClusterManager, rendezvous_owner)
 from repro.service.daemon import SchedulerDaemon
@@ -616,6 +618,18 @@ class TestClientFailover:
             stop.set()
             thread.join(timeout=5.0)
             server.close()
+
+    def test_a_failed_connect_closes_its_socket(self, tmp_path):
+        client = ServiceClient(str(tmp_path / "missing.sock"),
+                               connect_attempts=2,
+                               backoff=Backoff(base=0.0, cap=0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ServiceError, match="after 2 attempt"):
+                client.connect()
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 # --------------------------------------------------------------------------- #

@@ -482,6 +482,39 @@ class TestForkedWorkers:
                 proc.wait()
 
 
+class TestOneDaemonPerStateDir:
+    def test_a_second_daemon_on_a_held_state_dir_exits_first(self,
+                                                              tmp_path):
+        # The second daemon must fail before it folds, binds or appends;
+        # the first keeps serving, and once it drains a new one starts.
+        daemon, thread, outcome = _start(tmp_path)
+        events = tmp_path / "state" / EVENTS_JOURNAL
+        try:
+            before = events.read_bytes()
+            second = tmp_path / "second.sock"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.service.daemon",
+                 "--state-dir", str(tmp_path / "state"),
+                 "--cache-dir", str(tmp_path / "cache"), "--workers", "1",
+                 "--socket", str(second)],
+                env=child_env(""), capture_output=True, text=True,
+                timeout=30)
+            assert proc.returncode == EXIT_PARTIAL
+            assert (f"is held by another repro-serve (pid {os.getpid()})"
+                    in proc.stderr)
+            assert not second.exists()
+            assert events.read_bytes() == before
+            assert not (tmp_path / "state" / QUEUE_JOURNAL).exists()
+            with ServiceClient(daemon.address) as client:
+                assert client.status()["pid"] == os.getpid()
+        finally:
+            assert _stop(daemon, thread, outcome) == EXIT_OK
+        daemon, thread, outcome = _start(tmp_path)
+        with ServiceClient(daemon.address) as client:
+            assert client.status()["ok"]
+        assert _stop(daemon, thread, outcome) == EXIT_OK
+
+
 class TestRecovery:
     def test_pending_jobs_requeue_and_finish_after_restart(self, tmp_path):
         # Forge incarnation 1 by hand: a journaled submit with no

@@ -1,73 +1,79 @@
-"""Tests for the configuration-sweep utility."""
+"""Config sweeps are designs: one ``GPUConfig`` field crossed with the
+policies through a derived ``config`` factor (the ``mshr-sweep`` of
+docs/DESIGNS.md, E20's declaration), run through the
+:class:`ExperimentContext`.  Bad descriptors are refused when the
+design compiles, before anything runs."""
 
 import pytest
 
-from repro.harness.sweeps import config_sweep
+from repro.design import Design, DesignEnv, DesignError, Factor
+from repro.harness.experiments import ExperimentContext
+from repro.harness.jobs import JobError
 from repro.sim.config import GPUConfig
-
 
 SMALL = GPUConfig.small()
 
 
+def _sweep(field, values, policies=(("rr",),), *, bench="kmeans",
+           warp="gto"):
+    """Value outer, policy inner: one row per value, one column per
+    policy."""
+    return Design(f"sweep-{bench}-{field}", factors=[
+        Factor.crossed("value", tuple(values)),
+        Factor.crossed("bench", (bench,)),
+        Factor.crossed("warp", (warp,)),
+        Factor.crossed("policy", tuple(policies)),
+        Factor.derived("config", lambda cell, env: {field: cell["value"]}),
+    ])
+
+
+def _compile(design):
+    return design.compile(DesignEnv(scale=0.03, config=SMALL))
+
+
 class TestConfigSweep:
     def test_rows_per_value(self):
-        table = config_sweep("kmeans", "l1_size", [4096, 8192],
-                             base_config=SMALL, scale=0.03)
-        assert len(table.rows) == 2
-        assert table.column("l1_size") == [4096, 8192]
+        cells = _compile(_sweep("l1_size", [4096, 8192]))
+        assert [cc.job.config for cc in cells] \
+            == [SMALL.with_overrides(l1_size=size) for size in (4096, 8192)]
 
     def test_larger_l1_does_not_hurt(self):
-        table = config_sweep("kmeans", "l1_size", [4096, 16384],
-                             base_config=SMALL, scale=0.05)
-        small_ipc, big_ipc = table.column("ipc_ipc")
+        ctx = ExperimentContext(scale=0.05)
+        small_ipc, big_ipc = (
+            ctx.run("kmeans", config=SMALL.with_overrides(l1_size=size)).ipc
+            for size in (4096, 16384))
         assert big_ipc >= small_ipc * 0.98
 
-    def test_multiple_policies_and_best_column(self):
-        table = config_sweep("kmeans", "l1_mshr_entries", [8],
-                             base_config=SMALL, scale=0.03,
-                             policies={"base": ("rr",),
-                                       "limit1": ("static", 1)})
-        assert "best_policy" in table.columns
-        assert table.rows[0][-1] in ("base", "limit1")
-
     def test_repeated_value_reads_its_one_cell(self):
-        # The design keeps one cell per distinct (value, policy); a
-        # repeated value reads that cell's result in every row.
-        table = config_sweep("kmeans", "l1_mshr_entries", [8, 8],
-                             base_config=SMALL, scale=0.05)
-        assert table.column("l1_mshr_entries") == [8, 8]
-        assert table.rows[0] == table.rows[1]
+        # The design keeps one cell per distinct (value, policy), and the
+        # context hands a repeated cell the same job, run once.
+        assert len(_compile(_sweep("l1_mshr_entries", [8, 8]))) == 1
+        ctx = ExperimentContext(scale=0.05)
+        config = SMALL.with_overrides(l1_mshr_entries=8)
+        assert ctx.job("kmeans", config=config) \
+            is ctx.job("kmeans", config=config)
 
     def test_repeated_policy_reads_its_one_cell(self):
-        table = config_sweep("kmeans", "l1_mshr_entries", [8, 16],
-                             base_config=SMALL, scale=0.05,
-                             policies={"a": ("rr",), "b": ("rr",)})
-        assert len(table.rows) == 2
-        assert table.column("a_ipc") == table.column("b_ipc")
+        cells = _compile(_sweep("l1_mshr_entries", [8, 16],
+                                policies=(("rr",), ("rr",))))
+        assert [cc.job.config.l1_mshr_entries for cc in cells] == [8, 16]
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            config_sweep("kmeans", "warp_drive", [1], base_config=SMALL)
+        with pytest.raises((TypeError, ValueError), match="warp_drive"):
+            _compile(_sweep("warp_drive", [1]))
 
     def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            config_sweep("kmeans", "l1_size", [], base_config=SMALL)
+        with pytest.raises(DesignError, match="at least one level"):
+            _sweep("l1_size", [])
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            config_sweep("kmeans", "l1_size", [4096], base_config=SMALL,
-                         scale=0.03, policies={"x": ("bcs", 2)})
+        with pytest.raises(JobError, match="bcs"):
+            _compile(_sweep("l1_size", [4096], policies=(("bcs", 2),)))
 
     def test_unknown_warp_scheduler_rejected(self):
-        # Regression: the sweep used to hand the string straight to
-        # simulate(), so a typo surfaced mid-sweep (or not at all) instead
-        # of failing up front with the engine's uniform descriptor error.
-        from repro.harness.jobs import JobError
-        with pytest.raises(JobError):
-            config_sweep("kmeans", "l1_size", [4096], base_config=SMALL,
-                         scale=0.03, warp_scheduler="gtoo")
+        with pytest.raises(JobError, match="gtoo"):
+            _compile(_sweep("l1_size", [4096], warp="gtoo"))
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ValueError):
-            config_sweep("warp_drive", "l1_size", [4096], base_config=SMALL,
-                         scale=0.03)
+        with pytest.raises(JobError, match="warp_drive"):
+            _compile(_sweep("l1_size", [4096], bench="warp_drive"))
